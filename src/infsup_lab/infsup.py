@@ -80,6 +80,20 @@ def _report(sigma_result, pressure_modes, mode, pair, h):
                         worst_pressure_mode=worst, pair=pair, h=h)
 
 
+def _whiten(b, x_norm, m_norm) -> tuple[np.ndarray, np.ndarray]:
+    """(W, R) with W = R^{-1} B L^{-T}, X = L L^T, M = R R^T.
+
+    Raises NotPositiveDefinite (via Cholesky) when either norm matrix is
+    not SPD.
+    """
+    l_fac = cholesky(np.asarray(x_norm, dtype=float))
+    r_fac = cholesky(np.asarray(m_norm, dtype=float))
+    # B L^{-T} = (L^{-1} B^T)^T
+    bl = scipy.linalg.solve_triangular(
+        l_fac, np.asarray(b, dtype=float).T, lower=True).T
+    return scipy.linalg.solve_triangular(r_fac, bl, lower=True), r_fac
+
+
 def infsup_euclidean(b: np.ndarray, pair: str = "custom",
                      h: float = float("nan")) -> InfSupReport:
     """beta = smallest positive singular value of the raw block.
@@ -100,12 +114,7 @@ def infsup_weighted(b: np.ndarray, x_norm: np.ndarray, m_norm: np.ndarray,
     not SPD.  Pressure modes are mapped back through R^{-T} so the reported
     worst mode is a plain nodal/cell vector, M-normalized.
     """
-    b = np.asarray(b, dtype=float)
-    l_fac = cholesky(np.asarray(x_norm, dtype=float))
-    r_fac = cholesky(np.asarray(m_norm, dtype=float))
-    # W = R^{-1} (B L^{-T}):   B L^{-T} = (L^{-1} B^T)^T
-    bl = scipy.linalg.solve_triangular(l_fac, b.T, lower=True).T
-    w = scipy.linalg.solve_triangular(r_fac, bl, lower=True)
+    w, r_fac = _whiten(b, x_norm, m_norm)
     result = svd(w)
     modes = scipy.linalg.solve_triangular(r_fac.T, result.u, lower=False)
     return _report(result, modes, "weighted", pair, h)
@@ -155,10 +164,7 @@ def constant_pressure_angle(pair: str, mesh: Mesh,
     b, x, m = pair_operators(pair, mesh)
     ones = np.ones(b.shape[0])
     if weighted:
-        l_fac = cholesky(x)
-        r_fac = cholesky(m)
-        bl = scipy.linalg.solve_triangular(l_fac, b.T, lower=True).T
-        w = scipy.linalg.solve_triangular(r_fac, bl, lower=True)
+        w, r_fac = _whiten(b, x, m)
         vec = r_fac.T @ ones
     else:
         w = b

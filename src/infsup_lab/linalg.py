@@ -1,17 +1,18 @@
 """Dense and sparse linear algebra kernels used throughout the package.
 
 Dense matrices are plain 2-D float64 ``numpy.ndarray`` objects (row-major).
-The two spectral routines that the whole inf-sup machinery rests on --
-``svd`` (one-sided Jacobi) and ``sym_eig`` (cyclic Jacobi) -- are implemented
-here directly so that small singular values are computed to high relative
-accuracy and so the two routes stay independent of each other.  Factor-based
-solves (``lu_solve``, ``cholesky``) delegate the factorization itself to
-LAPACK via scipy/numpy but keep the error contracts of this module.
+The two spectral routines that the whole inf-sup machinery rests on are
+LAPACK routes with this module's contracts on top: ``svd`` calls the
+preconditioned one-sided Jacobi SVD ``dgejsv`` in its ``JOBA='C'`` mode, so
+small singular values keep high relative accuracy instead of being rounded
+to zero against the largest one, and ``sym_eig`` calls ``eigh``, an
+independent tridiagonal route for cross-checks.  Factor-based solves
+(``lu_solve``, ``cholesky``) likewise delegate the factorization to LAPACK
+via scipy/numpy but keep the error contracts of this module.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -105,12 +106,8 @@ def cholesky(a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# one-sided Jacobi SVD
+# spectral routines (LAPACK dgejsv / eigh)
 # ---------------------------------------------------------------------------
-
-#: off-diagonal Gram entries below this (relative to the column norms) are
-#: considered annihilated
-JACOBI_TOL = 1e-14
 
 #: relative rank tolerance factor: rank_tol = RANK_RTOL * max(m, n)
 RANK_RTOL = 1e-10
@@ -138,191 +135,59 @@ class SvdResult:
         return self.u @ self.sigma_matrix() @ self.v.T
 
 
-def _jacobi_orthogonalize(w: np.ndarray, max_sweeps: int = 100):
-    """Orthogonalize the columns of ``w`` in place by Jacobi rotations.
-
-    Returns the accumulated right rotation matrix V (so original_w = w_out
-    with w_out = original_w @ V, columns of w_out mutually orthogonal).
-    """
-    m, n = w.shape
-    v = np.eye(n)
-    if n < 2:
-        return v
-    # columns whose norm is negligible against the largest are frozen: their
-    # content is round-off and rotating against them never converges in the
-    # relative criterion
-    norm_floor = 1e-15 * math.sqrt(float(np.max(np.sum(w * w, axis=0))) or 1.0)
-    for _ in range(max_sweeps):
-        rotated = False
-        for i in range(n - 1):
-            wi = w[:, i]
-            aii = float(wi @ wi)
-            for j in range(i + 1, n):
-                wj = w[:, j]
-                ajj = float(wj @ wj)
-                small, big = min(aii, ajj), max(aii, ajj)
-                if small <= norm_floor * norm_floor:
-                    continue
-                aij = float(wi @ wj)
-                if abs(aij) <= JACOBI_TOL * math.sqrt(aii * ajj):
-                    continue
-                rotated = True
-                zeta = (ajj - aii) / (2.0 * aij)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                tmp = c * wi - s * wj
-                w[:, j] = s * wi + c * wj
-                w[:, i] = tmp
-                wi = w[:, i]
-                aii = float(wi @ wi)
-                vi = v[:, i].copy()
-                v[:, i] = c * vi - s * v[:, j]
-                v[:, j] = s * vi + c * v[:, j]
-        if not rotated:
-            return v
-    raise RuntimeError("one-sided Jacobi SVD did not converge")
-
-
-def _householder_completion(u_cols: np.ndarray, m: int) -> np.ndarray:
-    """Orthonormal basis of the complement of span(u_cols) in R^m."""
-    k = u_cols.shape[1]
-    if k == 0:
-        return np.eye(m)
-    q = np.eye(m)
-    a = u_cols.copy()
-    for j in range(k):
-        x = a[j:, j]
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            continue
-        alpha = -math.copysign(nx, x[0] if x[0] != 0.0 else 1.0)
-        vref = x.copy()
-        vref[0] -= alpha
-        nv = float(np.linalg.norm(vref))
-        if nv == 0.0:
-            continue
-        vref /= nv
-        a[j:, j:] -= 2.0 * np.outer(vref, vref @ a[j:, j:])
-        q[:, j:] -= 2.0 * np.outer(q[:, j:] @ vref, vref)
-    return q[:, k:]
-
-
 def svd(a, rank_tol: float | None = None) -> SvdResult:
-    """One-sided Jacobi singular value decomposition with full U and V.
+    """Singular value decomposition with full U and V by LAPACK ``dgejsv``.
+
+    ``dgejsv`` is the preconditioned one-sided Jacobi SVD of Drmač and
+    Veselić (SIAM J. Matrix Anal. Appl. 29, 2008).  It runs with
+    ``JOBA='C'``: the relative error of every singular value is bounded by
+    O(eps) times the condition of ``a`` with its columns scaled to unit
+    norm, whatever that column scaling was, and no value is truncated.
+    (The wrapper's default ``'A'`` sets every value below n·eps·‖a‖ to
+    exactly zero, which would erase the small constants under study.)
 
     ``rank_tol`` is the relative tolerance defining the numerical rank
     (count of sigma[i] > rank_tol * sigma[0]); the default is
-    ``RANK_RTOL * max(m, n)``.
+    ``RANK_RTOL * max(m, n)``.  Raises ``numpy.linalg.LinAlgError`` when
+    LAPACK reports a failure.
     """
     a = _as_dense(a)
     m, n = a.shape
-    if max(m, n) > 5000:
-        raise ValueError("svd is limited to matrices up to 5000 on a side")
     if rank_tol is None:
         rank_tol = RANK_RTOL * max(m, n, 1)
+    if min(m, n) == 0:
+        return SvdResult(u=np.eye(m), sigma=np.zeros(0), v=np.eye(n),
+                         rank_tol=rank_tol, numerical_rank=0)
 
-    transposed = m < n
-    work = (a.T if transposed else a).copy()
-    rows, cols = work.shape                      # rows >= cols
+    transposed = m < n                           # dgejsv needs rows >= cols
+    # joba='C', jobu='F' (full U), jobv='V', jobr='R', jobt='N', jobp='N'
+    sva, u_jsv, v_jsv, work, _, info = scipy.linalg.lapack.dgejsv(
+        a.T if transposed else a,
+        joba=0, jobu=1, jobv=0, jobr=1, jobt=0, jobp=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgejsv failed (info={info})")
+    sigma = (work[0] / work[1]) * sva            # sva is scaled against overflow
+    u, v = (v_jsv, u_jsv) if transposed else (u_jsv, v_jsv)
 
-    vmat = _jacobi_orthogonalize(work)
-    norms = np.linalg.norm(work, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    work = work[:, order]
-    vmat = vmat[:, order]
-
-    sig_max = norms[0] if len(norms) else 0.0
-    keep = norms > 1e-15 * sig_max if sig_max > 0.0 else np.zeros(cols, bool)
-    u_cols = np.zeros((rows, cols))
-    u_cols[:, keep] = work[:, keep] / norms[keep]
-    # columns whose singular value is at round-off level are rebuilt from the
-    # orthogonal complement instead of normalizing noise
-    n_keep = int(np.count_nonzero(keep))
-    completion = _householder_completion(u_cols[:, :n_keep], rows)
-    u_cols[:, n_keep:] = completion[:, : cols - n_keep]
-    u_full = np.hstack([u_cols, completion[:, cols - n_keep:]])
-    sigma = norms.copy()
-
-    if transposed:
-        u, v = vmat, u_full
-    else:
-        u, v = u_full, vmat
-
-    rank = int(np.count_nonzero(sigma > rank_tol * sig_max)) if sig_max > 0 else 0
+    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
     return SvdResult(u=u, sigma=sigma, v=v, rank_tol=rank_tol,
                      numerical_rank=rank)
 
 
-# ---------------------------------------------------------------------------
-# cyclic Jacobi symmetric eigensolver
-# ---------------------------------------------------------------------------
-
-def sym_eig(a, max_sweeps: int = 100):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eig(a):
+    """Eigen-decomposition of a symmetric matrix by LAPACK (``eigh``).
 
     Returns ``(eigenvalues descending, eigenvector matrix Q)`` with
-    ``a @ Q = Q @ diag(eigenvalues)``.
+    ``a @ Q = Q @ diag(eigenvalues)``.  ``eigh`` is a tridiagonal
+    reduction, a LAPACK route independent of ``svd``'s Jacobi iteration,
+    so the two can cross-check each other.
     """
     a = _as_dense(a)
-    n = a.shape[0]
-    if a.shape[1] != n:
+    if a.shape[0] != a.shape[1]:
         raise ValueError("sym_eig needs a square matrix")
     _require_symmetric(a, "sym_eig")
-
-    w = a.copy()
-    q = np.eye(n)
-    scale = float(np.linalg.norm(w))
-    if scale == 0.0 or n == 1:
-        lam = np.diag(w).copy()
-        order = np.argsort(-lam, kind="stable")
-        return lam[order], q[:, order]
-
-    stop = JACOBI_TOL * scale
-    diag_idx = np.diag_indices(n)
-    for _ in range(max_sweeps):
-        # off-diagonal Frobenius mass, summed directly (a difference of the
-        # full and diagonal sums cancels catastrophically near convergence)
-        held = w[diag_idx].copy()
-        w[diag_idx] = 0.0
-        off = float(np.linalg.norm(w))
-        w[diag_idx] = held
-        if off <= stop:
-            break
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                aij = w[i, j]
-                # skipping everything below stop/n keeps the total skipped
-                # off-diagonal mass under the convergence target
-                if abs(aij) <= stop / n:
-                    continue
-                rotated = True
-                theta = (w[j, j] - w[i, i]) / (2.0 * aij)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                # two-sided rotation on rows/cols i, j
-                wi = w[i, :].copy()
-                w[i, :] = c * wi - s * w[j, :]
-                w[j, :] = s * wi + c * w[j, :]
-                wi = w[:, i].copy()
-                w[:, i] = c * wi - s * w[:, j]
-                w[:, j] = s * wi + c * w[:, j]
-                w[i, j] = 0.0
-                w[j, i] = 0.0
-                qi = q[:, i].copy()
-                q[:, i] = c * qi - s * q[:, j]
-                q[:, j] = s * qi + c * q[:, j]
-        if not rotated:
-            break
-    else:
-        raise RuntimeError("cyclic Jacobi eigensolver did not converge")
-
-    lam = np.diag(w).copy()
-    order = np.argsort(-lam, kind="stable")
-    return lam[order], q[:, order]
+    lam, q = scipy.linalg.eigh(a, check_finite=False)
+    return lam[::-1], q[:, ::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
+import infsup_lab
 from infsup_lab import cli
 from infsup_lab.linalg import SingularMatrix
 
@@ -71,6 +76,29 @@ def test_unexpected_numerical_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert doc["status"] == "fail"
     assert "synthetic breakdown" in capsys.readouterr().err
+
+
+def test_svd_failure_exits_1(tmp_path, monkeypatch, capsys):
+    def failing_dgejsv(a, **kwargs):
+        n = a.shape[1]
+        return (np.zeros(n), np.eye(a.shape[0]), np.eye(n), np.ones(7),
+                np.zeros(3), 1)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgejsv", failing_dgejsv)
+    code, doc = run(["infsup", "--pair", "th", "--n", "2"],
+                    tmp_path, json_out=True)
+    assert code == 1
+    assert doc["status"] == "fail"
+    assert "dgejsv" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_cli():
+    src = os.path.dirname(os.path.dirname(infsup_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "infsup_lab", "infsup", "--pair", "th",
+         "--n", "2"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "beta=" in proc.stdout
 
 
 def test_bad_thread_env_exits_2(monkeypatch):

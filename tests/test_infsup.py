@@ -142,6 +142,44 @@ def test_report_fields():
     assert eu.mode == "euclidean"
 
 
+# β_h and pressure kernel dims of the one-sided Jacobi SVD that ``linalg.svd``
+# used before it called LAPACK's dgejsv (Python rotations, 1e-14 stopping
+# test), recorded on the same meshes.
+JACOBI_ROUTE = [
+    ("p1p1", 4, "weighted", 0.10053584305115354, 8),
+    ("p1p1", 4, "euclidean", 0.021025698160342242, 8),
+    ("p1p1", 8, "weighted", 0.07167171802840394, 8),
+    ("p1p1", 8, "euclidean", 0.009028032356284089, 8),
+    ("p1p0", 4, "weighted", 0.22118640191215808, 14),
+    ("p1p0", 4, "euclidean", 0.07747638874932851, 14),
+    ("p1p0", 8, "weighted", 0.10298096046430644, 30),
+    ("p1p0", 8, "euclidean", 0.010660983167577624, 30),
+    ("mini", 4, "weighted", 0.3177603536573747, 1),
+    ("mini", 4, "euclidean", 0.07179195494817046, 1),
+    ("mini", 8, "weighted", 0.3143162596047305, 1),
+    ("mini", 8, "euclidean", 0.032999477905979964, 1),
+    ("taylor-hood", 4, "weighted", 0.36767535012650615, 1),
+    ("taylor-hood", 4, "euclidean", 0.05438812112407101, 1),
+    ("taylor-hood", 8, "weighted", 0.3661905156502212, 1),
+    ("taylor-hood", 8, "euclidean", 0.021857363837797197, 1),
+    ("p2p0", 4, "weighted", 0.5388304206643965, 1),
+    ("p2p0", 4, "euclidean", 0.07740344080961611, 1),
+    ("p2p0", 8, "weighted", 0.5076523011645859, 1),
+    ("p2p0", 8, "euclidean", 0.019989166470987862, 1),
+]
+
+
+@pytest.mark.parametrize("pair,n,mode,beta,kernel_dim", JACOBI_ROUTE)
+def test_beta_matches_jacobi_route(pair, n, mode, beta, kernel_dim):
+    rep = infsup.study(pair, unit_square_mesh(n), weighted=mode == "weighted")
+    assert rep.beta == pytest.approx(beta, rel=1e-12)
+    assert rep.kernel_dim_pressure == kernel_dim
+    # the kernel decision sits far from its tolerance (~1e-8): every dropped
+    # singular value is round-off next to beta (p1p0 has more pressure rows
+    # than velocity columns, so its kernel is structural and none is dropped)
+    assert np.all(rep.sigma[rep.numerical_rank:] <= 1e-12 * rep.beta)
+
+
 # --- spurious modes ---------------------------------------------------------
 
 def test_checkerboard_alternation_p1p0():

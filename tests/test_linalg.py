@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from infsup_lab.linalg import (
     CsrMatrix,
@@ -182,6 +183,41 @@ def test_svd_random_batch_reconstruction():
 def test_svd_sigma_matrix_shape():
     r = svd(np.ones((2, 4)))
     assert r.sigma_matrix().shape == (2, 4)
+
+
+def test_svd_small_values_keep_relative_accuracy():
+    # orthonormal columns scaled down to 1e-21: the singular values are the
+    # scales, and none may be rounded to zero against the largest
+    q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((12, 8)))
+    scales = 10.0 ** -np.arange(0, 24, 3.0)
+    r = svd(q * scales)
+    assert np.allclose(r.sigma / scales, 1.0, rtol=0, atol=1e-13)
+    assert r.numerical_rank == 3
+
+
+def test_svd_has_no_size_limit():
+    # Taylor-Hood at n=32 whitens to a 1089x7938 block
+    assert svd(np.ones((5001, 2))).numerical_rank == 1
+
+
+def test_svd_empty_side():
+    # a one-cell mesh leaves P1 velocity no free dof: B is (n_p, 0)
+    for shape in ((3, 0), (0, 3)):
+        a = np.zeros(shape)
+        r = svd(a)
+        assert r.numerical_rank == 0
+        svd_checks(a, r)
+
+
+def failing_dgejsv(a, **kwargs):
+    n = a.shape[1]
+    return np.zeros(n), np.eye(a.shape[0]), np.eye(n), np.ones(7), np.zeros(3), 1
+
+
+def test_svd_lapack_failure_raises_linalg_error(monkeypatch):
+    monkeypatch.setattr(scipy.linalg.lapack, "dgejsv", failing_dgejsv)
+    with pytest.raises(np.linalg.LinAlgError, match="info=1"):
+        svd(np.eye(3))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,14 @@ from .fespace import (
     shape_gradients_bary,
     shape_values,
 )
-from .linalg import CsrMatrix, NotPositiveDefinite, csr_from_arrays
+from .linalg import (
+    CsrMatrix,
+    NotPositiveDefinite,
+    SingularMatrix,
+    check_pivots,
+    csr_from_arrays,
+    lu_solve,
+)
 from .mesh import (
     Mesh,
     boundary_edge_geometry,
@@ -387,6 +394,7 @@ class SaddleSystem:
         return self.n_u + self.n_p + extra
 
     def full_matrix(self) -> np.ndarray:
+        """The dense assembled matrix: a test oracle for ``solve_saddle``."""
         nu, np_ = self.n_u, self.n_p
         s = self.pressure_row_sign
         k = np.zeros((self.n_total, self.n_total))
@@ -406,6 +414,91 @@ class SaddleSystem:
         if self.mean_vector is not None:
             rhs = np.append(rhs, 0.0)
         return rhs
+
+    def relative_residual(self, x) -> float:
+        """``||K x - rhs|| / (||K||_F ||x|| + ||rhs||)``, block by block.
+
+        Equal to the same quantity formed with ``full_matrix()``, without
+        assembling K.
+        """
+        nu, np_ = self.n_u, self.n_p
+        s = self.pressure_row_sign
+        u, p = x[:nu], x[nu:nu + np_]
+        r_u = self.a.matvec(u) + self.b.rmatvec(p) - self.f
+        r_p = s * self.b.matvec(u) - self.g
+        k_sq = np.sum(self.a.values ** 2) + 2.0 * np.sum(self.b.values ** 2)
+        r_sq = 0.0
+        if self.c is not None:
+            r_p -= s * self.c.matvec(p)
+            k_sq += np.sum(self.c.values ** 2)
+        if self.mean_vector is not None:
+            r_p += x[-1] * self.mean_vector
+            r_sq += (self.mean_vector @ p) ** 2
+            k_sq += 2.0 * np.sum(self.mean_vector ** 2)
+        r_sq += np.sum(r_u ** 2) + np.sum(r_p ** 2)
+        scale = (np.sqrt(k_sq) * np.linalg.norm(x)
+                 + np.linalg.norm(self.full_rhs()))
+        return float(np.sqrt(r_sq) / scale) if scale > 0 else 0.0
+
+
+def _scipy_csr(m: CsrMatrix):
+    import scipy.sparse
+    return scipy.sparse.csr_matrix((m.values, m.col_idx, m.row_ptr),
+                                   shape=(m.rows, m.cols))
+
+
+def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
+    """Solve the block system by eliminating the velocity.
+
+    1. SuperLU factors the velocity block ``a`` alone (``splu``, minimum
+       degree ordering on ``a^T + a``); the diagonal of U must pass the
+       pivot contract of ``linalg.lu_solve``.
+    2. The pressure Schur complement ``-s (b a^{-1} b^T + c)``, bordered by
+       the mean vector, is formed dense (n_p × n_p) and solved by
+       ``lu_solve``.  Its pivot test is the singularity verdict: the
+       unstabilized equal-order pair fails there with a zero pivot.
+    3. ``u = a^{-1} (f - b^T p)``.
+
+    SuperLU never sees the indefinite (and, for the unstable pair,
+    singular) full system: factoring that one can crash the process or
+    return a huge solution without complaint.  Returns ``(x, residual_rel)``
+    with ``x`` ordered like ``full_rhs()`` and ``residual_rel`` from
+    ``relative_residual``; no N×N matrix is formed.  scipy.sparse.linalg
+    is imported here, not at module level, so runs that never solve a
+    saddle system do not load its extension modules.
+    """
+    from scipy.sparse.linalg import norm as sparse_norm, splu
+
+    s = system.pressure_row_sign
+    a = _scipy_csr(system.a).tocsc()
+    b = _scipy_csr(system.b)
+    f = system.f
+    m = system.mean_vector
+    col_scale = float(np.max(sparse_norm(a, axis=0)))
+    try:
+        lu = splu(a, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
+        raise SingularMatrix(f"velocity block: {exc}") from exc
+    check_pivots(lu.U.diagonal(), col_scale)
+
+    schur = -s * (b @ lu.solve(b.T.toarray()))
+    if system.c is not None:
+        schur -= s * system.c.to_dense()
+    rhs_p = system.g - s * (b @ lu.solve(f))
+    if m is not None:
+        n_p = system.n_p
+        bordered = np.zeros((n_p + 1, n_p + 1))
+        bordered[:n_p, :n_p] = schur
+        bordered[:n_p, -1] = m
+        bordered[-1, :n_p] = m
+        schur, rhs_p = bordered, np.append(rhs_p, 0.0)
+    y = lu_solve(schur, rhs_p)
+    p = y[:system.n_p]
+    u = lu.solve(f - b.T @ p)
+    x = np.concatenate([u, y])
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrix("non-finite solution from the block elimination")
+    return x, system.relative_residual(x)
 
 
 def _zero_rows_cols(a: CsrMatrix, dofs: np.ndarray,

@@ -8,15 +8,12 @@ and legacy-ASCII VTK for field inspection.
 
 Exit codes: 0 success (including the expected singular equal-order pair,
 reported as ``status: singular``), 1 numerical failure, 2 usage error.
-``INFSUP_LAB_THREADS`` fans independent mesh levels / penalty values out
-across worker threads; the default is 1.
 """
 
 import argparse
 import csv
 import dataclasses
 import datetime
-import os
 import sys
 from dataclasses import dataclass
 
@@ -31,7 +28,7 @@ _PAIR_ALIASES = {"th": "taylor-hood"}
 
 
 class UsageError(ValueError):
-    """Bad arguments or environment; maps to exit code 2."""
+    """Bad arguments; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -62,27 +59,6 @@ class RunConfig:
         raw = dataclasses.asdict(self)
         return {k: (list(v) if isinstance(v, tuple) else v)
                 for k, v in raw.items() if v is not None}
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("INFSUP_LAB_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise UsageError(f"INFSUP_LAB_THREADS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise UsageError(f"INFSUP_LAB_THREADS must be >= 1, got {workers}")
-    return workers
-
-
-def _thread_map(fn, items):
-    items = list(items)
-    workers = min(_worker_count(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +209,10 @@ def _run_stokes(config: RunConfig):
 def _run_convergence(config: RunConfig):
     method = stokes.method_from_name(config.method, config.eps)
 
-    def level(n):
-        try:
-            res = _stokes_errors_dict(method, n)
-            res.pop("_solution")
-            return res
-        except Exception as exc:        # recorded per level by verify
-            return exc
-
-    computed = dict(zip(config.ns, _thread_map(level, config.ns)))
-
     def builder(n):
-        value = computed[n]
-        if isinstance(value, Exception):
-            raise value
-        return value
+        res = _stokes_errors_dict(method, n)
+        res.pop("_solution")
+        return res
 
     report = verify.run_convergence(builder, config.ns, method=method.name,
                                     problem="stokes-mms")
@@ -292,9 +257,8 @@ def _run_infsup(config: RunConfig):
 
 def _run_locking(config: RunConfig):
     base = _locking_configs(config)[0]
-    reports = _thread_map(
-        lambda lam: locking.run(dataclasses.replace(base, lambda_=lam)),
-        config.lambdas)
+    reports = [locking.run(dataclasses.replace(base, lambda_=lam))
+               for lam in config.lambdas]
     rows = [{"lambda": r.lambda_, "u_h1_norm": r.u_h1_norm,
              "p_h1_norm": r.p_h1_norm, "solve_ok": r.solve_ok}
             for r in reports]
@@ -557,7 +521,6 @@ def main(argv=None) -> int:
 
     try:
         config = _validate(args)
-        _worker_count()
     except UsageError as exc:
         print(f"infsup-lab: error: {exc}", file=sys.stderr)
         return 2

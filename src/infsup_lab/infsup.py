@@ -112,7 +112,8 @@ def infsup_weighted(b: np.ndarray, x_norm: np.ndarray, m_norm: np.ndarray,
 
     Raises NotPositiveDefinite (via Cholesky) when either norm matrix is
     not SPD.  Pressure modes are mapped back through R^{-T} so the reported
-    worst mode is a plain nodal/cell vector, M-normalized.
+    worst mode is a plain nodal/cell vector, scaled to unit Euclidean norm
+    (not unit M-norm).
     """
     w, r_fac = _whiten(b, x_norm, m_norm)
     result = svd(w)

@@ -8,7 +8,9 @@ small singular values keep high relative accuracy instead of being rounded
 to zero against the largest one, and ``sym_eig`` calls ``eigh``, an
 independent tridiagonal route for cross-checks.  Factor-based solves
 (``lu_solve``, ``cholesky``) likewise delegate the factorization to LAPACK
-via scipy/numpy but keep the error contracts of this module.
+via scipy/numpy but keep the error contracts of this module; ``check_pivots``
+is the pivot contract itself, shared with the sparse velocity-block factor
+of ``assembly.solve_saddle``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,17 @@ def _require_symmetric(a: np.ndarray, what: str) -> None:
 # factor-based solves
 # ---------------------------------------------------------------------------
 
+def check_pivots(pivots, col_scale: float) -> None:
+    """Raise ``SingularMatrix`` unless every pivot magnitude exceeds
+    ``PIVOT_RTOL`` times ``col_scale``, the largest column norm of the
+    factored matrix."""
+    pivots = np.abs(np.asarray(pivots, dtype=float))
+    threshold = PIVOT_RTOL * col_scale
+    if not np.all(np.isfinite(pivots)) or np.min(pivots) <= threshold:
+        raise SingularMatrix(f"pivot {np.min(pivots):.3e} below threshold "
+                             f"{threshold:.3e}")
+
+
 def lu_solve(a, b) -> np.ndarray:
     """Solve ``a x = b`` by LU with partial pivoting.
 
@@ -82,11 +95,9 @@ def lu_solve(a, b) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")      # we do our own pivot check below
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or np.min(pivots) <= PIVOT_RTOL * col_scale:
-        raise SingularMatrix(
-            f"pivot {np.min(pivots):.3e} below threshold "
-            f"{PIVOT_RTOL * col_scale:.3e}")
+    if not np.all(np.isfinite(lu)):
+        raise SingularMatrix("non-finite entries in the LU factors")
+    check_pivots(np.diag(lu), col_scale)
     x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("non-finite solution from LU back substitution")
@@ -282,6 +293,13 @@ def csr_from_arrays(rows: int, cols: int, i, j, v) -> CsrMatrix:
     np.add.at(row_ptr, iu + 1, 1)
     np.cumsum(row_ptr, out=row_ptr)
     return CsrMatrix(rows, cols, row_ptr, ju, summed)
+
+
+def csr_from_dense(a) -> CsrMatrix:
+    """The CSR form of a dense matrix, keeping its nonzero entries."""
+    a = np.asarray(a, dtype=float)
+    i, j = np.nonzero(a)
+    return csr_from_arrays(a.shape[0], a.shape[1], i, j, a[i, j])
 
 
 def csr_from_triplets(rows: int, cols: int, entries) -> CsrMatrix:

@@ -35,10 +35,11 @@ from .assembly import (
     load_vector,
     lumped_mass,
     pressure_grad_stab,
+    solve_saddle,
     stiffness,
 )
 from .fespace import ElementKind, FeSpace, build_space, fields_at_quadrature, quadrature
-from .linalg import csr_from_arrays, lu_solve
+from .linalg import csr_from_dense
 from .mesh import (
     Mesh,
     boundary_edge_geometry,
@@ -112,11 +113,6 @@ def spaces_for(method: StokesMethod, mesh: Mesh) -> tuple[FeSpace, FeSpace]:
     return (build_space(vkind, mesh, components=2), build_space(pkind, mesh))
 
 
-def _dense_to_csr(a: np.ndarray):
-    i, j = np.nonzero(a)
-    return csr_from_arrays(a.shape[0], a.shape[1], i, j, a[i, j])
-
-
 def _loss_c_block(mesh: Mesh, p_space: FeSpace) -> np.ndarray:
     """Dense ``h^2 (S0 - G^T M_L^{-1} G)`` from the lumped elimination."""
     z_space = build_space(ElementKind.P1, mesh, components=2)
@@ -143,7 +139,7 @@ def build(method: StokesMethod, mesh: Mesh, body_force) -> SaddleSystem:
     hk = triangle_diameters(mesh)
 
     if method.name == "p1p1-loss":
-        c = _dense_to_csr(_loss_c_block(mesh, p_space))
+        c = csr_from_dense(_loss_c_block(mesh, p_space))
     elif method.name == "brezzi-pitkaranta":
         c = pressure_grad_stab(p_space).scaled(method.eps)
     elif method.name == "galerkin-ls":
@@ -225,20 +221,14 @@ class StokesSolution:
 
 
 def solve(system: SaddleSystem, method: StokesMethod | None = None) -> StokesSolution:
-    """Dense LU solve of the full block system.
+    """Block-elimination solve of the saddle system (``solve_saddle``).
 
-    ``SingularMatrix`` propagates (the unstabilized equal-order pair is
-    expected to fail this way at moderate refinement).  The pressure is
-    normalized to zero discrete mean; the recovered projection field ``z``
-    is attached for the loss-reintroduction method.
+    ``SingularMatrix`` propagates from the pressure Schur complement (the
+    unstabilized equal-order pair fails this way at every refinement).
+    The pressure is normalized to zero discrete mean; the recovered
+    projection field ``z`` is attached for the loss-reintroduction method.
     """
-    k = system.full_matrix()
-    rhs = system.full_rhs()
-    x = lu_solve(k, rhs)
-    residual = np.linalg.norm(k @ x - rhs)
-    scale = np.linalg.norm(k) * np.linalg.norm(x) + np.linalg.norm(rhs)
-    res_rel = float(residual / scale) if scale > 0 else 0.0
-
+    x, res_rel = solve_saddle(system)
     nu, np_ = system.n_u, system.n_p
     u = x[:nu]
     p = x[nu:nu + np_]

@@ -33,10 +33,18 @@ from .assembly import (
     boundary_normal_flux,
     load_vector,
     mass,
+    solve_saddle,
     stiffness,
 )
 from .fespace import ElementKind, FeSpace, build_space, fields_at_quadrature, quadrature
-from .linalg import CsrMatrix, cholesky, csr_from_arrays, lu_solve, sym_eig
+from .linalg import (
+    CsrMatrix,
+    cholesky,
+    csr_from_arrays,
+    csr_from_dense,
+    lu_solve,
+    sym_eig,
+)
 from .mesh import (
     Mesh,
     boundary_edge_geometry,
@@ -153,11 +161,6 @@ def method_from_name(name: str, alpha: float | None = None,
 # trace operators
 # ---------------------------------------------------------------------------
 
-def _dense_to_csr(a: np.ndarray) -> CsrMatrix:
-    i, j = np.nonzero(a)
-    return csr_from_arrays(a.shape[0], a.shape[1], i, j, a[i, j])
-
-
 def _edge_quantities(mesh: Mesh):
     """(lengths, flux (E,3), tri_nodes (E,3)) for the boundary edges."""
     lengths, normals, _ = boundary_edge_geometry(mesh)
@@ -240,30 +243,25 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
         d_load = _edge_integrals(mesh, d)
 
     if method.name == "multiplier":
-        return SaddleSystem(a=a, b=_dense_to_csr(t), c=None, f=fvec,
+        return SaddleSystem(a=a, b=csr_from_dense(t), c=None, f=fvec,
                             g=d_load, mean_vector=None,
                             dirichlet_dofs=no_dirichlet, spaces=(space, None))
 
     alpha = method.alpha
     n_w = boundary_flux_flux(space, edge_weights=alpha * lengths)
     a_bh = a.add(n_w.scaled(-1.0))
-    b = _dense_to_csr(t - alpha * c_w)
-    c = _dense_to_csr(alpha * m_w)
+    b = csr_from_dense(t - alpha * c_w)
+    c = csr_from_dense(alpha * m_w)
     return SaddleSystem(a=a_bh, b=b, c=c, f=fvec, g=d_load,
                         mean_vector=None, dirichlet_dofs=no_dirichlet,
                         spaces=(space, None))
 
 
 def solve(system: SaddleSystem) -> WeakBcSolution:
-    k = system.full_matrix()
-    rhs = system.full_rhs()
-    x = lu_solve(k, rhs)
-    residual = np.linalg.norm(k @ x - rhs)
-    scale = np.linalg.norm(k) * np.linalg.norm(x) + np.linalg.norm(rhs)
+    x, res_rel = solve_saddle(system)
     nu = system.n_u
     lam = x[nu:] if system.n_p > 0 else None
-    return WeakBcSolution(u=x[:nu], lam=lam,
-                          residual_norm=float(residual / scale) if scale else 0.0)
+    return WeakBcSolution(u=x[:nu], lam=lam, residual_norm=res_rel)
 
 
 def run(method: WeakBcMethod, mesh: Mesh, f, d) -> WeakBcSolution:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from infsup_lab import stokes, weakbc
 from infsup_lab.assembly import (
     SaddleSystem,
     apply_dirichlet,
@@ -17,10 +18,17 @@ from infsup_lab.assembly import (
     lumped_mass,
     mass,
     pressure_grad_stab,
+    solve_saddle,
     stiffness,
 )
 from infsup_lab.fespace import ElementKind, build_space
-from infsup_lab.linalg import NotPositiveDefinite, csr_from_arrays, lu_solve
+from infsup_lab.linalg import (
+    NotPositiveDefinite,
+    SingularMatrix,
+    csr_from_arrays,
+    csr_from_dense,
+    lu_solve,
+)
 from infsup_lab.mesh import unit_square_mesh
 
 
@@ -293,3 +301,93 @@ def test_apply_dirichlet_zeroes_coupling_columns():
     k = out.full_matrix()
     assert k.shape == (v.n_dofs + p.n_dofs + 1, v.n_dofs + p.n_dofs + 1)
     assert np.allclose(k[-1, v.n_dofs:-1], np.ones(p.n_dofs))
+
+
+# ---------------------------------------------------------------------------
+# block-elimination saddle solve (dense LU of the full matrix as the oracle)
+# ---------------------------------------------------------------------------
+
+STOKES_MMS = stokes.manufactured_problem()
+WEAKBC_MMS = weakbc.mms_problem()
+WEAKBC_METHODS = ("multiplier", "barbosa-hughes", "nitsche")
+
+
+def stokes_system(name, n):
+    return stokes.build(stokes.method_from_name(name), unit_square_mesh(n),
+                        STOKES_MMS.f)
+
+
+def weakbc_system(name, n):
+    return weakbc.build(weakbc.method_from_name(name), unit_square_mesh(n),
+                        WEAKBC_MMS.f, WEAKBC_MMS.d)
+
+
+def check_against_dense(system):
+    x, residual = solve_saddle(system)
+    x_dense = lu_solve(system.full_matrix(), system.full_rhs())
+    assert np.linalg.norm(x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
+    assert residual <= 1e-14
+
+
+@pytest.mark.parametrize("n", (4, 8))
+@pytest.mark.parametrize("name", stokes.method_names())
+def test_solve_saddle_matches_dense_lu_stokes(name, n):
+    system = stokes_system(name, n)
+    if name == "p1p1-plain":
+        # both routes reach the same verdict on the unstable pair
+        with pytest.raises(SingularMatrix):
+            solve_saddle(system)
+        with pytest.raises(SingularMatrix):
+            lu_solve(system.full_matrix(), system.full_rhs())
+        return
+    check_against_dense(system)
+
+
+@pytest.mark.parametrize("name", WEAKBC_METHODS)
+def test_solve_saddle_matches_dense_lu_weakbc(name):
+    check_against_dense(weakbc_system(name, 8))
+
+
+@pytest.mark.parametrize("name", ("douglas-wang", "p1p1-loss", "mini"))
+def test_relative_residual_matches_dense_formula(name):
+    system = stokes_system(name, 4)
+    x = np.random.default_rng(7).standard_normal(system.n_total)
+    k, rhs = system.full_matrix(), system.full_rhs()
+    dense = (np.linalg.norm(k @ x - rhs)
+             / (np.linalg.norm(k) * np.linalg.norm(x) + np.linalg.norm(rhs)))
+    assert system.relative_residual(x) == pytest.approx(dense, rel=1e-12)
+
+
+def test_only_the_velocity_block_is_factored(monkeypatch):
+    import scipy.sparse.linalg
+    real_splu = scipy.sparse.linalg.splu
+    shapes = []
+
+    def recording_splu(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    systems = ([stokes_system(name, 4) for name in stokes.method_names()]
+               + [weakbc_system(name, 4) for name in WEAKBC_METHODS])
+    for system in systems:
+        shapes.clear()
+        try:
+            solve_saddle(system)
+        except SingularMatrix:
+            pass                               # p1p1-plain
+        assert shapes == [(system.n_u, system.n_u)]
+
+
+@pytest.mark.parametrize("a", (np.diag([1.0, 0.0, 2.0]),
+                               np.diag([1.0, 1e-17, 2.0]),
+                               np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                                         [0.0, 0.0, 1.0]])))
+def test_singular_velocity_block_raises(a):
+    # an exact zero pivot is SuperLU's own error, a tiny one fails the
+    # pivot contract; both surface as SingularMatrix
+    system = SaddleSystem(a=csr_from_dense(a), b=empty_csr(0, 3), c=None,
+                          f=np.ones(3), g=np.zeros(0), mean_vector=None,
+                          dirichlet_dofs=np.zeros(0, np.int64))
+    with pytest.raises(SingularMatrix):
+        solve_saddle(system)

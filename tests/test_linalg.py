@@ -11,6 +11,7 @@ from infsup_lab.linalg import (
     SingularMatrix,
     cholesky,
     csr_from_arrays,
+    csr_from_dense,
     csr_from_triplets,
     lu_solve,
     svd,
@@ -299,6 +300,14 @@ def test_csr_empty_and_index_errors():
         csr_from_triplets(2, 2, [(0, -1, 1.0)])
     with pytest.raises(IndexOutOfRange):
         csr_from_triplets(2, 2, [(0.5, 0, 1.0)])
+
+
+def test_csr_from_dense_keeps_nonzeros():
+    d = np.array([[0.0, 2.0, 0.0], [-1.0, 0.0, 3.5]])
+    a = csr_from_dense(d)
+    assert a.nnz == 3
+    assert np.array_equal(a.to_dense(), d)
+    assert csr_from_dense(np.zeros((0, 4))).to_dense().shape == (0, 4)
 
 
 def test_csr_row_ptr_structure():

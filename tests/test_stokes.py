@@ -109,6 +109,14 @@ def test_zero_data_plain_pair_still_singular():
         stokes.solve(system, method)
 
 
+@pytest.mark.parametrize("n", (2, 4, 8, 16, 32))
+def test_plain_pair_singular_at_every_refinement(n):
+    method = stokes.method_from_name("p1p1-plain")
+    for force in (EXACT.f, lambda pts: np.zeros(pts.shape)):
+        with pytest.raises(SingularMatrix):
+            stokes.run(method, unit_square_mesh(n), force)
+
+
 def test_loss_stabilization_block_psd_with_constant_kernel():
     system, _ = mms_run("p1p1-loss", 8)
     c = system.c.to_dense()

@@ -5,7 +5,9 @@ which is exact for every form assembled here (the highest-order integrand is
 the quartic bubble-gradient product), so re-assembling with a higher-degree
 rule must reproduce the same matrices to round-off.  Boundary operators are
 specific to scalar P1 spaces, the only case the weak-boundary machinery
-needs, and integrate edgewise with 2-point Gauss.
+needs, and integrate edgewise with 2-point Gauss.  Every operator is a
+``scipy.sparse.csr_array`` in canonical form (sorted column indices,
+duplicate entries summed).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fespace import (
     ElementKind,
@@ -22,14 +25,7 @@ from .fespace import (
     shape_gradients_bary,
     shape_values,
 )
-from .linalg import (
-    CsrMatrix,
-    NotPositiveDefinite,
-    SingularMatrix,
-    check_pivots,
-    csr_from_arrays,
-    lu_solve,
-)
+from .linalg import NotPositiveDefinite, SingularMatrix, check_pivots, lu_solve
 from .mesh import (
     Mesh,
     boundary_edge_geometry,
@@ -57,27 +53,19 @@ def _phys_gradients(space: FeSpace, rule: QuadratureRule) -> np.ndarray:
 
 
 def _scatter(rows_cells: np.ndarray, cols_cells: np.ndarray,
-             locals_: np.ndarray, n_rows: int, n_cols: int) -> CsrMatrix:
-    """Accumulate per-cell local matrices (T, nr, nc) into a CSR matrix."""
+             locals_: np.ndarray, n_rows: int, n_cols: int) -> sp.csr_array:
+    """Accumulate per-cell local matrices (T, nr, nc) into a CSR matrix,
+    summing the contributions of cells that share an (i, j) entry."""
     t, nr, nc = locals_.shape
     i = np.repeat(rows_cells[:, :, None], nc, axis=2)
     j = np.repeat(cols_cells[:, None, :], nr, axis=1)
-    return csr_from_arrays(n_rows, n_cols, i.ravel(), j.ravel(), locals_.ravel())
+    return sp.coo_array((locals_.ravel(), (i.ravel(), j.ravel())),
+                        shape=(n_rows, n_cols)).tocsr()
 
 
-def _expand_components(scalar: CsrMatrix, components: int,
-                       n_row_scalar: int, n_col_scalar: int) -> CsrMatrix:
+def _expand_components(scalar: sp.csr_array, components: int) -> sp.csr_array:
     """Block-diagonal replication of a scalar operator over components."""
-    if components == 1:
-        return scalar
-    counts = np.diff(scalar.row_ptr)
-    row_of = np.repeat(np.arange(scalar.rows), counts)
-    i = np.concatenate([row_of + c * n_row_scalar for c in range(components)])
-    j = np.concatenate([scalar.col_idx + c * n_col_scalar
-                        for c in range(components)])
-    v = np.tile(scalar.values, components)
-    return csr_from_arrays(components * n_row_scalar,
-                           components * n_col_scalar, i, j, v)
+    return sp.block_diag([scalar] * components, format="csr")
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +73,7 @@ def _expand_components(scalar: CsrMatrix, components: int,
 # ---------------------------------------------------------------------------
 
 def stiffness(space: FeSpace, degree: int = DEFAULT_DEGREE,
-              cell_weights=None) -> CsrMatrix:
+              cell_weights=None) -> sp.csr_array:
     """(grad u, grad v), block-diagonal over components for vector spaces."""
     rule = quadrature(degree)
     w = _quad_weights(space.mesh, rule, cell_weights)
@@ -94,11 +82,11 @@ def stiffness(space: FeSpace, degree: int = DEFAULT_DEGREE,
     ns = space.n_scalar_dofs
     scalar = _scatter(space.scalar_cell_dofs, space.scalar_cell_dofs,
                       locals_, ns, ns)
-    return _expand_components(scalar, space.components, ns, ns)
+    return _expand_components(scalar, space.components)
 
 
 def mass(space: FeSpace, degree: int = DEFAULT_DEGREE,
-         cell_weights=None) -> CsrMatrix:
+         cell_weights=None) -> sp.csr_array:
     """(u, v), block-diagonal over components for vector spaces."""
     rule = quadrature(degree)
     w = _quad_weights(space.mesh, rule, cell_weights)
@@ -107,11 +95,11 @@ def mass(space: FeSpace, degree: int = DEFAULT_DEGREE,
     ns = space.n_scalar_dofs
     scalar = _scatter(space.scalar_cell_dofs, space.scalar_cell_dofs,
                       locals_, ns, ns)
-    return _expand_components(scalar, space.components, ns, ns)
+    return _expand_components(scalar, space.components)
 
 
 def cross_mass(row_space: FeSpace, col_space: FeSpace,
-               degree: int = DEFAULT_DEGREE) -> CsrMatrix:
+               degree: int = DEFAULT_DEGREE) -> sp.csr_array:
     """``(phi^col_j, phi^row_i)`` between two spaces on the same mesh."""
     if row_space.mesh is not col_space.mesh:
         raise ValueError("cross_mass needs both spaces on one mesh")
@@ -122,20 +110,15 @@ def cross_mass(row_space: FeSpace, col_space: FeSpace,
     va = shape_values(row_space.kind, rule.points)
     vb = shape_values(col_space.kind, rule.points)
     locals_ = np.einsum("tq,qb,qc->tbc", w, va, vb)
-    na, nb = row_space.n_scalar_dofs, col_space.n_scalar_dofs
-    parts = None
-    for c in range(row_space.components):
-        part = _scatter(row_space.scalar_cell_dofs + c * na,
-                        col_space.scalar_cell_dofs + c * nb,
-                        locals_, na * row_space.components,
-                        nb * col_space.components)
-        parts = part if parts is None else parts.add(part)
-    return parts
+    scalar = _scatter(row_space.scalar_cell_dofs, col_space.scalar_cell_dofs,
+                      locals_, row_space.n_scalar_dofs,
+                      col_space.n_scalar_dofs)
+    return _expand_components(scalar, row_space.components)
 
 
 def lumped_mass(space: FeSpace, degree: int = DEFAULT_DEGREE) -> np.ndarray:
     """Row sums of the consistent mass as a strictly positive diagonal."""
-    diag = mass(space, degree).matvec(np.ones(space.n_dofs))
+    diag = mass(space, degree) @ np.ones(space.n_dofs)
     if np.any(diag <= 1e-12 * diag.max()):
         raise NotPositiveDefinite(
             f"lumped mass for {space.kind.value} has non-positive entries")
@@ -143,7 +126,7 @@ def lumped_mass(space: FeSpace, degree: int = DEFAULT_DEGREE) -> np.ndarray:
 
 
 def divergence(v_space: FeSpace, p_space: FeSpace,
-               degree: int = DEFAULT_DEGREE) -> CsrMatrix:
+               degree: int = DEFAULT_DEGREE) -> sp.csr_array:
     """Constraint block ``B[q, v] = -(psi_q, div phi_v)``."""
     if v_space.components != 2 or p_space.components != 1:
         raise ValueError("divergence couples a vector velocity with a "
@@ -160,11 +143,11 @@ def divergence(v_space: FeSpace, p_space: FeSpace,
         cols = v_space.scalar_cell_dofs + c * v_space.n_scalar_dofs
         parts.append(_scatter(p_space.scalar_cell_dofs, cols,
                               locals_, n_p, n_v))
-    return parts[0].add(parts[1])
+    return parts[0] + parts[1]
 
 
 def grad_coupling(v_space: FeSpace, p_space: FeSpace,
-                  degree: int = DEFAULT_DEGREE) -> CsrMatrix:
+                  degree: int = DEFAULT_DEGREE) -> sp.csr_array:
     """Vector-to-gradient coupling ``G[v, p] = (phi_v, grad psi_p)``."""
     if v_space.components != 2 or p_space.components != 1:
         raise ValueError("grad_coupling couples a vector space with a "
@@ -181,11 +164,11 @@ def grad_coupling(v_space: FeSpace, p_space: FeSpace,
         rows = v_space.scalar_cell_dofs + c * v_space.n_scalar_dofs
         parts.append(_scatter(rows, p_space.scalar_cell_dofs,
                               locals_, n_v, n_p))
-    return parts[0].add(parts[1])
+    return parts[0] + parts[1]
 
 
 def pressure_grad_stab(p_space: FeSpace, cell_weights=None,
-                       degree: int = DEFAULT_DEGREE) -> CsrMatrix:
+                       degree: int = DEFAULT_DEGREE) -> sp.csr_array:
     """Elementwise weighted pressure-gradient form, default weights h_K^2."""
     if cell_weights is None:
         cell_weights = triangle_diameters(p_space.mesh) ** 2
@@ -266,7 +249,7 @@ def _edge_data(space: FeSpace):
     return edges, lengths, normals, flux, tri_nodes
 
 
-def boundary_mass(space: FeSpace, edge_weights=None) -> CsrMatrix:
+def boundary_mass(space: FeSpace, edge_weights=None) -> sp.csr_array:
     """``sum_E w_E int_E u v`` over boundary edges, full dof indexing."""
     _check_boundary_space(space)
     edges, lengths, _, _, _ = _edge_data(space)
@@ -277,7 +260,7 @@ def boundary_mass(space: FeSpace, edge_weights=None) -> CsrMatrix:
     return _scatter(edges[:, :2], edges[:, :2], locals_, n, n)
 
 
-def boundary_normal_flux(space: FeSpace, edge_weights=None) -> CsrMatrix:
+def boundary_normal_flux(space: FeSpace, edge_weights=None) -> sp.csr_array:
     """``sum_E w_E int_E (du/dn) v`` -- test function on trace rows."""
     _check_boundary_space(space)
     edges, lengths, _, flux, tri_nodes = _edge_data(space)
@@ -289,7 +272,7 @@ def boundary_normal_flux(space: FeSpace, edge_weights=None) -> CsrMatrix:
     return _scatter(edges[:, :2], tri_nodes, locals_, n, n)
 
 
-def boundary_flux_flux(space: FeSpace, edge_weights=None) -> CsrMatrix:
+def boundary_flux_flux(space: FeSpace, edge_weights=None) -> sp.csr_array:
     """``sum_E w_E int_E (du/dn)(dv/dn)`` over boundary edges."""
     _check_boundary_space(space)
     edges, lengths, _, flux, tri_nodes = _edge_data(space)
@@ -332,10 +315,10 @@ class BoundaryOperators:
 
     trace_dofs: np.ndarray
     edge_lengths: np.ndarray
-    mass: CsrMatrix
-    normal_flux: CsrMatrix
-    flux_flux: CsrMatrix
-    penalty: CsrMatrix
+    mass: sp.csr_array
+    normal_flux: sp.csr_array
+    flux_flux: sp.csr_array
+    penalty: sp.csr_array
 
 
 def boundary_operators(space: FeSpace, gamma_coeff: float = 1.0) -> BoundaryOperators:
@@ -370,9 +353,9 @@ class SaddleSystem:
     is set.  ``c`` is positive semidefinite for every symmetric method.
     """
 
-    a: CsrMatrix
-    b: CsrMatrix
-    c: CsrMatrix | None
+    a: sp.csr_array
+    b: sp.csr_array
+    c: sp.csr_array | None
     f: np.ndarray
     g: np.ndarray
     mean_vector: np.ndarray | None
@@ -382,11 +365,11 @@ class SaddleSystem:
 
     @property
     def n_u(self) -> int:
-        return self.a.rows
+        return self.a.shape[0]
 
     @property
     def n_p(self) -> int:
-        return self.b.rows
+        return self.b.shape[0]
 
     @property
     def n_total(self) -> int:
@@ -398,12 +381,12 @@ class SaddleSystem:
         nu, np_ = self.n_u, self.n_p
         s = self.pressure_row_sign
         k = np.zeros((self.n_total, self.n_total))
-        bd = self.b.to_dense()
-        k[:nu, :nu] = self.a.to_dense()
+        bd = self.b.toarray()
+        k[:nu, :nu] = self.a.toarray()
         k[:nu, nu:nu + np_] = bd.T
         k[nu:nu + np_, :nu] = s * bd
         if self.c is not None:
-            k[nu:nu + np_, nu:nu + np_] = -s * self.c.to_dense()
+            k[nu:nu + np_, nu:nu + np_] = -s * self.c.toarray()
         if self.mean_vector is not None:
             k[nu:nu + np_, -1] = self.mean_vector
             k[-1, nu:nu + np_] = self.mean_vector
@@ -416,35 +399,21 @@ class SaddleSystem:
         return rhs
 
     def relative_residual(self, x) -> float:
-        """``||K x - rhs|| / (||K||_F ||x|| + ||rhs||)``, block by block.
+        """``||K x - rhs|| / (||K||_F ||x|| + ||rhs||)`` with a sparse K.
 
-        Equal to the same quantity formed with ``full_matrix()``, without
-        assembling K.
+        Equal to the same quantity formed with the dense ``full_matrix()``.
         """
-        nu, np_ = self.n_u, self.n_p
         s = self.pressure_row_sign
-        u, p = x[:nu], x[nu:nu + np_]
-        r_u = self.a.matvec(u) + self.b.rmatvec(p) - self.f
-        r_p = s * self.b.matvec(u) - self.g
-        k_sq = np.sum(self.a.values ** 2) + 2.0 * np.sum(self.b.values ** 2)
-        r_sq = 0.0
-        if self.c is not None:
-            r_p -= s * self.c.matvec(p)
-            k_sq += np.sum(self.c.values ** 2)
+        c = None if self.c is None else -s * self.c
+        blocks = [[self.a, self.b.T], [s * self.b, c]]
         if self.mean_vector is not None:
-            r_p += x[-1] * self.mean_vector
-            r_sq += (self.mean_vector @ p) ** 2
-            k_sq += 2.0 * np.sum(self.mean_vector ** 2)
-        r_sq += np.sum(r_u ** 2) + np.sum(r_p ** 2)
-        scale = (np.sqrt(k_sq) * np.linalg.norm(x)
-                 + np.linalg.norm(self.full_rhs()))
-        return float(np.sqrt(r_sq) / scale) if scale > 0 else 0.0
-
-
-def _scipy_csr(m: CsrMatrix):
-    import scipy.sparse
-    return scipy.sparse.csr_matrix((m.values, m.col_idx, m.row_ptr),
-                                   shape=(m.rows, m.cols))
+            m = sp.csr_array(self.mean_vector[:, None])
+            blocks = [blocks[0] + [None], blocks[1] + [m], [None, m.T, None]]
+        k = sp.block_array(blocks, format="csr")
+        rhs = self.full_rhs()
+        scale = (np.linalg.norm(k.data) * np.linalg.norm(x)
+                 + np.linalg.norm(rhs))
+        return float(np.linalg.norm(k @ x - rhs) / scale) if scale > 0 else 0.0
 
 
 def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
@@ -463,15 +432,15 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     singular) full system: factoring that one can crash the process or
     return a huge solution without complaint.  Returns ``(x, residual_rel)``
     with ``x`` ordered like ``full_rhs()`` and ``residual_rel`` from
-    ``relative_residual``; no N×N matrix is formed.  scipy.sparse.linalg
-    is imported here, not at module level, so runs that never solve a
-    saddle system do not load its extension modules.
+    ``relative_residual``; no dense N×N matrix is formed.
+    scipy.sparse.linalg is imported here, not at module level, so runs that
+    never solve a saddle system do not load its extension modules.
     """
     from scipy.sparse.linalg import norm as sparse_norm, splu
 
     s = system.pressure_row_sign
-    a = _scipy_csr(system.a).tocsc()
-    b = _scipy_csr(system.b)
+    a = system.a.tocsc()
+    b = system.b
     f = system.f
     m = system.mean_vector
     col_scale = float(np.max(sparse_norm(a, axis=0)))
@@ -483,7 +452,7 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
 
     schur = -s * (b @ lu.solve(b.T.toarray()))
     if system.c is not None:
-        schur -= s * system.c.to_dense()
+        schur -= s * system.c.toarray()
     rhs_p = system.g - s * (b @ lu.solve(f))
     if m is not None:
         n_p = system.n_p
@@ -501,29 +470,6 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     return x, system.relative_residual(x)
 
 
-def _zero_rows_cols(a: CsrMatrix, dofs: np.ndarray,
-                    unit_diagonal: bool) -> CsrMatrix:
-    counts = np.diff(a.row_ptr)
-    row_of = np.repeat(np.arange(a.rows), counts)
-    drop = np.isin(row_of, dofs) | np.isin(a.col_idx, dofs)
-    i = row_of[~drop]
-    j = a.col_idx[~drop]
-    v = a.values[~drop]
-    if unit_diagonal:
-        i = np.concatenate([i, dofs])
-        j = np.concatenate([j, dofs])
-        v = np.concatenate([v, np.ones(len(dofs))])
-    return csr_from_arrays(a.rows, a.cols, i, j, v)
-
-
-def _zero_cols(b: CsrMatrix, dofs: np.ndarray) -> CsrMatrix:
-    counts = np.diff(b.row_ptr)
-    row_of = np.repeat(np.arange(b.rows), counts)
-    drop = np.isin(b.col_idx, dofs)
-    return csr_from_arrays(b.rows, b.cols, row_of[~drop],
-                           b.col_idx[~drop], b.values[~drop])
-
-
 def apply_dirichlet(system: SaddleSystem, dofs, values=0.0) -> SaddleSystem:
     """Eliminate velocity Dirichlet dofs symmetrically.
 
@@ -534,14 +480,17 @@ def apply_dirichlet(system: SaddleSystem, dofs, values=0.0) -> SaddleSystem:
     vals = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape)
     x_bc = np.zeros(system.n_u)
     x_bc[dofs] = vals
+    fixed = np.zeros(system.n_u)
+    fixed[dofs] = 1.0
+    keep = sp.diags_array(1.0 - fixed)
 
-    f = system.f - system.a.matvec(x_bc)
+    f = system.f - system.a @ x_bc
     f[dofs] = vals
-    g = system.g - system.pressure_row_sign * system.b.matvec(x_bc)
+    g = system.g - system.pressure_row_sign * (system.b @ x_bc)
 
-    return replace(system,
-                   a=_zero_rows_cols(system.a, dofs, unit_diagonal=True),
-                   b=_zero_cols(system.b, dofs),
+    # sparse products may leave column indices unsorted
+    a = (keep @ system.a @ keep + sp.diags_array(fixed)).sorted_indices()
+    return replace(system, a=a, b=(system.b @ keep).sorted_indices(),
                    f=f, g=g,
                    dirichlet_dofs=np.unique(
                        np.concatenate([system.dirichlet_dofs, dofs])))

@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import math
 import sys
 from dataclasses import dataclass
 
@@ -331,11 +332,18 @@ _RUNNERS = {
 # argument parsing and validation
 # ---------------------------------------------------------------------------
 
-def _float_list(text: str) -> tuple:
+def _finite_float(text: str) -> float:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a float: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite float: {text!r}")
+    return value
+
+
+def _float_list(text: str) -> tuple:
+    return tuple(_finite_float(tok) for tok in text.split(",") if tok.strip())
 
 
 def _int_list(text: str) -> tuple:
@@ -368,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "report errors")
     st.add_argument("--method", required=True, choices=methods)
     st.add_argument("--n", type=int, default=8, help="mesh cells per side")
-    st.add_argument("--eps", type=float, default=None,
+    st.add_argument("--eps", type=_finite_float, default=None,
                     help="stabilization weight (stabilized methods; "
                          "default 0.05)")
     _add_outputs(st)
@@ -379,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--method", required=True, choices=methods)
     cv.add_argument("--ns", type=_int_list, default=(8, 16, 32),
                     help="comma-separated mesh sizes (at least 3)")
-    cv.add_argument("--eps", type=float, default=None,
+    cv.add_argument("--eps", type=_finite_float, default=None,
                     help="stabilization weight (stabilized methods; "
                          "default 0.05)")
     _add_outputs(cv, vtk=False)
@@ -401,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     lk.add_argument("--lambdas", type=_float_list, default=(1e2, 1e4, 1e6),
                     help="comma-separated penalty values")
     lk.add_argument("--n", type=int, default=8, help="mesh cells per side")
-    lk.add_argument("--c-omega", type=float, dest="c_omega",
+    lk.add_argument("--c-omega", type=_finite_float, dest="c_omega",
                     default=locking.DEFAULT_POINCARE,
                     help="Poincare constant in the corrected split")
     lk.add_argument("--w-mass", dest="w_mass", default="lumped",
@@ -422,10 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     wb.add_argument("--method", required=True,
                     choices=("multiplier", "barbosa-hughes", "bh", "nitsche"))
     wb.add_argument("--n", type=int, default=8, help="mesh cells per side")
-    wb.add_argument("--alpha", type=float, default=None,
+    wb.add_argument("--alpha", type=_finite_float, default=None,
                     help="flux-multiplier stabilization weight "
                          "(default 0.5/C_i^2)")
-    wb.add_argument("--gamma", type=float, default=None,
+    wb.add_argument("--gamma", type=_finite_float, default=None,
                     help="penalty weight (default 4*C_i^2)")
     wb.add_argument("--trace", choices=("p1", "p0"), default="p1",
                     help="multiplier trace space")

@@ -59,9 +59,9 @@ def pair_operators(pair: str, mesh: Mesh):
 
     v_space, p_space = pair_spaces(pair, mesh)
     free = v_space.free_dofs()
-    b = divergence(v_space, p_space).to_dense()[:, free]
-    x = stiffness(v_space).to_dense()[np.ix_(free, free)]
-    m = mass(p_space).to_dense()
+    b = divergence(v_space, p_space).toarray()[:, free]
+    x = stiffness(v_space).toarray()[np.ix_(free, free)]
+    m = mass(p_space).toarray()
     return b, x, m
 
 
@@ -134,11 +134,18 @@ def spurious_mode(report: InfSupReport) -> np.ndarray:
     return report.worst_pressure_mode.copy()
 
 
+#: entries below this fraction of max|mode| are round-off zeros, without sign
+ALTERNATION_RTOL = 1e-10
+
+
 def alternation_score(mode: np.ndarray, mesh: Mesh, kind: ElementKind) -> float:
     """Fraction of interior edges across which the mode changes sign.
 
-    Checkerboard modes score near 1, smooth fields near the fraction of
-    edges crossing their zero set.
+    Only edges with both sides above ``ALTERNATION_RTOL`` times max|mode|
+    count, in the numerator and the denominator alike: the sign of a
+    round-off zero is noise.  An all-zero mode scores 0.  Checkerboard modes
+    score near 1, smooth fields near the fraction of edges crossing their
+    zero set.
     """
     table = edge_table(mesh)
     interior = table.interior_mask()
@@ -150,8 +157,12 @@ def alternation_score(mode: np.ndarray, mesh: Mesh, kind: ElementKind) -> float:
         right = mode[table.edges[interior, 1]]
     else:
         raise ValueError("alternation score defined for P0/P1 pressures")
-    flips = (left * right) < 0
-    return float(flips.sum() / flips.size)
+    tol = ALTERNATION_RTOL * np.max(np.abs(mode), initial=0.0)
+    signed = (np.abs(left) > tol) & (np.abs(right) > tol)
+    if not signed.any():
+        return 0.0
+    flips = (left * right < 0) & signed
+    return float(flips.sum() / signed.sum())
 
 
 def constant_pressure_angle(pair: str, mesh: Mesh,

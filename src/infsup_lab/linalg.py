@@ -1,6 +1,9 @@
-"""Dense and sparse linear algebra kernels used throughout the package.
+"""Dense linear algebra kernels used throughout the package.
 
-Dense matrices are plain 2-D float64 ``numpy.ndarray`` objects (row-major).
+Dense matrices are plain 2-D float64 ``numpy.ndarray`` objects (row-major);
+sparse operators are ``scipy.sparse.csr_array`` objects built in
+``assembly``, and no sparse kernel lives here.
+
 The two spectral routines that the whole inf-sup machinery rests on are
 LAPACK routes with this module's contracts on top: ``svd`` calls the
 preconditioned one-sided Jacobi SVD ``dgejsv`` in its ``JOBA='C'`` mode, so
@@ -28,10 +31,6 @@ class SingularMatrix(ValueError):
 
 class NotPositiveDefinite(ValueError):
     """Cholesky hit a non-positive diagonal pivot."""
-
-
-class IndexOutOfRange(IndexError):
-    """Triplet index outside the declared matrix shape."""
 
 
 #: relative pivot threshold for lu_solve (× max initial column norm)
@@ -199,120 +198,3 @@ def sym_eig(a):
     _require_symmetric(a, "sym_eig")
     lam, q = scipy.linalg.eigh(a, check_finite=False)
     return lam[::-1], q[:, ::-1]
-
-
-# ---------------------------------------------------------------------------
-# CSR sparse matrices
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CsrMatrix:
-    """Compressed sparse row matrix (sorted column indices, no duplicates)."""
-
-    rows: int
-    cols: int
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
-
-    def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.cols:
-            raise ValueError("matvec length mismatch")
-        counts = np.diff(self.row_ptr)
-        row_of = np.repeat(np.arange(self.rows), counts)
-        return np.bincount(row_of, weights=self.values * x[self.col_idx],
-                           minlength=self.rows)
-
-    def rmatvec(self, y) -> np.ndarray:
-        """Transpose product ``Aᵀ y``."""
-        y = np.asarray(y, dtype=float)
-        if y.shape[0] != self.rows:
-            raise ValueError("rmatvec length mismatch")
-        counts = np.diff(self.row_ptr)
-        row_of = np.repeat(np.arange(self.rows), counts)
-        return np.bincount(self.col_idx, weights=self.values * y[row_of],
-                           minlength=self.cols)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols))
-        counts = np.diff(self.row_ptr)
-        row_of = np.repeat(np.arange(self.rows), counts)
-        out[row_of, self.col_idx] = self.values
-        return out
-
-    def transpose(self) -> "CsrMatrix":
-        counts = np.diff(self.row_ptr)
-        row_of = np.repeat(np.arange(self.rows), counts)
-        return csr_from_arrays(self.cols, self.rows,
-                               self.col_idx, row_of, self.values)
-
-    def scaled(self, factor: float) -> "CsrMatrix":
-        return CsrMatrix(self.rows, self.cols, self.row_ptr,
-                         self.col_idx, factor * self.values)
-
-    def add(self, other: "CsrMatrix") -> "CsrMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in CSR add")
-        counts_a = np.diff(self.row_ptr)
-        counts_b = np.diff(other.row_ptr)
-        i = np.concatenate([np.repeat(np.arange(self.rows), counts_a),
-                            np.repeat(np.arange(other.rows), counts_b)])
-        j = np.concatenate([self.col_idx, other.col_idx])
-        v = np.concatenate([self.values, other.values])
-        return csr_from_arrays(self.rows, self.cols, i, j, v)
-
-
-def csr_from_arrays(rows: int, cols: int, i, j, v) -> CsrMatrix:
-    """Build a CSR matrix from parallel index/value arrays, summing duplicates."""
-    i = np.asarray(i, dtype=np.int64).ravel()
-    j = np.asarray(j, dtype=np.int64).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if not (len(i) == len(j) == len(v)):
-        raise ValueError("triplet arrays must have equal length")
-    if len(i) and (i.min() < 0 or i.max() >= rows or j.min() < 0 or j.max() >= cols):
-        raise IndexOutOfRange("triplet index outside matrix shape")
-
-    if len(i) == 0:
-        return CsrMatrix(rows, cols, np.zeros(rows + 1, np.int64),
-                         np.zeros(0, np.int64), np.zeros(0))
-
-    order = np.lexsort((j, i))
-    i, j, v = i[order], j[order], v[order]
-    new_group = np.empty(len(i), bool)
-    new_group[0] = True
-    new_group[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
-    starts = np.flatnonzero(new_group)
-    summed = np.add.reduceat(v, starts)
-    iu, ju = i[starts], j[starts]
-    row_ptr = np.zeros(rows + 1, np.int64)
-    np.add.at(row_ptr, iu + 1, 1)
-    np.cumsum(row_ptr, out=row_ptr)
-    return CsrMatrix(rows, cols, row_ptr, ju, summed)
-
-
-def csr_from_dense(a) -> CsrMatrix:
-    """The CSR form of a dense matrix, keeping its nonzero entries."""
-    a = np.asarray(a, dtype=float)
-    i, j = np.nonzero(a)
-    return csr_from_arrays(a.shape[0], a.shape[1], i, j, a[i, j])
-
-
-def csr_from_triplets(rows: int, cols: int, entries) -> CsrMatrix:
-    """Build a CSR matrix from an iterable of ``(i, j, value)`` triplets."""
-    entries = list(entries)
-    if not entries:
-        return csr_from_arrays(rows, cols, [], [], [])
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("entries must be (i, j, value) triplets")
-    i = arr[:, 0]
-    j = arr[:, 1]
-    if np.any(i != np.round(i)) or np.any(j != np.round(j)):
-        raise IndexOutOfRange("non-integer triplet index")
-    return csr_from_arrays(rows, cols, i.astype(np.int64),
-                           j.astype(np.int64), arr[:, 2])

@@ -163,10 +163,10 @@ def _blocks(config: LockingConfig) -> _Blocks:
     g = config.g if config.g is not None else _default_g
     return _Blocks(
         u_space=u_space, p_space=p_space, free_u=fu, free_p=fp,
-        ku=stiffness(u_space).to_dense()[np.ix_(fu, fu)],
-        mu=mass(u_space).to_dense()[np.ix_(fu, fu)],
-        g=grad_coupling(u_space, p_space).to_dense()[np.ix_(fu, fp)],
-        sp=stiffness(p_space).to_dense()[np.ix_(fp, fp)],
+        ku=stiffness(u_space).toarray()[np.ix_(fu, fu)],
+        mu=mass(u_space).toarray()[np.ix_(fu, fu)],
+        g=grad_coupling(u_space, p_space).toarray()[np.ix_(fu, fp)],
+        sp=stiffness(p_space).toarray()[np.ix_(fp, fp)],
         ml=lumped_mass(u_space)[fu],
         load_u=load_vector(u_space, f)[fu],
         load_p=load_vector(p_space, g)[fp],
@@ -250,9 +250,9 @@ def build_multiplier(config: LockingConfig,
     mesh = b.u_space.mesh
     y_space, y_keep = _gamma_space(config, mesh)
     ny = len(y_keep)
-    b_u = cross_mass(y_space, b.u_space).to_dense()[np.ix_(y_keep, b.free_u)]
-    b_p = -grad_coupling(y_space, b.p_space).to_dense()[np.ix_(y_keep, b.free_p)]
-    m_y = mass(y_space).to_dense()[np.ix_(y_keep, y_keep)]
+    b_u = cross_mass(y_space, b.u_space).toarray()[np.ix_(y_keep, b.free_u)]
+    b_p = -grad_coupling(y_space, b.p_space).toarray()[np.ix_(y_keep, b.free_p)]
+    m_y = mass(y_space).toarray()[np.ix_(y_keep, y_keep)]
     penalty = config.lambda_ - 1.0 if config.grad_div_form else config.lambda_
     nu, np_ = len(b.free_u), len(b.free_p)
     n = nu + np_ + ny
@@ -369,4 +369,4 @@ def gamma_target(config: LockingConfig, u: np.ndarray, p: np.ndarray) -> np.ndar
 def gamma_mass_norm(config: LockingConfig, coeffs: np.ndarray) -> float:
     y_space, _ = _gamma_space(config, unit_square_mesh(config.n))
     m = mass(y_space)
-    return float(np.sqrt(coeffs @ m.matvec(coeffs)))
+    return float(np.sqrt(coeffs @ (m @ coeffs)))

@@ -246,7 +246,7 @@ def check_assembly_requadrature() -> CheckResult:
     pairs.append((grad_coupling(v1, p1, 4), grad_coupling(v1, p1, 6)))
     worst = 0.0
     for low, high in pairs:
-        a, b = low.to_dense(), high.to_dense()
+        a, b = low.toarray(), high.toarray()
         worst = max(worst, np.linalg.norm(a - b)
                     / max(np.linalg.norm(b), 1e-30))
     return CheckResult(13, "assembly re-quadrature identity <= 1e-12 (n=2)",

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (
     SaddleSystem,
@@ -39,7 +40,7 @@ from .assembly import (
     stiffness,
 )
 from .fespace import ElementKind, FeSpace, build_space, fields_at_quadrature, quadrature
-from .linalg import csr_from_dense
+from .infsup import pair_spaces
 from .mesh import (
     Mesh,
     boundary_edge_geometry,
@@ -96,30 +97,22 @@ def method_names() -> list[str]:
     return list(_PLAIN_METHODS[:2]) + list(_EPS_METHODS) + list(_PLAIN_METHODS[2:])
 
 
-_SPACE_TABLE = {
-    "p1p1-plain": (ElementKind.P1, ElementKind.P1),
-    "p1p1-loss": (ElementKind.P1, ElementKind.P1),
-    "brezzi-pitkaranta": (ElementKind.P1, ElementKind.P1),
-    "galerkin-ls": (ElementKind.P1, ElementKind.P1),
-    "douglas-wang": (ElementKind.P1, ElementKind.P1),
-    "taylor-hood": (ElementKind.P2, ElementKind.P1),
-    "mini": (ElementKind.P1_BUBBLE, ElementKind.P1),
-    "p2p0": (ElementKind.P2, ElementKind.P0),
-}
+#: the element pair (a key of ``infsup.PAIRS``) of each method
+_METHOD_PAIR = {**dict.fromkeys(("p1p1-plain", "p1p1-loss", *_EPS_METHODS),
+                                "p1p1"),
+                "taylor-hood": "taylor-hood", "mini": "mini", "p2p0": "p2p0"}
 
 
 def spaces_for(method: StokesMethod, mesh: Mesh) -> tuple[FeSpace, FeSpace]:
-    vkind, pkind = _SPACE_TABLE[method.name]
-    return (build_space(vkind, mesh, components=2), build_space(pkind, mesh))
+    return pair_spaces(_METHOD_PAIR[method.name], mesh)
 
 
-def _loss_c_block(mesh: Mesh, p_space: FeSpace) -> np.ndarray:
-    """Dense ``h^2 (S0 - G^T M_L^{-1} G)`` from the lumped elimination."""
+def _loss_c_block(mesh: Mesh, p_space: FeSpace) -> sp.csr_array:
+    """``h^2 (S0 - G^T M_L^{-1} G)`` from the lumped elimination."""
     z_space = build_space(ElementKind.P1, mesh, components=2)
-    s0 = stiffness(p_space).to_dense()
-    g = grad_coupling(z_space, p_space).to_dense()
-    ml = lumped_mass(z_space)
-    return mesh.h ** 2 * (s0 - g.T @ (g / ml[:, None]))
+    g = grad_coupling(z_space, p_space)
+    ml_inv = sp.diags_array(1.0 / lumped_mass(z_space))
+    return mesh.h ** 2 * (stiffness(p_space) - g.T @ ml_inv @ g)
 
 
 def build(method: StokesMethod, mesh: Mesh, body_force) -> SaddleSystem:
@@ -139,15 +132,15 @@ def build(method: StokesMethod, mesh: Mesh, body_force) -> SaddleSystem:
     hk = triangle_diameters(mesh)
 
     if method.name == "p1p1-loss":
-        c = csr_from_dense(_loss_c_block(mesh, p_space))
+        c = _loss_c_block(mesh, p_space)
     elif method.name == "brezzi-pitkaranta":
-        c = pressure_grad_stab(p_space).scaled(method.eps)
+        c = method.eps * pressure_grad_stab(p_space)
     elif method.name == "galerkin-ls":
-        c = pressure_grad_stab(p_space, hk ** 2).scaled(method.eps)
+        c = method.eps * pressure_grad_stab(p_space, hk ** 2)
         g = -method.eps * gradient_load(p_space, body_force, hk ** 2)
     elif method.name == "douglas-wang":
         # first-power element weights and a flipped constraint row
-        c = pressure_grad_stab(p_space, hk).scaled(method.eps)
+        c = method.eps * pressure_grad_stab(p_space, hk)
         g = method.eps * gradient_load(p_space, body_force, hk)
         sign = -1.0
 
@@ -186,13 +179,13 @@ def build_loss_three_field(mesh: Mesh, body_force):
     ip = slice(nu, nu + np_)
     iz = slice(nu + np_, nu + np_ + nz)
 
-    s0 = stiffness(p_space).to_dense()
-    g = grad_coupling(z_space, p_space).to_dense()      # (nz, np)
+    s0 = stiffness(p_space).toarray()
+    g = grad_coupling(z_space, p_space).toarray()       # (nz, np)
     ml = lumped_mass(z_space)
-    bd = base.b.to_dense()
+    bd = base.b.toarray()
     mean = load_vector(p_space, lambda q: np.ones(q.shape[:-1]))
 
-    k[iu, iu] = base.a.to_dense()
+    k[iu, iu] = base.a.toarray()
     k[iu, ip] = bd.T
     k[ip, iu] = bd
     k[ip, ip] = -h2 * s0
@@ -242,7 +235,7 @@ def solve(system: SaddleSystem, method: StokesMethod | None = None) -> StokesSol
         mesh = v_space.mesh
         z_space = build_space(ElementKind.P1, mesh, components=2)
         g = grad_coupling(z_space, p_space)
-        z = g.matvec(p) / lumped_mass(z_space)
+        z = (g @ p) / lumped_mass(z_space)
     return StokesSolution(u=u, p=p, z=z, residual_norm=res_rel,
                           method=method, v_space=v_space, p_space=p_space)
 

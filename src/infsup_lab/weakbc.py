@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .assembly import (
     SaddleSystem,
@@ -37,14 +38,7 @@ from .assembly import (
     stiffness,
 )
 from .fespace import ElementKind, FeSpace, build_space, fields_at_quadrature, quadrature
-from .linalg import (
-    CsrMatrix,
-    cholesky,
-    csr_from_arrays,
-    csr_from_dense,
-    lu_solve,
-    sym_eig,
-)
+from .linalg import cholesky, lu_solve, sym_eig
 from .mesh import (
     Mesh,
     boundary_edge_geometry,
@@ -98,10 +92,10 @@ def inverse_constant(mesh: Mesh, scale: float = 1.0) -> float:
     needed.
     """
     space = build_space(ElementKind.P1, mesh)
-    k = stiffness(space).to_dense()
-    m = mass(space).to_dense()
+    k = stiffness(space).toarray()
+    m = mass(space).toarray()
     lengths, _, _ = boundary_edge_geometry(mesh)
-    n_w = boundary_flux_flux(space, edge_weights=scale * lengths).to_dense()
+    n_w = boundary_flux_flux(space, edge_weights=scale * lengths).toarray()
     l_fac = cholesky(k + 1e-12 * m)
     half = scipy.linalg.solve_triangular(l_fac, n_w, lower=True)
     pencil = scipy.linalg.solve_triangular(l_fac, half.T, lower=True)
@@ -199,8 +193,8 @@ def _edge_integrals(mesh: Mesh, func) -> np.ndarray:
 # build / solve
 # ---------------------------------------------------------------------------
 
-def _reaction_diffusion(space: FeSpace) -> CsrMatrix:
-    return stiffness(space).add(mass(space))
+def _reaction_diffusion(space: FeSpace) -> sp.csr_array:
+    return stiffness(space) + mass(space)
 
 
 def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
@@ -222,19 +216,18 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
         gamma = method.gamma
         nf = boundary_normal_flux(space)
         pen = boundary_mass(space, edge_weights=gamma / lengths)
-        k = a.add(nf.scaled(-1.0)).add(nf.transpose().scaled(-1.0)).add(pen)
+        k = a - nf - nf.T + pen
         rhs = (fvec - boundary_load(space, d, flux_test=True)
                + boundary_load(space, d, edge_weights=gamma / lengths))
-        empty = csr_from_arrays(0, n, [], [], [])
-        return SaddleSystem(a=k, b=empty, c=None, f=rhs, g=np.zeros(0),
-                            mean_vector=None, dirichlet_dofs=no_dirichlet,
-                            spaces=(space, None))
+        return SaddleSystem(a=k, b=sp.csr_array((0, n)), c=None, f=rhs,
+                            g=np.zeros(0), mean_vector=None,
+                            dirichlet_dofs=no_dirichlet, spaces=(space, None))
 
     if method.trace == "p1":
         trace = space.boundary_dofs
-        t = boundary_mass(space).to_dense()[trace, :]
-        c_w = boundary_normal_flux(space, edge_weights=lengths).to_dense()[trace, :]
-        m_w = boundary_mass(space, edge_weights=lengths).to_dense()[np.ix_(trace, trace)]
+        t = boundary_mass(space)[trace]
+        c_w = boundary_normal_flux(space, edge_weights=lengths)[trace]
+        m_w = boundary_mass(space, edge_weights=lengths)[np.ix_(trace, trace)]
         d_load = boundary_load(space, d)[trace]
     else:
         t, c0, m0 = _p0_trace_ops(mesh, n)
@@ -243,15 +236,15 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
         d_load = _edge_integrals(mesh, d)
 
     if method.name == "multiplier":
-        return SaddleSystem(a=a, b=csr_from_dense(t), c=None, f=fvec,
+        return SaddleSystem(a=a, b=sp.csr_array(t), c=None, f=fvec,
                             g=d_load, mean_vector=None,
                             dirichlet_dofs=no_dirichlet, spaces=(space, None))
 
     alpha = method.alpha
     n_w = boundary_flux_flux(space, edge_weights=alpha * lengths)
-    a_bh = a.add(n_w.scaled(-1.0))
-    b = csr_from_dense(t - alpha * c_w)
-    c = csr_from_dense(alpha * m_w)
+    a_bh = a - n_w
+    b = sp.csr_array(t - alpha * c_w)
+    c = sp.csr_array(alpha * m_w)
     return SaddleSystem(a=a_bh, b=b, c=c, f=fvec, g=d_load,
                         mean_vector=None, dirichlet_dofs=no_dirichlet,
                         spaces=(space, None))
@@ -364,9 +357,9 @@ def _nitsche_projected(mesh: Mesh, f, d, gamma: float):
     n = space.n_dofs
     lengths, _, _ = boundary_edge_geometry(mesh)
     t0, _, _ = _p0_trace_ops(mesh, n)
-    nf = boundary_normal_flux(space).to_dense()
+    nf = boundary_normal_flux(space).toarray()
     pen = t0.T @ (t0 * (gamma / lengths ** 2)[:, None])
-    k = _reaction_diffusion(space).to_dense() - nf - nf.T + pen
+    k = _reaction_diffusion(space).toarray() - nf - nf.T + pen
     rhs = (load_vector(space, f) - boundary_load(space, d, flux_test=True)
            + t0.T @ (gamma / lengths ** 2 * _edge_integrals(mesh, d)))
     return k, rhs
@@ -382,7 +375,7 @@ def equivalence_check(mesh: Mesh, f, d, alpha: float = 0.1) -> float:
     k_n, rhs_n = _nitsche_projected(mesh, f, d, 1.0 / alpha)
     u_n = lu_solve(k_n, rhs_n)
     space = build_space(ElementKind.P1, mesh)
-    h1 = _reaction_diffusion(space).to_dense()
+    h1 = _reaction_diffusion(space).toarray()
     diff = u_bh - u_n
     num = np.sqrt(diff @ (h1 @ diff))
     den = np.sqrt(u_n @ (h1 @ u_n))

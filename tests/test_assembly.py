@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from infsup_lab import stokes, weakbc
 from infsup_lab.assembly import (
     SaddleSystem,
+    _scatter,
     apply_dirichlet,
     boundary_flux_flux,
     boundary_load,
     boundary_mass,
     boundary_normal_flux,
     boundary_operators,
+    cross_mass,
     divergence,
     grad_coupling,
     load_vector,
@@ -22,18 +25,62 @@ from infsup_lab.assembly import (
     stiffness,
 )
 from infsup_lab.fespace import ElementKind, build_space
-from infsup_lab.linalg import (
-    NotPositiveDefinite,
-    SingularMatrix,
-    csr_from_arrays,
-    csr_from_dense,
-    lu_solve,
-)
+from infsup_lab.linalg import NotPositiveDefinite, SingularMatrix, lu_solve
 from infsup_lab.mesh import unit_square_mesh
 
 
 def frob(csr):
-    return np.linalg.norm(csr.to_dense())
+    return np.linalg.norm(csr.toarray())
+
+
+# ---------------------------------------------------------------------------
+# sparse storage
+# ---------------------------------------------------------------------------
+
+def test_scatter_sums_duplicate_entries():
+    # two cells share dofs 0 and 1, listed in opposite orders
+    dofs = np.array([[0, 1], [1, 0]])
+    locals_ = np.array([[[1.0, 2.0], [3.0, 4.0]],
+                        [[10.0, 20.0], [30.0, 40.0]]])
+    m = _scatter(dofs, dofs, locals_, 3, 3)
+    assert m.nnz == 4
+    assert np.array_equal(m.toarray(), [[41.0, 32.0, 0.0],
+                                        [23.0, 14.0, 0.0],
+                                        [0.0, 0.0, 0.0]])
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 5, (40, 3))
+    cols = rng.integers(0, 4, (40, 2))
+    locals_ = rng.standard_normal((40, 3, 2))
+    dense = np.zeros((5, 4))
+    np.add.at(dense, (rows[:, :, None], cols[:, None, :]), locals_)
+    m = _scatter(rows, cols, locals_, 5, 4)
+    assert m.has_canonical_format
+    assert np.allclose(m.toarray(), dense, atol=1e-14)
+
+
+def _canonical_csr(m):
+    return isinstance(m, sp.csr_array) and m.has_canonical_format
+
+
+def test_operators_are_canonical_csr_arrays():
+    # relative_residual's Frobenius norm reads .data, which counts an entry
+    # twice if it is stored twice
+    mesh = unit_square_mesh(3)
+    p0, p1 = (build_space(k, mesh) for k in (ElementKind.P0, ElementKind.P1))
+    ops = [pressure_grad_stab(p1), boundary_mass(p1),
+           boundary_normal_flux(p1), boundary_flux_flux(p1)]
+    for kind in (ElementKind.P1, ElementKind.P1_BUBBLE, ElementKind.P2):
+        v = build_space(kind, mesh, components=2)
+        ops += [stiffness(v), mass(v), divergence(v, p0), divergence(v, p1)]
+    v1 = build_space(ElementKind.P1, mesh, components=2)
+    disc = build_space(ElementKind.P1_DISC, mesh, components=2)
+    ops += [grad_coupling(v1, p1), cross_mass(disc, v1)]
+    assert all(_canonical_csr(op) for op in ops)
+    systems = ([stokes_system(name, 3) for name in stokes.method_names()]
+               + [weakbc_system(name, 3) for name in WEAKBC_METHODS])
+    for system in systems:
+        assert _canonical_csr(system.a) and _canonical_csr(system.b)
+        assert system.c is None or _canonical_csr(system.c)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +90,7 @@ def frob(csr):
 def test_p1_stiffness_is_the_five_point_stencil():
     n = 4
     mesh = unit_square_mesh(n)
-    k = stiffness(build_space(ElementKind.P1, mesh)).to_dense()
+    k = stiffness(build_space(ElementKind.P1, mesh)).toarray()
     side = n + 1
     center = 2 * side + 2                      # node (2, 2), interior
     row = k[center]
@@ -66,7 +113,7 @@ def test_mass_total_and_lumped():
         one = np.ones(space.n_dofs)
         if kind is ElementKind.P1_BUBBLE:
             one[mesh.n_nodes:] = 0.0           # bubbles are not part of 1
-        assert one @ m.matvec(one) == pytest.approx(1.0, abs=1e-13)
+        assert one @ (m @ one) == pytest.approx(1.0, abs=1e-13)
     lump = lumped_mass(build_space(ElementKind.P1, mesh))
     assert lump.sum() == pytest.approx(1.0, abs=1e-13)
     assert np.all(lump > 0)
@@ -88,12 +135,12 @@ def test_mass_reproduces_loads_for_interpolated_polynomials():
     p1 = build_space(ElementKind.P1, mesh)
     f_affine = lambda p: 1.5 * p[..., 0] - 0.5 * p[..., 1] + 2.0
     coeffs = f_affine(p1.dof_coords)
-    assert np.allclose(mass(p1).matvec(coeffs),
+    assert np.allclose(mass(p1) @ coeffs,
                        load_vector(p1, f_affine), atol=1e-14)
     p2 = build_space(ElementKind.P2, mesh)
     f_quad = lambda p: p[..., 0] ** 2 - p[..., 0] * p[..., 1]
     coeffs = f_quad(p2.dof_coords)
-    assert np.allclose(mass(p2).matvec(coeffs),
+    assert np.allclose(mass(p2) @ coeffs,
                        load_vector(p2, f_quad), atol=1e-14)
 
 
@@ -124,7 +171,7 @@ def test_divergence_of_linear_field_matches_pressure_integrals(vkind, pkind):
         u[mesh.n_nodes:v.n_scalar_dofs] = 0.0  # affine field needs no bubbles
     b = divergence(v, p)
     expected = -load_vector(p, lambda q: np.ones(q.shape[:-1]))
-    assert np.allclose(b.matvec(u), expected, atol=1e-13)
+    assert np.allclose(b @ u, expected, atol=1e-13)
 
 
 def test_divergence_annihilates_rigid_translations():
@@ -134,7 +181,7 @@ def test_divergence_annihilates_rigid_translations():
     b = divergence(v, p)
     u = np.zeros(v.n_dofs)
     u[:v.n_scalar_dofs] = 1.0                  # constant x-velocity
-    assert np.allclose(b.matvec(u), 0.0, atol=1e-13)
+    assert np.allclose(b @ u, 0.0, atol=1e-13)
 
 
 def test_grad_coupling_is_minus_transpose_of_divergence_inside():
@@ -142,8 +189,8 @@ def test_grad_coupling_is_minus_transpose_of_divergence_inside():
     mesh = unit_square_mesh(3)
     v = build_space(ElementKind.P1, mesh, components=2)
     p = build_space(ElementKind.P1, mesh)
-    g = grad_coupling(v, p).to_dense()
-    bt = divergence(v, p).to_dense().T
+    g = grad_coupling(v, p).toarray()
+    bt = divergence(v, p).toarray().T
     free = v.free_dofs()
     assert np.allclose(g[free], bt[free], atol=1e-13)
 
@@ -151,8 +198,8 @@ def test_grad_coupling_is_minus_transpose_of_divergence_inside():
 def test_pressure_grad_stab_default_weight_is_hk_squared():
     mesh = unit_square_mesh(4)
     p = build_space(ElementKind.P1, mesh)
-    s0 = stiffness(p).to_dense()
-    sw = pressure_grad_stab(p).to_dense()
+    s0 = stiffness(p).toarray()
+    sw = pressure_grad_stab(p).toarray()
     assert np.allclose(sw, mesh.h ** 2 * s0, atol=1e-14)
 
 
@@ -174,7 +221,7 @@ def test_reassembly_with_higher_degree_is_identical():
     v1 = build_space(ElementKind.P1, mesh, components=2)
     pairs.append((grad_coupling(v1, p1, 4), grad_coupling(v1, p1, 6)))
     for low, high in pairs:
-        assert np.linalg.norm(low.to_dense() - high.to_dense()) \
+        assert np.linalg.norm(low.toarray() - high.toarray()) \
             <= 1e-12 * max(frob(low), 1e-30)
 
 
@@ -187,7 +234,7 @@ def test_boundary_mass_total_is_perimeter():
     space = build_space(ElementKind.P1, mesh)
     bm = boundary_mass(space)
     ones = np.ones(space.n_dofs)
-    assert ones @ bm.matvec(ones) == pytest.approx(4.0, abs=1e-13)
+    assert ones @ (bm @ ones) == pytest.approx(4.0, abs=1e-13)
 
 
 def test_boundary_operators_on_two_triangles():
@@ -195,12 +242,12 @@ def test_boundary_operators_on_two_triangles():
     # normal derivatives per edge give these exact operator entries.
     mesh = unit_square_mesh(1)
     space = build_space(ElementKind.P1, mesh)
-    nf = boundary_normal_flux(space).to_dense()
+    nf = boundary_normal_flux(space).toarray()
     assert np.allclose(nf[0], [0.0, 0.5, 0.5, -1.0], atol=1e-14)
     assert np.allclose(nf[1], [-0.5, 1.0, 0.0, -0.5], atol=1e-14)
     assert np.allclose(nf[2], [-0.5, 0.0, 1.0, -0.5], atol=1e-14)
     assert np.allclose(nf[3], [-1.0, 0.5, 0.5, 0.0], atol=1e-14)
-    ff = boundary_flux_flux(space).to_dense()
+    ff = boundary_flux_flux(space).toarray()
     assert np.allclose(np.diag(ff), 2.0, atol=1e-14)
     assert np.allclose(ff, ff.T, atol=1e-14)
     # flux-flux is PSD: x^T N x = sum_E w_E (du/dn)^2 >= 0
@@ -217,11 +264,11 @@ def test_normal_flux_on_linear_function_integrates_exactly():
     space = build_space(ElementKind.P1, mesh)
     u = space.dof_coords[:, 0].copy()
     nf = boundary_normal_flux(space)
-    assert np.ones(space.n_dofs) @ nf.matvec(u) == pytest.approx(0.0, abs=1e-13)
+    assert np.ones(space.n_dofs) @ (nf @ u) == pytest.approx(0.0, abs=1e-13)
     # pairing with v = x concentrates on the right edge: int_right 1*1 = 1
     # and on the left edge v = 0, so the total is 1
     v = space.dof_coords[:, 0].copy()
-    assert v @ nf.matvec(u) == pytest.approx(1.0, abs=1e-13)
+    assert v @ (nf @ u) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_boundary_load_integrates_polynomials_exactly():
@@ -238,11 +285,11 @@ def test_boundary_operator_bundle_consistency():
     space = build_space(ElementKind.P1, mesh)
     ops = boundary_operators(space, gamma_coeff=2.0)
     direct = boundary_mass(space, 2.0 / ops.edge_lengths)
-    assert np.allclose(ops.penalty.to_dense(), direct.to_dense(), atol=1e-14)
-    assert np.allclose(ops.mass.to_dense(),
-                       boundary_mass(space).to_dense(), atol=1e-14)
-    assert np.allclose(ops.flux_flux.to_dense(),
-                       boundary_flux_flux(space).to_dense(), atol=1e-14)
+    assert np.allclose(ops.penalty.toarray(), direct.toarray(), atol=1e-14)
+    assert np.allclose(ops.mass.toarray(),
+                       boundary_mass(space).toarray(), atol=1e-14)
+    assert np.allclose(ops.flux_flux.toarray(),
+                       boundary_flux_flux(space).toarray(), atol=1e-14)
     assert len(ops.trace_dofs) == 8
     assert np.allclose(ops.edge_lengths, 0.5)
 
@@ -259,17 +306,13 @@ def test_boundary_ops_require_scalar_p1():
 # Dirichlet elimination
 # ---------------------------------------------------------------------------
 
-def empty_csr(rows, cols):
-    return csr_from_arrays(rows, cols, [], [], [])
-
-
 def test_apply_dirichlet_solves_laplace_with_affine_data():
     # affine functions are discretely harmonic on this mesh, so the P1
     # solution with affine boundary data is the interpolant itself
     mesh = unit_square_mesh(4)
     space = build_space(ElementKind.P1, mesh)
     g = lambda p: 2.0 * p[..., 0] - p[..., 1] + 0.3
-    system = SaddleSystem(a=stiffness(space), b=empty_csr(0, space.n_dofs),
+    system = SaddleSystem(a=stiffness(space), b=sp.csr_array((0, space.n_dofs)),
                           c=None, f=np.zeros(space.n_dofs), g=np.zeros(0),
                           mean_vector=None, dirichlet_dofs=np.zeros(0, np.int64))
     bdofs = space.boundary_dofs
@@ -290,9 +333,9 @@ def test_apply_dirichlet_zeroes_coupling_columns():
                           mean_vector=np.ones(p.n_dofs),
                           dirichlet_dofs=np.zeros(0, np.int64))
     out = apply_dirichlet(system, v.boundary_dofs)
-    bd = out.b.to_dense()
+    bd = out.b.toarray()
     assert np.allclose(bd[:, v.boundary_dofs], 0.0)
-    ad = out.a.to_dense()
+    ad = out.a.toarray()
     assert np.allclose(ad[v.boundary_dofs][:, v.boundary_dofs],
                        np.eye(len(v.boundary_dofs)), atol=1e-14)
     assert np.all(out.f[v.boundary_dofs] == 0.0)
@@ -348,9 +391,12 @@ def test_solve_saddle_matches_dense_lu_weakbc(name):
     check_against_dense(weakbc_system(name, 8))
 
 
-@pytest.mark.parametrize("name", ("douglas-wang", "p1p1-loss", "mini"))
+@pytest.mark.parametrize("name", ("douglas-wang", "p1p1-loss", "mini",
+                                  "nitsche"))
 def test_relative_residual_matches_dense_formula(name):
-    system = stokes_system(name, 4)
+    # nitsche: a system with an empty b block and no c or mean row
+    build = weakbc_system if name in WEAKBC_METHODS else stokes_system
+    system = build(name, 4)
     x = np.random.default_rng(7).standard_normal(system.n_total)
     k, rhs = system.full_matrix(), system.full_rhs()
     dense = (np.linalg.norm(k @ x - rhs)
@@ -386,7 +432,7 @@ def test_only_the_velocity_block_is_factored(monkeypatch):
 def test_singular_velocity_block_raises(a):
     # an exact zero pivot is SuperLU's own error, a tiny one fails the
     # pivot contract; both surface as SingularMatrix
-    system = SaddleSystem(a=csr_from_dense(a), b=empty_csr(0, 3), c=None,
+    system = SaddleSystem(a=sp.csr_array(a), b=sp.csr_array((0, 3)), c=None,
                           f=np.ones(3), g=np.zeros(0), mean_vector=None,
                           dirichlet_dofs=np.zeros(0, np.int64))
     with pytest.raises(SingularMatrix):

@@ -54,6 +54,15 @@ def test_no_subcommand_is_usage_error():
     ["locking", "--method", "multiplier", "--grad-div", "--lambdas", "0.5"],
     ["weakbc", "--method", "nitsche", "--trace", "p2"],
     ["weakbc", "--method", "bh", "--alpha", "-0.25"],
+    # non-finite floats
+    ["stokes", "--method", "bp", "--eps", "nan"],
+    ["stokes", "--method", "bp", "--eps", "inf"],
+    ["convergence", "--method", "bp", "--ns", "4,8,16", "--eps", "nan"],
+    ["locking", "--lambdas", "nan"],
+    ["locking", "--lambdas", "1e2,inf"],
+    ["locking", "--c-omega", "nan"],
+    ["weakbc", "--method", "nitsche", "--gamma", "nan"],
+    ["weakbc", "--method", "bh", "--alpha", "inf"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert cli.main(argv) == 2

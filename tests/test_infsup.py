@@ -190,6 +190,23 @@ def test_checkerboard_alternation_p1p0():
     assert score >= 0.8
 
 
+def test_alternation_score_ignores_roundoff_signs():
+    # 16 of the 128 cells of the p1p0 worst mode at n=8 are round-off
+    # zeros; their signs must not move the score
+    mesh = unit_square_mesh(8)
+    mode = infsup.spurious_mode(infsup.study("p1p0", mesh, weighted=False))
+    score = infsup.alternation_score(mode, mesh, ElementKind.P0)
+    tiny = np.abs(mode) < infsup.ALTERNATION_RTOL * np.abs(mode).max()
+    assert tiny.any()
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        noisy = mode.copy()
+        noisy[tiny] = rng.choice([-1e-18, 1e-18], tiny.sum())
+        assert infsup.alternation_score(noisy, mesh, ElementKind.P0) == score
+    assert infsup.alternation_score(np.zeros(mesh.n_triangles), mesh,
+                                    ElementKind.P0) == 0.0
+
+
 def test_taylor_hood_mode_score_reported():
     mesh = unit_square_mesh(4)
     rep = infsup.study("taylor-hood", mesh)

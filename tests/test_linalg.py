@@ -1,18 +1,13 @@
-"""Tests for the dense/sparse kernels: LU, Cholesky, Jacobi SVD, sym_eig, CSR."""
+"""Tests for the dense kernels: LU, Cholesky, Jacobi SVD, sym_eig."""
 
 import numpy as np
 import pytest
 import scipy.linalg.lapack
 
 from infsup_lab.linalg import (
-    CsrMatrix,
-    IndexOutOfRange,
     NotPositiveDefinite,
     SingularMatrix,
     cholesky,
-    csr_from_arrays,
-    csr_from_dense,
-    csr_from_triplets,
     lu_solve,
     svd,
     sym_eig,
@@ -259,59 +254,3 @@ def test_block_saddle_eigenvalues_are_plus_minus_singular_values():
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(ValueError):
         sym_eig([[1.0, 2.0], [0.0, 1.0]])
-
-
-# ---------------------------------------------------------------------------
-# CSR
-# ---------------------------------------------------------------------------
-
-def test_csr_duplicates_are_summed():
-    a = csr_from_triplets(1, 1, [(0, 0, 1.0), (0, 0, 2.0)])
-    assert np.allclose(a.to_dense(), [[3.0]])
-    assert a.nnz == 1
-
-
-def test_csr_matvec_against_dense():
-    rng = np.random.default_rng(17)
-    rows, cols, nnz = 9, 7, 60
-    i = rng.integers(0, rows, nnz)
-    j = rng.integers(0, cols, nnz)
-    v = rng.standard_normal(nnz)
-    a = csr_from_arrays(rows, cols, i, j, v)
-    dense = np.zeros((rows, cols))
-    np.add.at(dense, (i, j), v)
-    assert np.allclose(a.to_dense(), dense, atol=1e-14)
-    x = rng.standard_normal(cols)
-    assert np.allclose(a.matvec(x), dense @ x, atol=1e-13)
-    y = rng.standard_normal(rows)
-    assert np.allclose(a.rmatvec(y), dense.T @ y, atol=1e-13)
-    assert np.allclose(a.transpose().to_dense(), dense.T, atol=1e-14)
-    assert np.allclose(a.scaled(2.5).to_dense(), 2.5 * dense, atol=1e-14)
-    assert np.allclose(a.add(a).to_dense(), 2.0 * dense, atol=1e-14)
-
-
-def test_csr_empty_and_index_errors():
-    a = csr_from_triplets(3, 2, [])
-    assert a.nnz == 0
-    assert np.allclose(a.matvec([1.0, 1.0]), np.zeros(3))
-    with pytest.raises(IndexOutOfRange):
-        csr_from_triplets(2, 2, [(2, 0, 1.0)])
-    with pytest.raises(IndexOutOfRange):
-        csr_from_triplets(2, 2, [(0, -1, 1.0)])
-    with pytest.raises(IndexOutOfRange):
-        csr_from_triplets(2, 2, [(0.5, 0, 1.0)])
-
-
-def test_csr_from_dense_keeps_nonzeros():
-    d = np.array([[0.0, 2.0, 0.0], [-1.0, 0.0, 3.5]])
-    a = csr_from_dense(d)
-    assert a.nnz == 3
-    assert np.array_equal(a.to_dense(), d)
-    assert csr_from_dense(np.zeros((0, 4))).to_dense().shape == (0, 4)
-
-
-def test_csr_row_ptr_structure():
-    a = csr_from_triplets(3, 3, [(2, 1, 4.0), (0, 2, 1.0), (2, 0, 3.0)])
-    assert list(a.row_ptr) == [0, 1, 1, 3]
-    assert list(a.col_idx) == [2, 0, 1]
-    assert list(a.values) == [1.0, 3.0, 4.0]

@@ -350,7 +350,10 @@ class SaddleSystem:
 
     with ``s = pressure_row_sign`` (-1 only for the one intentionally
     asymmetric method) and the mean row/column present when ``mean_vector``
-    is set.  ``c`` is positive semidefinite for every symmetric method.
+    is set.  ``a`` is the eliminated block and must be nonsingular; for
+    the Stokes and weak-bc systems it is the velocity block.  ``c`` need
+    not be positive semidefinite: the locking systems put -lambda S_p or
+    -A_X there.
     """
 
     a: sp.csr_array
@@ -359,7 +362,6 @@ class SaddleSystem:
     f: np.ndarray
     g: np.ndarray
     mean_vector: np.ndarray | None
-    dirichlet_dofs: np.ndarray
     pressure_row_sign: float = 1.0
     spaces: tuple | None = None      # (velocity space, pressure space)
 
@@ -417,15 +419,15 @@ class SaddleSystem:
 
 
 def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
-    """Solve the block system by eliminating the velocity.
+    """Solve the block system by eliminating the block ``a``.
 
-    1. SuperLU factors the velocity block ``a`` alone (``splu``, minimum
-       degree ordering on ``a^T + a``); the diagonal of U must pass the
-       pivot contract of ``linalg.lu_solve``.
-    2. The pressure Schur complement ``-s (b a^{-1} b^T + c)``, bordered by
-       the mean vector, is formed dense (n_p × n_p) and solved by
-       ``lu_solve``.  Its pivot test is the singularity verdict: the
-       unstabilized equal-order pair fails there with a zero pivot.
+    1. SuperLU factors ``a`` alone (``splu``, minimum degree ordering on
+       ``a^T + a``), the eliminated block, which must be nonsingular; the
+       diagonal of U must pass the pivot contract of ``linalg.lu_solve``.
+    2. The Schur complement ``-s (b a^{-1} b^T + c)``, bordered by the mean
+       vector, is formed dense (n_p × n_p) and solved by ``lu_solve``.  Its
+       pivot test is the singularity verdict: the unstabilized equal-order
+       pair fails there with a zero pivot.
     3. ``u = a^{-1} (f - b^T p)``.
 
     SuperLU never sees the indefinite (and, for the unstable pair,
@@ -491,6 +493,4 @@ def apply_dirichlet(system: SaddleSystem, dofs, values=0.0) -> SaddleSystem:
     # sparse products may leave column indices unsorted
     a = (keep @ system.a @ keep + sp.diags_array(fixed)).sorted_indices()
     return replace(system, a=a, b=(system.b @ keep).sorted_indices(),
-                   f=f, g=g,
-                   dirichlet_dofs=np.unique(
-                       np.concatenate([system.dirichlet_dofs, dofs])))
+                   f=f, g=g)

@@ -261,7 +261,8 @@ def _run_locking(config: RunConfig):
     reports = [locking.run(dataclasses.replace(base, lambda_=lam))
                for lam in config.lambdas]
     rows = [{"lambda": r.lambda_, "u_h1_norm": r.u_h1_norm,
-             "p_h1_norm": r.p_h1_norm, "solve_ok": r.solve_ok}
+             "p_h1_norm": r.p_h1_norm, "solve_ok": r.solve_ok,
+             "residual_norm": r.residual_norm}
             for r in reports]
     results = {"method": base.method, "n": base.n, "reports": rows}
     status = "ok" if all(r.solve_ok for r in reports) else "singular"

@@ -12,8 +12,8 @@ to zero against the largest one, and ``sym_eig`` calls ``eigh``, an
 independent tridiagonal route for cross-checks.  Factor-based solves
 (``lu_solve``, ``cholesky``) likewise delegate the factorization to LAPACK
 via scipy/numpy but keep the error contracts of this module; ``check_pivots``
-is the pivot contract itself, shared with the sparse velocity-block factor
-of ``assembly.solve_saddle``.
+is the pivot contract itself, shared with the sparse factor of the
+eliminated block in ``assembly.solve_saddle``.
 """
 
 from __future__ import annotations

@@ -35,6 +35,14 @@ with a((u,p),(v,q)) = (grad u, grad v) and b((v,q), delta) =
 gamma elimination reproduces the plain system exactly, so the default
 gamma space inherits the locking; the ``continuous`` option projects the
 constraint the way the corrected scheme does.
+
+Every scheme is an ``assembly.SaddleSystem`` of sparse blocks solved by
+``assembly.solve_saddle``, whose dense Schur LU gives the singularity
+verdict.  The eliminated block ``a`` is K_u + lambda M_u (``plain``),
+diag(K_u + lambda M_u, -beta M_w) on (u, w) (``corrected``), A_X for
+continuous gamma with the augmented form (eliminating gamma would put the
+penalty back), and -M_gamma/penalty for every other ``multiplier`` (A_X
+alone is singular; with discontinuous gamma it reproduces ``plain``).
 """
 
 from __future__ import annotations
@@ -43,17 +51,20 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (
+    SaddleSystem,
     cross_mass,
     grad_coupling,
     load_vector,
     lumped_mass,
     mass,
+    solve_saddle,
     stiffness,
 )
 from .fespace import ElementKind, FeSpace, build_space
-from .linalg import SingularMatrix, lu_solve, sym_eig
+from .linalg import SingularMatrix, sym_eig
 from .mesh import Mesh, triangle_grad_lambda, unit_square_mesh
 
 DEFAULT_POINCARE = 1.0 / (np.pi * np.sqrt(2.0))   # 1/sqrt(2 pi^2), unit square
@@ -82,8 +93,9 @@ def transverse_g(pts):
 class LockingConfig:
     """One locking run: penalty, mesh resolution, scheme and loads.
 
-    ``lambda_ = 0`` is tolerated at build time; the decoupled p-block is
-    then singular and surfaces as a failed solve.
+    ``lambda_ = 0`` is tolerated for ``plain`` and ``corrected``: the
+    decoupled p-block is then singular and surfaces as a failed report.
+    ``multiplier`` rejects it, since its gamma block is scaled by 1/lambda.
     """
 
     lambda_: float
@@ -107,6 +119,9 @@ class LockingConfig:
             raise ValueError(f"unknown gamma space {self.gamma_space!r}")
         if self.w_mass not in ("lumped", "consistent"):
             raise ValueError(f"unknown w mass treatment {self.w_mass!r}")
+        if self.method == "multiplier" and self.lambda_ == 0:
+            raise ValueError("the multiplier form scales its gamma block "
+                             "by 1/lambda and needs lambda > 0")
         if self.grad_div_form and self.lambda_ <= 1.0:
             raise ValueError("the augmented form splits lambda = 1 + "
                              "(lambda - 1) and needs lambda > 1")
@@ -119,13 +134,13 @@ class LockingReport:
     lambda_: float
     method: str
     solve_ok: bool
+    residual_norm: float          # relative residual of the solve; NaN if failed
 
 
 @dataclass(frozen=True)
 class LockingSystem:
-    matrix: np.ndarray
-    rhs: np.ndarray
-    slices: dict
+    saddle: SaddleSystem
+    layout: tuple                 # ((field, size), ...) in the order of x
     config: LockingConfig
 
 
@@ -144,10 +159,10 @@ class _Blocks:
     p_space: FeSpace
     free_u: np.ndarray
     free_p: np.ndarray
-    ku: np.ndarray
-    mu: np.ndarray
-    g: np.ndarray
-    sp: np.ndarray
+    ku: sp.csr_array
+    mu: sp.csr_array
+    g: sp.csr_array
+    sp: sp.csr_array
     ml: np.ndarray
     load_u: np.ndarray
     load_p: np.ndarray
@@ -163,10 +178,10 @@ def _blocks(config: LockingConfig) -> _Blocks:
     g = config.g if config.g is not None else _default_g
     return _Blocks(
         u_space=u_space, p_space=p_space, free_u=fu, free_p=fp,
-        ku=stiffness(u_space).toarray()[np.ix_(fu, fu)],
-        mu=mass(u_space).toarray()[np.ix_(fu, fu)],
-        g=grad_coupling(u_space, p_space).toarray()[np.ix_(fu, fp)],
-        sp=stiffness(p_space).toarray()[np.ix_(fp, fp)],
+        ku=stiffness(u_space)[fu][:, fu],
+        mu=mass(u_space)[fu][:, fu],
+        g=grad_coupling(u_space, p_space)[fu][:, fp],
+        sp=stiffness(p_space)[fp][:, fp],
         ml=lumped_mass(u_space)[fu],
         load_u=load_vector(u_space, f)[fu],
         load_p=load_vector(p_space, g)[fp],
@@ -183,56 +198,42 @@ def _coefficients(config: LockingConfig):
 # builders
 # ---------------------------------------------------------------------------
 
+def _system(config: LockingConfig, layout: tuple, a, b, c, f, g) -> LockingSystem:
+    """``[[a, b^T], [b, -c]] x = [f, g]``, x split by ``layout``."""
+    saddle = SaddleSystem(a=sp.csr_array(a), b=sp.csr_array(b),
+                          c=sp.csr_array(c), f=f, g=g, mean_vector=None)
+    return LockingSystem(saddle, layout, config)
+
+
 def build_plain(config: LockingConfig, blocks: _Blocks | None = None) -> LockingSystem:
     b = blocks if blocks is not None else _blocks(config)
     lam = config.lambda_
-    nu, np_ = len(b.free_u), len(b.free_p)
-    k = np.zeros((nu + np_, nu + np_))
-    k[:nu, :nu] = b.ku + lam * b.mu
-    k[:nu, nu:] = -lam * b.g
-    k[nu:, :nu] = -lam * b.g.T
-    k[nu:, nu:] = lam * b.sp
-    return LockingSystem(matrix=k, rhs=np.concatenate([b.load_u, b.load_p]),
-                         slices={"u": slice(0, nu), "p": slice(nu, nu + np_)},
-                         config=config)
+    return _system(config, (("u", len(b.free_u)), ("p", len(b.free_p))),
+                   a=b.ku + lam * b.mu, b=-lam * b.g.T, c=-lam * b.sp,
+                   f=b.load_u, g=b.load_p)
 
 
-def _w_mass(config: LockingConfig, b: _Blocks) -> np.ndarray:
+def _w_mass(config: LockingConfig, b: _Blocks) -> sp.sparray:
     if config.w_mass == "lumped":
-        return np.diag(b.ml)
+        return sp.diags_array(b.ml)
     return b.mu
 
 
-def build_corrected(config: LockingConfig, eliminated: bool = False,
+def build_corrected(config: LockingConfig,
                     blocks: _Blocks | None = None) -> LockingSystem:
+    """Three-field form in (u, w, p); the w rows are scaled by beta to stay
+    symmetric.  Its Schur complement in p is the eliminated two-field form
+    with p-block alpha S_p + beta G^T M_w^{-1} G."""
     b = blocks if blocks is not None else _blocks(config)
     lam = config.lambda_
     alpha, beta = _coefficients(config)
-    m_w = _w_mass(config, b)
-    nu, np_ = len(b.free_u), len(b.free_p)
-    if eliminated:
-        k = np.zeros((nu + np_, nu + np_))
-        k[:nu, :nu] = b.ku + lam * b.mu
-        k[:nu, nu:] = -lam * b.g
-        k[nu:, :nu] = -lam * b.g.T
-        k[nu:, nu:] = alpha * b.sp + beta * (b.g.T @ np.linalg.solve(m_w, b.g))
-        slices = {"u": slice(0, nu), "p": slice(nu, nu + np_)}
-        return LockingSystem(k, np.concatenate([b.load_u, b.load_p]),
-                             slices, config)
-    # explicit three-field form; the w rows are scaled by beta to stay
-    # symmetric
-    n = nu + np_ + nu
-    k = np.zeros((n, n))
-    su, sq, sw = slice(0, nu), slice(nu, nu + np_), slice(nu + np_, n)
-    k[su, su] = b.ku + lam * b.mu
-    k[su, sq] = -lam * b.g
-    k[sq, su] = -lam * b.g.T
-    k[sq, sq] = alpha * b.sp
-    k[sq, sw] = beta * b.g.T
-    k[sw, sq] = beta * b.g
-    k[sw, sw] = -beta * m_w
-    rhs = np.concatenate([b.load_u, b.load_p, np.zeros(nu)])
-    return LockingSystem(k, rhs, {"u": su, "p": sq, "w": sw}, config)
+    nu = len(b.free_u)
+    return _system(config, (("u", nu), ("w", nu), ("p", len(b.free_p))),
+                   a=sp.block_diag([b.ku + lam * b.mu,
+                                    -beta * _w_mass(config, b)]),
+                   b=sp.hstack([-lam * b.g.T, beta * b.g.T]),
+                   c=-alpha * b.sp,
+                   f=np.concatenate([b.load_u, np.zeros(nu)]), g=b.load_p)
 
 
 def _gamma_space(config: LockingConfig, mesh: Mesh):
@@ -247,30 +248,26 @@ def _gamma_space(config: LockingConfig, mesh: Mesh):
 def build_multiplier(config: LockingConfig,
                      blocks: _Blocks | None = None) -> LockingSystem:
     b = blocks if blocks is not None else _blocks(config)
-    mesh = b.u_space.mesh
-    y_space, y_keep = _gamma_space(config, mesh)
-    ny = len(y_keep)
-    b_u = cross_mass(y_space, b.u_space).toarray()[np.ix_(y_keep, b.free_u)]
-    b_p = -grad_coupling(y_space, b.p_space).toarray()[np.ix_(y_keep, b.free_p)]
-    m_y = mass(y_space).toarray()[np.ix_(y_keep, y_keep)]
-    penalty = config.lambda_ - 1.0 if config.grad_div_form else config.lambda_
-    nu, np_ = len(b.free_u), len(b.free_p)
-    n = nu + np_ + ny
-    k = np.zeros((n, n))
-    su, sq, sy = slice(0, nu), slice(nu, nu + np_), slice(nu + np_, n)
-    k[su, su] = b.ku
+    y_space, y_keep = _gamma_space(config, b.u_space.mesh)
+    nu, np_, ny = len(b.free_u), len(b.free_p), len(y_keep)
+    b_x = sp.hstack([cross_mass(y_space, b.u_space)[y_keep][:, b.free_u],
+                     -grad_coupling(y_space, b.p_space)[y_keep][:, b.free_p]])
+    m_y = mass(y_space)[y_keep][:, y_keep]
+    load_x = np.concatenate([b.load_u, b.load_p])
     if config.grad_div_form:
-        k[su, su] += b.mu
-        k[su, sq] = -b.g
-        k[sq, su] = -b.g.T
-        k[sq, sq] = b.sp
-    k[su, sy] = b_u.T
-    k[sq, sy] = b_p.T
-    k[sy, su] = b_u
-    k[sy, sq] = b_p
-    k[sy, sy] = -m_y / penalty
-    rhs = np.concatenate([b.load_u, b.load_p, np.zeros(ny)])
-    return LockingSystem(k, rhs, {"u": su, "p": sq, "gamma": sy}, config)
+        a_x = sp.block_array([[b.ku + b.mu, -b.g], [-b.g.T, b.sp]])
+        penalty = config.lambda_ - 1.0
+    else:
+        a_x = sp.block_diag([b.ku, sp.csr_array((np_, np_))])
+        penalty = config.lambda_
+    if config.grad_div_form and config.gamma_space == "continuous":
+        # A_X is SPD here, and eliminating gamma would put 1/penalty back
+        return _system(config, (("u", nu), ("p", np_), ("gamma", ny)),
+                       a=a_x, b=b_x, c=m_y / penalty,
+                       f=load_x, g=np.zeros(ny))
+    return _system(config, (("gamma", ny), ("u", nu), ("p", np_)),
+                   a=-m_y / penalty, b=b_x.T, c=-a_x,
+                   f=np.zeros(ny), g=load_x)
 
 
 _BUILDERS = {"plain": build_plain, "corrected": build_corrected,
@@ -285,29 +282,32 @@ def build(config: LockingConfig) -> LockingSystem:
 # solving and reporting
 # ---------------------------------------------------------------------------
 
+def _full(n_dofs: int, kept: np.ndarray, values: np.ndarray) -> np.ndarray:
+    out = np.zeros(n_dofs)
+    out[kept] = values
+    return out
+
+
 def solve(system: LockingSystem, blocks: _Blocks | None = None) -> LockingSolution:
     b = blocks if blocks is not None else _blocks(system.config)
-    x = lu_solve(system.matrix, system.rhs)
-    uf = x[system.slices["u"]]
-    pf = x[system.slices["p"]]
-    u = np.zeros(b.u_space.n_dofs)
-    u[b.free_u] = uf
-    p = np.zeros(b.p_space.n_dofs)
-    p[b.free_p] = pf
+    x, residual = solve_saddle(system.saddle)
+    names, sizes = zip(*system.layout)
+    parts = dict(zip(names, np.split(x, np.cumsum(sizes)[:-1])))
+    uf, pf = parts["u"], parts["p"]
     w = gamma = None
-    if "w" in system.slices:
-        w = np.zeros(b.u_space.n_dofs)
-        w[b.free_u] = x[system.slices["w"]]
-    if "gamma" in system.slices:
+    if "w" in parts:
+        w = _full(b.u_space.n_dofs, b.free_u, parts["w"])
+    if "gamma" in parts:
         y_space, y_keep = _gamma_space(system.config, b.u_space.mesh)
-        gamma = np.zeros(y_space.n_dofs)
-        gamma[y_keep] = x[system.slices["gamma"]]
+        gamma = _full(y_space.n_dofs, y_keep, parts["gamma"])
     report = LockingReport(
         u_h1_norm=float(np.sqrt(uf @ (b.ku @ uf))),
         p_h1_norm=float(np.sqrt(pf @ (b.sp @ pf))),
         lambda_=system.config.lambda_, method=system.config.method,
-        solve_ok=True)
-    return LockingSolution(u=u, p=p, w=w, gamma=gamma, report=report)
+        solve_ok=True, residual_norm=residual)
+    return LockingSolution(u=_full(b.u_space.n_dofs, b.free_u, uf),
+                           p=_full(b.p_space.n_dofs, b.free_p, pf),
+                           w=w, gamma=gamma, report=report)
 
 
 def run(config: LockingConfig) -> LockingReport:
@@ -319,7 +319,7 @@ def run(config: LockingConfig) -> LockingReport:
     except SingularMatrix:
         return LockingReport(u_h1_norm=float("nan"), p_h1_norm=float("nan"),
                              lambda_=config.lambda_, method=config.method,
-                             solve_ok=False)
+                             solve_ok=False, residual_norm=float("nan"))
 
 
 def lambda_sweep(config: LockingConfig, lambdas) -> list:
@@ -333,8 +333,7 @@ def lambda_sweep(config: LockingConfig, lambdas) -> list:
 
 def coercivity_eigenvalue(config: LockingConfig) -> float:
     """Smallest eigenvalue of the assembled plain matrix."""
-    system = build_plain(config)
-    lam, _ = sym_eig(system.matrix)
+    lam, _ = sym_eig(build_plain(config).saddle.full_matrix())
     return float(lam[-1])
 
 
@@ -346,7 +345,7 @@ def projection_gap(config: LockingConfig, p_coeffs) -> float:
     """
     b = _blocks(config)
     q = np.asarray(p_coeffs, dtype=float)[b.free_p]
-    form = b.sp - b.g.T @ (b.g / b.ml[:, None])
+    form = b.sp - b.g.T @ sp.diags_array(1.0 / b.ml) @ b.g
     return float(np.sqrt(max(q @ (form @ q), 0.0)))
 
 

@@ -159,14 +159,12 @@ def check_locking_and_cure() -> CheckResult:
 def check_multiplier_elimination() -> CheckResult:
     cfg = locking.LockingConfig(lambda_=1e2, n=4, method="multiplier")
     blocks = locking._blocks(cfg)
-    sys_m = locking.build_multiplier(cfg, blocks=blocks)
-    sys_p = locking.build_plain(cfg, blocks=blocks)
-    nx = len(blocks.free_u) + len(blocks.free_p)
-    bt = sys_m.matrix[:nx, nx:]
-    m_y = -sys_m.matrix[nx:, nx:] * cfg.lambda_
-    elim = sys_m.matrix[:nx, :nx] \
-        + cfg.lambda_ * bt @ np.linalg.solve(m_y, bt.T)
-    gap = float(np.linalg.norm(elim - sys_p.matrix))
+    sys_m = locking.build_multiplier(cfg, blocks=blocks).saddle
+    sys_p = locking.build_plain(cfg, blocks=blocks).saddle
+    # the (u, p) Schur complement -(c + b a^{-1} b^T) of the gamma block
+    b = sys_m.b.toarray()
+    elim = -(sys_m.c.toarray() + b @ np.linalg.solve(sys_m.a.toarray(), b.T))
+    gap = float(np.linalg.norm(elim - sys_p.full_matrix()))
     return CheckResult(9, "multiplier elimination reproduces plain "
                           "(Frobenius <= 1e-12)",
                        gap <= 1e-12, f"gap={gap:.2e}")

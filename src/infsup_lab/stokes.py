@@ -146,7 +146,6 @@ def build(method: StokesMethod, mesh: Mesh, body_force) -> SaddleSystem:
 
     mean_vector = load_vector(p_space, lambda q: np.ones(q.shape[:-1]))
     system = SaddleSystem(a=a, b=b, c=c, f=f, g=g, mean_vector=mean_vector,
-                          dirichlet_dofs=np.zeros(0, dtype=np.int64),
                           pressure_row_sign=sign,
                           spaces=(v_space, p_space))
     return apply_dirichlet(system, v_space.boundary_dofs)
@@ -167,8 +166,7 @@ def build_loss_three_field(mesh: Mesh, body_force):
     b = divergence(v_space, p_space)
     f = load_vector(v_space, body_force)
     base = SaddleSystem(a=a, b=b, c=None, f=f, g=np.zeros(p_space.n_dofs),
-                        mean_vector=None,
-                        dirichlet_dofs=np.zeros(0, dtype=np.int64))
+                        mean_vector=None)
     base = apply_dirichlet(base, v_space.boundary_dofs)
 
     nu, np_, nz = v_space.n_dofs, p_space.n_dofs, z_space.n_dofs

@@ -38,7 +38,7 @@ from .assembly import (
     stiffness,
 )
 from .fespace import ElementKind, FeSpace, build_space, fields_at_quadrature, quadrature
-from .linalg import cholesky, lu_solve, sym_eig
+from .linalg import lu_solve
 from .mesh import (
     Mesh,
     boundary_edge_geometry,
@@ -87,19 +87,17 @@ def inverse_constant(mesh: Mesh, scale: float = 1.0) -> float:
     """C_i with h_E ||dv/dn||_E^2 <= C_i^2 ||grad v||^2 on P1.
 
     Largest eigenvalue of the pencil (scale * h_E-weighted boundary
-    flux-flux, K + 1e-12 M), solved dense after Cholesky whitening.
-    Constants contribute zero numerator, so no explicit deflation is
-    needed.
+    flux-flux, K + 1e-12 M), one dense generalized ``eigh``.  Constants
+    contribute zero numerator, so no explicit deflation is needed.
     """
     space = build_space(ElementKind.P1, mesh)
     k = stiffness(space).toarray()
     m = mass(space).toarray()
     lengths, _, _ = boundary_edge_geometry(mesh)
     n_w = boundary_flux_flux(space, edge_weights=scale * lengths).toarray()
-    l_fac = cholesky(k + 1e-12 * m)
-    half = scipy.linalg.solve_triangular(l_fac, n_w, lower=True)
-    pencil = scipy.linalg.solve_triangular(l_fac, half.T, lower=True)
-    lam, _ = sym_eig(0.5 * (pencil + pencil.T))
+    n = space.n_dofs
+    lam = scipy.linalg.eigh(n_w, k + 1e-12 * m, eigvals_only=True,
+                            subset_by_index=[n - 1, n - 1])
     return float(np.sqrt(max(lam[0], 0.0)))
 
 
@@ -210,7 +208,6 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
     a = _reaction_diffusion(space)
     fvec = load_vector(space, f)
     lengths, _, _ = boundary_edge_geometry(mesh)
-    no_dirichlet = np.zeros(0, dtype=np.int64)
 
     if method.name == "nitsche":
         gamma = method.gamma
@@ -221,7 +218,7 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
                + boundary_load(space, d, edge_weights=gamma / lengths))
         return SaddleSystem(a=k, b=sp.csr_array((0, n)), c=None, f=rhs,
                             g=np.zeros(0), mean_vector=None,
-                            dirichlet_dofs=no_dirichlet, spaces=(space, None))
+                            spaces=(space, None))
 
     if method.trace == "p1":
         trace = space.boundary_dofs
@@ -237,8 +234,7 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
 
     if method.name == "multiplier":
         return SaddleSystem(a=a, b=sp.csr_array(t), c=None, f=fvec,
-                            g=d_load, mean_vector=None,
-                            dirichlet_dofs=no_dirichlet, spaces=(space, None))
+                            g=d_load, mean_vector=None, spaces=(space, None))
 
     alpha = method.alpha
     n_w = boundary_flux_flux(space, edge_weights=alpha * lengths)
@@ -246,8 +242,7 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
     b = sp.csr_array(t - alpha * c_w)
     c = sp.csr_array(alpha * m_w)
     return SaddleSystem(a=a_bh, b=b, c=c, f=fvec, g=d_load,
-                        mean_vector=None, dirichlet_dofs=no_dirichlet,
-                        spaces=(space, None))
+                        mean_vector=None, spaces=(space, None))
 
 
 def solve(system: SaddleSystem) -> WeakBcSolution:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from infsup_lab import stokes, weakbc
+from infsup_lab import locking, stokes, weakbc
 from infsup_lab.assembly import (
     SaddleSystem,
     _scatter,
@@ -77,7 +77,8 @@ def test_operators_are_canonical_csr_arrays():
     ops += [grad_coupling(v1, p1), cross_mass(disc, v1)]
     assert all(_canonical_csr(op) for op in ops)
     systems = ([stokes_system(name, 3) for name in stokes.method_names()]
-               + [weakbc_system(name, 3) for name in WEAKBC_METHODS])
+               + [weakbc_system(name, 3) for name in WEAKBC_METHODS]
+               + [locking_system(name, 3, 1e2) for name in LOCKING_VARIANTS])
     for system in systems:
         assert _canonical_csr(system.a) and _canonical_csr(system.b)
         assert system.c is None or _canonical_csr(system.c)
@@ -314,7 +315,7 @@ def test_apply_dirichlet_solves_laplace_with_affine_data():
     g = lambda p: 2.0 * p[..., 0] - p[..., 1] + 0.3
     system = SaddleSystem(a=stiffness(space), b=sp.csr_array((0, space.n_dofs)),
                           c=None, f=np.zeros(space.n_dofs), g=np.zeros(0),
-                          mean_vector=None, dirichlet_dofs=np.zeros(0, np.int64))
+                          mean_vector=None)
     bdofs = space.boundary_dofs
     constrained = apply_dirichlet(system, bdofs, g(space.dof_coords[bdofs]))
     x = lu_solve(constrained.full_matrix(), constrained.full_rhs())
@@ -330,8 +331,7 @@ def test_apply_dirichlet_zeroes_coupling_columns():
     p = build_space(ElementKind.P1, mesh)
     system = SaddleSystem(a=stiffness(v), b=divergence(v, p), c=None,
                           f=np.ones(v.n_dofs), g=np.zeros(p.n_dofs),
-                          mean_vector=np.ones(p.n_dofs),
-                          dirichlet_dofs=np.zeros(0, np.int64))
+                          mean_vector=np.ones(p.n_dofs))
     out = apply_dirichlet(system, v.boundary_dofs)
     bd = out.b.toarray()
     assert np.allclose(bd[:, v.boundary_dofs], 0.0)
@@ -339,7 +339,6 @@ def test_apply_dirichlet_zeroes_coupling_columns():
     assert np.allclose(ad[v.boundary_dofs][:, v.boundary_dofs],
                        np.eye(len(v.boundary_dofs)), atol=1e-14)
     assert np.all(out.f[v.boundary_dofs] == 0.0)
-    assert len(out.dirichlet_dofs) == len(v.boundary_dofs)
     # the full matrix keeps the declared block layout with the mean column
     k = out.full_matrix()
     assert k.shape == (v.n_dofs + p.n_dofs + 1, v.n_dofs + p.n_dofs + 1)
@@ -365,11 +364,38 @@ def weakbc_system(name, n):
                         WEAKBC_MMS.f, WEAKBC_MMS.d)
 
 
-def check_against_dense(system):
+# every variant that picks its own eliminated block, plus the singular one
+LOCKING_VARIANTS = {
+    "plain": {},
+    "corrected-lumped": {"method": "corrected", "w_mass": "lumped"},
+    "corrected-consistent": {"method": "corrected", "w_mass": "consistent"},
+    "multiplier": {"method": "multiplier"},
+    "multiplier-grad-div": {"method": "multiplier", "grad_div_form": True},
+    "multiplier-continuous-grad-div": {"method": "multiplier",
+                                       "gamma_space": "continuous",
+                                       "grad_div_form": True},
+    "multiplier-continuous": {"method": "multiplier",
+                              "gamma_space": "continuous"},
+}
+
+
+def locking_system(name, n, lam):
+    config = locking.LockingConfig(lambda_=lam, n=n, **LOCKING_VARIANTS[name])
+    return locking.build(config).saddle
+
+
+def check_against_dense(system, rtol=1e-12):
     x, residual = solve_saddle(system)
     x_dense = lu_solve(system.full_matrix(), system.full_rhs())
-    assert np.linalg.norm(x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
+    assert np.linalg.norm(x - x_dense) <= rtol * np.linalg.norm(x_dense)
     assert residual <= 1e-14
+
+
+def check_singular_on_both_routes(system):
+    with pytest.raises(SingularMatrix):
+        solve_saddle(system)
+    with pytest.raises(SingularMatrix):
+        lu_solve(system.full_matrix(), system.full_rhs())
 
 
 @pytest.mark.parametrize("n", (4, 8))
@@ -378,10 +404,7 @@ def test_solve_saddle_matches_dense_lu_stokes(name, n):
     system = stokes_system(name, n)
     if name == "p1p1-plain":
         # both routes reach the same verdict on the unstable pair
-        with pytest.raises(SingularMatrix):
-            solve_saddle(system)
-        with pytest.raises(SingularMatrix):
-            lu_solve(system.full_matrix(), system.full_rhs())
+        check_singular_on_both_routes(system)
         return
     check_against_dense(system)
 
@@ -389,6 +412,27 @@ def test_solve_saddle_matches_dense_lu_stokes(name, n):
 @pytest.mark.parametrize("name", WEAKBC_METHODS)
 def test_solve_saddle_matches_dense_lu_weakbc(name):
     check_against_dense(weakbc_system(name, 8))
+
+
+@pytest.mark.parametrize("lam", (1e2, 1e6))
+@pytest.mark.parametrize("n", (4, 8))
+@pytest.mark.parametrize("name", LOCKING_VARIANTS)
+def test_solve_saddle_matches_dense_lu_locking(name, n, lam):
+    system = locking_system(name, n, lam)
+    if name == "multiplier-continuous":
+        # A_X has no coercivity on the projected-constraint kernel
+        check_singular_on_both_routes(system)
+        return
+    # conditioning grows with lambda: the widest measured gap between the
+    # routes is 7.2e-12 (corrected-consistent, n=8, lambda=1e6)
+    check_against_dense(system, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", (4, 8))
+@pytest.mark.parametrize("name", ("plain", "corrected-lumped",
+                                  "corrected-consistent"))
+def test_locking_lambda_zero_is_singular_on_both_routes(name, n):
+    check_singular_on_both_routes(locking_system(name, n, 0.0))
 
 
 @pytest.mark.parametrize("name", ("douglas-wang", "p1p1-loss", "mini",
@@ -415,13 +459,14 @@ def test_only_the_velocity_block_is_factored(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
     systems = ([stokes_system(name, 4) for name in stokes.method_names()]
-               + [weakbc_system(name, 4) for name in WEAKBC_METHODS])
+               + [weakbc_system(name, 4) for name in WEAKBC_METHODS]
+               + [locking_system(name, 4, 1e2) for name in LOCKING_VARIANTS])
     for system in systems:
         shapes.clear()
         try:
             solve_saddle(system)
         except SingularMatrix:
-            pass                               # p1p1-plain
+            pass                   # p1p1-plain, multiplier-continuous
         assert shapes == [(system.n_u, system.n_u)]
 
 
@@ -433,7 +478,6 @@ def test_singular_velocity_block_raises(a):
     # an exact zero pivot is SuperLU's own error, a tiny one fails the
     # pivot contract; both surface as SingularMatrix
     system = SaddleSystem(a=sp.csr_array(a), b=sp.csr_array((0, 3)), c=None,
-                          f=np.ones(3), g=np.zeros(0), mean_vector=None,
-                          dirichlet_dofs=np.zeros(0, np.int64))
+                          f=np.ones(3), g=np.zeros(0), mean_vector=None)
     with pytest.raises(SingularMatrix):
         solve_saddle(system)

@@ -205,6 +205,25 @@ def test_locking_sweep_cardinality(tmp_path, capsys):
                 if l.startswith("lambda=")]) == 3
 
 
+def test_large_lambda_multiplier_is_not_singular(tmp_path):
+    # the multiplier form with discontinuous gamma must reproduce plain;
+    # its -M_gamma/lambda pivots are tiny against the stiffness columns,
+    # which a pivot test on the whole matrix took for singularity
+    docs = {}
+    for method in ("plain", "multiplier"):
+        code, docs[method] = run(["locking", "--method", method, "--n", "16",
+                                  "--lambdas", "1e10"], tmp_path,
+                                 json_out=True)
+        assert code == 0
+        assert docs[method]["status"] == "ok"
+    plain, mult = (docs[m]["results"]["reports"][0]
+                   for m in ("plain", "multiplier"))
+    assert f"{mult['u_h1_norm']:.6e}" == f"{plain['u_h1_norm']:.6e}" \
+        == "1.254222e-09"
+    assert mult["residual_norm"] <= 1e-14
+    assert plain["residual_norm"] <= 1e-14
+
+
 # --- VTK -------------------------------------------------------------------
 
 def vtk_sections(text):

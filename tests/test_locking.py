@@ -35,6 +35,8 @@ def test_config_validation():
         locking.LockingConfig(lambda_=1.0, w_mass="diagonal")
     with pytest.raises(ValueError):
         locking.LockingConfig(lambda_=0.5, grad_div_form=True)
+    with pytest.raises(ValueError):
+        locking.LockingConfig(lambda_=0.0, method="multiplier")
 
 
 def test_coefficient_split_identity():
@@ -51,17 +53,17 @@ def test_coefficient_split_identity():
                                      locking.build_multiplier])
 def test_systems_symmetric(builder):
     cfg = locking.LockingConfig(lambda_=1e3, n=4)
-    k = builder(cfg).matrix
+    k = builder(cfg).saddle.full_matrix()
     assert np.abs(k - k.T).max() <= 1e-12 * np.abs(k).max()
 
 
 def test_lambda_zero_decouples_and_is_singular():
     cfg = locking.LockingConfig(lambda_=0.0, n=4)
     b = locking._blocks(cfg)
-    system = locking.build_plain(cfg, blocks=b)
-    nu = len(b.free_u)
-    assert np.array_equal(system.matrix[:nu, :nu], b.ku)   # pure Laplacian
-    assert np.abs(system.matrix[nu:, :]).max() == 0.0      # dead p block
+    system = locking.build_plain(cfg, blocks=b).saddle
+    assert np.array_equal(system.a.toarray(), b.ku.toarray())   # pure Laplacian
+    dead = np.hstack([system.b.toarray(), system.c.toarray()])
+    assert np.abs(dead).max() == 0.0                            # dead p block
     report = locking.run(cfg)
     assert not report.solve_ok
     assert np.isnan(report.u_h1_norm)
@@ -77,21 +79,6 @@ def test_zero_loads_zero_solution(method):
 
 
 # --- corrected scheme ----------------------------------------------------
-
-@pytest.mark.parametrize("w_mass", ["lumped", "consistent"])
-def test_corrected_eliminated_matches_explicit(w_mass):
-    for lam in (1e2, 1e6):
-        cfg = locking.LockingConfig(lambda_=lam, n=8, method="corrected",
-                                    w_mass=w_mass)
-        b = locking._blocks(cfg)
-        s_exp = locking.solve(locking.build_corrected(cfg, blocks=b), blocks=b)
-        s_eli = locking.solve(locking.build_corrected(cfg, eliminated=True,
-                                                      blocks=b), blocks=b)
-        scale = np.abs(s_eli.u).max()
-        assert np.abs(s_exp.u - s_eli.u).max() <= 1e-9 * scale
-        assert np.abs(s_exp.p - s_eli.p).max() <= 1e-9 * max(
-            np.abs(s_eli.p).max(), scale)
-
 
 def test_corrected_w_is_lumped_projection():
     cfg = locking.LockingConfig(lambda_=1e3, n=4, method="corrected")
@@ -182,13 +169,12 @@ def test_default_load_has_zero_limit_transverse_load_does_not():
 def test_multiplier_elimination_reproduces_plain():
     cfg = locking.LockingConfig(lambda_=1e2, n=4, method="multiplier")
     b = locking._blocks(cfg)
-    sys_m = locking.build_multiplier(cfg, blocks=b)
-    sys_p = locking.build_plain(cfg, blocks=b)
-    nx = len(b.free_u) + len(b.free_p)
-    bt = sys_m.matrix[:nx, nx:]
-    m_y = -sys_m.matrix[nx:, nx:] * cfg.lambda_
-    elim = sys_m.matrix[:nx, :nx] + cfg.lambda_ * bt @ np.linalg.solve(m_y, bt.T)
-    assert np.linalg.norm(elim - sys_p.matrix) <= 1e-12
+    sys_m = locking.build_multiplier(cfg, blocks=b).saddle
+    sys_p = locking.build_plain(cfg, blocks=b).saddle
+    # the (u, p) Schur complement -(c + b a^{-1} b^T) of the gamma block
+    bm = sys_m.b.toarray()
+    elim = -(sys_m.c.toarray() + bm @ np.linalg.solve(sys_m.a.toarray(), bm.T))
+    assert np.linalg.norm(elim - sys_p.full_matrix()) <= 1e-12
 
 
 def test_multiplier_solution_matches_plain():
@@ -232,6 +218,16 @@ def test_continuous_gamma_needs_augmented_form():
     assert not report.solve_ok
 
 
+def test_constrained_limit_eliminates_the_x_block():
+    # continuous gamma with the augmented form eliminates the SPD A_X;
+    # eliminating gamma instead would put 1/(lambda - 1) back into the
+    # Schur complement and drift by about 1e-6 here
+    report = locking.run(locking.LockingConfig(
+        lambda_=1e12, n=8, method="multiplier", gamma_space="continuous",
+        grad_div_form=True))
+    assert report.u_h1_norm == pytest.approx(2.921596515e-02, rel=1e-8)
+
+
 def test_constrained_limit_matches_corrected():
     # 1/lambda -> 0 with the augmented form and zero-trace continuous
     # multipliers solves the same projected-constraint problem as the
@@ -260,3 +256,22 @@ def test_single_lambda_sweep():
     assert reports[0].solve_ok
     assert np.isfinite(reports[0].u_h1_norm)
     assert np.isfinite(reports[0].p_h1_norm)
+
+
+
+# --- solver diagnostics ----------------------------------------------------
+
+@pytest.mark.parametrize("method", ["plain", "corrected", "multiplier"])
+def test_reports_carry_the_solve_residual(method):
+    reports = locking.lambda_sweep(
+        locking.LockingConfig(lambda_=1.0, n=16, method=method),
+        [1e2, 1e6, 1e10])
+    assert all(r.solve_ok for r in reports)
+    assert all(r.residual_norm <= 1e-14 for r in reports)
+
+
+def test_failed_report_has_nan_residual():
+    report = locking.run(locking.LockingConfig(
+        lambda_=1e6, n=4, method="multiplier", gamma_space="continuous"))
+    assert not report.solve_ok
+    assert np.isnan(report.residual_norm)

@@ -418,6 +418,21 @@ class SaddleSystem:
         return float(np.linalg.norm(k @ x - rhs) / scale) if scale > 0 else 0.0
 
 
+#: b^T columns per SuperLU solve in schur_complement (fastest of 32..512)
+SCHUR_BLOCK = 64
+
+
+def schur_complement(lu, b: sp.csr_array, c: sp.csr_array | None = None) -> np.ndarray:
+    """Dense ``b a^{-1} b^T + c`` from ``lu``, the SuperLU factor of ``a``,
+    solving SCHUR_BLOCK columns of ``b^T`` at a time (workspace n_u × 64)."""
+    bt, n_p = b.T.tocsc(), b.shape[0]
+    schur = np.zeros((n_p, n_p)) if c is None else c.toarray()
+    for j in range(0, n_p, SCHUR_BLOCK):
+        cols = slice(j, j + SCHUR_BLOCK)
+        schur[:, cols] += b @ lu.solve(bt[:, cols].toarray())
+    return schur
+
+
 def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     """Solve the block system by eliminating the block ``a``.
 
@@ -425,9 +440,10 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
        ``a^T + a``), the eliminated block, which must be nonsingular; the
        diagonal of U must pass the pivot contract of ``linalg.lu_solve``.
     2. The Schur complement ``-s (b a^{-1} b^T + c)``, bordered by the mean
-       vector, is formed dense (n_p × n_p) and solved by ``lu_solve``.  Its
-       pivot test is the singularity verdict: the unstabilized equal-order
-       pair fails there with a zero pivot.
+       vector, is formed dense by ``schur_complement`` in 64-column blocks
+       (dense workspace n_u × 64 plus the n_p × n_p S) and solved by
+       ``lu_solve``.  Its pivot test is the singularity verdict: the
+       unstabilized equal-order pair fails there with a zero pivot.
     3. ``u = a^{-1} (f - b^T p)``.
 
     SuperLU never sees the indefinite (and, for the unstable pair,
@@ -452,9 +468,7 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
         raise SingularMatrix(f"velocity block: {exc}") from exc
     check_pivots(lu.U.diagonal(), col_scale)
 
-    schur = -s * (b @ lu.solve(b.T.toarray()))
-    if system.c is not None:
-        schur -= s * system.c.toarray()
+    schur = -s * schur_complement(lu, b, system.c)
     rhs_p = system.g - s * (b @ lu.solve(f))
     if m is not None:
         n_p = system.n_p

@@ -276,7 +276,7 @@ def _run_locking(config: RunConfig):
         if solved:
             cfg = dataclasses.replace(base, lambda_=solved[-1])
             blocks = locking._blocks(cfg)
-            sol = locking.solve(locking.build(cfg), blocks=blocks)
+            sol = locking.solve(locking.build(cfg, blocks), blocks=blocks)
             _write_vtk(config.vtk_path, blocks.u_space.mesh,
                        point_scalars={"p": sol.p},
                        point_vectors={"u": _vertex_values(blocks.u_space,

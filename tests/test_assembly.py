@@ -21,6 +21,7 @@ from infsup_lab.assembly import (
     lumped_mass,
     mass,
     pressure_grad_stab,
+    schur_complement,
     solve_saddle,
     stiffness,
 )
@@ -468,6 +469,59 @@ def test_only_the_velocity_block_is_factored(monkeypatch):
         except SingularMatrix:
             pass                   # p1p1-plain, multiplier-continuous
         assert shapes == [(system.n_u, system.n_u)]
+
+
+def factor(system):
+    from scipy.sparse.linalg import splu
+    return splu(system.a.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+@pytest.mark.parametrize("make, n_p", [
+    (lambda: stokes_system("taylor-hood", 8), 81),     # blocks of 64 + 17
+    (lambda: stokes_system("taylor-hood", 4), 25),     # a single block
+    (lambda: weakbc_system("nitsche", 4), 0),          # empty b
+    (lambda: locking_system("multiplier", 8, 1e6), 147),   # c present
+], ids=["ragged", "single", "empty", "locking-c"])
+def test_schur_complement_matches_one_shot(make, n_p):
+    system = make()
+    assert system.n_p == n_p
+    lu = factor(system)
+    one_shot = system.b @ lu.solve(system.b.T.toarray())
+    if system.c is not None:
+        one_shot += system.c.toarray()
+    blocked = schur_complement(lu, system.b, system.c)
+    assert blocked.shape == (n_p, n_p)
+    assert np.linalg.norm(blocked - one_shot) \
+        <= 1e-13 * np.linalg.norm(one_shot)
+
+
+class RecordingFactor:
+    """A SuperLU factor that records the shape of every right-hand side."""
+
+    def __init__(self, lu, shapes):
+        self._lu, self.shapes = lu, shapes
+
+    def solve(self, rhs):
+        self.shapes.append(np.shape(rhs))
+        return self._lu.solve(rhs)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def test_schur_solves_take_at_most_64_columns(monkeypatch):
+    import scipy.sparse.linalg
+    real_splu = scipy.sparse.linalg.splu
+    shapes = []
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *args, **kw:
+                        RecordingFactor(real_splu(*args, **kw), shapes))
+    system = stokes_system("taylor-hood", 16)
+    assert system.n_p == 289
+    x, residual = solve_saddle(system)
+    assert residual <= 1e-14
+    widths = [shape[1] for shape in shapes if len(shape) == 2]
+    assert widths == [64, 64, 64, 64, 33]
+    assert all(shape == (system.n_u,) for shape in shapes if len(shape) == 1)
 
 
 @pytest.mark.parametrize("a", (np.diag([1.0, 0.0, 2.0]),

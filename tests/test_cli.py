@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg.lapack
 
 import infsup_lab
-from infsup_lab import cli
+from infsup_lab import cli, locking
 from infsup_lab.linalg import SingularMatrix
 
 SUBCOMMANDS = ("stokes", "convergence", "infsup", "locking", "weakbc",
@@ -246,6 +246,23 @@ def test_stokes_vtk_nodal_fields(tmp_path):
     assert "VECTORS velocity double" in lines
     i = lines.index("VECTORS velocity double")
     assert all(len(l.split()) == 3 for l in lines[i + 1: i + 10])
+
+
+def test_locking_vtk_reuses_its_blocks(tmp_path, monkeypatch):
+    # one build for the sweep's lambda, one for the exported solution
+    real_blocks = locking._blocks
+    calls = []
+
+    def recording_blocks(config):
+        calls.append(config.lambda_)
+        return real_blocks(config)
+
+    monkeypatch.setattr(locking, "_blocks", recording_blocks)
+    path = tmp_path / "lock.vtk"
+    assert cli.main(["locking", "--n", "4", "--lambdas", "1e2",
+                     "--vtk", str(path)]) == 0
+    assert calls == [1e2, 1e2]
+    assert "VECTORS u double" in path.read_text()
 
 
 def test_p0_pressure_lands_in_cell_data(tmp_path):

@@ -418,7 +418,7 @@ class SaddleSystem:
         return float(np.linalg.norm(k @ x - rhs) / scale) if scale > 0 else 0.0
 
 
-#: b^T columns per SuperLU solve in schur_complement (fastest of 32..512)
+#: b^T columns per SuperLU solve: 32 no faster, 128+ slower (TH n=32, 1 thread)
 SCHUR_BLOCK = 64
 
 
@@ -468,7 +468,8 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
         raise SingularMatrix(f"velocity block: {exc}") from exc
     check_pivots(lu.U.diagonal(), col_scale)
 
-    schur = -s * schur_complement(lu, b, system.c)
+    schur = schur_complement(lu, b, system.c)
+    schur *= -s
     rhs_p = system.g - s * (b @ lu.solve(f))
     if m is not None:
         n_p = system.n_p

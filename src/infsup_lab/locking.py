@@ -337,13 +337,13 @@ def coercivity_eigenvalue(config: LockingConfig) -> float:
     return float(lam[-1])
 
 
-def projection_gap(config: LockingConfig, p_coeffs, blocks: _Blocks | None = None) -> float:
+def projection_gap(config: LockingConfig, p_coeffs) -> float:
     """sqrt of the corrected scheme's subtracted form at a nodal p field.
 
     This is ||grad q - Pi grad q|| with the lumped projection, the
     quantity whose failure to vanish drives the locking.
     """
-    b = blocks if blocks is not None else _blocks(config)
+    b = _blocks(config)
     q = np.asarray(p_coeffs, dtype=float)[b.free_p]
     form = b.sp - b.g.T @ sp.diags_array(1.0 / b.ml) @ b.g
     return float(np.sqrt(max(q @ (form @ q), 0.0)))
@@ -365,8 +365,7 @@ def gamma_target(config: LockingConfig, u: np.ndarray, p: np.ndarray) -> np.ndar
     return np.concatenate(parts)
 
 
-def gamma_mass_norm(config: LockingConfig, coeffs: np.ndarray,
-                    blocks: _Blocks | None = None) -> float:
-    mesh = unit_square_mesh(config.n) if blocks is None else blocks.u_space.mesh
-    m = mass(_gamma_space(config, mesh)[0])
+def gamma_mass_norm(config: LockingConfig, coeffs: np.ndarray) -> float:
+    y_space, _ = _gamma_space(config, unit_square_mesh(config.n))
+    m = mass(y_space)
     return float(np.sqrt(coeffs @ (m @ coeffs)))

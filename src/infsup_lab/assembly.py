@@ -232,28 +232,46 @@ _EDGE_GAUSS_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _EDGE_GAUSS_W = np.array([0.5, 0.5])
 
 
-def _check_boundary_space(space: FeSpace) -> None:
+def _edge_weights(space: FeSpace, edge_weights=None) -> np.ndarray:
+    """``|E| w_E`` per boundary edge (``w_E = 1`` by default); checks that
+    ``space`` is scalar P1."""
     if space.kind is not ElementKind.P1 or space.components != 1:
         raise ValueError("boundary operators are implemented for scalar P1 "
                          "spaces only")
+    lengths, _, _ = boundary_edge_geometry(space.mesh)
+    return lengths if edge_weights is None else lengths * np.asarray(edge_weights)
 
 
-def _edge_data(space: FeSpace):
-    mesh = space.mesh
-    lengths, normals, _ = boundary_edge_geometry(mesh)
-    edges = mesh.boundary_edges
-    # per edge: constant normal derivative of each owner-triangle hat function
-    gl = triangle_grad_lambda(mesh)[edges[:, 2]]              # (E, 3, 2)
-    flux = np.einsum("ekd,ed->ek", gl, normals)               # (E, 3)
-    tri_nodes = mesh.triangles[edges[:, 2]]                   # (E, 3)
-    return edges, lengths, normals, flux, tri_nodes
+def boundary_hat_flux(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """(flux, tri_nodes), both (E, 3): per boundary edge, the constant normal
+    derivative of each hat function of the edge's owner triangle, and that
+    triangle's nodes; ``sum_k flux[e, k] u[tri_nodes[e, k]]`` is du/dn of a
+    P1 field u on edge e."""
+    _, normals, _ = boundary_edge_geometry(mesh)
+    owners = mesh.boundary_edges[:, 2]
+    flux = np.einsum("ekd,ed->ek", triangle_grad_lambda(mesh)[owners], normals)
+    return flux, mesh.triangles[owners]
+
+
+def _edge_gauss_values(mesh: Mesh, func) -> np.ndarray:
+    """(E, 2) values of ``func`` at the Gauss points of each boundary edge."""
+    a = mesh.nodes[mesh.boundary_edges[:, 0]]
+    b = mesh.nodes[mesh.boundary_edges[:, 1]]
+    pts = a[:, None, :] + _EDGE_GAUSS_S[None, :, None] * (b - a)[:, None, :]
+    return np.asarray(func(pts), dtype=float)
+
+
+def boundary_edge_integrals(mesh: Mesh, func) -> np.ndarray:
+    """``int_E func ds`` per boundary edge (2-point Gauss)."""
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    return np.einsum("e,eg,g->e", lengths, _edge_gauss_values(mesh, func),
+                     _EDGE_GAUSS_W)
 
 
 def boundary_mass(space: FeSpace, edge_weights=None) -> sp.csr_array:
     """``sum_E w_E int_E u v`` over boundary edges, full dof indexing."""
-    _check_boundary_space(space)
-    edges, lengths, _, _, _ = _edge_data(space)
-    w = lengths if edge_weights is None else lengths * np.asarray(edge_weights)
+    w = _edge_weights(space, edge_weights)
+    edges = space.mesh.boundary_edges
     local = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
     locals_ = w[:, None, None] * local
     n = space.n_dofs
@@ -262,21 +280,19 @@ def boundary_mass(space: FeSpace, edge_weights=None) -> sp.csr_array:
 
 def boundary_normal_flux(space: FeSpace, edge_weights=None) -> sp.csr_array:
     """``sum_E w_E int_E (du/dn) v`` -- test function on trace rows."""
-    _check_boundary_space(space)
-    edges, lengths, _, flux, tri_nodes = _edge_data(space)
-    w = lengths if edge_weights is None else lengths * np.asarray(edge_weights)
+    w = _edge_weights(space, edge_weights)
+    flux, tri_nodes = boundary_hat_flux(space.mesh)
     # int_E phi_i = |E|/2 for both endpoint hats; du/dn is constant
     locals_ = np.broadcast_to(0.5 * w[:, None, None] * flux[:, None, :],
-                              (len(edges), 2, 3))
+                              (len(w), 2, 3))
     n = space.n_dofs
-    return _scatter(edges[:, :2], tri_nodes, locals_, n, n)
+    return _scatter(space.mesh.boundary_edges[:, :2], tri_nodes, locals_, n, n)
 
 
 def boundary_flux_flux(space: FeSpace, edge_weights=None) -> sp.csr_array:
     """``sum_E w_E int_E (du/dn)(dv/dn)`` over boundary edges."""
-    _check_boundary_space(space)
-    edges, lengths, _, flux, tri_nodes = _edge_data(space)
-    w = lengths if edge_weights is None else lengths * np.asarray(edge_weights)
+    w = _edge_weights(space, edge_weights)
+    flux, tri_nodes = boundary_hat_flux(space.mesh)
     locals_ = w[:, None, None] * flux[:, :, None] * flux[:, None, :]
     n = space.n_dofs
     return _scatter(tri_nodes, tri_nodes, locals_, n, n)
@@ -285,22 +301,17 @@ def boundary_flux_flux(space: FeSpace, edge_weights=None) -> sp.csr_array:
 def boundary_load(space: FeSpace, func, edge_weights=None,
                   flux_test: bool = False) -> np.ndarray:
     """``sum_E w_E int_E d v`` (or ``d dv/dn`` with ``flux_test``)."""
-    _check_boundary_space(space)
-    mesh = space.mesh
-    edges, lengths, _, flux, tri_nodes = _edge_data(space)
-    w = lengths if edge_weights is None else lengths * np.asarray(edge_weights)
-    a = mesh.nodes[edges[:, 0]]
-    b = mesh.nodes[edges[:, 1]]
-    pts = a[:, None, :] + _EDGE_GAUSS_S[None, :, None] * (b - a)[:, None, :]
-    dv = np.asarray(func(pts), dtype=float)                   # (E, 2)
+    w = _edge_weights(space, edge_weights)
+    dv = _edge_gauss_values(space.mesh, func)                 # (E, 2)
     out = np.zeros(space.n_dofs)
     if flux_test:
+        flux, tri_nodes = boundary_hat_flux(space.mesh)
         edge_integrals = np.einsum("e,eg,g->e", w, dv, _EDGE_GAUSS_W)
         np.add.at(out, tri_nodes, edge_integrals[:, None] * flux)
     else:
         shape = np.stack([1.0 - _EDGE_GAUSS_S, _EDGE_GAUSS_S], axis=1)  # (2, 2)
         locals_ = np.einsum("e,eg,g,gk->ek", w, dv, _EDGE_GAUSS_W, shape)
-        np.add.at(out, edges[:, :2], locals_)
+        np.add.at(out, space.mesh.boundary_edges[:, :2], locals_)
     return out
 
 
@@ -322,8 +333,7 @@ class BoundaryOperators:
 
 
 def boundary_operators(space: FeSpace, gamma_coeff: float = 1.0) -> BoundaryOperators:
-    _check_boundary_space(space)
-    lengths, _, _ = boundary_edge_geometry(space.mesh)
+    lengths = _edge_weights(space)
     return BoundaryOperators(
         trace_dofs=space.boundary_dofs.copy(),
         edge_lengths=lengths,

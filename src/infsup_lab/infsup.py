@@ -1,15 +1,20 @@
-"""Discrete inf-sup constants from singular spectra of the divergence block.
+"""Discrete inf-sup constants from one pressure-sized symmetric eigenproblem.
 
 For a pair (V_h, Q_h) with divergence block B (pressure rows, free-velocity
-columns), the Euclidean inf-sup constant is the smallest positive singular
-value of B.  The norm-weighted constant whitens both sides first,
+columns), velocity norm matrix X and pressure norm matrix M, the squared
+inf-sup constant is the smallest nonzero eigenvalue of the pencil
 
-    beta = sigma_min+( R^{-1} B L^{-T} ),   X = L L^T,  M = R R^T,
+    S q = lambda M q,    S = B X^{-1} B^T    (Chapelle-Bathe inf-sup test),
 
-with X the velocity H1-seminorm Gram on free dofs and M the pressure mass;
-this is the constant of the actual inf-sup quotient b(v,q)/(|v|_1 ||q||_0).
-Constant pressures are never deflated -- they land in the numerical kernel
-and are excluded by the rank tolerance.
+and beta = sqrt(lambda).  The weighted constant takes X the velocity
+H1-seminorm Gram on free dofs and M the pressure mass, the constant of the
+actual quotient b(v,q)/(|v|_1 ||q||_0); S is formed dense by
+``assembly.schur_complement`` from a sparse factor of X.  The Euclidean
+constant, the smallest positive singular value of B, takes S = B B^T and
+M = I.  Constant pressures are never deflated -- they land in the numerical
+kernel and are excluded by the rank tolerance.  Squaring the spectrum puts
+the kernel entries of ``sigma`` at about 1e-8 sigma_0 (eigh round-off)
+rather than the 1e-16 sigma_0 of an SVD; beta and the rank do not move.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from .assembly import mass, stiffness
+from .assembly import divergence, mass, schur_complement, stiffness
 from .fespace import ElementKind, FeSpace, build_space
-from .linalg import cholesky, svd
+from .linalg import NotPositiveDefinite, require_symmetric
 from .mesh import Mesh, edge_table
 
 PAIRS = {
@@ -32,12 +38,17 @@ PAIRS = {
     "p2p0": (ElementKind.P2, ElementKind.P0),
 }
 
+#: numerical rank = #{lambda_i > RANK_RTOL * lambda_0}, lambda = sigma^2.  No
+#: max(m, n) factor: on lambda it would cut p1p1's beta by n=256, squared it
+#: falls below eigh's round-off at n=4.
+RANK_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class InfSupReport:
     beta: float
     mode: str                       # "euclidean" | "weighted"
-    sigma: np.ndarray               # full spectrum, descending
+    sigma: np.ndarray               # min(n_p, n_u) values, descending
     numerical_rank: int
     kernel_dim_pressure: int
     worst_pressure_mode: np.ndarray
@@ -53,72 +64,94 @@ def pair_spaces(pair: str, mesh: Mesh) -> tuple[FeSpace, FeSpace]:
 
 
 def pair_operators(pair: str, mesh: Mesh):
-    """Dense (B, X, M) for a named pair: divergence block restricted to free
-    velocity columns, velocity stiffness on free dofs, pressure mass."""
-    from .assembly import divergence
-
+    """Sparse CSR (B, X, M) for a named pair: divergence block restricted to
+    free velocity columns, velocity stiffness on free dofs, pressure mass."""
     v_space, p_space = pair_spaces(pair, mesh)
     free = v_space.free_dofs()
-    b = divergence(v_space, p_space).toarray()[:, free]
-    x = stiffness(v_space).toarray()[np.ix_(free, free)]
-    m = mass(p_space).toarray()
-    return b, x, m
+    b = divergence(v_space, p_space)[:, free]
+    x = stiffness(v_space)[free][:, free]
+    return b, x, mass(p_space)
 
 
-def _report(sigma_result, pressure_modes, mode, pair, h):
-    sigma = sigma_result.sigma
-    rank = sigma_result.numerical_rank
-    n_p = pressure_modes.shape[0]
-    beta = float(sigma[rank - 1]) if rank > 0 else 0.0
-    worst = pressure_modes[:, rank - 1] if rank > 0 else np.zeros(n_p)
-    nrm = np.linalg.norm(worst)
-    if nrm > 0:
-        worst = worst / nrm
+def _spd_schur(b: sp.csr_array, x_norm) -> np.ndarray:
+    """Dense B X^{-1} B^T.  SuperLU pivots on the diagonal only (symmetric
+    mode, ``diag_pivot_thresh=0``), so its factor is a symmetrically permuted
+    L D L^T, and X is positive definite exactly when every pivot is positive.
+    """
+    x = sp.csc_array(x_norm, dtype=float)
+    require_symmetric(x, "infsup_weighted")
+    if x.shape[0] == 0:
+        return np.zeros((b.shape[0], b.shape[0]))
+    from scipy.sparse.linalg import splu
+
+    try:
+        lu = splu(x, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
+        raise NotPositiveDefinite(f"velocity norm: {exc}") from exc
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(lu.U.diagonal() > 0.0)):
+        raise NotPositiveDefinite("velocity norm: off-diagonal or "
+                                  "non-positive pivot")
+    return schur_complement(lu, b)
+
+
+def _spectrum(b, x_norm=None, m_norm=None):
+    """(lambda descending, M-orthonormal Q, rank) of B X^{-1} B^T q = lambda M q,
+    or of B B^T q = lambda q when no norms are given."""
+    b = sp.csr_array(b, dtype=float)
+    if x_norm is None:
+        s, m = (b @ b.T).toarray(), None
+    else:
+        m = m_norm.toarray() if sp.issparse(m_norm) else np.asarray(m_norm, float)
+        require_symmetric(m, "infsup_weighted")
+        s = _spd_schur(b, x_norm)
+    try:
+        lam, q = scipy.linalg.eigh(s, m)
+    except np.linalg.LinAlgError as exc:
+        if m is None:
+            raise
+        raise NotPositiveDefinite(f"pressure norm: {exc}") from exc
+    lam, q = lam[::-1], q[:, ::-1]
+    rank = int(np.count_nonzero(lam > RANK_RTOL * lam[0])) if len(lam) else 0
+    return lam, q, rank
+
+
+def _report(b, spectrum, mode, pair, h):
+    lam, q, rank = spectrum
+    n_p, n_u = b.shape
+    beta, worst = 0.0, np.zeros(n_p)
+    if rank > 0:
+        beta = float(np.sqrt(lam[rank - 1]))
+        worst = q[:, rank - 1] / np.linalg.norm(q[:, rank - 1])
+    sigma = np.sqrt(np.maximum(lam[:min(n_p, n_u)], 0.0))
     return InfSupReport(beta=beta, mode=mode, sigma=sigma,
                         numerical_rank=rank,
                         kernel_dim_pressure=n_p - rank,
                         worst_pressure_mode=worst, pair=pair, h=h)
 
 
-def _whiten(b, x_norm, m_norm) -> tuple[np.ndarray, np.ndarray]:
-    """(W, R) with W = R^{-1} B L^{-T}, X = L L^T, M = R R^T.
-
-    Raises NotPositiveDefinite (via Cholesky) when either norm matrix is
-    not SPD.
-    """
-    l_fac = cholesky(np.asarray(x_norm, dtype=float))
-    r_fac = cholesky(np.asarray(m_norm, dtype=float))
-    # B L^{-T} = (L^{-1} B^T)^T
-    bl = scipy.linalg.solve_triangular(
-        l_fac, np.asarray(b, dtype=float).T, lower=True).T
-    return scipy.linalg.solve_triangular(r_fac, bl, lower=True), r_fac
-
-
-def infsup_euclidean(b: np.ndarray, pair: str = "custom",
+def infsup_euclidean(b, pair: str = "custom",
                      h: float = float("nan")) -> InfSupReport:
-    """beta = smallest positive singular value of the raw block.
+    """beta = smallest positive singular value of the raw block, the square
+    root of the smallest nonzero eigenvalue of B B^T.
 
-    ``b`` has one row per pressure dof, so the pressure-side singular
-    vectors are the left factor's columns.
+    ``b`` (dense or sparse) has one row per pressure dof, so the reported
+    worst mode is the eigenvector of B B^T, a left singular vector of B.
     """
-    b = np.asarray(b, dtype=float)
-    result = svd(b)
-    return _report(result, result.u, "euclidean", pair, h)
+    return _report(b, _spectrum(b), "euclidean", pair, h)
 
 
-def infsup_weighted(b: np.ndarray, x_norm: np.ndarray, m_norm: np.ndarray,
-                    pair: str = "custom", h: float = float("nan")) -> InfSupReport:
-    """beta of the whitened block R^{-1} B L^{-T}.
+def infsup_weighted(b, x_norm, m_norm, pair: str = "custom",
+                    h: float = float("nan")) -> InfSupReport:
+    """beta from the pencil (B X^{-1} B^T, M).
 
-    Raises NotPositiveDefinite (via Cholesky) when either norm matrix is
-    not SPD.  Pressure modes are mapped back through R^{-T} so the reported
-    worst mode is a plain nodal/cell vector, scaled to unit Euclidean norm
-    (not unit M-norm).
+    X and M (dense or sparse) must be symmetric positive definite: an
+    asymmetric one raises ``ValueError``, an indefinite or singular one
+    ``NotPositiveDefinite``.  The reported worst mode is the plain
+    nodal/cell eigenvector scaled to unit Euclidean norm (not unit M-norm).
     """
-    w, r_fac = _whiten(b, x_norm, m_norm)
-    result = svd(w)
-    modes = scipy.linalg.solve_triangular(r_fac.T, result.u, lower=False)
-    return _report(result, modes, "weighted", pair, h)
+    return _report(b, _spectrum(b, x_norm, m_norm), "weighted", pair, h)
 
 
 def study(pair: str, mesh: Mesh, weighted: bool = True) -> InfSupReport:
@@ -169,21 +202,17 @@ def constant_pressure_angle(pair: str, mesh: Mesh,
                             weighted: bool = True) -> float:
     """sin of the angle between the constant pressure and the numerical kernel.
 
-    Measured in the whitened coordinates where the kernel singular vectors
-    are orthonormal; ~0 when the constant is correctly classified as a
-    spurious-free kernel direction.
+    Measured in the M inner product (M = I in Euclidean mode), in which the
+    kernel eigenvectors of the pencil are orthonormal; ~0 when the constant
+    is correctly classified as a spurious-free kernel direction.
     """
     b, x, m = pair_operators(pair, mesh)
-    ones = np.ones(b.shape[0])
-    if weighted:
-        w, r_fac = _whiten(b, x, m)
-        vec = r_fac.T @ ones
-    else:
-        w = b
-        vec = ones
-    result = svd(w)
-    kernel = result.u[:, result.numerical_rank:]
+    _, q, rank = _spectrum(b, x, m) if weighted else _spectrum(b)
+    if not weighted:
+        m = sp.eye_array(b.shape[0])
+    kernel = q[:, rank:]
     if kernel.shape[1] == 0:
         return 1.0
-    vec = vec / np.linalg.norm(vec)
-    return float(np.linalg.norm(vec - kernel @ (kernel.T @ vec)))
+    ones = np.ones(b.shape[0])
+    gap = ones - kernel @ (kernel.T @ (m @ ones))
+    return float(np.sqrt((gap @ (m @ gap)) / (ones @ (m @ ones))))

@@ -1,19 +1,20 @@
-"""Dense linear algebra kernels used throughout the package.
+"""Dense linear algebra kernels and the numerical contracts of the package.
 
 Dense matrices are plain 2-D float64 ``numpy.ndarray`` objects (row-major);
 sparse operators are ``scipy.sparse.csr_array`` objects built in
 ``assembly``, and no sparse kernel lives here.
 
-The two spectral routines that the whole inf-sup machinery rests on are
-LAPACK routes with this module's contracts on top: ``svd`` calls the
+``lu_solve`` delegates the factorization to LAPACK but keeps this module's
+error contract; ``check_pivots`` is the pivot contract itself, shared with
+the sparse factor of the eliminated block in ``assembly.solve_saddle``, and
+``require_symmetric`` the symmetry contract, shared with the norm matrices
+of ``infsup``.  The two spectral routines are the package's independent
+cross-checks, used by the selftest and the test oracles (β_h itself comes
+from ``infsup``'s pressure-sized eigenproblem): ``svd`` calls the
 preconditioned one-sided Jacobi SVD ``dgejsv`` in its ``JOBA='C'`` mode, so
 small singular values keep high relative accuracy instead of being rounded
-to zero against the largest one, and ``sym_eig`` calls ``eigh``, an
-independent tridiagonal route for cross-checks.  Factor-based solves
-(``lu_solve``, ``cholesky``) likewise delegate the factorization to LAPACK
-via scipy/numpy but keep the error contracts of this module; ``check_pivots``
-is the pivot contract itself, shared with the sparse factor of the
-eliminated block in ``assembly.solve_saddle``.
+to zero against the largest one, and ``sym_eig`` calls ``eigh``, a
+tridiagonal route.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 
 class SingularMatrix(ValueError):
@@ -30,13 +32,13 @@ class SingularMatrix(ValueError):
 
 
 class NotPositiveDefinite(ValueError):
-    """Cholesky hit a non-positive diagonal pivot."""
+    """A matrix required to be positive definite has a non-positive pivot."""
 
 
 #: relative pivot threshold for lu_solve (× max initial column norm)
 PIVOT_RTOL = 1e-14
 
-#: relative symmetry tolerance required before cholesky / sym_eig
+#: relative symmetry tolerance required of norm matrices and by sym_eig
 SYMMETRY_RTOL = 1e-12
 
 
@@ -49,11 +51,12 @@ def _as_dense(a) -> np.ndarray:
     return a
 
 
-def _require_symmetric(a: np.ndarray, what: str) -> None:
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return
-    if np.linalg.norm(a - a.T) > SYMMETRY_RTOL * scale:
+def require_symmetric(a, what: str) -> None:
+    """Raise ``ValueError`` unless ``‖a − aᵀ‖_F ≤ SYMMETRY_RTOL ‖a‖_F``;
+    ``a`` is dense or scipy sparse."""
+    scale, asymmetry = (np.linalg.norm(z.data if sp.issparse(z) else z)
+                        for z in (a, a - a.T))
+    if asymmetry > SYMMETRY_RTOL * scale:
         raise ValueError(f"{what} requires a symmetric matrix "
                          f"(relative asymmetry > {SYMMETRY_RTOL:g})")
 
@@ -103,25 +106,9 @@ def lu_solve(a, b) -> np.ndarray:
     return x
 
 
-def cholesky(a) -> np.ndarray:
-    """Lower-triangular L with ``L Lᵀ = a`` for symmetric positive definite a."""
-    a = _as_dense(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("cholesky needs a square matrix")
-    _require_symmetric(a, "cholesky")
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # spectral routines (LAPACK dgejsv / eigh)
 # ---------------------------------------------------------------------------
-
-#: relative rank tolerance factor: rank_tol = RANK_RTOL * max(m, n)
-RANK_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SvdResult:
@@ -130,8 +117,6 @@ class SvdResult:
     u: np.ndarray            # (m, m) orthogonal
     sigma: np.ndarray        # (min(m, n),) non-negative, descending
     v: np.ndarray            # (n, n) orthogonal
-    rank_tol: float
-    numerical_rank: int
 
     def sigma_matrix(self) -> np.ndarray:
         """The m×n diagonal extension of ``sigma``."""
@@ -145,7 +130,7 @@ class SvdResult:
         return self.u @ self.sigma_matrix() @ self.v.T
 
 
-def svd(a, rank_tol: float | None = None) -> SvdResult:
+def svd(a) -> SvdResult:
     """Singular value decomposition with full U and V by LAPACK ``dgejsv``.
 
     ``dgejsv`` is the preconditioned one-sided Jacobi SVD of Drmač and
@@ -155,19 +140,12 @@ def svd(a, rank_tol: float | None = None) -> SvdResult:
     norm, whatever that column scaling was, and no value is truncated.
     (The wrapper's default ``'A'`` sets every value below n·eps·‖a‖ to
     exactly zero, which would erase the small constants under study.)
-
-    ``rank_tol`` is the relative tolerance defining the numerical rank
-    (count of sigma[i] > rank_tol * sigma[0]); the default is
-    ``RANK_RTOL * max(m, n)``.  Raises ``numpy.linalg.LinAlgError`` when
-    LAPACK reports a failure.
+    Raises ``numpy.linalg.LinAlgError`` when LAPACK reports a failure.
     """
     a = _as_dense(a)
     m, n = a.shape
-    if rank_tol is None:
-        rank_tol = RANK_RTOL * max(m, n, 1)
     if min(m, n) == 0:
-        return SvdResult(u=np.eye(m), sigma=np.zeros(0), v=np.eye(n),
-                         rank_tol=rank_tol, numerical_rank=0)
+        return SvdResult(u=np.eye(m), sigma=np.zeros(0), v=np.eye(n))
 
     transposed = m < n                           # dgejsv needs rows >= cols
     # joba='C', jobu='F' (full U), jobv='V', jobr='R', jobt='N', jobp='N'
@@ -178,10 +156,7 @@ def svd(a, rank_tol: float | None = None) -> SvdResult:
         raise np.linalg.LinAlgError(f"dgejsv failed (info={info})")
     sigma = (work[0] / work[1]) * sva            # sva is scaled against overflow
     u, v = (v_jsv, u_jsv) if transposed else (u_jsv, v_jsv)
-
-    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-    return SvdResult(u=u, sigma=sigma, v=v, rank_tol=rank_tol,
-                     numerical_rank=rank)
+    return SvdResult(u=u, sigma=sigma, v=v)
 
 
 def sym_eig(a):
@@ -195,6 +170,6 @@ def sym_eig(a):
     a = _as_dense(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("sym_eig needs a square matrix")
-    _require_symmetric(a, "sym_eig")
+    require_symmetric(a, "sym_eig")
     lam, q = scipy.linalg.eigh(a, check_finite=False)
     return lam[::-1], q[:, ::-1]

@@ -30,6 +30,7 @@ import scipy.sparse as sp
 from .assembly import (
     SaddleSystem,
     apply_dirichlet,
+    boundary_hat_flux,
     divergence,
     grad_coupling,
     gradient_load,
@@ -47,7 +48,6 @@ from .mesh import (
     edge_table,
     triangle_areas,
     triangle_diameters,
-    triangle_grad_lambda,
 )
 
 
@@ -366,11 +366,7 @@ def boundary_pressure_flux(solution: StokesSolution) -> float:
     p_space = solution.p_space
     if p_space.kind is not ElementKind.P1:
         raise UnsupportedCombination("boundary pressure flux needs P1 pressure")
-    mesh = p_space.mesh
-    lengths, normals, _ = boundary_edge_geometry(mesh)
-    owners = mesh.boundary_edges[:, 2]
-    gl = triangle_grad_lambda(mesh)[owners]                  # (E, 3, 2)
-    tri_nodes = mesh.triangles[owners]
-    grad_p = np.einsum("ekd,ek->ed", gl, solution.p[tri_nodes])
-    flux = np.abs(np.einsum("ed,ed->e", grad_p, normals))
-    return float((lengths * flux).sum() / lengths.sum())
+    lengths, _, _ = boundary_edge_geometry(p_space.mesh)
+    flux, tri_nodes = boundary_hat_flux(p_space.mesh)
+    dp_dn = np.abs(np.einsum("ek,ek->e", flux, solution.p[tri_nodes]))
+    return float((lengths * dp_dn).sum() / lengths.sum())

@@ -12,10 +12,8 @@ Three routes, all on continuous P1:
 
 Stability parameters are calibrated by the inverse-inequality constant
 C_i = sup_v sqrt(h ||dv/dn||_G^2 / ||grad v||^2), estimated once as the top
-eigenvalue of a dense whitened pencil.  Defaults: gamma = 4 C_i^2 and
-alpha = 0.5 / C_i^2 (a "linear" parameterization using C_i in place of
-C_i^2 is available behind the ``threshold`` flag; only solvability is
-asserted either way).
+eigenvalue of a dense generalized pencil.  Defaults: gamma = 4 C_i^2 and
+alpha = 0.5 / C_i^2.
 """
 
 from __future__ import annotations
@@ -28,7 +26,9 @@ import scipy.sparse as sp
 
 from .assembly import (
     SaddleSystem,
+    boundary_edge_integrals,
     boundary_flux_flux,
+    boundary_hat_flux,
     boundary_load,
     boundary_mass,
     boundary_normal_flux,
@@ -43,11 +43,8 @@ from .mesh import (
     Mesh,
     boundary_edge_geometry,
     triangle_areas,
-    triangle_grad_lambda,
     unit_square_mesh,
 )
-
-_EDGE_GAUSS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 
 class UnsupportedTrace(ValueError):
@@ -111,30 +108,27 @@ def _ci_estimate(n: int = 8) -> float:
     return _CI_CACHE[n]
 
 
-def default_gamma(threshold: str = "squared") -> float:
-    ci = _ci_estimate()
-    return 4.0 * ci ** 2 if threshold == "squared" else 4.0 * ci
+def default_gamma() -> float:
+    return 4.0 * _ci_estimate() ** 2
 
 
-def default_alpha(threshold: str = "squared") -> float:
-    ci = _ci_estimate()
-    return 0.5 / ci ** 2 if threshold == "squared" else 0.5 / ci
+def default_alpha() -> float:
+    return 0.5 / _ci_estimate() ** 2
 
 
 def multiplier(trace: str = "p1") -> WeakBcMethod:
     return WeakBcMethod("multiplier", trace=trace)
 
 
-def barbosa_hughes(alpha: float | None = None, trace: str = "p1",
-                   threshold: str = "squared") -> WeakBcMethod:
+def barbosa_hughes(alpha: float | None = None, trace: str = "p1") -> WeakBcMethod:
     if alpha is None:
-        alpha = default_alpha(threshold)
+        alpha = default_alpha()
     return WeakBcMethod("barbosa-hughes", alpha=alpha, trace=trace)
 
 
-def nitsche(gamma: float | None = None, threshold: str = "squared") -> WeakBcMethod:
+def nitsche(gamma: float | None = None) -> WeakBcMethod:
     if gamma is None:
-        gamma = default_gamma(threshold)
+        gamma = default_gamma()
     return WeakBcMethod("nitsche", gamma=gamma)
 
 
@@ -153,17 +147,10 @@ def method_from_name(name: str, alpha: float | None = None,
 # trace operators
 # ---------------------------------------------------------------------------
 
-def _edge_quantities(mesh: Mesh):
-    """(lengths, flux (E,3), tri_nodes (E,3)) for the boundary edges."""
-    lengths, normals, _ = boundary_edge_geometry(mesh)
-    owners = mesh.boundary_edges[:, 2]
-    flux = np.einsum("ekd,ed->ek", triangle_grad_lambda(mesh)[owners], normals)
-    return lengths, flux, mesh.triangles[owners]
-
-
 def _p0_trace_ops(mesh: Mesh, n_dofs: int):
     """(t0, c0, m0_diag): edge-indexed <mu_E, v>, <mu_E, dv/dn>, <mu_E, mu_F>."""
-    lengths, flux, tri_nodes = _edge_quantities(mesh)
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    flux, tri_nodes = boundary_hat_flux(mesh)
     n_e = len(lengths)
     t0 = np.zeros((n_e, n_dofs))
     rows = np.repeat(np.arange(n_e), 2)
@@ -173,18 +160,6 @@ def _p0_trace_ops(mesh: Mesh, n_dofs: int):
     np.add.at(c0, (np.repeat(np.arange(n_e), 3), tri_nodes.ravel()),
               (lengths[:, None] * flux).ravel())
     return t0, c0, lengths.copy()
-
-
-def _edge_integrals(mesh: Mesh, func) -> np.ndarray:
-    """int_E func ds per boundary edge (2-point Gauss)."""
-    a = mesh.nodes[mesh.boundary_edges[:, 0]]
-    b = mesh.nodes[mesh.boundary_edges[:, 1]]
-    lengths, _, _ = boundary_edge_geometry(mesh)
-    total = np.zeros(len(lengths))
-    for s in _EDGE_GAUSS:
-        pts = (1.0 - s) * a + s * b
-        total += 0.5 * lengths * np.asarray(func(pts), dtype=float)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +205,7 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
         t, c0, m0 = _p0_trace_ops(mesh, n)
         c_w = lengths[:, None] * c0
         m_w = np.diag(lengths * m0)
-        d_load = _edge_integrals(mesh, d)
+        d_load = boundary_edge_integrals(mesh, d)
 
     if method.name == "multiplier":
         return SaddleSystem(a=a, b=sp.csr_array(t), c=None, f=fvec,
@@ -307,7 +282,7 @@ def errors(mesh: Mesh, u_vec: np.ndarray, problem: WeakBcProblem):
 
 def normal_flux_values(mesh: Mesh, u_vec: np.ndarray) -> np.ndarray:
     """Per-boundary-edge du/dn of a P1 field (constant on each edge)."""
-    _, flux, tri_nodes = _edge_quantities(mesh)
+    flux, tri_nodes = boundary_hat_flux(mesh)
     return np.einsum("ek,ek->e", flux, u_vec[tri_nodes])
 
 
@@ -356,7 +331,7 @@ def _nitsche_projected(mesh: Mesh, f, d, gamma: float):
     pen = t0.T @ (t0 * (gamma / lengths ** 2)[:, None])
     k = _reaction_diffusion(space).toarray() - nf - nf.T + pen
     rhs = (load_vector(space, f) - boundary_load(space, d, flux_test=True)
-           + t0.T @ (gamma / lengths ** 2 * _edge_integrals(mesh, d)))
+           + t0.T @ (gamma / lengths ** 2 * boundary_edge_integrals(mesh, d)))
     return k, rhs
 
 

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
+import scipy.linalg
 
 import infsup_lab
 from infsup_lab import cli, locking
@@ -87,17 +87,16 @@ def test_unexpected_numerical_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert "synthetic breakdown" in capsys.readouterr().err
 
 
-def test_svd_failure_exits_1(tmp_path, monkeypatch, capsys):
-    def failing_dgejsv(a, **kwargs):
-        n = a.shape[1]
-        return (np.zeros(n), np.eye(a.shape[0]), np.eye(n), np.ones(7),
-                np.zeros(3), 1)
-    monkeypatch.setattr(scipy.linalg.lapack, "dgejsv", failing_dgejsv)
-    code, doc = run(["infsup", "--pair", "th", "--n", "2"],
+@pytest.mark.parametrize("mode", ["weighted", "euclidean"])
+def test_eigensolver_failure_exits_1(mode, tmp_path, monkeypatch, capsys):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("synthetic eigh breakdown")
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    code, doc = run(["infsup", "--pair", "th", "--n", "2", "--mode", mode],
                     tmp_path, json_out=True)
     assert code == 1
     assert doc["status"] == "fail"
-    assert "dgejsv" in capsys.readouterr().err
+    assert "synthetic eigh breakdown" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_cli():
@@ -137,6 +136,16 @@ def test_json_document_shape(tmp_path):
     assert doc["results"]["beta"] > 0.3
     assert len(doc["results"]["sigma"]) == doc["results"]["numerical_rank"] \
         + doc["results"]["kernel_dim_pressure"]
+
+
+@pytest.mark.parametrize("mode", ["weighted", "euclidean"])
+def test_infsup_one_cell_mesh_has_no_free_velocity(mode, tmp_path):
+    # --n 1 leaves P1 velocity no free dof: every pressure is in the kernel
+    code, doc = run(["infsup", "--pair", "p1p1", "--n", "1", "--mode", mode],
+                    tmp_path, json_out=True)
+    assert code == 0
+    assert doc["results"]["numerical_rank"] == 0
+    assert doc["results"]["kernel_dim_pressure"] == 4
 
 
 def test_json_floats_carry_17_significant_digits(tmp_path):

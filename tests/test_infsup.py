@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from infsup_lab import infsup
+from infsup_lab import infsup, linalg
 from infsup_lab.fespace import ElementKind
-from infsup_lab.linalg import NotPositiveDefinite, sym_eig
+from infsup_lab.linalg import NotPositiveDefinite, svd, sym_eig
 from infsup_lab.mesh import unit_square_mesh
 
 
@@ -53,7 +54,7 @@ def test_euclidean_zero_block():
 
 def test_euclidean_matches_block_eigenpairing():
     # positive spectrum of [[0, B^T], [B, 0]] equals the singular values
-    b, _, _ = infsup.pair_operators("p1p1", unit_square_mesh(3))
+    b = infsup.pair_operators("p1p1", unit_square_mesh(3))[0].toarray()
     n_p, n_v = b.shape
     block = np.zeros((n_p + n_v, n_p + n_v))
     block[:n_v, n_v:] = b.T
@@ -87,7 +88,8 @@ def test_weighted_square_symmetric_block():
 
 
 def test_weighted_permutation_invariance():
-    b, x, m = infsup.pair_operators("p1p1", unit_square_mesh(4))
+    b, x, m = (a.toarray()
+               for a in infsup.pair_operators("p1p1", unit_square_mesh(4)))
     rep = infsup.infsup_weighted(b, x, m)
     rng = np.random.default_rng(6)
     perm = rng.permutation(b.shape[1])
@@ -101,6 +103,31 @@ def test_weighted_requires_spd_norms():
         infsup.infsup_weighted(b, -np.eye(3), np.eye(3))
     with pytest.raises(NotPositiveDefinite):
         infsup.infsup_weighted(b, np.eye(3), np.diag([1.0, -1.0, 1.0]))
+
+
+ASYMMETRIC = np.array([[1.0, 0.5], [0.0, 1.0]])
+INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize("b,x,m,error,match", [
+    (np.eye(2), ASYMMETRIC, np.eye(2), ValueError, "symmetric"),
+    (np.eye(2), np.eye(2), ASYMMETRIC, ValueError, "symmetric"),
+    (np.eye(2), INDEFINITE, np.eye(2), NotPositiveDefinite, None),
+    (np.eye(2), np.eye(2), INDEFINITE, NotPositiveDefinite, None),
+    (np.eye(2), np.zeros((2, 2)), np.eye(2), NotPositiveDefinite, None),
+    (np.eye(2), np.eye(2), np.zeros((2, 2)), NotPositiveDefinite, None),
+    # zero diagonal: SuperLU pivots off it, and both U pivots read +1
+    (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2),
+     NotPositiveDefinite, None),
+    # S = B X^-1 B^T = [[1]] is positive definite, X = diag(1, -1) is not
+    (np.array([[1.0, 0.0]]), np.diag([1.0, -1.0]), np.eye(1),
+     NotPositiveDefinite, None),
+])
+def test_norm_matrices_must_be_spd(b, x, m, error, match):
+    with pytest.raises(error, match=match) as exc:
+        infsup.infsup_weighted(b, x, m)
+    if error is ValueError:
+        assert not isinstance(exc.value, NotPositiveDefinite)
 
 
 # --- element pairs ---------------------------------------------------------
@@ -174,10 +201,61 @@ def test_beta_matches_jacobi_route(pair, n, mode, beta, kernel_dim):
     rep = infsup.study(pair, unit_square_mesh(n), weighted=mode == "weighted")
     assert rep.beta == pytest.approx(beta, rel=1e-12)
     assert rep.kernel_dim_pressure == kernel_dim
+    # the kernel decision sits far from its cut (lambda ~ 1e-10 lambda_0):
+    # every dropped eigenvalue is round-off next to beta^2 (p1p0 has more
+    # pressure rows than velocity columns, so its kernel is structural and
+    # none is dropped)
+    assert np.all(rep.sigma[rep.numerical_rank:] ** 2 <= 1e-12 * rep.beta ** 2)
+
+
+def jacobi_route(b, x=None, m=None):
+    """The dense route ``infsup`` took before the eigen pencil, kept as the
+    oracle: whiten B by the Cholesky factors of X = L L^T and M = R R^T, take
+    the full ``dgejsv`` SVD of R^-1 B L^-T (of B without norms) and count the
+    rank as #{sigma_i > 1e-10 max(n_p, n_u) sigma_0}."""
+    w = b.toarray()
+    if x is not None:
+        l_fac = np.linalg.cholesky(x.toarray())
+        r_fac = np.linalg.cholesky(m.toarray())
+        w = scipy.linalg.solve_triangular(l_fac, w.T, lower=True).T
+        w = scipy.linalg.solve_triangular(r_fac, w, lower=True)
+    sigma = svd(w).sigma
+    rank = int(np.count_nonzero(sigma > 1e-10 * max(w.shape) * sigma[0]))
+    return infsup.InfSupReport(
+        beta=float(sigma[rank - 1]), mode="oracle", sigma=sigma,
+        numerical_rank=rank, kernel_dim_pressure=w.shape[0] - rank,
+        worst_pressure_mode=None, pair="oracle", h=float("nan"))
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("pair", list(infsup.PAIRS))
+def test_eigen_route_matches_jacobi_oracle(pair, weighted):
+    mesh = unit_square_mesh(16)
+    b, x, m = infsup.pair_operators(pair, mesh)
+    rep = jacobi_route(b, x, m) if weighted else jacobi_route(b)
+    got = infsup.study(pair, mesh, weighted=weighted)
+    assert got.beta == pytest.approx(rep.beta, rel=1e-12)
+    assert got.kernel_dim_pressure == rep.kernel_dim_pressure
+    assert len(got.sigma) == len(rep.sigma)
+    kept = slice(rep.numerical_rank)
+    assert np.allclose(got.sigma[kept], rep.sigma[kept], rtol=1e-10, atol=0)
     # the kernel decision sits far from its tolerance (~1e-8): every dropped
     # singular value is round-off next to beta (p1p0 has more pressure rows
     # than velocity columns, so its kernel is structural and none is dropped)
     assert np.all(rep.sigma[rep.numerical_rank:] <= 1e-12 * rep.beta)
+
+
+def test_beta_route_takes_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the beta route took an SVD")
+
+    monkeypatch.setattr(linalg, "svd", no_svd)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgejsv", no_svd)
+    mesh = unit_square_mesh(4)
+    for weighted in (True, False):
+        assert infsup.study("taylor-hood", mesh, weighted=weighted).beta > 0.0
+        assert infsup.constant_pressure_angle("taylor-hood", mesh,
+                                              weighted=weighted) <= 1e-8
 
 
 # --- spurious modes ---------------------------------------------------------

@@ -1,13 +1,11 @@
-"""Tests for the dense kernels: LU, Cholesky, Jacobi SVD, sym_eig."""
+"""Tests for the dense kernels: LU, Jacobi SVD, sym_eig."""
 
 import numpy as np
 import pytest
 import scipy.linalg.lapack
 
 from infsup_lab.linalg import (
-    NotPositiveDefinite,
     SingularMatrix,
-    cholesky,
     lu_solve,
     svd,
     sym_eig,
@@ -20,7 +18,7 @@ def random_orthogonal(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# lu_solve / cholesky
+# lu_solve
 # ---------------------------------------------------------------------------
 
 def test_lu_solve_matches_reference_and_residual_bound():
@@ -64,30 +62,6 @@ def test_lu_solve_shape_errors():
         lu_solve(np.eye(3), np.ones(4))
 
 
-def test_cholesky_known_factor():
-    l = cholesky([[4.0, 2.0], [2.0, 5.0]])
-    assert np.allclose(l, [[2.0, 0.0], [1.0, 2.0]], atol=1e-14)
-
-
-def test_cholesky_reconstructs_random_spd():
-    rng = np.random.default_rng(21)
-    for n in (1, 3, 10, 30):
-        g = rng.standard_normal((n, n))
-        a = g @ g.T + n * np.eye(n)
-        l = cholesky(a)
-        assert np.linalg.norm(l @ l.T - a) <= 1e-12 * np.linalg.norm(a)
-        assert np.allclose(l, np.tril(l))
-
-
-def test_cholesky_rejects_asymmetric_and_indefinite():
-    with pytest.raises(ValueError):
-        cholesky([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(NotPositiveDefinite):
-        cholesky([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(NotPositiveDefinite):
-        cholesky(np.zeros((2, 2)))
-
-
 # ---------------------------------------------------------------------------
 # SVD
 # ---------------------------------------------------------------------------
@@ -108,7 +82,6 @@ def svd_checks(a, result, rtol=1e-12):
 def test_svd_diagonal():
     r = svd(np.diag([3.0, 1.0]))
     assert np.allclose(r.sigma, [3.0, 1.0], atol=1e-14)
-    assert r.numerical_rank == 2
     svd_checks(np.diag([3.0, 1.0]), r)
 
 
@@ -136,21 +109,16 @@ def test_svd_rank_counts_values_above_relative_tolerance():
     v = random_orthogonal(rng, 3)
     a = u @ np.diag([5.0, 2.0, 1e-14]) @ v.T
     r = svd(a)
-    assert r.numerical_rank == 2
     assert r.sigma[1] == pytest.approx(2.0, rel=1e-12)
-    # explicit tolerance override
-    assert svd(a, rank_tol=1e-16).numerical_rank == 3
 
 
 def test_svd_zero_and_rank_deficient():
     r = svd(np.zeros((3, 2)))
-    assert r.numerical_rank == 0
     assert np.all(r.sigma == 0.0)
     svd_checks(np.zeros((3, 2)), r)
 
     a = np.outer([1.0, 2.0, -1.0], [3.0, 0.5])   # rank one, 3x2
     r = svd(a)
-    assert r.numerical_rank == 1
     svd_checks(a, r)
 
 
@@ -188,12 +156,13 @@ def test_svd_small_values_keep_relative_accuracy():
     scales = 10.0 ** -np.arange(0, 24, 3.0)
     r = svd(q * scales)
     assert np.allclose(r.sigma / scales, 1.0, rtol=0, atol=1e-13)
-    assert r.numerical_rank == 3
 
 
 def test_svd_has_no_size_limit():
     # Taylor-Hood at n=32 whitens to a 1089x7938 block
-    assert svd(np.ones((5001, 2))).numerical_rank == 1
+    r = svd(np.ones((5001, 2)))
+    assert r.sigma[0] == pytest.approx(np.sqrt(10002.0), rel=1e-12)
+    assert r.sigma[1] <= 1e-12 * r.sigma[0]
 
 
 def test_svd_empty_side():
@@ -201,7 +170,6 @@ def test_svd_empty_side():
     for shape in ((3, 0), (0, 3)):
         a = np.zeros(shape)
         r = svd(a)
-        assert r.numerical_rank == 0
         svd_checks(a, r)
 
 

@@ -3,7 +3,7 @@
 Stokes discretizations with stable and unstable velocity/pressure pairs,
 pressure stabilization schemes, volumetric-locking demonstrations, weakly
 imposed Dirichlet conditions, and discrete inf-sup constants computed from
-singular value decompositions of the constraint block.
+one pressure-sized eigenproblem of the Schur complement B X^{-1} B^T.
 """
 
 __version__ = "0.1.0"

@@ -85,19 +85,6 @@ def stiffness(space: FeSpace, degree: int = DEFAULT_DEGREE,
     return _expand_components(scalar, space.components)
 
 
-def mass(space: FeSpace, degree: int = DEFAULT_DEGREE,
-         cell_weights=None) -> sp.csr_array:
-    """(u, v), block-diagonal over components for vector spaces."""
-    rule = quadrature(degree)
-    w = _quad_weights(space.mesh, rule, cell_weights)
-    v = shape_values(space.kind, rule.points)                 # (nq, nb)
-    locals_ = np.einsum("tq,qb,qc->tbc", w, v, v)
-    ns = space.n_scalar_dofs
-    scalar = _scatter(space.scalar_cell_dofs, space.scalar_cell_dofs,
-                      locals_, ns, ns)
-    return _expand_components(scalar, space.components)
-
-
 def cross_mass(row_space: FeSpace, col_space: FeSpace,
                degree: int = DEFAULT_DEGREE) -> sp.csr_array:
     """``(phi^col_j, phi^row_i)`` between two spaces on the same mesh."""
@@ -116,9 +103,14 @@ def cross_mass(row_space: FeSpace, col_space: FeSpace,
     return _expand_components(scalar, row_space.components)
 
 
-def lumped_mass(space: FeSpace, degree: int = DEFAULT_DEGREE) -> np.ndarray:
+def mass(space: FeSpace, degree: int = DEFAULT_DEGREE) -> sp.csr_array:
+    """(u, v), block-diagonal over components for vector spaces."""
+    return cross_mass(space, space, degree)
+
+
+def lumped_mass(space: FeSpace) -> np.ndarray:
     """Row sums of the consistent mass as a strictly positive diagonal."""
-    diag = mass(space, degree) @ np.ones(space.n_dofs)
+    diag = mass(space) @ np.ones(space.n_dofs)
     if np.any(diag <= 1e-12 * diag.max()):
         raise NotPositiveDefinite(
             f"lumped mass for {space.kind.value} has non-positive entries")
@@ -167,16 +159,14 @@ def grad_coupling(v_space: FeSpace, p_space: FeSpace,
     return parts[0] + parts[1]
 
 
-def pressure_grad_stab(p_space: FeSpace, cell_weights=None,
-                       degree: int = DEFAULT_DEGREE) -> sp.csr_array:
+def pressure_grad_stab(p_space: FeSpace, cell_weights=None) -> sp.csr_array:
     """Elementwise weighted pressure-gradient form, default weights h_K^2."""
     if cell_weights is None:
         cell_weights = triangle_diameters(p_space.mesh) ** 2
-    return stiffness(p_space, degree, cell_weights)
+    return stiffness(p_space, DEFAULT_DEGREE, cell_weights)
 
 
-def load_vector(space: FeSpace, func, degree: int = DEFAULT_DEGREE,
-                cell_weights=None) -> np.ndarray:
+def load_vector(space: FeSpace, func, degree: int = DEFAULT_DEGREE) -> np.ndarray:
     """Right-hand side ``(f, phi_i)`` for a callable ``func`` of positions.
 
     ``func`` receives an (..., 2) array of points and must return values of
@@ -184,7 +174,7 @@ def load_vector(space: FeSpace, func, degree: int = DEFAULT_DEGREE,
     """
     rule = quadrature(degree)
     mesh = space.mesh
-    w = _quad_weights(mesh, rule, cell_weights)
+    w = _quad_weights(mesh, rule)
     pts = np.einsum("qk,tkd->tqd", rule.points, mesh.nodes[mesh.triangles])
     fv = np.asarray(func(pts), dtype=float)
     v = shape_values(space.kind, rule.points)
@@ -203,15 +193,14 @@ def load_vector(space: FeSpace, func, degree: int = DEFAULT_DEGREE,
     return out
 
 
-def gradient_load(space: FeSpace, func, cell_weights=None,
-                  degree: int = DEFAULT_DEGREE) -> np.ndarray:
+def gradient_load(space: FeSpace, func, cell_weights=None) -> np.ndarray:
     """Gradient-tested load ``sum_K w_K (f, grad psi_i)_K`` for scalar spaces.
 
     ``func`` must return vector values of shape (..., 2).
     """
     if space.components != 1:
         raise ValueError("gradient_load expects a scalar test space")
-    rule = quadrature(degree)
+    rule = quadrature(DEFAULT_DEGREE)
     mesh = space.mesh
     w = _quad_weights(mesh, rule, cell_weights)
     pts = np.einsum("qk,tkd->tqd", rule.points, mesh.nodes[mesh.triangles])
@@ -313,35 +302,6 @@ def boundary_load(space: FeSpace, func, edge_weights=None,
         locals_ = np.einsum("e,eg,g,gk->ek", w, dv, _EDGE_GAUSS_W, shape)
         np.add.at(out, space.mesh.boundary_edges[:, :2], locals_)
     return out
-
-
-@dataclass(frozen=True)
-class BoundaryOperators:
-    """Bundle of boundary matrices for weak Dirichlet formulations.
-
-    All matrices use the full scalar dof indexing; rows/columns supported on
-    interior dofs are identically zero.  ``penalty`` is the gamma-weighted
-    edgewise (1/h_E)-scaled boundary mass.
-    """
-
-    trace_dofs: np.ndarray
-    edge_lengths: np.ndarray
-    mass: sp.csr_array
-    normal_flux: sp.csr_array
-    flux_flux: sp.csr_array
-    penalty: sp.csr_array
-
-
-def boundary_operators(space: FeSpace, gamma_coeff: float = 1.0) -> BoundaryOperators:
-    lengths = _edge_weights(space)
-    return BoundaryOperators(
-        trace_dofs=space.boundary_dofs.copy(),
-        edge_lengths=lengths,
-        mass=boundary_mass(space),
-        normal_flux=boundary_normal_flux(space),
-        flux_flux=boundary_flux_flux(space),
-        penalty=boundary_mass(space, gamma_coeff / lengths),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -497,25 +457,16 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     return x, system.relative_residual(x)
 
 
-def apply_dirichlet(system: SaddleSystem, dofs, values=0.0) -> SaddleSystem:
-    """Eliminate velocity Dirichlet dofs symmetrically.
-
-    Constrained rows of ``a`` become identity rows with the prescribed value
-    on the right-hand side; coupling columns move to the right-hand side.
-    """
-    dofs = np.asarray(dofs, dtype=np.int64)
-    vals = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape)
-    x_bc = np.zeros(system.n_u)
-    x_bc[dofs] = vals
+def apply_dirichlet(system: SaddleSystem, dofs) -> SaddleSystem:
+    """Eliminate homogeneous (zero) velocity Dirichlet dofs symmetrically:
+    their rows and columns of ``a`` become identity ones with a zero
+    right-hand side, and their columns of ``b`` are zeroed."""
     fixed = np.zeros(system.n_u)
     fixed[dofs] = 1.0
     keep = sp.diags_array(1.0 - fixed)
-
-    f = system.f - system.a @ x_bc
-    f[dofs] = vals
-    g = system.g - system.pressure_row_sign * (system.b @ x_bc)
+    f = system.f.copy()
+    f[dofs] = 0.0
 
     # sparse products may leave column indices unsorted
     a = (keep @ system.a @ keep + sp.diags_array(fixed)).sorted_indices()
-    return replace(system, a=a, b=(system.b @ keep).sorted_indices(),
-                   f=f, g=g)
+    return replace(system, a=a, b=(system.b @ keep).sorted_indices(), f=f)

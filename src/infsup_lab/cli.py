@@ -121,10 +121,10 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _write_vtk(path: str, mesh: Mesh, point_scalars=None, point_vectors=None,
-               cell_scalars=None, title: str = "infsup-lab field export") -> None:
+               cell_scalars=None) -> None:
     """Legacy ASCII VTK: linear triangles (cell type 5), nodal fields as
     POINT_DATA, elementwise-constant fields as CELL_DATA."""
-    out = ["# vtk DataFile Version 3.0", title, "ASCII",
+    out = ["# vtk DataFile Version 3.0", "infsup-lab field export", "ASCII",
            "DATASET UNSTRUCTURED_GRID"]
     n_pts, n_tris = len(mesh.nodes), len(mesh.triangles)
     out.append(f"POINTS {n_pts} double")
@@ -258,8 +258,7 @@ def _run_infsup(config: RunConfig):
 
 def _run_locking(config: RunConfig):
     base = _locking_configs(config)[0]
-    reports = [locking.run(dataclasses.replace(base, lambda_=lam))
-               for lam in config.lambdas]
+    reports = locking.lambda_sweep(base, config.lambdas)
     rows = [{"lambda": r.lambda_, "u_h1_norm": r.u_h1_norm,
              "p_h1_norm": r.p_h1_norm, "solve_ok": r.solve_ok,
              "residual_norm": r.residual_norm}
@@ -274,13 +273,11 @@ def _run_locking(config: RunConfig):
     if config.vtk_path:
         solved = [r.lambda_ for r in reports if r.solve_ok]
         if solved:
-            cfg = dataclasses.replace(base, lambda_=solved[-1])
-            blocks = locking._blocks(cfg)
-            sol = locking.solve(locking.build(cfg, blocks), blocks=blocks)
-            _write_vtk(config.vtk_path, blocks.u_space.mesh,
+            system = locking.build(dataclasses.replace(base, lambda_=solved[-1]))
+            sol, u_space = locking.solve(system), system.blocks.u_space
+            _write_vtk(config.vtk_path, u_space.mesh,
                        point_scalars={"p": sol.p},
-                       point_vectors={"u": _vertex_values(blocks.u_space,
-                                                          sol.u)})
+                       point_vectors={"u": _vertex_values(u_space, sol.u)})
     lines = [f"lambda={r.lambda_:.3e}  u_h1={r.u_h1_norm:.6e}  "
              f"p_h1={r.p_h1_norm:.6e}" + ("" if r.solve_ok else "  (singular)")
              for r in reports]
@@ -292,7 +289,13 @@ def _run_weakbc(config: RunConfig):
                                      gamma=config.gamma, trace=config.trace)
     mesh = unit_square_mesh(config.n)
     problem = weakbc.mms_problem()
-    solution = weakbc.run(method, mesh, problem.f, problem.d)
+    try:
+        solution = weakbc.run(method, mesh, problem.f, problem.d)
+    except SingularMatrix as exc:
+        if method.name != "multiplier" or method.trace != "p0":
+            raise                       # singular by design only there
+        results = {"method": method.name, "h": mesh.h, "error": str(exc)}
+        return results, "singular", [f"status: singular ({exc})"]
     err_l2, err_h1 = weakbc.errors(mesh, solution.u, problem)
     results = {"method": method.name, "h": mesh.h, "err_l2": err_l2,
                "err_h1": err_h1, "residual_norm": solution.residual_norm}

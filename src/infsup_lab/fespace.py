@@ -14,7 +14,7 @@ Vector-valued spaces store dofs component-major: global dof
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,7 +178,6 @@ class FeSpace:
     scalar_cell_dofs: np.ndarray   # (n_triangles, n_local)
     dof_coords: np.ndarray         # (n_scalar_dofs, 2)
     scalar_boundary_dofs: np.ndarray
-    _edge_table: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_dofs(self) -> int:
@@ -214,7 +213,6 @@ def build_space(kind: ElementKind, mesh: Mesh, components: int = 1) -> FeSpace:
     n_nodes = mesh.n_nodes
     n_tris = mesh.n_triangles
     boundary_nodes = np.unique(mesh.boundary_edges[:, :2])
-    table = None
 
     if kind is ElementKind.P0:
         cell = np.arange(n_tris, dtype=np.int64)[:, None]
@@ -250,8 +248,7 @@ def build_space(kind: ElementKind, mesh: Mesh, components: int = 1) -> FeSpace:
 
     return FeSpace(kind=kind, mesh=mesh, components=components,
                    n_scalar_dofs=n_scalar, scalar_cell_dofs=cell,
-                   dof_coords=coords, scalar_boundary_dofs=np.sort(bdofs),
-                   _edge_table=table)
+                   dof_coords=coords, scalar_boundary_dofs=np.sort(bdofs))
 
 
 # ---------------------------------------------------------------------------

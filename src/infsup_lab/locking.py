@@ -138,23 +138,7 @@ class LockingReport:
 
 
 @dataclass(frozen=True)
-class LockingSystem:
-    saddle: SaddleSystem
-    layout: tuple                 # ((field, size), ...) in the order of x
-    config: LockingConfig
-
-
-@dataclass(frozen=True)
-class LockingSolution:
-    u: np.ndarray                 # full nodal vector coefficients
-    p: np.ndarray                 # full nodal scalar coefficients
-    w: np.ndarray | None          # corrected: projected gradient
-    gamma: np.ndarray | None      # multiplier: full gamma coefficients
-    report: LockingReport
-
-
-@dataclass(frozen=True)
-class _Blocks:
+class _Blocks:                    # no block depends on lambda
     u_space: FeSpace
     p_space: FeSpace
     free_u: np.ndarray
@@ -168,12 +152,28 @@ class _Blocks:
     load_p: np.ndarray
 
 
+@dataclass(frozen=True)
+class LockingSystem:
+    saddle: SaddleSystem
+    layout: tuple                 # ((field, size), ...) in the order of x
+    config: LockingConfig
+    blocks: _Blocks               # the operators the system was built from
+
+
+@dataclass(frozen=True)
+class LockingSolution:
+    u: np.ndarray                 # full nodal vector coefficients
+    p: np.ndarray                 # full nodal scalar coefficients
+    w: np.ndarray | None          # corrected: projected gradient
+    gamma: np.ndarray | None      # multiplier: full gamma coefficients
+    report: LockingReport
+
+
 def _blocks(config: LockingConfig) -> _Blocks:
     mesh = unit_square_mesh(config.n)
     u_space = build_space(ElementKind.P1, mesh, components=2)
     p_space = build_space(ElementKind.P1, mesh)
-    fu = np.setdiff1d(np.arange(u_space.n_dofs), u_space.boundary_dofs)
-    fp = np.setdiff1d(np.arange(p_space.n_dofs), p_space.boundary_dofs)
+    fu, fp = u_space.free_dofs(), p_space.free_dofs()
     f = config.f if config.f is not None else _default_f
     g = config.g if config.g is not None else _default_g
     return _Blocks(
@@ -198,17 +198,17 @@ def _coefficients(config: LockingConfig):
 # builders
 # ---------------------------------------------------------------------------
 
-def _system(config: LockingConfig, layout: tuple, a, b, c, f, g) -> LockingSystem:
+def _system(config: LockingConfig, source: _Blocks, layout: tuple,
+            a, b, c, f, g) -> LockingSystem:
     """``[[a, b^T], [b, -c]] x = [f, g]``, x split by ``layout``."""
     saddle = SaddleSystem(a=sp.csr_array(a), b=sp.csr_array(b),
                           c=sp.csr_array(c), f=f, g=g, mean_vector=None)
-    return LockingSystem(saddle, layout, config)
+    return LockingSystem(saddle, layout, config, source)
 
 
-def build_plain(config: LockingConfig, blocks: _Blocks | None = None) -> LockingSystem:
-    b = blocks if blocks is not None else _blocks(config)
+def build_plain(config: LockingConfig, b: _Blocks) -> LockingSystem:
     lam = config.lambda_
-    return _system(config, (("u", len(b.free_u)), ("p", len(b.free_p))),
+    return _system(config, b, (("u", len(b.free_u)), ("p", len(b.free_p))),
                    a=b.ku + lam * b.mu, b=-lam * b.g.T, c=-lam * b.sp,
                    f=b.load_u, g=b.load_p)
 
@@ -219,16 +219,14 @@ def _w_mass(config: LockingConfig, b: _Blocks) -> sp.sparray:
     return b.mu
 
 
-def build_corrected(config: LockingConfig,
-                    blocks: _Blocks | None = None) -> LockingSystem:
+def build_corrected(config: LockingConfig, b: _Blocks) -> LockingSystem:
     """Three-field form in (u, w, p); the w rows are scaled by beta to stay
     symmetric.  Its Schur complement in p is the eliminated two-field form
     with p-block alpha S_p + beta G^T M_w^{-1} G."""
-    b = blocks if blocks is not None else _blocks(config)
     lam = config.lambda_
     alpha, beta = _coefficients(config)
     nu = len(b.free_u)
-    return _system(config, (("u", nu), ("w", nu), ("p", len(b.free_p))),
+    return _system(config, b, (("u", nu), ("w", nu), ("p", len(b.free_p))),
                    a=sp.block_diag([b.ku + lam * b.mu,
                                     -beta * _w_mass(config, b)]),
                    b=sp.hstack([-lam * b.g.T, beta * b.g.T]),
@@ -236,19 +234,16 @@ def build_corrected(config: LockingConfig,
                    f=np.concatenate([b.load_u, np.zeros(nu)]), g=b.load_p)
 
 
-def _gamma_space(config: LockingConfig, mesh: Mesh):
-    """(space, kept dof indices); the continuous variant is zero-trace."""
-    if config.gamma_space == "discontinuous":
-        space = build_space(ElementKind.P1_DISC, mesh, components=2)
-        return space, np.arange(space.n_dofs)
-    space = build_space(ElementKind.P1, mesh, components=2)
-    return space, np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
+def _gamma_space(config: LockingConfig, mesh: Mesh) -> FeSpace:
+    """The multiplier space; the continuous variant is zero-trace."""
+    kind = (ElementKind.P1_DISC if config.gamma_space == "discontinuous"
+            else ElementKind.P1)
+    return build_space(kind, mesh, components=2)
 
 
-def build_multiplier(config: LockingConfig,
-                     blocks: _Blocks | None = None) -> LockingSystem:
-    b = blocks if blocks is not None else _blocks(config)
-    y_space, y_keep = _gamma_space(config, b.u_space.mesh)
+def build_multiplier(config: LockingConfig, b: _Blocks) -> LockingSystem:
+    y_space = _gamma_space(config, b.u_space.mesh)
+    y_keep = y_space.free_dofs()
     nu, np_, ny = len(b.free_u), len(b.free_p), len(y_keep)
     b_x = sp.hstack([cross_mass(y_space, b.u_space)[y_keep][:, b.free_u],
                      -grad_coupling(y_space, b.p_space)[y_keep][:, b.free_p]])
@@ -262,10 +257,10 @@ def build_multiplier(config: LockingConfig,
         penalty = config.lambda_
     if config.grad_div_form and config.gamma_space == "continuous":
         # A_X is SPD here, and eliminating gamma would put 1/penalty back
-        return _system(config, (("u", nu), ("p", np_), ("gamma", ny)),
+        return _system(config, b, (("u", nu), ("p", np_), ("gamma", ny)),
                        a=a_x, b=b_x, c=m_y / penalty,
                        f=load_x, g=np.zeros(ny))
-    return _system(config, (("gamma", ny), ("u", nu), ("p", np_)),
+    return _system(config, b, (("gamma", ny), ("u", nu), ("p", np_)),
                    a=-m_y / penalty, b=b_x.T, c=-a_x,
                    f=np.zeros(ny), g=load_x)
 
@@ -274,8 +269,8 @@ _BUILDERS = {"plain": build_plain, "corrected": build_corrected,
              "multiplier": build_multiplier}
 
 
-def build(config: LockingConfig, blocks: _Blocks | None = None) -> LockingSystem:
-    return _BUILDERS[config.method](config, blocks=blocks)
+def build(config: LockingConfig) -> LockingSystem:
+    return _BUILDERS[config.method](config, _blocks(config))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +283,8 @@ def _full(n_dofs: int, kept: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve(system: LockingSystem, blocks: _Blocks | None = None) -> LockingSolution:
-    b = blocks if blocks is not None else _blocks(system.config)
+def solve(system: LockingSystem) -> LockingSolution:
+    b = system.blocks
     x, residual = solve_saddle(system.saddle)
     names, sizes = zip(*system.layout)
     parts = dict(zip(names, np.split(x, np.cumsum(sizes)[:-1])))
@@ -298,8 +293,8 @@ def solve(system: LockingSystem, blocks: _Blocks | None = None) -> LockingSoluti
     if "w" in parts:
         w = _full(b.u_space.n_dofs, b.free_u, parts["w"])
     if "gamma" in parts:
-        y_space, y_keep = _gamma_space(system.config, b.u_space.mesh)
-        gamma = _full(y_space.n_dofs, y_keep, parts["gamma"])
+        y_space = _gamma_space(system.config, b.u_space.mesh)
+        gamma = _full(y_space.n_dofs, y_space.free_dofs(), parts["gamma"])
     report = LockingReport(
         u_h1_norm=float(np.sqrt(uf @ (b.ku @ uf))),
         p_h1_norm=float(np.sqrt(pf @ (b.sp @ pf))),
@@ -310,21 +305,26 @@ def solve(system: LockingSystem, blocks: _Blocks | None = None) -> LockingSoluti
                            w=w, gamma=gamma, report=report)
 
 
-def run(config: LockingConfig) -> LockingReport:
-    """Build and solve; a singular system becomes a failed report."""
-    blocks = _blocks(config)
-    system = _BUILDERS[config.method](config, blocks=blocks)
-    try:
-        return solve(system, blocks=blocks).report
-    except SingularMatrix:
-        return LockingReport(u_h1_norm=float("nan"), p_h1_norm=float("nan"),
-                             lambda_=config.lambda_, method=config.method,
-                             solve_ok=False, residual_norm=float("nan"))
-
-
 def lambda_sweep(config: LockingConfig, lambdas) -> list:
-    return [run(dataclasses.replace(config, lambda_=float(lam)))
-            for lam in lambdas]
+    """Build and solve ``config`` at each penalty from one assembly of the
+    blocks, none of which depends on lambda; a singular system becomes a
+    failed report."""
+    b = _blocks(config)
+    reports = []
+    for lam in lambdas:
+        cfg = dataclasses.replace(config, lambda_=float(lam))
+        try:
+            reports.append(solve(_BUILDERS[cfg.method](cfg, b)).report)
+        except SingularMatrix:
+            nan = float("nan")
+            reports.append(LockingReport(nan, nan, cfg.lambda_, cfg.method,
+                                         solve_ok=False, residual_norm=nan))
+    return reports
+
+
+def run(config: LockingConfig) -> LockingReport:
+    """Build and solve one penalty: the one-lambda sweep."""
+    return lambda_sweep(config, [config.lambda_])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +333,7 @@ def lambda_sweep(config: LockingConfig, lambdas) -> list:
 
 def coercivity_eigenvalue(config: LockingConfig) -> float:
     """Smallest eigenvalue of the assembled plain matrix."""
-    lam, _ = sym_eig(build_plain(config).saddle.full_matrix())
+    lam, _ = sym_eig(build_plain(config, _blocks(config)).saddle.full_matrix())
     return float(lam[-1])
 
 
@@ -366,6 +366,6 @@ def gamma_target(config: LockingConfig, u: np.ndarray, p: np.ndarray) -> np.ndar
 
 
 def gamma_mass_norm(config: LockingConfig, coeffs: np.ndarray) -> float:
-    y_space, _ = _gamma_space(config, unit_square_mesh(config.n))
+    y_space = _gamma_space(config, unit_square_mesh(config.n))
     m = mass(y_space)
     return float(np.sqrt(coeffs @ (m @ coeffs)))

@@ -31,9 +31,9 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def weighted_betas(pair: str, ns: tuple = (4, 8, 16)) -> tuple:
+def weighted_betas(pair: str) -> tuple:
     return tuple(infsup.study(pair, unit_square_mesh(n), weighted=True).beta
-                 for n in ns)
+                 for n in (4, 8, 16))
 
 
 @lru_cache(maxsize=None)
@@ -158,9 +158,9 @@ def check_locking_and_cure() -> CheckResult:
 
 def check_multiplier_elimination() -> CheckResult:
     cfg = locking.LockingConfig(lambda_=1e2, n=4, method="multiplier")
-    blocks = locking._blocks(cfg)
-    sys_m = locking.build_multiplier(cfg, blocks=blocks).saddle
-    sys_p = locking.build_plain(cfg, blocks=blocks).saddle
+    multiplier = locking.build(cfg)
+    sys_m = multiplier.saddle
+    sys_p = locking.build_plain(cfg, multiplier.blocks).saddle
     # the (u, p) Schur complement -(c + b a^{-1} b^T) of the gamma block
     b = sys_m.b.toarray()
     elim = -(sys_m.c.toarray() + b @ np.linalg.solve(sys_m.a.toarray(), b.T))

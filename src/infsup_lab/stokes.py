@@ -211,7 +211,7 @@ class StokesSolution:
     p_space: FeSpace
 
 
-def solve(system: SaddleSystem, method: StokesMethod | None = None) -> StokesSolution:
+def solve(system: SaddleSystem, method: StokesMethod) -> StokesSolution:
     """Block-elimination solve of the saddle system (``solve_saddle``).
 
     ``SingularMatrix`` propagates from the pressure Schur complement (the
@@ -227,11 +227,10 @@ def solve(system: SaddleSystem, method: StokesMethod | None = None) -> StokesSol
         total = float(system.mean_vector.sum())
         p = p - (system.mean_vector @ p) / total
 
-    v_space, p_space = system.spaces if system.spaces else (None, None)
+    v_space, p_space = system.spaces
     z = None
-    if method is not None and method.name == "p1p1-loss" and v_space is not None:
-        mesh = v_space.mesh
-        z_space = build_space(ElementKind.P1, mesh, components=2)
+    if method.name == "p1p1-loss":
+        z_space = build_space(ElementKind.P1, v_space.mesh, components=2)
         g = grad_coupling(z_space, p_space)
         z = (g @ p) / lumped_mass(z_space)
     return StokesSolution(u=u, p=p, z=z, residual_norm=res_rel,

@@ -18,6 +18,7 @@ alpha = 0.5 / C_i^2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,32 +81,28 @@ class WeakBcSolution:
 # inverse-inequality constant
 # ---------------------------------------------------------------------------
 
-def inverse_constant(mesh: Mesh, scale: float = 1.0) -> float:
+def inverse_constant(mesh: Mesh) -> float:
     """C_i with h_E ||dv/dn||_E^2 <= C_i^2 ||grad v||^2 on P1.
 
-    Largest eigenvalue of the pencil (scale * h_E-weighted boundary
-    flux-flux, K + 1e-12 M), one dense generalized ``eigh``.  Constants
+    Largest eigenvalue of the pencil (h_E-weighted boundary flux-flux,
+    K + 1e-12 M), one dense generalized ``eigh``.  Constants
     contribute zero numerator, so no explicit deflation is needed.
     """
     space = build_space(ElementKind.P1, mesh)
     k = stiffness(space).toarray()
     m = mass(space).toarray()
     lengths, _, _ = boundary_edge_geometry(mesh)
-    n_w = boundary_flux_flux(space, edge_weights=scale * lengths).toarray()
+    n_w = boundary_flux_flux(space, edge_weights=lengths).toarray()
     n = space.n_dofs
     lam = scipy.linalg.eigh(n_w, k + 1e-12 * m, eigvals_only=True,
                             subset_by_index=[n - 1, n - 1])
     return float(np.sqrt(max(lam[0], 0.0)))
 
 
-_CI_CACHE: dict[int, float] = {}
-
-
-def _ci_estimate(n: int = 8) -> float:
-    """Inverse constant on a fixed reference mesh (quasi-uniform family)."""
-    if n not in _CI_CACHE:
-        _CI_CACHE[n] = inverse_constant(unit_square_mesh(n))
-    return _CI_CACHE[n]
+@functools.cache
+def _ci_estimate() -> float:
+    """Inverse constant on a fixed n=8 reference mesh (quasi-uniform family)."""
+    return inverse_constant(unit_square_mesh(8))
 
 
 def default_gamma() -> float:
@@ -192,8 +189,7 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
         rhs = (fvec - boundary_load(space, d, flux_test=True)
                + boundary_load(space, d, edge_weights=gamma / lengths))
         return SaddleSystem(a=k, b=sp.csr_array((0, n)), c=None, f=rhs,
-                            g=np.zeros(0), mean_vector=None,
-                            spaces=(space, None))
+                            g=np.zeros(0), mean_vector=None)
 
     if method.trace == "p1":
         trace = space.boundary_dofs
@@ -209,15 +205,14 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
 
     if method.name == "multiplier":
         return SaddleSystem(a=a, b=sp.csr_array(t), c=None, f=fvec,
-                            g=d_load, mean_vector=None, spaces=(space, None))
+                            g=d_load, mean_vector=None)
 
     alpha = method.alpha
     n_w = boundary_flux_flux(space, edge_weights=alpha * lengths)
     a_bh = a - n_w
     b = sp.csr_array(t - alpha * c_w)
     c = sp.csr_array(alpha * m_w)
-    return SaddleSystem(a=a_bh, b=b, c=c, f=fvec, g=d_load,
-                        mean_vector=None, spaces=(space, None))
+    return SaddleSystem(a=a_bh, b=b, c=c, f=fvec, g=d_load, mean_vector=None)
 
 
 def solve(system: SaddleSystem) -> WeakBcSolution:

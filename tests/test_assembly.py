@@ -13,7 +13,6 @@ from infsup_lab.assembly import (
     boundary_load,
     boundary_mass,
     boundary_normal_flux,
-    boundary_operators,
     cross_mass,
     divergence,
     grad_coupling,
@@ -282,20 +281,6 @@ def test_boundary_load_integrates_polynomials_exactly():
     assert rhs.sum() == pytest.approx(2.0 / 3.0 + 1.0, abs=1e-13)
 
 
-def test_boundary_operator_bundle_consistency():
-    mesh = unit_square_mesh(2)
-    space = build_space(ElementKind.P1, mesh)
-    ops = boundary_operators(space, gamma_coeff=2.0)
-    direct = boundary_mass(space, 2.0 / ops.edge_lengths)
-    assert np.allclose(ops.penalty.toarray(), direct.toarray(), atol=1e-14)
-    assert np.allclose(ops.mass.toarray(),
-                       boundary_mass(space).toarray(), atol=1e-14)
-    assert np.allclose(ops.flux_flux.toarray(),
-                       boundary_flux_flux(space).toarray(), atol=1e-14)
-    assert len(ops.trace_dofs) == 8
-    assert np.allclose(ops.edge_lengths, 0.5)
-
-
 def test_boundary_ops_require_scalar_p1():
     mesh = unit_square_mesh(2)
     with pytest.raises(ValueError):
@@ -307,24 +292,6 @@ def test_boundary_ops_require_scalar_p1():
 # ---------------------------------------------------------------------------
 # Dirichlet elimination
 # ---------------------------------------------------------------------------
-
-def test_apply_dirichlet_solves_laplace_with_affine_data():
-    # affine functions are discretely harmonic on this mesh, so the P1
-    # solution with affine boundary data is the interpolant itself
-    mesh = unit_square_mesh(4)
-    space = build_space(ElementKind.P1, mesh)
-    g = lambda p: 2.0 * p[..., 0] - p[..., 1] + 0.3
-    system = SaddleSystem(a=stiffness(space), b=sp.csr_array((0, space.n_dofs)),
-                          c=None, f=np.zeros(space.n_dofs), g=np.zeros(0),
-                          mean_vector=None)
-    bdofs = space.boundary_dofs
-    constrained = apply_dirichlet(system, bdofs, g(space.dof_coords[bdofs]))
-    x = lu_solve(constrained.full_matrix(), constrained.full_rhs())
-    assert np.allclose(x, g(space.dof_coords), atol=1e-11)
-    # constrained matrix is still symmetric
-    k = constrained.full_matrix()
-    assert np.allclose(k, k.T, atol=1e-13)
-
 
 def test_apply_dirichlet_zeroes_coupling_columns():
     mesh = unit_square_mesh(2)

@@ -76,6 +76,24 @@ def test_expected_singular_pair_exits_0(tmp_path):
     assert "error" in doc["results"]
 
 
+def test_p0_multiplier_is_singular_by_design(tmp_path):
+    code, doc = run(["weakbc", "--method", "multiplier", "--trace", "p0",
+                     "--n", "4"], tmp_path, json_out=True)
+    assert code == 0
+    assert doc["status"] == "singular"
+    assert set(doc["results"]) == {"method", "h", "error"}
+
+
+def test_other_weakbc_singularity_exits_1(tmp_path, monkeypatch):
+    def singular_run(*args):
+        raise SingularMatrix("synthetic weak-bc breakdown")
+    monkeypatch.setattr(cli.weakbc, "run", singular_run)
+    code, doc = run(["weakbc", "--method", "bh", "--trace", "p0", "--n", "4"],
+                    tmp_path, json_out=True)
+    assert code == 1
+    assert doc["status"] == "fail"
+
+
 def test_unexpected_numerical_failure_exits_1(tmp_path, monkeypatch, capsys):
     def blow_up(config):
         raise SingularMatrix("synthetic breakdown")
@@ -258,7 +276,7 @@ def test_stokes_vtk_nodal_fields(tmp_path):
 
 
 def test_locking_vtk_reuses_its_blocks(tmp_path, monkeypatch):
-    # one build for the sweep's lambda, one for the exported solution
+    # one assembly for the whole sweep, one for the exported solution
     real_blocks = locking._blocks
     calls = []
 
@@ -268,10 +286,12 @@ def test_locking_vtk_reuses_its_blocks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(locking, "_blocks", recording_blocks)
     path = tmp_path / "lock.vtk"
-    assert cli.main(["locking", "--n", "4", "--lambdas", "1e2",
-                     "--vtk", str(path)]) == 0
-    assert calls == [1e2, 1e2]
-    assert "VECTORS u double" in path.read_text()
+    for lambdas in ("1e2", "1e2,1e4"):
+        calls.clear()
+        assert cli.main(["locking", "--n", "4", "--lambdas", lambdas,
+                         "--vtk", str(path)]) == 0
+        assert len(calls) == 2
+        assert "VECTORS u double" in path.read_text()
 
 
 def test_p0_pressure_lands_in_cell_data(tmp_path):

@@ -53,14 +53,14 @@ def test_coefficient_split_identity():
                                      locking.build_multiplier])
 def test_systems_symmetric(builder):
     cfg = locking.LockingConfig(lambda_=1e3, n=4)
-    k = builder(cfg).saddle.full_matrix()
+    k = builder(cfg, locking._blocks(cfg)).saddle.full_matrix()
     assert np.abs(k - k.T).max() <= 1e-12 * np.abs(k).max()
 
 
 def test_lambda_zero_decouples_and_is_singular():
     cfg = locking.LockingConfig(lambda_=0.0, n=4)
     b = locking._blocks(cfg)
-    system = locking.build_plain(cfg, blocks=b).saddle
+    system = locking.build_plain(cfg, b).saddle
     assert np.array_equal(system.a.toarray(), b.ku.toarray())   # pure Laplacian
     dead = np.hstack([system.b.toarray(), system.c.toarray()])
     assert np.abs(dead).max() == 0.0                            # dead p block
@@ -82,8 +82,9 @@ def test_zero_loads_zero_solution(method):
 
 def test_corrected_w_is_lumped_projection():
     cfg = locking.LockingConfig(lambda_=1e3, n=4, method="corrected")
-    b = locking._blocks(cfg)
-    sol = locking.solve(locking.build_corrected(cfg, blocks=b), blocks=b)
+    system = locking.build(cfg)
+    b = system.blocks
+    sol = locking.solve(system)
     w = np.linalg.solve(np.diag(b.ml), b.g @ sol.p[b.free_p])
     assert np.abs(sol.w[b.free_u] - w).max() < 1e-10 * max(np.abs(w).max(), 1.0)
 
@@ -100,18 +101,6 @@ def test_projection_gap_decays_under_refinement():
     assert gaps[0] > gaps[1] > gaps[2] > 0
     assert 1.3 <= gaps[0] / gaps[1] <= 2.3
     assert 1.3 <= gaps[1] / gaps[2] <= 2.3
-
-
-def test_build_reuses_passed_blocks(monkeypatch):
-    cfg = locking.LockingConfig(lambda_=1e3, n=4, method="multiplier")
-    rebuilt = locking.build(cfg).saddle.full_matrix()
-    b = locking._blocks(cfg)
-
-    def no_rebuild(config):
-        raise AssertionError("blocks rebuilt")
-
-    monkeypatch.setattr(locking, "_blocks", no_rebuild)
-    assert np.array_equal(locking.build(cfg, b).saddle.full_matrix(), rebuilt)
 
 
 # --- locking and its cure ------------------------------------------------
@@ -181,8 +170,8 @@ def test_default_load_has_zero_limit_transverse_load_does_not():
 def test_multiplier_elimination_reproduces_plain():
     cfg = locking.LockingConfig(lambda_=1e2, n=4, method="multiplier")
     b = locking._blocks(cfg)
-    sys_m = locking.build_multiplier(cfg, blocks=b).saddle
-    sys_p = locking.build_plain(cfg, blocks=b).saddle
+    sys_m = locking.build_multiplier(cfg, b).saddle
+    sys_p = locking.build_plain(cfg, b).saddle
     # the (u, p) Schur complement -(c + b a^{-1} b^T) of the gamma block
     bm = sys_m.b.toarray()
     elim = -(sys_m.c.toarray() + bm @ np.linalg.solve(sys_m.a.toarray(), bm.T))
@@ -191,15 +180,15 @@ def test_multiplier_elimination_reproduces_plain():
 
 def test_multiplier_solution_matches_plain():
     cfg = locking.LockingConfig(lambda_=1e3, n=8, method="multiplier")
-    sol_m = locking.solve(locking.build_multiplier(cfg))
-    sol_p = locking.solve(locking.build_plain(
+    sol_m = locking.solve(locking.build(cfg))
+    sol_p = locking.solve(locking.build(
         locking.LockingConfig(lambda_=1e3, n=8)))
     assert np.abs(sol_m.u - sol_p.u).max() <= 1e-9 * np.abs(sol_p.u).max()
 
 
 def test_gamma_recovers_scaled_constraint_residual():
     cfg = locking.LockingConfig(lambda_=1e3, n=4, method="multiplier")
-    sol = locking.solve(locking.build_multiplier(cfg))
+    sol = locking.solve(locking.build(cfg))
     target = locking.gamma_target(cfg, sol.u, sol.p)
     gap = locking.gamma_mass_norm(cfg, sol.gamma - target)
     assert gap <= 1e-6 * locking.gamma_mass_norm(cfg, target)
@@ -217,8 +206,8 @@ def test_augmented_form_eliminates_to_plain_too():
     # a(.,.); with discontinuous multipliers the sum is again exact
     cfg = locking.LockingConfig(lambda_=100.0, n=4, method="multiplier",
                                 grad_div_form=True)
-    sol_a = locking.solve(locking.build_multiplier(cfg))
-    sol_p = locking.solve(locking.build_plain(
+    sol_a = locking.solve(locking.build(cfg))
+    sol_p = locking.solve(locking.build(
         locking.LockingConfig(lambda_=100.0, n=4)))
     assert np.abs(sol_a.u - sol_p.u).max() <= 1e-9 * np.abs(sol_p.u).max()
 
@@ -245,13 +234,14 @@ def test_constrained_limit_matches_corrected():
     # multipliers solves the same projected-constraint problem as the
     # corrected scheme
     n = 16
-    sol_m = locking.solve(locking.build_multiplier(locking.LockingConfig(
+    sol_m = locking.solve(locking.build(locking.LockingConfig(
         lambda_=1e12, n=n, method="multiplier", gamma_space="continuous",
         grad_div_form=True)))
     cfg_c = locking.LockingConfig(lambda_=1e12, n=n, method="corrected",
                                   w_mass="consistent")
-    b = locking._blocks(cfg_c)
-    sol_c = locking.solve(locking.build_corrected(cfg_c, blocks=b), blocks=b)
+    system_c = locking.build(cfg_c)
+    b = system_c.blocks
+    sol_c = locking.solve(system_c)
     du = (sol_m.u - sol_c.u)[b.free_u]
     gap = np.sqrt(du @ (b.ku @ du))
     assert gap <= 0.05 * sol_c.report.u_h1_norm
@@ -268,6 +258,26 @@ def test_single_lambda_sweep():
     assert reports[0].solve_ok
     assert np.isfinite(reports[0].u_h1_norm)
     assert np.isfinite(reports[0].p_h1_norm)
+
+
+def test_sweep_assembles_its_blocks_once(monkeypatch):
+    # no block depends on lambda, so a sweep assembles them one time
+    real_blocks = locking._blocks
+    calls = []
+
+    def recording_blocks(config):
+        calls.append(config.lambda_)
+        return real_blocks(config)
+
+    monkeypatch.setattr(locking, "_blocks", recording_blocks)
+    cfg = locking.LockingConfig(lambda_=1.0, n=4, method="corrected")
+    reports = locking.lambda_sweep(cfg, [1e2, 1e4, 1e6])
+    assert len(calls) == 1
+    assert [r.lambda_ for r in reports] == [1e2, 1e4, 1e6]
+    for lam, report in zip((1e2, 1e4, 1e6), reports):
+        alone = locking.run(locking.LockingConfig(lambda_=lam, n=4,
+                                                  method="corrected"))
+        assert report == alone
 
 
 

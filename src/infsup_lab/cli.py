@@ -6,17 +6,24 @@ acceptance checks and prints a pass/fail table.  Results serialize to
 JSON (floats at 17 significant digits), CSV (always with a header row),
 and legacy-ASCII VTK for field inspection.
 
-Exit codes: 0 success (including the expected singular equal-order pair,
-reported as ``status: singular``), 1 numerical failure, 2 usage error.
+The parsed arguments are the run's configuration: each runner builds its
+domain object from them once, before any work or output, and the JSON
+``"config"`` object echoes them (unset options left out).
+
+Exit codes: 0 success, including a pair that is singular by design (the
+unstabilized equal-order ``p1p1-plain`` in ``stokes`` and ``convergence``,
+``weakbc --method multiplier --trace p0``), reported as ``status: singular``;
+1 numerical failure, a failed selftest check, or a ``convergence`` study
+that fitted no slope; 2 usage error.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,34 +39,13 @@ class UsageError(ValueError):
     """Bad arguments; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-subcommand parameters, echoed into the JSON output."""
-
-    subcommand: str
-    n: int | None = None
-    ns: tuple | None = None
-    method: str | None = None
-    pair: str | None = None
-    mode: str | None = None
-    trace: str | None = None
-    eps: float | None = None
-    alpha: float | None = None
-    gamma: float | None = None
-    lambdas: tuple | None = None
-    c_omega: float | None = None
-    w_mass: str | None = None
-    gamma_space: str | None = None
-    grad_div_form: bool | None = None
-    seed: int | None = None
-    json_path: str | None = None
-    csv_path: str | None = None
-    vtk_path: str | None = None
-
-    def as_dict(self) -> dict:
-        raw = dataclasses.asdict(self)
-        return {k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in raw.items() if v is not None}
+@contextlib.contextmanager
+def _usage():
+    """Report a domain constructor's ``ValueError`` as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +84,12 @@ def _json_text(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _write_json(path: str, config: RunConfig, results, status: str) -> None:
+def _write_json(path: str, args: argparse.Namespace, results,
+                status: str) -> None:
+    config = {k: (list(v) if isinstance(v, tuple) else v)
+              for k, v in vars(args).items() if v is not None}
     doc = {
-        "config": config.as_dict(),
+        "config": config,
         "results": results,
         "status": status,
         "version": __version__,
@@ -166,6 +155,13 @@ def _vertex_values(space: FeSpace, vec: np.ndarray) -> np.ndarray:
 # subcommand runners: return (results, status, stdout lines)
 # ---------------------------------------------------------------------------
 
+def _singular(error: str, results: dict):
+    """The verdict of a pair that is singular by design: status
+    ``singular`` (exit 0), with the solver's message kept."""
+    return ({**results, "error": error}, "singular",
+            [f"status: singular ({error})"])
+
+
 def _stokes_errors_dict(method, n: int) -> dict:
     problem = stokes.manufactured_problem()
     solution = stokes.run(method, unit_square_mesh(n), problem.f)
@@ -174,23 +170,23 @@ def _stokes_errors_dict(method, n: int) -> dict:
             "_solution": solution}
 
 
-def _run_stokes(config: RunConfig):
-    method = stokes.method_from_name(config.method, config.eps)
-    h = float(np.sqrt(2.0) / config.n)
+def _run_stokes(args: argparse.Namespace):
+    with _usage():
+        method = stokes.method_from_name(args.method, args.eps)
+    h = float(np.sqrt(2.0) / args.n)
     try:
-        res = _stokes_errors_dict(method, config.n)
+        res = _stokes_errors_dict(method, args.n)
     except SingularMatrix as exc:
         if method.name != "p1p1-plain":
             raise                       # singularity only expected there
-        results = {"h": h, "error": str(exc)}
-        return results, "singular", [f"status: singular ({exc})"]
+        return _singular(str(exc), {"h": h})
     solution = res.pop("_solution")
     results = {"h": h, **res, "residual_norm": solution.residual_norm}
-    if config.csv_path:
+    if args.csv_path:
         header = ["h", "err_u_l2", "err_u_h1", "err_p_l2"]
-        _write_csv(config.csv_path, header,
+        _write_csv(args.csv_path, header,
                    [[h, res["err_u_l2"], res["err_u_h1"], res["err_p_l2"]]])
-    if config.vtk_path:
+    if args.vtk_path:
         mesh = solution.v_space.mesh
         vectors = {"velocity": _vertex_values(solution.v_space, solution.u)}
         if solution.z is not None:
@@ -200,54 +196,60 @@ def _run_stokes(config: RunConfig):
             cell = {"pressure": solution.p}
         else:
             point["pressure"] = solution.p[:len(mesh.nodes)]
-        _write_vtk(config.vtk_path, mesh, point_scalars=point,
+        _write_vtk(args.vtk_path, mesh, point_scalars=point,
                    point_vectors=vectors, cell_scalars=cell)
     line = "  ".join([f"h={h:.5f}"] + [f"{k}={results[k]:.6e}"
                      for k in ("err_u_l2", "err_u_h1", "err_p_l2")])
     return results, "ok", [line]
 
 
-def _run_convergence(config: RunConfig):
-    method = stokes.method_from_name(config.method, config.eps)
+def _run_convergence(args: argparse.Namespace):
+    with _usage():
+        method = stokes.method_from_name(args.method, args.eps)
 
     def builder(n):
         res = _stokes_errors_dict(method, n)
         res.pop("_solution")
         return res
 
-    report = verify.run_convergence(builder, config.ns, method=method.name,
+    report = verify.run_convergence(builder, args.ns, method=method.name,
                                     problem="stokes-mms")
     results = verify.report_dict(report)
-    if config.csv_path:
+    if args.csv_path:
         header, rows = verify.report_rows(report)
-        _write_csv(config.csv_path, header, rows)
+        _write_csv(args.csv_path, header, rows)
     lines = [f"slope[{k}] = {v:.3f}" for k, v in sorted(report.slopes.items())]
-    for lv in report.levels:
-        if lv.failure:
-            lines.append(f"h={lv.h:.5f}: {lv.failure}")
-    return results, "ok", lines
+    failed = [lv for lv in report.levels if lv.failure]
+    lines += [f"h={lv.h:.5f}: {lv.failure}" for lv in failed]
+    if report.slopes:                   # "ok" means slopes were fitted
+        return results, "ok", lines
+    if method.name == "p1p1-plain" and failed and all(
+            lv.failure.startswith("SingularMatrix:") for lv in failed):
+        results, status, verdict = _singular(failed[0].failure, results)
+        return results, status, lines + verdict
+    return results, "fail", lines + ["status: fail (no slope fitted)"]
 
 
-def _run_infsup(config: RunConfig):
-    mesh = unit_square_mesh(config.n)
-    report = infsup.study(config.pair, mesh, weighted=config.mode == "weighted")
+def _run_infsup(args: argparse.Namespace):
+    mesh = unit_square_mesh(args.n)
+    report = infsup.study(args.pair, mesh, weighted=args.mode == "weighted")
     results = {
         "pair": report.pair, "mode": report.mode, "h": report.h,
         "beta": report.beta, "numerical_rank": report.numerical_rank,
         "kernel_dim_pressure": report.kernel_dim_pressure,
         "sigma": list(report.sigma),
     }
-    if config.csv_path:
-        _write_csv(config.csv_path, ["index", "sigma"],
+    if args.csv_path:
+        _write_csv(args.csv_path, ["index", "sigma"],
                    list(enumerate(report.sigma)))
-    if config.vtk_path:
+    if args.vtk_path:
         mode_vec = infsup.spurious_mode(report)
-        _, pkind = infsup.PAIRS[config.pair]
+        _, pkind = infsup.PAIRS[args.pair]
         if pkind is ElementKind.P0:
-            _write_vtk(config.vtk_path, mesh,
+            _write_vtk(args.vtk_path, mesh,
                        cell_scalars={"pressure_mode": mode_vec})
         else:
-            _write_vtk(config.vtk_path, mesh,
+            _write_vtk(args.vtk_path, mesh,
                        point_scalars={"pressure_mode":
                                       mode_vec[:len(mesh.nodes)]})
     line = (f"beta={report.beta:.6f}  pair={report.pair}  mode={report.mode}"
@@ -256,26 +258,32 @@ def _run_infsup(config: RunConfig):
     return results, "ok", [line]
 
 
-def _run_locking(config: RunConfig):
-    base = _locking_configs(config)[0]
-    reports = locking.lambda_sweep(base, config.lambdas)
+def _run_locking(args: argparse.Namespace):
+    # every LockingConfig condition bounds lambda from below, so the
+    # smallest penalty validates the whole sweep
+    with _usage():
+        base = locking.LockingConfig(
+            lambda_=min(args.lambdas), n=args.n, method=args.method,
+            poincare_const=args.c_omega, w_mass=args.w_mass,
+            gamma_space=args.gamma_space, grad_div_form=args.grad_div_form)
+    reports = locking.lambda_sweep(base, args.lambdas)
     rows = [{"lambda": r.lambda_, "u_h1_norm": r.u_h1_norm,
              "p_h1_norm": r.p_h1_norm, "solve_ok": r.solve_ok,
              "residual_norm": r.residual_norm}
             for r in reports]
     results = {"method": base.method, "n": base.n, "reports": rows}
     status = "ok" if all(r.solve_ok for r in reports) else "singular"
-    if config.csv_path:
-        _write_csv(config.csv_path,
+    if args.csv_path:
+        _write_csv(args.csv_path,
                    ["lambda", "u_h1_norm", "p_h1_norm", "solve_ok"],
                    [[r.lambda_, r.u_h1_norm, r.p_h1_norm, r.solve_ok]
                     for r in reports])
-    if config.vtk_path:
+    if args.vtk_path:
         solved = [r.lambda_ for r in reports if r.solve_ok]
         if solved:
             system = locking.build(dataclasses.replace(base, lambda_=solved[-1]))
             sol, u_space = locking.solve(system), system.blocks.u_space
-            _write_vtk(config.vtk_path, u_space.mesh,
+            _write_vtk(args.vtk_path, u_space.mesh,
                        point_scalars={"p": sol.p},
                        point_vectors={"u": _vertex_values(u_space, sol.u)})
     lines = [f"lambda={r.lambda_:.3e}  u_h1={r.u_h1_norm:.6e}  "
@@ -284,34 +292,34 @@ def _run_locking(config: RunConfig):
     return results, status, lines
 
 
-def _run_weakbc(config: RunConfig):
-    method = weakbc.method_from_name(config.method, alpha=config.alpha,
-                                     gamma=config.gamma, trace=config.trace)
-    mesh = unit_square_mesh(config.n)
+def _run_weakbc(args: argparse.Namespace):
+    with _usage():
+        method = weakbc.method_from_name(args.method, alpha=args.alpha,
+                                         gamma=args.gamma, trace=args.trace)
+    mesh = unit_square_mesh(args.n)
     problem = weakbc.mms_problem()
     try:
         solution = weakbc.run(method, mesh, problem.f, problem.d)
     except SingularMatrix as exc:
         if method.name != "multiplier" or method.trace != "p0":
             raise                       # singular by design only there
-        results = {"method": method.name, "h": mesh.h, "error": str(exc)}
-        return results, "singular", [f"status: singular ({exc})"]
+        return _singular(str(exc), {"method": method.name, "h": mesh.h})
     err_l2, err_h1 = weakbc.errors(mesh, solution.u, problem)
     results = {"method": method.name, "h": mesh.h, "err_l2": err_l2,
                "err_h1": err_h1, "residual_norm": solution.residual_norm}
     if solution.lam is not None:
         results["multiplier_roughness"] = weakbc.lambda_roughness(
             solution, mesh, method.trace)
-    if config.csv_path:
-        _write_csv(config.csv_path, ["h", "err_l2", "err_h1"],
+    if args.csv_path:
+        _write_csv(args.csv_path, ["h", "err_l2", "err_h1"],
                    [[mesh.h, err_l2, err_h1]])
-    if config.vtk_path:
-        _write_vtk(config.vtk_path, mesh, point_scalars={"u": solution.u})
+    if args.vtk_path:
+        _write_vtk(args.vtk_path, mesh, point_scalars={"u": solution.u})
     return results, "ok", [f"err_l2={err_l2:.6e}  err_h1={err_h1:.6e}"]
 
 
-def _run_selftest(config: RunConfig):
-    checks = selftest.run_all(seed=config.seed)
+def _run_selftest(args: argparse.Namespace):
+    checks = selftest.run_all(seed=args.seed)
     results = [{"number": c.number, "label": c.label, "passed": c.passed,
                 "detail": c.detail} for c in checks]
     lines = [f"{c.number:2d}  {'ok  ' if c.passed else 'FAIL'}  {c.label}"
@@ -358,10 +366,12 @@ def _int_list(text: str) -> tuple:
 
 
 def _add_outputs(sub, vtk: bool = True) -> None:
-    sub.add_argument("--json", metavar="PATH", help="write a JSON report")
-    sub.add_argument("--csv", metavar="PATH", help="write a CSV report")
+    sub.add_argument("--json", metavar="PATH", dest="json_path",
+                     help="write a JSON report")
+    sub.add_argument("--csv", metavar="PATH", dest="csv_path",
+                     help="write a CSV report")
     if vtk:
-        sub.add_argument("--vtk", metavar="PATH",
+        sub.add_argument("--vtk", metavar="PATH", dest="vtk_path",
                          help="write fields as legacy ASCII VTK")
 
 
@@ -374,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    methods = stokes.method_names() + ["bp", "gls", "dw", "th"]
+    methods = stokes.method_names() + list(stokes.ALIASES)
     st = sub.add_parser("stokes", formatter_class=fmt,
                         help="solve one manufactured Stokes problem and "
                              "report errors")
@@ -448,76 +458,28 @@ def build_parser() -> argparse.ArgumentParser:
                                 "pass/fail table")
     stest.add_argument("--seed", type=int, default=42,
                        help="seed for the randomized matrix batch")
-    stest.add_argument("--json", metavar="PATH", help="write a JSON report")
+    stest.add_argument("--json", metavar="PATH", dest="json_path",
+                       help="write a JSON report")
     return parser
 
 
-def _locking_configs(config: RunConfig) -> list:
-    return [locking.LockingConfig(
-                lambda_=lam, n=config.n, method=config.method,
-                poincare_const=config.c_omega, w_mass=config.w_mass,
-                gamma_space=config.gamma_space,
-                grad_div_form=config.grad_div_form)
-            for lam in config.lambdas]
-
-
-def _validate(args: argparse.Namespace) -> RunConfig:
-    """Build the typed config, rejecting bad parameters before any
-    assembly or solve."""
-    sub = args.subcommand
-    common = {"json_path": getattr(args, "json", None),
-              "csv_path": getattr(args, "csv", None),
-              "vtk_path": getattr(args, "vtk", None)}
+def _validate(args: argparse.Namespace) -> None:
+    """Reject the bad parameters that no domain constructor checks, and
+    resolve the pair alias, before any assembly or solve."""
     if getattr(args, "n", None) is not None and args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-
-    if sub in ("stokes", "convergence"):
-        try:
-            stokes.method_from_name(args.method, args.eps)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        if sub == "stokes":
-            return RunConfig(subcommand=sub, n=args.n, method=args.method,
-                             eps=args.eps, **common)
+    if args.subcommand == "convergence":
         if len(args.ns) < 3:
             raise UsageError("convergence needs at least 3 mesh sizes")
         if any(n < 1 for n in args.ns):
             raise UsageError("mesh sizes must be >= 1")
-        return RunConfig(subcommand=sub, ns=tuple(args.ns),
-                         method=args.method, eps=args.eps, **common)
-
-    if sub == "infsup":
-        pair = _PAIR_ALIASES.get(args.pair, args.pair)
-        return RunConfig(subcommand=sub, n=args.n, pair=pair,
-                         mode=args.mode, **common)
-
-    if sub == "locking":
+    elif args.subcommand == "infsup":
+        args.pair = _PAIR_ALIASES.get(args.pair, args.pair)
+    elif args.subcommand == "locking":
         if not args.lambdas:
             raise UsageError("--lambdas must name at least one value")
         if any(lam <= 0 for lam in args.lambdas):
             raise UsageError("penalty values must be > 0")
-        config = RunConfig(subcommand=sub, n=args.n, method=args.method,
-                           lambdas=tuple(args.lambdas), c_omega=args.c_omega,
-                           w_mass=args.w_mass, gamma_space=args.gamma_space,
-                           grad_div_form=args.grad_div_form, **common)
-        try:
-            _locking_configs(config)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        return config
-
-    if sub == "weakbc":
-        try:
-            weakbc.method_from_name(args.method, alpha=args.alpha,
-                                    gamma=args.gamma, trace=args.trace)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        return RunConfig(subcommand=sub, n=args.n, method=args.method,
-                         alpha=args.alpha, gamma=args.gamma,
-                         trace=args.trace, **common)
-
-    return RunConfig(subcommand="selftest", seed=args.seed,
-                     json_path=args.json)
 
 
 # ---------------------------------------------------------------------------
@@ -532,24 +494,19 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        config = _validate(args)
+        _validate(args)
+        results, status, lines = _RUNNERS[args.subcommand](args)
     except UsageError as exc:
         print(f"infsup-lab: error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        results, status, lines = _RUNNERS[config.subcommand](config)
     except (SingularMatrix, NotPositiveDefinite, np.linalg.LinAlgError) as exc:
         print(f"infsup-lab: numerical failure: {exc}", file=sys.stderr)
-        if config.json_path:
-            _write_json(config.json_path, config,
-                        {"error": str(exc)}, "fail")
+        if args.json_path:
+            _write_json(args.json_path, args, {"error": str(exc)}, "fail")
         return 1
 
     for line in lines:
         print(line)
-    if config.json_path:
-        _write_json(config.json_path, config, results, status)
-    if config.subcommand == "selftest" and status != "ok":
-        return 1
-    return 0
+    if args.json_path:
+        _write_json(args.json_path, args, results, status)
+    return 1 if status == "fail" else 0

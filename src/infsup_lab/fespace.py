@@ -257,11 +257,10 @@ def build_space(kind: ElementKind, mesh: Mesh, components: int = 1) -> FeSpace:
 
 def barycentric(mesh: Mesh, t: int, x) -> np.ndarray:
     """Barycentric coordinates of physical point ``x`` in triangle ``t``."""
-    from .mesh import geometry
-    g = geometry(mesh, t)
+    grad = triangle_grad_lambda(mesh)[t]
     p = mesh.nodes[mesh.triangles[t]]
     x = np.asarray(x, dtype=float)
-    return np.array([1.0 + g.grad_lambda[k] @ (x - p[k]) for k in range(3)])
+    return np.array([1.0 + grad[k] @ (x - p[k]) for k in range(3)])
 
 
 def evaluate(space: FeSpace, coeffs, t: int, bary) -> np.ndarray:

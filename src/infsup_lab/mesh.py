@@ -39,13 +39,6 @@ class Mesh:
 
 
 @dataclass(frozen=True)
-class TriangleGeometry:
-    area: float
-    grad_lambda: np.ndarray      # (3, 2) gradients of the barycentric coords
-    diameter: float
-
-
-@dataclass(frozen=True)
 class EdgeTable:
     """Unique undirected edges with triangle adjacency.
 
@@ -163,27 +156,6 @@ def triangle_diameters(mesh: Mesh) -> np.ndarray:
     l12 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
     l20 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
     return np.max(np.column_stack([l01, l12, l20]), axis=1)
-
-
-def geometry(mesh: Mesh, t: int) -> TriangleGeometry:
-    """Area, barycentric gradients and diameter of one triangle."""
-    p = mesh.nodes[mesh.triangles[t]]
-    d1 = p[1] - p[0]
-    d2 = p[2] - p[0]
-    area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
-    if area <= 0.0:
-        raise ValueError(f"triangle {t} is degenerate or not CCW")
-    grad = np.empty((3, 2))
-    for k in range(3):
-        pj = p[(k + 1) % 3]
-        pk = p[(k + 2) % 3]
-        grad[k] = (pj[1] - pk[1], pk[0] - pj[0])
-    grad /= 2.0 * area
-    diam = max(np.linalg.norm(p[1] - p[0]),
-               np.linalg.norm(p[2] - p[1]),
-               np.linalg.norm(p[0] - p[2]))
-    return TriangleGeometry(area=float(area), grad_lambda=grad,
-                            diameter=float(diam))
 
 
 def boundary_edge_geometry(mesh: Mesh):

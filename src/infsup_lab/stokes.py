@@ -59,8 +59,9 @@ _EPS_METHODS = ("brezzi-pitkaranta", "galerkin-ls", "douglas-wang")
 _PLAIN_METHODS = ("p1p1-plain", "p1p1-loss", "taylor-hood", "mini", "p2p0")
 DEFAULT_EPS = 0.05
 
-_ALIASES = {"bp": "brezzi-pitkaranta", "gls": "galerkin-ls",
-            "dw": "douglas-wang", "th": "taylor-hood"}
+#: short labels the CLI accepts for ``--method``
+ALIASES = {"bp": "brezzi-pitkaranta", "gls": "galerkin-ls",
+           "dw": "douglas-wang", "th": "taylor-hood"}
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class StokesMethod:
 
 def method_from_name(name: str, eps: float | None = None) -> StokesMethod:
     """Resolve a CLI label (including short aliases) to a method."""
-    name = _ALIASES.get(name, name)
+    name = ALIASES.get(name, name)
     if name in _EPS_METHODS:
         return StokesMethod(name, DEFAULT_EPS if eps is None else eps)
     return StokesMethod(name, eps)      # plain methods reject a given eps

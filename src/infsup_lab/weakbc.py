@@ -145,18 +145,22 @@ def method_from_name(name: str, alpha: float | None = None,
 # ---------------------------------------------------------------------------
 
 def _p0_trace_ops(mesh: Mesh, n_dofs: int):
-    """(t0, c0, m0_diag): edge-indexed <mu_E, v>, <mu_E, dv/dn>, <mu_E, mu_F>."""
+    """(t0, c_w): edge-indexed <mu_E, v> and h_E <mu_E, dv/dn> as CSR
+    arrays; h_E <mu_E, mu_F> is diagonal, h_E^2 on edge E."""
     lengths, _, _ = boundary_edge_geometry(mesh)
     flux, tri_nodes = boundary_hat_flux(mesh)
-    n_e = len(lengths)
-    t0 = np.zeros((n_e, n_dofs))
-    rows = np.repeat(np.arange(n_e), 2)
-    np.add.at(t0, (rows, mesh.boundary_edges[:, :2].ravel()),
-              np.repeat(lengths / 2.0, 2))
-    c0 = np.zeros((n_e, n_dofs))
-    np.add.at(c0, (np.repeat(np.arange(n_e), 3), tri_nodes.ravel()),
-              (lengths[:, None] * flux).ravel())
-    return t0, c0, lengths.copy()
+    edges = np.arange(len(lengths))[:, None]
+
+    def edge_rows(vals, cols):
+        return sp.coo_array(
+            (vals.ravel(), (np.broadcast_to(edges, cols.shape).ravel(),
+                            cols.ravel())),
+            shape=(len(lengths), n_dofs)).tocsr()
+
+    t0 = edge_rows(np.repeat(lengths[:, None] / 2.0, 2, axis=1),
+                   mesh.boundary_edges[:, :2])
+    c_w = edge_rows(lengths[:, None] * (lengths[:, None] * flux), tri_nodes)
+    return t0, c_w
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +202,18 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
         m_w = boundary_mass(space, edge_weights=lengths)[np.ix_(trace, trace)]
         d_load = boundary_load(space, d)[trace]
     else:
-        t, c0, m0 = _p0_trace_ops(mesh, n)
-        c_w = lengths[:, None] * c0
-        m_w = np.diag(lengths * m0)
+        t, c_w = _p0_trace_ops(mesh, n)
+        m_w = sp.diags_array(lengths * lengths, format="csr")
         d_load = boundary_edge_integrals(mesh, d)
 
     if method.name == "multiplier":
-        return SaddleSystem(a=a, b=sp.csr_array(t), c=None, f=fvec,
-                            g=d_load, mean_vector=None)
+        return SaddleSystem(a=a, b=t, c=None, f=fvec, g=d_load,
+                            mean_vector=None)
 
     alpha = method.alpha
     n_w = boundary_flux_flux(space, edge_weights=alpha * lengths)
-    a_bh = a - n_w
-    b = sp.csr_array(t - alpha * c_w)
-    c = sp.csr_array(alpha * m_w)
-    return SaddleSystem(a=a_bh, b=b, c=c, f=fvec, g=d_load, mean_vector=None)
+    return SaddleSystem(a=a - n_w, b=t - alpha * c_w, c=alpha * m_w, f=fvec,
+                        g=d_load, mean_vector=None)
 
 
 def solve(system: SaddleSystem) -> WeakBcSolution:
@@ -321,7 +322,7 @@ def _nitsche_projected(mesh: Mesh, f, d, gamma: float):
     space = build_space(ElementKind.P1, mesh)
     n = space.n_dofs
     lengths, _, _ = boundary_edge_geometry(mesh)
-    t0, _, _ = _p0_trace_ops(mesh, n)
+    t0 = _p0_trace_ops(mesh, n)[0].toarray()
     nf = boundary_normal_flux(space).toarray()
     pen = t0.T @ (t0 * (gamma / lengths ** 2)[:, None])
     k = _reaction_diffusion(space).toarray() - nf - nf.T + pen

@@ -78,6 +78,10 @@ def test_operators_are_canonical_csr_arrays():
     assert all(_canonical_csr(op) for op in ops)
     systems = ([stokes_system(name, 3) for name in stokes.method_names()]
                + [weakbc_system(name, 3) for name in WEAKBC_METHODS]
+               + [weakbc.build(method, unit_square_mesh(3), WEAKBC_MMS.f,
+                               WEAKBC_MMS.d)
+                  for method in (weakbc.multiplier(trace="p0"),
+                                 weakbc.barbosa_hughes(trace="p0"))]
                + [locking_system(name, 3, 1e2) for name in LOCKING_VARIANTS])
     for system in systems:
         assert _canonical_csr(system.a) and _canonical_csr(system.b)

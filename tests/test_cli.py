@@ -64,8 +64,10 @@ def test_no_subcommand_is_usage_error():
     ["weakbc", "--method", "nitsche", "--gamma", "nan"],
     ["weakbc", "--method", "bh", "--alpha", "inf"],
 ])
-def test_usage_errors_exit_2(argv, capsys):
-    assert cli.main(argv) == 2
+def test_usage_errors_exit_2(argv, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert cli.main(argv + ["--json", str(path)]) == 2
+    assert not path.exists()
 
 
 def test_expected_singular_pair_exits_0(tmp_path):
@@ -82,6 +84,39 @@ def test_p0_multiplier_is_singular_by_design(tmp_path):
     assert code == 0
     assert doc["status"] == "singular"
     assert set(doc["results"]) == {"method", "h", "error"}
+
+
+def test_convergence_of_singular_pair_is_singular(tmp_path, capsys):
+    code, doc = run(["convergence", "--method", "p1p1-plain",
+                     "--ns", "2,3,4"], tmp_path, json_out=True)
+    assert code == 0
+    assert doc["status"] == "singular"
+    levels = doc["results"]["levels"]
+    assert len(levels) == 3
+    assert all(lv["failure"].startswith("SingularMatrix:") for lv in levels)
+    assert doc["results"]["slopes"] == {}
+    assert doc["results"]["error"] == levels[0]["failure"]
+    assert "status: singular" in capsys.readouterr().out
+
+
+def test_convergence_without_slopes_fails(tmp_path, monkeypatch):
+    # one failed level leaves two: too few for a slope, so no "ok"
+    real_run = cli.stokes.run
+
+    def run_failing_at_4(method, mesh, f):
+        if mesh.n == 4:
+            raise SingularMatrix("synthetic level breakdown")
+        return real_run(method, mesh, f)
+
+    monkeypatch.setattr(cli.stokes, "run", run_failing_at_4)
+    code, doc = run(["convergence", "--method", "gls", "--ns", "2,4,8"],
+                    tmp_path, json_out=True)
+    assert code == 1
+    assert doc["status"] == "fail"
+    assert doc["results"]["slopes"] == {}
+    failures = [lv.get("failure") for lv in doc["results"]["levels"]]
+    assert failures == [None, "SingularMatrix: synthetic level breakdown",
+                        None]
 
 
 def test_other_weakbc_singularity_exits_1(tmp_path, monkeypatch):
@@ -154,6 +189,64 @@ def test_json_document_shape(tmp_path):
     assert doc["results"]["beta"] > 0.3
     assert len(doc["results"]["sigma"]) == doc["results"]["numerical_rank"] \
         + doc["results"]["kernel_dim_pressure"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["stokes", "--method", "bp", "--n", "2", "--eps", "0.1"],
+     {"subcommand": "stokes", "method": "bp", "n": 2, "eps": 0.1}),
+    (["convergence", "--method", "gls", "--ns", "2,3,4"],
+     {"subcommand": "convergence", "method": "gls", "ns": [2, 3, 4]}),
+    (["infsup", "--pair", "th", "--n", "2", "--mode", "euclidean"],
+     {"subcommand": "infsup", "pair": "taylor-hood", "n": 2,
+      "mode": "euclidean"}),
+    (["locking", "--n", "3", "--lambdas", "1e2,1e4"],
+     {"subcommand": "locking", "method": "plain", "lambdas": [1e2, 1e4],
+      "n": 3, "c_omega": locking.DEFAULT_POINCARE, "w_mass": "lumped",
+      "gamma_space": "discontinuous", "grad_div_form": False}),
+    (["weakbc", "--method", "nitsche", "--n", "2", "--gamma", "10"],
+     {"subcommand": "weakbc", "method": "nitsche", "n": 2, "gamma": 10.0,
+      "trace": "p1"}),
+    (["selftest", "--seed", "7"], {"subcommand": "selftest", "seed": 7}),
+], ids=SUBCOMMANDS)
+def test_json_config_echoes_the_arguments(argv, config, tmp_path,
+                                          monkeypatch):
+    # unset options are left out; the output paths are echoed as given
+    monkeypatch.setattr(cli.selftest, "run_all", lambda seed: [])
+    code, doc = run(argv, tmp_path, json_out=True)
+    assert code == 0
+    assert doc["config"] == {**config, "json_path": str(tmp_path / "out.json")}
+
+
+def _recording(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that counts its calls."""
+    real, calls = getattr(owner, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("argv, module", [
+    (["stokes", "--method", "th", "--n", "2"], cli.stokes),
+    (["stokes", "--method", "bp", "--n", "2", "--eps", "0.1"], cli.stokes),
+    (["weakbc", "--method", "nitsche", "--n", "2"], cli.weakbc),
+    (["weakbc", "--method", "bh", "--trace", "p0", "--n", "2"], cli.weakbc),
+], ids=["stokes-th", "stokes-bp", "weakbc-nitsche", "weakbc-bh-p0"])
+def test_each_run_resolves_its_method_once(argv, module, monkeypatch):
+    calls = _recording(monkeypatch, module, "method_from_name")
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("lambdas", ["1e2", "1e4,1e2,1e6"])
+def test_locking_sweep_builds_one_config_per_penalty(lambdas, monkeypatch):
+    # one config validates the sweep, then one per penalty
+    calls = _recording(monkeypatch, locking.LockingConfig, "__post_init__")
+    assert cli.main(["locking", "--n", "3", "--lambdas", lambdas]) == 0
+    assert len(calls) == 1 + len(lambdas.split(","))
 
 
 @pytest.mark.parametrize("mode", ["weighted", "euclidean"])

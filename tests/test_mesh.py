@@ -6,7 +6,6 @@ import pytest
 from infsup_lab.mesh import (
     boundary_edge_geometry,
     edge_table,
-    geometry,
     triangle_areas,
     triangle_diameters,
     triangle_grad_lambda,
@@ -53,25 +52,11 @@ def test_barycentric_gradients():
     assert np.allclose(grads.sum(axis=1), 0.0, atol=1e-13)
     # lambda_i is affine with lambda_i(p_k) = delta_ik, so extending from
     # vertex i along the constant gradient must hit 0 at the other vertices
-    g0 = geometry(mesh, 0)
     p = mesh.nodes[mesh.triangles[0]]
     for i in range(3):
         for k in range(3):
-            val = 1.0 + g0.grad_lambda[i] @ (p[k] - p[i])
+            val = 1.0 + grads[0, i] @ (p[k] - p[i])
             assert val == pytest.approx(1.0 if i == k else 0.0, abs=1e-13)
-    assert np.allclose(g0.grad_lambda, grads[0], atol=1e-14)
-
-
-def test_geometry_matches_vectorized():
-    mesh = unit_square_mesh(3)
-    areas = triangle_areas(mesh)
-    grads = triangle_grad_lambda(mesh)
-    diams = triangle_diameters(mesh)
-    for t in (0, 5, 11, 17):
-        g = geometry(mesh, t)
-        assert g.area == pytest.approx(areas[t])
-        assert np.allclose(g.grad_lambda, grads[t], atol=1e-14)
-        assert g.diameter == pytest.approx(diams[t])
 
 
 def test_interior_edges_shared_by_exactly_two_triangles():

@@ -391,24 +391,61 @@ class SaddleSystem:
 #: b^T columns per SuperLU solve: 32 no faster, 128+ slower (TH n=32, 1 thread)
 SCHUR_BLOCK = 64
 
+#: relative residual at which the pressure CG of ``solve_saddle_pcg`` stops
+#: (absolute tolerance 0): printed errors match the dense route at n <= 64
+CG_RTOL = 1e-12
+
+
+def sparse_lu(matrix: sp.csr_array, what: str):
+    """SuperLU factor (minimum degree on ``matrix^T + matrix``) of a matrix
+    that must be nonsingular, else ``SingularMatrix`` naming ``what``.
+    scipy.sparse.linalg is imported here: runs that never factor do not
+    load its extension modules."""
+    from scipy.sparse.linalg import norm as sparse_norm, splu
+
+    matrix = matrix.tocsc()
+    try:
+        lu = splu(matrix, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
+        raise SingularMatrix(f"{what}: {exc}") from exc
+    check_pivots(lu.U.diagonal(), float(np.max(sparse_norm(matrix, axis=0))))
+    return lu
+
+
+def schur_operator(lu, b: sp.csr_array, c: sp.csr_array | None):
+    """``q -> b a^{-1} b^T q + c q`` as a ``LinearOperator`` on vectors and
+    on dense or sparse column blocks, from ``lu``, the SuperLU factor of
+    ``a``."""
+    from scipy.sparse.linalg import LinearOperator
+
+    def apply(q):
+        rhs = b.T @ q
+        # a sparse block densifies column-major, the layout SuperLU solves
+        # without a transposing copy (row-major blocks made the dense route
+        # of locking multiplier n=32 a fifth slower)
+        out = b @ lu.solve(rhs.toarray() if sp.issparse(rhs) else rhs)
+        return out if c is None else out + c @ q
+
+    return LinearOperator((b.shape[0],) * 2, matvec=apply, matmat=apply,
+                          dtype=float)
+
 
 def schur_complement(lu, b: sp.csr_array, c: sp.csr_array | None = None) -> np.ndarray:
-    """Dense ``b a^{-1} b^T + c`` from ``lu``, the SuperLU factor of ``a``,
-    solving SCHUR_BLOCK columns of ``b^T`` at a time (workspace n_u × 64)."""
-    bt, n_p = b.T.tocsc(), b.shape[0]
-    schur = np.zeros((n_p, n_p)) if c is None else c.toarray()
+    """Dense ``b a^{-1} b^T + c``: ``schur_operator`` applied to SCHUR_BLOCK
+    columns of the sparse identity at a time (workspace n_u × 64)."""
+    n_p = b.shape[0]
+    schur, op = np.empty((n_p, n_p)), schur_operator(lu, b, c)
     for j in range(0, n_p, SCHUR_BLOCK):
-        cols = slice(j, j + SCHUR_BLOCK)
-        schur[:, cols] += b @ lu.solve(bt[:, cols].toarray())
+        width = min(SCHUR_BLOCK, n_p - j)
+        schur[:, j:j + width] = op.matmat(
+            sp.eye_array(n_p, width, k=-j, format="csc"))
     return schur
 
 
 def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
-    """Solve the block system by eliminating the block ``a``.
+    """Solve the block system by eliminating the block ``a`` (the dense route).
 
-    1. SuperLU factors ``a`` alone (``splu``, minimum degree ordering on
-       ``a^T + a``), the eliminated block, which must be nonsingular; the
-       diagonal of U must pass the pivot contract of ``linalg.lu_solve``.
+    1. ``sparse_lu`` factors ``a``, which must be nonsingular.
     2. The Schur complement ``-s (b a^{-1} b^T + c)``, bordered by the mean
        vector, is formed dense by ``schur_complement`` in 64-column blocks
        (dense workspace n_u × 64 plus the n_p × n_p S) and solved by
@@ -416,27 +453,17 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
        unstabilized equal-order pair fails there with a zero pivot.
     3. ``u = a^{-1} (f - b^T p)``.
 
+    This is the solver of the locking and weak-boundary systems, the
+    ``p1p1-plain`` verdict, and the oracle of ``solve_saddle_pcg``.
     SuperLU never sees the indefinite (and, for the unstable pair,
     singular) full system: factoring that one can crash the process or
     return a huge solution without complaint.  Returns ``(x, residual_rel)``
     with ``x`` ordered like ``full_rhs()`` and ``residual_rel`` from
     ``relative_residual``; no dense N×N matrix is formed.
-    scipy.sparse.linalg is imported here, not at module level, so runs that
-    never solve a saddle system do not load its extension modules.
     """
-    from scipy.sparse.linalg import norm as sparse_norm, splu
-
     s = system.pressure_row_sign
-    a = system.a.tocsc()
-    b = system.b
-    f = system.f
-    m = system.mean_vector
-    col_scale = float(np.max(sparse_norm(a, axis=0)))
-    try:
-        lu = splu(a, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
-        raise SingularMatrix(f"velocity block: {exc}") from exc
-    check_pivots(lu.U.diagonal(), col_scale)
+    b, f, m = system.b, system.f, system.mean_vector
+    lu = sparse_lu(system.a, "velocity block")
 
     schur = schur_complement(lu, b, system.c)
     schur *= -s
@@ -455,6 +482,48 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("non-finite solution from the block elimination")
     return x, system.relative_residual(x)
+
+
+def solve_saddle_pcg(system: SaddleSystem,
+                     pressure_mass: sp.csr_array) -> tuple[np.ndarray, float, int]:
+    """Solve a mean-constrained system by CG on its pressure Schur
+    complement, which must be symmetric with only the constants in its
+    kernel.
+
+    ``u = a^{-1} (f - b^T p)`` leaves ``(S + c) p = r + s mu m`` with
+    ``S = b a^{-1} b^T``, ``r = b a^{-1} f - s g`` and, for solvability,
+    ``mu = -s (1^T r) / (1^T m)``.  ``cg`` runs on ``schur_operator`` to
+    ``CG_RTOL``, preconditioned by the pressure mass M (``m = M 1``) with
+    ``M^{-1} r`` projected M-orthogonally off the constants.  M bounds
+    ``S + c`` below by beta_h^2 (Verfürth 1984), so the iterations do not
+    grow with n.  A CG that stops short raises ``LinAlgError``; on a
+    singular ``S + c`` it would not, so ``solve_saddle`` stays the verdict
+    and the oracle.  Returns ``(x, residual_rel, iterations)``.
+    """
+    from scipy.sparse.linalg import LinearOperator, cg
+
+    s = system.pressure_row_sign
+    b, f, m = system.b, system.f, system.mean_vector
+    lu = sparse_lu(system.a, "velocity block")
+    mass_lu = sparse_lu(pressure_mass, "pressure mass")
+
+    def precondition(r):
+        z = mass_lu.solve(r)
+        return z - (m @ z) / m.sum()
+
+    r = b @ lu.solve(f) - s * system.g
+    mu = -s * r.sum() / m.sum()
+    iterations = []
+    p, info = cg(schur_operator(lu, b, system.c), r + s * mu * m,
+                 rtol=CG_RTOL, atol=0.0, callback=iterations.append,
+                 M=LinearOperator((system.n_p,) * 2, matvec=precondition,
+                                  dtype=float))
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"pressure CG stopped after {len(iterations)} iterations "
+            f"without reaching rtol {CG_RTOL:g} (info={info})")
+    x = np.concatenate([lu.solve(f - b.T @ p), p, [mu]])
+    return x, system.relative_residual(x), len(iterations)
 
 
 def apply_dirichlet(system: SaddleSystem, dofs) -> SaddleSystem:

@@ -34,6 +34,15 @@ from .mesh import Mesh, unit_square_mesh
 
 _PAIR_ALIASES = {"th": "taylor-hood"}
 
+#: the method-specific options (argparse dests) each method reads; giving
+#: one that the chosen method does not read is a usage error
+_METHOD_OPTIONS = {
+    "weakbc": {"multiplier": ("trace",), "barbosa-hughes": ("alpha", "trace"),
+               "bh": ("alpha", "trace"), "nitsche": ("gamma",)},
+    "locking": {"plain": (), "corrected": ("c_omega", "w_mass"),
+                "multiplier": ("gamma_space", "grad_div_form")},
+}
+
 
 class UsageError(ValueError):
     """Bad arguments; maps to exit code 2."""
@@ -179,9 +188,11 @@ def _run_stokes(args: argparse.Namespace):
     except SingularMatrix as exc:
         if method.name != "p1p1-plain":
             raise                       # singularity only expected there
-        return _singular(str(exc), {"h": h})
+        return _singular(str(exc), {"h": h, "route": method.route,
+                                    "cg_iterations": None})
     solution = res.pop("_solution")
-    results = {"h": h, **res, "residual_norm": solution.residual_norm}
+    results = {"h": h, **res, "residual_norm": solution.residual_norm,
+               "route": method.route, "cg_iterations": solution.cg_iterations}
     if args.csv_path:
         header = ["h", "err_u_l2", "err_u_h1", "err_p_l2"]
         _write_csv(args.csv_path, header,
@@ -261,11 +272,13 @@ def _run_infsup(args: argparse.Namespace):
 def _run_locking(args: argparse.Namespace):
     # every LockingConfig condition bounds lambda from below, so the
     # smallest penalty validates the whole sweep
+    options = {"poincare_const": args.c_omega, "w_mass": args.w_mass,
+               "gamma_space": args.gamma_space,
+               "grad_div_form": args.grad_div_form}
     with _usage():
         base = locking.LockingConfig(
             lambda_=min(args.lambdas), n=args.n, method=args.method,
-            poincare_const=args.c_omega, w_mass=args.w_mass,
-            gamma_space=args.gamma_space, grad_div_form=args.grad_div_form)
+            **{k: v for k, v in options.items() if v is not None})
     reports = locking.lambda_sweep(base, args.lambdas)
     rows = [{"lambda": r.lambda_, "u_h1_norm": r.u_h1_norm,
              "p_h1_norm": r.p_h1_norm, "solve_ok": r.solve_ok,
@@ -293,9 +306,10 @@ def _run_locking(args: argparse.Namespace):
 
 
 def _run_weakbc(args: argparse.Namespace):
+    options = {"alpha": args.alpha, "gamma": args.gamma, "trace": args.trace}
     with _usage():
-        method = weakbc.method_from_name(args.method, alpha=args.alpha,
-                                         gamma=args.gamma, trace=args.trace)
+        method = weakbc.method_from_name(
+            args.method, **{k: v for k, v in options.items() if v is not None})
     mesh = unit_square_mesh(args.n)
     problem = weakbc.mms_problem()
     try:
@@ -424,16 +438,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated penalty values")
     lk.add_argument("--n", type=int, default=8, help="mesh cells per side")
     lk.add_argument("--c-omega", type=_finite_float, dest="c_omega",
-                    default=locking.DEFAULT_POINCARE,
-                    help="Poincare constant in the corrected split")
-    lk.add_argument("--w-mass", dest="w_mass", default="lumped",
+                    help="Poincare constant in the corrected split "
+                         "(default 1/(pi sqrt 2))")
+    lk.add_argument("--w-mass", dest="w_mass",
                     choices=("lumped", "consistent"),
-                    help="mass realization of the corrected projection")
+                    help="corrected projection mass (default lumped)")
     lk.add_argument("--gamma-space", dest="gamma_space",
-                    default="discontinuous",
                     choices=("discontinuous", "continuous"),
-                    help="multiplier space")
+                    help="multiplier space (default discontinuous)")
     lk.add_argument("--grad-div", dest="grad_div_form", action="store_true",
+                    default=None,
                     help="keep one penalty unit inside a(.,.) "
                          "(multiplier method, lambda > 1)")
     _add_outputs(lk)
@@ -444,13 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
     wb.add_argument("--method", required=True,
                     choices=("multiplier", "barbosa-hughes", "bh", "nitsche"))
     wb.add_argument("--n", type=int, default=8, help="mesh cells per side")
-    wb.add_argument("--alpha", type=_finite_float, default=None,
+    wb.add_argument("--alpha", type=_finite_float,
                     help="flux-multiplier stabilization weight "
                          "(default 0.5/C_i^2)")
-    wb.add_argument("--gamma", type=_finite_float, default=None,
+    wb.add_argument("--gamma", type=_finite_float,
                     help="penalty weight (default 4*C_i^2)")
-    wb.add_argument("--trace", choices=("p1", "p0"), default="p1",
-                    help="multiplier trace space")
+    wb.add_argument("--trace", choices=("p1", "p0"),
+                    help="multiplier trace space (default p1)")
     _add_outputs(wb)
 
     stest = sub.add_parser("selftest", formatter_class=fmt,
@@ -464,10 +478,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Reject the bad parameters that no domain constructor checks, and
-    resolve the pair alias, before any assembly or solve."""
+    """Reject the bad parameters that no domain constructor checks and the
+    options the method does not read, and resolve the pair alias, before
+    any assembly or solve."""
     if getattr(args, "n", None) is not None and args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    reads = _METHOD_OPTIONS.get(args.subcommand, {})
+    options = sorted({k for keys in reads.values() for k in keys})
+    unread = [k for k in options
+              if getattr(args, k) is not None and k not in reads[args.method]]
+    if unread:
+        raise UsageError(f"{args.subcommand} --method {args.method} does "
+                         f"not read {', '.join(unread)}")
     if args.subcommand == "convergence":
         if len(args.ns) < 3:
             raise UsageError("convergence needs at least 3 mesh sizes")

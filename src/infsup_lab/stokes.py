@@ -36,8 +36,10 @@ from .assembly import (
     gradient_load,
     load_vector,
     lumped_mass,
+    mass,
     pressure_grad_stab,
     solve_saddle,
+    solve_saddle_pcg,
     stiffness,
 )
 from .fespace import ElementKind, FeSpace, build_space, fields_at_quadrature, quadrature
@@ -84,6 +86,11 @@ class StokesMethod:
     @property
     def symmetric(self) -> bool:
         return self.name != "douglas-wang"
+
+    @property
+    def route(self) -> str:
+        """The pressure solver of ``solve``."""
+        return "schur-lu" if self.name == "p1p1-plain" else "schur-pcg"
 
 
 def method_from_name(name: str, eps: float | None = None) -> StokesMethod:
@@ -207,35 +214,39 @@ class StokesSolution:
     p: np.ndarray
     z: np.ndarray | None
     residual_norm: float
+    cg_iterations: int | None       # None on the schur-lu route
     method: StokesMethod
     v_space: FeSpace
     p_space: FeSpace
 
 
 def solve(system: SaddleSystem, method: StokesMethod) -> StokesSolution:
-    """Block-elimination solve of the saddle system (``solve_saddle``).
+    """Block-elimination solve of the saddle system on ``method.route``.
 
-    ``SingularMatrix`` propagates from the pressure Schur complement (the
-    unstabilized equal-order pair fails this way at every refinement).
-    The pressure is normalized to zero discrete mean; the recovered
-    projection field ``z`` is attached for the loss-reintroduction method.
+    ``p1p1-plain`` takes the dense Schur LU of ``solve_saddle``: its
+    ``SingularMatrix`` is the verdict on the unstabilized pair at every
+    refinement, and that route is the oracle of the other.  Every other
+    method (``douglas-wang`` too: its flipped row only flips the sign of
+    the pressure system) takes the mass-preconditioned pressure CG of
+    ``solve_saddle_pcg``.  Both routes return the pressure at zero
+    discrete mean; the projection field ``z`` is attached for
+    ``p1p1-loss``.
     """
-    x, res_rel = solve_saddle(system)
-    nu, np_ = system.n_u, system.n_p
-    u = x[:nu]
-    p = x[nu:nu + np_]
-    if system.mean_vector is not None:
-        total = float(system.mean_vector.sum())
-        p = p - (system.mean_vector @ p) / total
-
     v_space, p_space = system.spaces
+    if method.route == "schur-pcg":
+        x, res_rel, iterations = solve_saddle_pcg(system, mass(p_space))
+    else:
+        (x, res_rel), iterations = solve_saddle(system), None
+    u, p = x[:system.n_u], x[system.n_u:system.n_u + system.n_p]
+
     z = None
     if method.name == "p1p1-loss":
         z_space = build_space(ElementKind.P1, v_space.mesh, components=2)
         g = grad_coupling(z_space, p_space)
         z = (g @ p) / lumped_mass(z_space)
     return StokesSolution(u=u, p=p, z=z, residual_norm=res_rel,
-                          method=method, v_space=v_space, p_space=p_space)
+                          cg_iterations=iterations, method=method,
+                          v_space=v_space, p_space=p_space)
 
 
 def run(method: StokesMethod, mesh: Mesh, body_force) -> StokesSolution:

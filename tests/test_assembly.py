@@ -22,6 +22,7 @@ from infsup_lab.assembly import (
     pressure_grad_stab,
     schur_complement,
     solve_saddle,
+    solve_saddle_pcg,
     stiffness,
 )
 from infsup_lab.fespace import ElementKind, build_space
@@ -493,6 +494,64 @@ def test_schur_solves_take_at_most_64_columns(monkeypatch):
     widths = [shape[1] for shape in shapes if len(shape) == 2]
     assert widths == [64, 64, 64, 64, 33]
     assert all(shape == (system.n_u,) for shape in shapes if len(shape) == 1)
+
+
+def pressure_mass(system):
+    return mass(system.spaces[1])
+
+
+@pytest.mark.parametrize("name, n", [
+    *[(name, n) for name in stokes.method_names()[1:] for n in (4, 8)],
+    ("taylor-hood", 16), ("p1p1-loss", 16)])
+def test_pcg_route_matches_dense_schur_lu(name, n):
+    system = stokes_system(name, n)
+    x, residual, iterations = solve_saddle_pcg(system, pressure_mass(system))
+    x_lu, _ = solve_saddle(system)
+    fields = slice(0, system.n_u + system.n_p)         # u and p, not mu
+    assert np.linalg.norm(x[fields] - x_lu[fields]) \
+        <= 1e-10 * np.linalg.norm(x_lu[fields])
+    assert residual <= 1e-14
+    assert 0 < iterations <= system.n_p
+
+
+@pytest.mark.parametrize("name", ("taylor-hood", "mini", "p2p0"))
+def test_pcg_iterations_do_not_grow_with_n(name):
+    # the pressure mass is spectrally equivalent to the Schur complement of
+    # a stable pair, with lower bound beta_h^2: measured 18-34 at n = 8..64
+    for n in (8, 16, 32):
+        system = stokes_system(name, n)
+        assert solve_saddle_pcg(system, pressure_mass(system))[2] <= 40
+
+
+def test_pcg_that_does_not_converge_raises(monkeypatch):
+    import scipy.sparse.linalg
+    monkeypatch.setattr(scipy.sparse.linalg, "cg",
+                        lambda op, rhs, **kw: (np.zeros_like(rhs), 1))
+    system = stokes_system("taylor-hood", 4)
+    with pytest.raises(np.linalg.LinAlgError, match="pressure CG"):
+        solve_saddle_pcg(system, pressure_mass(system))
+
+
+def test_taylor_hood_solve_factors_velocity_and_pressure_mass_only(
+        monkeypatch):
+    import scipy.sparse.linalg
+    from infsup_lab import assembly
+    real_splu, shapes = scipy.sparse.linalg.splu, []
+
+    def recording_splu(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_splu(a, *args, **kwargs)
+
+    def no_dense_schur(*args):
+        raise AssertionError("schur_complement called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    monkeypatch.setattr(assembly, "schur_complement", no_dense_schur)
+    method = stokes.method_from_name("th")
+    system = stokes_system("th", 8)
+    solution = stokes.solve(system, method)
+    assert shapes == [(system.n_u, system.n_u), (system.n_p, system.n_p)]
+    assert solution.cg_iterations > 0 and method.route == "schur-pcg"
 
 
 @pytest.mark.parametrize("a", (np.diag([1.0, 0.0, 2.0]),

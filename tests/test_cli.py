@@ -63,6 +63,14 @@ def test_no_subcommand_is_usage_error():
     ["locking", "--c-omega", "nan"],
     ["weakbc", "--method", "nitsche", "--gamma", "nan"],
     ["weakbc", "--method", "bh", "--alpha", "inf"],
+    # options the method does not read, even at their default values
+    ["weakbc", "--method", "multiplier", "--alpha", "0.3"],
+    ["weakbc", "--method", "bh", "--gamma", "7"],
+    ["weakbc", "--method", "nitsche", "--trace", "p1"],
+    ["locking", "--method", "plain", "--w-mass", "lumped"],
+    ["locking", "--method", "plain", "--grad-div", "--lambdas", "1e3"],
+    ["locking", "--method", "corrected", "--gamma-space", "discontinuous"],
+    ["locking", "--method", "multiplier", "--c-omega", "0.3"],
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     path = tmp_path / "out.json"
@@ -84,6 +92,38 @@ def test_p0_multiplier_is_singular_by_design(tmp_path):
     assert code == 0
     assert doc["status"] == "singular"
     assert set(doc["results"]) == {"method", "h", "error"}
+
+
+@pytest.mark.parametrize("method, route", [
+    ("th", "schur-pcg"), ("dw", "schur-pcg"), ("p1p1-plain", "schur-lu")])
+def test_stokes_reports_its_solver_route(method, route, tmp_path):
+    code, doc = run(["stokes", "--method", method, "--n", "4"], tmp_path,
+                    json_out=True)
+    assert code == 0
+    assert doc["results"]["route"] == route
+    iterations = doc["results"]["cg_iterations"]
+    assert iterations is None if route == "schur-lu" else iterations > 0
+
+
+def test_pressure_cg_failure_exits_1(tmp_path, monkeypatch):
+    import scipy.sparse.linalg
+    monkeypatch.setattr(scipy.sparse.linalg, "cg",
+                        lambda op, rhs, **kw: (np.zeros_like(rhs), 1))
+    code, doc = run(["stokes", "--method", "th", "--n", "4"], tmp_path,
+                    json_out=True)
+    assert code == 1
+    assert doc["status"] == "fail"
+    assert "pressure CG" in doc["results"]["error"]
+
+
+def test_taylor_hood_convergence_past_n_32(tmp_path):
+    code, doc = run(["convergence", "--method", "th", "--ns", "16,32,64"],
+                    tmp_path, json_out=True)
+    assert code == 0
+    slopes = doc["results"]["slopes"]
+    assert slopes["err_u_l2"] == pytest.approx(3.0, abs=0.05)
+    assert slopes["err_u_h1"] == pytest.approx(2.0, abs=0.05)
+    assert slopes["err_p_l2"] == pytest.approx(2.0, abs=0.05)
 
 
 def test_convergence_of_singular_pair_is_singular(tmp_path, capsys):
@@ -201,11 +241,9 @@ def test_json_document_shape(tmp_path):
       "mode": "euclidean"}),
     (["locking", "--n", "3", "--lambdas", "1e2,1e4"],
      {"subcommand": "locking", "method": "plain", "lambdas": [1e2, 1e4],
-      "n": 3, "c_omega": locking.DEFAULT_POINCARE, "w_mass": "lumped",
-      "gamma_space": "discontinuous", "grad_div_form": False}),
+      "n": 3}),
     (["weakbc", "--method", "nitsche", "--n", "2", "--gamma", "10"],
-     {"subcommand": "weakbc", "method": "nitsche", "n": 2, "gamma": 10.0,
-      "trace": "p1"}),
+     {"subcommand": "weakbc", "method": "nitsche", "n": 2, "gamma": 10.0}),
     (["selftest", "--seed", "7"], {"subcommand": "selftest", "seed": 7}),
 ], ids=SUBCOMMANDS)
 def test_json_config_echoes_the_arguments(argv, config, tmp_path,

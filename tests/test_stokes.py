@@ -248,7 +248,8 @@ def test_errors_interpolation_reproduction():
                          3 * coords[:, 0] - coords[:, 1]])
     ph = p(p_space.dof_coords)
     sol = stokes.StokesSolution(u=uh, p=ph, z=None, residual_norm=0.0,
-                                method=None, v_space=v_space, p_space=p_space)
+                                cg_iterations=None, method=None,
+                                v_space=v_space, p_space=p_space)
     errs = stokes.errors(sol, exact)
     assert max(errs) <= 1e-12
 
@@ -259,8 +260,9 @@ def test_errors_of_zero_solution_are_exact_norms():
                                          unit_square_mesh(16))
     zero = stokes.StokesSolution(u=np.zeros(v_space.n_dofs),
                                  p=np.zeros(p_space.n_dofs), z=None,
-                                 residual_norm=0.0, method=None,
-                                 v_space=v_space, p_space=p_space)
+                                 residual_norm=0.0, cg_iterations=None,
+                                 method=None, v_space=v_space,
+                                 p_space=p_space)
     err_u_l2, err_u_h1, err_p_l2 = stokes.errors(zero, EXACT)
     assert err_u_l2 == pytest.approx(np.sqrt(3.0 / 8.0), rel=1e-8)
     assert err_u_h1 == pytest.approx(np.sqrt(2.0) * np.pi, rel=1e-8)
@@ -285,7 +287,8 @@ def test_p2p0_pressure_projection():
     cell_avg = load_vector(p_space, EXACT.p, degree=6) / load_vector(
         p_space, lambda q: np.ones(q.shape[:-1]))
     sol = stokes.StokesSolution(u=np.zeros(v_space.n_dofs), p=cell_avg,
-                                z=None, residual_norm=0.0, method=None,
+                                z=None, residual_norm=0.0,
+                                cg_iterations=None, method=None,
                                 v_space=v_space, p_space=p_space)
     assert stokes.errors(sol, EXACT)[2] <= 1e-12
 
@@ -297,8 +300,9 @@ def test_oscillation_indicator_zero_for_zero_pressure():
                                          unit_square_mesh(4))
     sol = stokes.StokesSolution(u=np.zeros(v_space.n_dofs),
                                 p=np.zeros(p_space.n_dofs), z=None,
-                                residual_norm=0.0, method=None,
-                                v_space=v_space, p_space=p_space)
+                                residual_norm=0.0, cg_iterations=None,
+                                method=None, v_space=v_space,
+                                p_space=p_space)
     assert stokes.oscillation_indicator(sol) == 0.0
 
 
@@ -313,8 +317,9 @@ def test_oscillation_indicator_flags_checkerboard():
 
     def indicator(p):
         sol = stokes.StokesSolution(u=np.zeros(v_space.n_dofs), p=p, z=None,
-                                    residual_norm=0.0, method=None,
-                                    v_space=v_space, p_space=p_space)
+                                    residual_norm=0.0, cg_iterations=None,
+                                    method=None, v_space=v_space,
+                                    p_space=p_space)
         return stokes.oscillation_indicator(sol)
 
     assert indicator(checker) > 5 * indicator(mesh.nodes[:, 0].copy())

@@ -12,7 +12,7 @@ duplicate entries summed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -319,11 +319,14 @@ class SaddleSystem:
         [ 0            m^T        0 ] [mu]  [0]
 
     with ``s = pressure_row_sign`` (-1 only for the one intentionally
-    asymmetric method) and the mean row/column present when ``mean_vector``
-    is set.  ``a`` is the eliminated block and must be nonsingular; for
-    the Stokes and weak-bc systems it is the velocity block.  ``c`` need
-    not be positive semidefinite: the locking systems put -lambda S_p or
-    -A_X there.
+    asymmetric method) and the mean row/column present when
+    ``pressure_mass`` M is set: ``m = M 1``, the integral of each pressure
+    basis function, since every pressure space here (P0, P1) is a partition
+    of unity.  ``a`` is the eliminated block and must be nonsingular; for
+    the Stokes and weak-bc systems it is the velocity block, on the free
+    velocity dofs when the boundary is Dirichlet.  ``c`` need not be
+    positive semidefinite: the locking systems put -lambda S_p or -A_X
+    there.
     """
 
     a: sp.csr_array
@@ -331,7 +334,7 @@ class SaddleSystem:
     c: sp.csr_array | None
     f: np.ndarray
     g: np.ndarray
-    mean_vector: np.ndarray | None
+    pressure_mass: sp.csr_array | None
     pressure_row_sign: float = 1.0
     spaces: tuple | None = None      # (velocity space, pressure space)
 
@@ -345,8 +348,15 @@ class SaddleSystem:
 
     @property
     def n_total(self) -> int:
-        extra = 0 if self.mean_vector is None else 1
+        extra = 0 if self.pressure_mass is None else 1
         return self.n_u + self.n_p + extra
+
+    @property
+    def mean_row(self) -> np.ndarray | None:
+        """``m = M 1``, the row of the mean constraint (None without one)."""
+        if self.pressure_mass is None:
+            return None
+        return self.pressure_mass @ np.ones(self.n_p)
 
     def full_matrix(self) -> np.ndarray:
         """The dense assembled matrix: a test oracle for ``solve_saddle``."""
@@ -359,14 +369,13 @@ class SaddleSystem:
         k[nu:nu + np_, :nu] = s * bd
         if self.c is not None:
             k[nu:nu + np_, nu:nu + np_] = -s * self.c.toarray()
-        if self.mean_vector is not None:
-            k[nu:nu + np_, -1] = self.mean_vector
-            k[-1, nu:nu + np_] = self.mean_vector
+        if self.pressure_mass is not None:
+            k[nu:nu + np_, -1] = k[-1, nu:nu + np_] = self.mean_row
         return k
 
     def full_rhs(self) -> np.ndarray:
         rhs = np.concatenate([self.f, self.g])
-        if self.mean_vector is not None:
+        if self.pressure_mass is not None:
             rhs = np.append(rhs, 0.0)
         return rhs
 
@@ -378,8 +387,8 @@ class SaddleSystem:
         s = self.pressure_row_sign
         c = None if self.c is None else -s * self.c
         blocks = [[self.a, self.b.T], [s * self.b, c]]
-        if self.mean_vector is not None:
-            m = sp.csr_array(self.mean_vector[:, None])
+        if self.pressure_mass is not None:
+            m = sp.csr_array(self.mean_row[:, None])
             blocks = [blocks[0] + [None], blocks[1] + [m], [None, m.T, None]]
         k = sp.block_array(blocks, format="csr")
         rhs = self.full_rhs()
@@ -447,10 +456,11 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
 
     1. ``sparse_lu`` factors ``a``, which must be nonsingular.
     2. The Schur complement ``-s (b a^{-1} b^T + c)``, bordered by the mean
-       vector, is formed dense by ``schur_complement`` in 64-column blocks
-       (dense workspace n_u × 64 plus the n_p × n_p S) and solved by
-       ``lu_solve``.  Its pivot test is the singularity verdict: the
-       unstabilized equal-order pair fails there with a zero pivot.
+       row ``m = M 1``, is formed dense by ``schur_complement`` in
+       64-column blocks (dense workspace n_u × 64 plus the n_p × n_p S)
+       and solved by ``lu_solve``.  Its pivot test is the singularity
+       verdict: the unstabilized equal-order pair fails there with a zero
+       pivot.
     3. ``u = a^{-1} (f - b^T p)``.
 
     This is the solver of the locking and weak-boundary systems, the
@@ -462,7 +472,7 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     ``relative_residual``; no dense N×N matrix is formed.
     """
     s = system.pressure_row_sign
-    b, f, m = system.b, system.f, system.mean_vector
+    b, f, m = system.b, system.f, system.mean_row
     lu = sparse_lu(system.a, "velocity block")
 
     schur = schur_complement(lu, b, system.c)
@@ -484,8 +494,7 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     return x, system.relative_residual(x)
 
 
-def solve_saddle_pcg(system: SaddleSystem,
-                     pressure_mass: sp.csr_array) -> tuple[np.ndarray, float, int]:
+def solve_saddle_pcg(system: SaddleSystem) -> tuple[np.ndarray, float, int]:
     """Solve a mean-constrained system by CG on its pressure Schur
     complement, which must be symmetric with only the constants in its
     kernel.
@@ -493,19 +502,19 @@ def solve_saddle_pcg(system: SaddleSystem,
     ``u = a^{-1} (f - b^T p)`` leaves ``(S + c) p = r + s mu m`` with
     ``S = b a^{-1} b^T``, ``r = b a^{-1} f - s g`` and, for solvability,
     ``mu = -s (1^T r) / (1^T m)``.  ``cg`` runs on ``schur_operator`` to
-    ``CG_RTOL``, preconditioned by the pressure mass M (``m = M 1``) with
-    ``M^{-1} r`` projected M-orthogonally off the constants.  M bounds
-    ``S + c`` below by beta_h^2 (Verfürth 1984), so the iterations do not
-    grow with n.  A CG that stops short raises ``LinAlgError``; on a
+    ``CG_RTOL``, preconditioned by the system's pressure mass M (``m = M
+    1``) with ``M^{-1} r`` projected M-orthogonally off the constants.  M
+    bounds ``S + c`` below by beta_h^2 (Verfürth 1984), so the iterations do
+    not grow with n.  A CG that stops short raises ``LinAlgError``; on a
     singular ``S + c`` it would not, so ``solve_saddle`` stays the verdict
     and the oracle.  Returns ``(x, residual_rel, iterations)``.
     """
     from scipy.sparse.linalg import LinearOperator, cg
 
     s = system.pressure_row_sign
-    b, f, m = system.b, system.f, system.mean_vector
+    b, f, m = system.b, system.f, system.mean_row
     lu = sparse_lu(system.a, "velocity block")
-    mass_lu = sparse_lu(pressure_mass, "pressure mass")
+    mass_lu = sparse_lu(system.pressure_mass, "pressure mass")
 
     def precondition(r):
         z = mass_lu.solve(r)
@@ -524,18 +533,3 @@ def solve_saddle_pcg(system: SaddleSystem,
             f"without reaching rtol {CG_RTOL:g} (info={info})")
     x = np.concatenate([lu.solve(f - b.T @ p), p, [mu]])
     return x, system.relative_residual(x), len(iterations)
-
-
-def apply_dirichlet(system: SaddleSystem, dofs) -> SaddleSystem:
-    """Eliminate homogeneous (zero) velocity Dirichlet dofs symmetrically:
-    their rows and columns of ``a`` become identity ones with a zero
-    right-hand side, and their columns of ``b`` are zeroed."""
-    fixed = np.zeros(system.n_u)
-    fixed[dofs] = 1.0
-    keep = sp.diags_array(1.0 - fixed)
-    f = system.f.copy()
-    f[dofs] = 0.0
-
-    # sparse products may leave column indices unsorted
-    a = (keep @ system.a @ keep + sp.diags_array(fixed)).sorted_indices()
-    return replace(system, a=a, b=(system.b @ keep).sorted_indices(), f=f)

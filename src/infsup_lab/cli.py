@@ -254,7 +254,7 @@ def _run_infsup(args: argparse.Namespace):
         _write_csv(args.csv_path, ["index", "sigma"],
                    list(enumerate(report.sigma)))
     if args.vtk_path:
-        mode_vec = infsup.spurious_mode(report)
+        mode_vec = report.worst_pressure_mode
         _, pkind = infsup.PAIRS[args.pair]
         if pkind is ElementKind.P0:
             _write_vtk(args.vtk_path, mesh,

@@ -206,6 +206,13 @@ class FeSpace:
         mask[self.boundary_dofs] = False
         return np.flatnonzero(mask)
 
+    def extend_by_zero(self, free_values: np.ndarray) -> np.ndarray:
+        """Full-length coefficients from values on ``free_dofs()``, zero on
+        the boundary dofs (homogeneous Dirichlet data)."""
+        out = np.zeros(self.n_dofs)
+        out[self.free_dofs()] = free_values
+        return out
+
 
 def build_space(kind: ElementKind, mesh: Mesh, components: int = 1) -> FeSpace:
     if components not in (1, 2):

@@ -202,7 +202,7 @@ def _system(config: LockingConfig, source: _Blocks, layout: tuple,
             a, b, c, f, g) -> LockingSystem:
     """``[[a, b^T], [b, -c]] x = [f, g]``, x split by ``layout``."""
     saddle = SaddleSystem(a=sp.csr_array(a), b=sp.csr_array(b),
-                          c=sp.csr_array(c), f=f, g=g, mean_vector=None)
+                          c=sp.csr_array(c), f=f, g=g, pressure_mass=None)
     return LockingSystem(saddle, layout, config, source)
 
 
@@ -277,12 +277,6 @@ def build(config: LockingConfig) -> LockingSystem:
 # solving and reporting
 # ---------------------------------------------------------------------------
 
-def _full(n_dofs: int, kept: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros(n_dofs)
-    out[kept] = values
-    return out
-
-
 def solve(system: LockingSystem) -> LockingSolution:
     b = system.blocks
     x, residual = solve_saddle(system.saddle)
@@ -291,17 +285,17 @@ def solve(system: LockingSystem) -> LockingSolution:
     uf, pf = parts["u"], parts["p"]
     w = gamma = None
     if "w" in parts:
-        w = _full(b.u_space.n_dofs, b.free_u, parts["w"])
+        w = b.u_space.extend_by_zero(parts["w"])
     if "gamma" in parts:
         y_space = _gamma_space(system.config, b.u_space.mesh)
-        gamma = _full(y_space.n_dofs, y_space.free_dofs(), parts["gamma"])
+        gamma = y_space.extend_by_zero(parts["gamma"])
     report = LockingReport(
         u_h1_norm=float(np.sqrt(uf @ (b.ku @ uf))),
         p_h1_norm=float(np.sqrt(pf @ (b.sp @ pf))),
         lambda_=system.config.lambda_, method=system.config.method,
         solve_ok=True, residual_norm=residual)
-    return LockingSolution(u=_full(b.u_space.n_dofs, b.free_u, uf),
-                           p=_full(b.p_space.n_dofs, b.free_p, pf),
+    return LockingSolution(u=b.u_space.extend_by_zero(uf),
+                           p=b.p_space.extend_by_zero(pf),
                            w=w, gamma=gamma, report=report)
 
 

@@ -86,43 +86,42 @@ def unit_square_mesh(n: int) -> Mesh:
                 boundary_edges=boundary, h=float(np.sqrt(2.0) / n))
 
 
+def _directed_edges(triangles: np.ndarray):
+    """The local edges (v0,v1), (v1,v2), (v2,v0) of every triangle in turn.
+
+    Returns ``(directed, edges, inverse)``: the (3T, 2) directed edges, whose
+    row k belongs to triangle k // 3; the unique undirected edges, rows
+    sorted, in lexicographic order; and the id in ``edges`` of each directed
+    edge.
+    """
+    directed = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    edges, inverse = np.unique(np.sort(directed, axis=1), axis=0,
+                               return_inverse=True)
+    return directed, edges, inverse.ravel()
+
+
 def _boundary_edges(triangles: np.ndarray) -> np.ndarray:
     """Directed edges whose undirected pair occurs exactly once."""
-    t = len(triangles)
-    directed = np.empty((3 * t, 2), dtype=np.int64)
-    directed[0::3] = triangles[:, [0, 1]]
-    directed[1::3] = triangles[:, [1, 2]]
-    directed[2::3] = triangles[:, [2, 0]]
-    owner = np.repeat(np.arange(t, dtype=np.int64), 3)
-
-    undirected = np.sort(directed, axis=1)
-    _, inverse, counts = np.unique(undirected, axis=0,
-                                   return_inverse=True, return_counts=True)
-    once = counts[inverse] == 1
-    rows = np.column_stack([directed[once], owner[once]])
+    directed, _, inverse = _directed_edges(triangles)
+    once = np.flatnonzero(np.bincount(inverse)[inverse] == 1)
+    rows = np.column_stack([directed[once], once // 3])
     order = np.lexsort((rows[:, 1], rows[:, 0]))
     return rows[order]
 
 
 def edge_table(mesh: Mesh) -> EdgeTable:
-    t = mesh.n_triangles
-    directed = np.empty((3 * t, 2), dtype=np.int64)
-    directed[0::3] = mesh.triangles[:, [0, 1]]
-    directed[1::3] = mesh.triangles[:, [1, 2]]
-    directed[2::3] = mesh.triangles[:, [2, 0]]
-    undirected = np.sort(directed, axis=1)
-    edges, inverse = np.unique(undirected, axis=0, return_inverse=True)
-    cell_edges = inverse.reshape(t, 3)
-
+    _, edges, inverse = _directed_edges(mesh.triangles)
+    # a stable sort keeps each edge's directed copies in triangle order, so
+    # the lower triangle index fills slot 0
+    order = np.argsort(inverse, kind="stable")
+    ids, owners = inverse[order], order // 3
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
     edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
-    owner = np.repeat(np.arange(t, dtype=np.int64), 3)
-    # fill first then second slot, keeping triangle order deterministic
-    for eid, tri in zip(inverse, owner):
-        if edge_tris[eid, 0] < 0:
-            edge_tris[eid, 0] = tri
-        else:
-            edge_tris[eid, 1] = tri
-    return EdgeTable(edges=edges, cell_edges=cell_edges, edge_tris=edge_tris)
+    edge_tris[ids[first], 0] = owners[first]
+    edge_tris[ids[~first], 1] = owners[~first]
+    return EdgeTable(edges=edges, cell_edges=inverse.reshape(-1, 3),
+                     edge_tris=edge_tris)
 
 
 # ---------------------------------------------------------------------------

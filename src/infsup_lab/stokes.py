@@ -1,10 +1,13 @@
 """Stokes discretizations on the unit square with homogeneous no-slip walls.
 
-Every method assembles the block system ``[[A, B^T], [B, -C]]`` with
-``B[q, v] = -(psi_q, div phi_v)`` and a pressure-mean constraint appended as
-an extra symmetric row/column.  The stabilized P1/P1 variants differ only in
-the pressure-pressure block ``C`` (and, for the residual-based pair, a
-pressure-space contribution to the right-hand side):
+Every method assembles the block system ``[[A, B^T], [B, -C]]`` on the free
+velocity dofs, with ``B[q, v] = -(psi_q, div phi_v)`` and a pressure-mean
+constraint ``M 1`` appended as an extra symmetric row/column.  (B, A, M) are
+``infsup.pair_operators``, the blocks behind the pair's inf-sup constant
+beta_h, and the solution's velocity is extended by zero to the boundary
+dofs.  The stabilized P1/P1 variants differ only in the pressure-pressure
+block ``C`` (and, for the residual-based pair, a pressure-space
+contribution to the right-hand side):
 
 * ``p1p1-plain``        C = 0 (unstable; kept to exhibit the failure)
 * ``p1p1-loss``         C = h^2 (S0 - G^T M_L^{-1} G), the mass-lumped
@@ -29,21 +32,18 @@ import scipy.sparse as sp
 
 from .assembly import (
     SaddleSystem,
-    apply_dirichlet,
     boundary_hat_flux,
-    divergence,
     grad_coupling,
     gradient_load,
     load_vector,
     lumped_mass,
-    mass,
     pressure_grad_stab,
     solve_saddle,
     solve_saddle_pcg,
     stiffness,
 )
 from .fespace import ElementKind, FeSpace, build_space, fields_at_quadrature, quadrature
-from .infsup import pair_spaces
+from .infsup import pair_operators, pair_spaces
 from .mesh import (
     Mesh,
     boundary_edge_geometry,
@@ -82,10 +82,6 @@ class StokesMethod:
                 raise ValueError(f"{self.name} takes no eps parameter")
         else:
             raise UnsupportedCombination(f"unknown Stokes method {self.name!r}")
-
-    @property
-    def symmetric(self) -> bool:
-        return self.name != "douglas-wang"
 
     @property
     def route(self) -> str:
@@ -127,13 +123,14 @@ def build(method: StokesMethod, mesh: Mesh, body_force) -> SaddleSystem:
     """Assemble the constrained saddle system for one method.
 
     ``body_force`` maps an (..., 2) array of points to (..., 2) force values.
-    Velocity Dirichlet values are zero on the whole boundary and the pressure
-    mean constraint is appended.
+    Velocity Dirichlet values are zero on the whole boundary, so the
+    velocity unknowns are the free dofs of ``v_space`` and (B, A, M) are the
+    blocks ``infsup.pair_operators`` gives the inf-sup constant; the
+    pressure mean constraint is the row ``M 1``.
     """
     v_space, p_space = spaces_for(method, mesh)
-    a = stiffness(v_space)
-    b = divergence(v_space, p_space)
-    f = load_vector(v_space, body_force)
+    b, a, m = pair_operators(v_space, p_space)
+    f = load_vector(v_space, body_force)[v_space.free_dofs()]
     g = np.zeros(p_space.n_dofs)
     c = None
     sign = 1.0
@@ -152,56 +149,8 @@ def build(method: StokesMethod, mesh: Mesh, body_force) -> SaddleSystem:
         g = method.eps * gradient_load(p_space, body_force, hk)
         sign = -1.0
 
-    mean_vector = load_vector(p_space, lambda q: np.ones(q.shape[:-1]))
-    system = SaddleSystem(a=a, b=b, c=c, f=f, g=g, mean_vector=mean_vector,
-                          pressure_row_sign=sign,
-                          spaces=(v_space, p_space))
-    return apply_dirichlet(system, v_space.boundary_dofs)
-
-
-def build_loss_three_field(mesh: Mesh, body_force):
-    """The explicit (u, p, z) system behind ``p1p1-loss``, for cross-checks.
-
-    Returns ``(matrix, rhs, slices)`` where slices map field names to index
-    ranges.  The z rows are scaled by h^2 so the full matrix is symmetric.
-    """
-    v_space = build_space(ElementKind.P1, mesh, components=2)
-    p_space = build_space(ElementKind.P1, mesh)
-    z_space = build_space(ElementKind.P1, mesh, components=2)
-    h2 = mesh.h ** 2
-
-    a = stiffness(v_space)
-    b = divergence(v_space, p_space)
-    f = load_vector(v_space, body_force)
-    base = SaddleSystem(a=a, b=b, c=None, f=f, g=np.zeros(p_space.n_dofs),
-                        mean_vector=None)
-    base = apply_dirichlet(base, v_space.boundary_dofs)
-
-    nu, np_, nz = v_space.n_dofs, p_space.n_dofs, z_space.n_dofs
-    n = nu + np_ + nz + 1
-    k = np.zeros((n, n))
-    rhs = np.zeros(n)
-    iu = slice(0, nu)
-    ip = slice(nu, nu + np_)
-    iz = slice(nu + np_, nu + np_ + nz)
-
-    s0 = stiffness(p_space).toarray()
-    g = grad_coupling(z_space, p_space).toarray()       # (nz, np)
-    ml = lumped_mass(z_space)
-    bd = base.b.toarray()
-    mean = load_vector(p_space, lambda q: np.ones(q.shape[:-1]))
-
-    k[iu, iu] = base.a.toarray()
-    k[iu, ip] = bd.T
-    k[ip, iu] = bd
-    k[ip, ip] = -h2 * s0
-    k[ip, iz] = h2 * g.T
-    k[iz, ip] = h2 * g
-    k[iz, iz] = -h2 * np.diag(ml)
-    k[ip, -1] = mean
-    k[-1, ip] = mean
-    rhs[iu] = base.f
-    return k, rhs, {"u": iu, "p": ip, "z": iz}
+    return SaddleSystem(a=a, b=b, c=c, f=f, g=g, pressure_mass=m,
+                        pressure_row_sign=sign, spaces=(v_space, p_space))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +159,7 @@ def build_loss_three_field(mesh: Mesh, body_force):
 
 @dataclass(frozen=True)
 class StokesSolution:
-    u: np.ndarray
+    u: np.ndarray                   # every velocity dof, boundary ones zero
     p: np.ndarray
     z: np.ndarray | None
     residual_norm: float
@@ -228,16 +177,18 @@ def solve(system: SaddleSystem, method: StokesMethod) -> StokesSolution:
     refinement, and that route is the oracle of the other.  Every other
     method (``douglas-wang`` too: its flipped row only flips the sign of
     the pressure system) takes the mass-preconditioned pressure CG of
-    ``solve_saddle_pcg``.  Both routes return the pressure at zero
-    discrete mean; the projection field ``z`` is attached for
-    ``p1p1-loss``.
+    ``solve_saddle_pcg``, preconditioned by the system's own pressure
+    mass.  Both routes return the pressure at zero discrete mean; the
+    velocity comes back full length, zero on the boundary dofs, and the
+    projection field ``z`` is attached for ``p1p1-loss``.
     """
     v_space, p_space = system.spaces
     if method.route == "schur-pcg":
-        x, res_rel, iterations = solve_saddle_pcg(system, mass(p_space))
+        x, res_rel, iterations = solve_saddle_pcg(system)
     else:
         (x, res_rel), iterations = solve_saddle(system), None
-    u, p = x[:system.n_u], x[system.n_u:system.n_u + system.n_p]
+    u = v_space.extend_by_zero(x[:system.n_u])
+    p = x[system.n_u:system.n_u + system.n_p]
 
     z = None
     if method.name == "p1p1-loss":

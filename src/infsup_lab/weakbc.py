@@ -193,7 +193,7 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
         rhs = (fvec - boundary_load(space, d, flux_test=True)
                + boundary_load(space, d, edge_weights=gamma / lengths))
         return SaddleSystem(a=k, b=sp.csr_array((0, n)), c=None, f=rhs,
-                            g=np.zeros(0), mean_vector=None)
+                            g=np.zeros(0), pressure_mass=None)
 
     if method.trace == "p1":
         trace = space.boundary_dofs
@@ -208,12 +208,12 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
 
     if method.name == "multiplier":
         return SaddleSystem(a=a, b=t, c=None, f=fvec, g=d_load,
-                            mean_vector=None)
+                            pressure_mass=None)
 
     alpha = method.alpha
     n_w = boundary_flux_flux(space, edge_weights=alpha * lengths)
     return SaddleSystem(a=a - n_w, b=t - alpha * c_w, c=alpha * m_w, f=fvec,
-                        g=d_load, mean_vector=None)
+                        g=d_load, pressure_mass=None)
 
 
 def solve(system: SaddleSystem) -> WeakBcSolution:

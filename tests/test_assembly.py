@@ -8,7 +8,6 @@ from infsup_lab import locking, stokes, weakbc
 from infsup_lab.assembly import (
     SaddleSystem,
     _scatter,
-    apply_dirichlet,
     boundary_flux_flux,
     boundary_load,
     boundary_mass,
@@ -295,27 +294,22 @@ def test_boundary_ops_require_scalar_p1():
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet elimination
+# mean constraint
 # ---------------------------------------------------------------------------
 
-def test_apply_dirichlet_zeroes_coupling_columns():
-    mesh = unit_square_mesh(2)
-    v = build_space(ElementKind.P1, mesh, components=2)
-    p = build_space(ElementKind.P1, mesh)
-    system = SaddleSystem(a=stiffness(v), b=divergence(v, p), c=None,
-                          f=np.ones(v.n_dofs), g=np.zeros(p.n_dofs),
-                          mean_vector=np.ones(p.n_dofs))
-    out = apply_dirichlet(system, v.boundary_dofs)
-    bd = out.b.toarray()
-    assert np.allclose(bd[:, v.boundary_dofs], 0.0)
-    ad = out.a.toarray()
-    assert np.allclose(ad[v.boundary_dofs][:, v.boundary_dofs],
-                       np.eye(len(v.boundary_dofs)), atol=1e-14)
-    assert np.all(out.f[v.boundary_dofs] == 0.0)
-    # the full matrix keeps the declared block layout with the mean column
-    k = out.full_matrix()
-    assert k.shape == (v.n_dofs + p.n_dofs + 1, v.n_dofs + p.n_dofs + 1)
-    assert np.allclose(k[-1, v.n_dofs:-1], np.ones(p.n_dofs))
+@pytest.mark.parametrize("name", ("taylor-hood", "p2p0", "brezzi-pitkaranta"))
+def test_mean_row_is_pressure_mass_times_ones(name):
+    # P0 and P1 are partitions of unity, so M 1 is the integral of each
+    # pressure basis function; the mean row borders the free-dof blocks
+    system = stokes_system(name, 2)
+    p_space = system.spaces[1]
+    integrals = load_vector(p_space, lambda q: np.ones(q.shape[:-1]))
+    assert np.allclose(system.mean_row, integrals, rtol=1e-13, atol=0)
+    k = system.full_matrix()
+    n_free = len(system.spaces[0].free_dofs())
+    assert k.shape == (n_free + p_space.n_dofs + 1,) * 2
+    assert np.array_equal(k[-1, n_free:-1], system.mean_row)
+    assert np.array_equal(k[n_free:-1, -1], system.mean_row)
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +490,12 @@ def test_schur_solves_take_at_most_64_columns(monkeypatch):
     assert all(shape == (system.n_u,) for shape in shapes if len(shape) == 1)
 
 
-def pressure_mass(system):
-    return mass(system.spaces[1])
-
-
 @pytest.mark.parametrize("name, n", [
     *[(name, n) for name in stokes.method_names()[1:] for n in (4, 8)],
     ("taylor-hood", 16), ("p1p1-loss", 16)])
 def test_pcg_route_matches_dense_schur_lu(name, n):
     system = stokes_system(name, n)
-    x, residual, iterations = solve_saddle_pcg(system, pressure_mass(system))
+    x, residual, iterations = solve_saddle_pcg(system)
     x_lu, _ = solve_saddle(system)
     fields = slice(0, system.n_u + system.n_p)         # u and p, not mu
     assert np.linalg.norm(x[fields] - x_lu[fields]) \
@@ -520,7 +510,7 @@ def test_pcg_iterations_do_not_grow_with_n(name):
     # a stable pair, with lower bound beta_h^2: measured 18-34 at n = 8..64
     for n in (8, 16, 32):
         system = stokes_system(name, n)
-        assert solve_saddle_pcg(system, pressure_mass(system))[2] <= 40
+        assert solve_saddle_pcg(system)[2] <= 40
 
 
 def test_pcg_that_does_not_converge_raises(monkeypatch):
@@ -529,7 +519,7 @@ def test_pcg_that_does_not_converge_raises(monkeypatch):
                         lambda op, rhs, **kw: (np.zeros_like(rhs), 1))
     system = stokes_system("taylor-hood", 4)
     with pytest.raises(np.linalg.LinAlgError, match="pressure CG"):
-        solve_saddle_pcg(system, pressure_mass(system))
+        solve_saddle_pcg(system)
 
 
 def test_taylor_hood_solve_factors_velocity_and_pressure_mass_only(
@@ -562,6 +552,6 @@ def test_singular_velocity_block_raises(a):
     # an exact zero pivot is SuperLU's own error, a tiny one fails the
     # pivot contract; both surface as SingularMatrix
     system = SaddleSystem(a=sp.csr_array(a), b=sp.csr_array((0, 3)), c=None,
-                          f=np.ones(3), g=np.zeros(0), mean_vector=None)
+                          f=np.ones(3), g=np.zeros(0), pressure_mass=None)
     with pytest.raises(SingularMatrix):
         solve_saddle(system)

@@ -77,6 +77,18 @@ def test_interior_edges_shared_by_exactly_two_triangles():
     assert table.n_edges == (3 * mesh.n_triangles + len(mesh.boundary_edges)) // 2
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_edge_tris_match_a_first_come_loop(n):
+    # each edge's first owner in triangle order fills slot 0, the next slot 1
+    mesh = unit_square_mesh(n)
+    table = edge_table(mesh)
+    expected = np.full((table.n_edges, 2), -1, dtype=np.int64)
+    for tri, eids in enumerate(table.cell_edges):
+        for eid in eids:
+            expected[eid, 0 if expected[eid, 0] < 0 else 1] = tri
+    assert np.array_equal(table.edge_tris, expected)
+
+
 def test_cell_edges_index_the_right_node_pairs():
     mesh = unit_square_mesh(3)
     table = edge_table(mesh)

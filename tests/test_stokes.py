@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from infsup_lab import infsup, stokes
-from infsup_lab.assembly import load_vector
+from infsup_lab.assembly import (divergence, grad_coupling, load_vector,
+                                 lumped_mass, stiffness)
 from infsup_lab.fespace import build_space, ElementKind
 from infsup_lab.linalg import SingularMatrix, lu_solve
 from infsup_lab.mesh import unit_square_mesh
@@ -125,14 +126,50 @@ def test_loss_stabilization_block_psd_with_constant_kernel():
     assert np.linalg.norm(c @ np.ones(c.shape[0])) <= 1e-12
 
 
+def loss_three_field(mesh, body_force):
+    """The explicit (u, p, z) system behind ``p1p1-loss``, an oracle for
+    its lumped elimination: dense ``(matrix, rhs, slices)`` with u on the
+    free velocity dofs, slices mapping field names to index ranges, and the
+    z rows scaled by h^2 so the matrix is symmetric."""
+    v_space = build_space(ElementKind.P1, mesh, components=2)
+    p_space = build_space(ElementKind.P1, mesh)
+    z_space = build_space(ElementKind.P1, mesh, components=2)
+    h2 = mesh.h ** 2
+    free = v_space.free_dofs()
+
+    nu, np_, nz = len(free), p_space.n_dofs, z_space.n_dofs
+    n = nu + np_ + nz + 1
+    k = np.zeros((n, n))
+    rhs = np.zeros(n)
+    iu = slice(0, nu)
+    ip = slice(nu, nu + np_)
+    iz = slice(nu + np_, nu + np_ + nz)
+
+    g = grad_coupling(z_space, p_space).toarray()       # (nz, np)
+    bd = divergence(v_space, p_space)[:, free].toarray()
+    mean = load_vector(p_space, lambda q: np.ones(q.shape[:-1]))
+    k[iu, iu] = stiffness(v_space)[free][:, free].toarray()
+    k[iu, ip] = bd.T
+    k[ip, iu] = bd
+    k[ip, ip] = -h2 * stiffness(p_space).toarray()
+    k[ip, iz] = h2 * g.T
+    k[iz, ip] = h2 * g
+    k[iz, iz] = -h2 * np.diag(lumped_mass(z_space))
+    k[ip, -1] = mean
+    k[-1, ip] = mean
+    rhs[iu] = load_vector(v_space, body_force)[free]
+    return k, rhs, {"u": iu, "p": ip, "z": iz}
+
+
 def test_loss_eliminated_matches_three_field():
     mesh = unit_square_mesh(8)
     system, sol = mms_run("p1p1-loss", 8)
-    k, rhs, idx = stokes.build_loss_three_field(mesh, EXACT.f)
+    k, rhs, idx = loss_three_field(mesh, EXACT.f)
     assert np.linalg.norm(k - k.T) <= 1e-12 * np.linalg.norm(k)
     x = lu_solve(k, rhs)
-    scale = np.linalg.norm(sol.u) + 1.0
-    assert np.linalg.norm(x[idx["u"]] - sol.u) <= 1e-9 * scale
+    u = sol.u[sol.v_space.free_dofs()]
+    scale = np.linalg.norm(u) + 1.0
+    assert np.linalg.norm(x[idx["u"]] - u) <= 1e-9 * scale
     assert np.linalg.norm(x[idx["z"]] - sol.z) <= 1e-9 * (np.linalg.norm(sol.z) + 1.0)
 
 
@@ -184,7 +221,7 @@ def test_discrete_mass_balance(name):
     # second block row holds exactly: s*(B u - C p) = g  (mean multiplier
     # vanishes; for the residual-based methods g carries the f-coupling)
     system, sol = mms_run(name, 8)
-    bu = system.b @ sol.u
+    bu = system.b @ sol.u[sol.v_space.free_dofs()]
     cp = system.c @ sol.p if system.c is not None else np.zeros_like(bu)
     row = system.pressure_row_sign * (bu - cp) - system.g
     scale = np.linalg.norm(bu) + np.linalg.norm(cp) + np.linalg.norm(system.g) + 1.0
@@ -200,8 +237,15 @@ def test_symmetry_classification():
             assert asym > 0.1
         else:
             assert asym <= 1e-12 * np.linalg.norm(k)
-    assert not stokes.method_from_name("dw").symmetric
-    assert stokes.method_from_name("gls").symmetric
+
+
+@pytest.mark.parametrize("name", SOLVABLE)
+def test_velocity_is_full_length_and_zero_on_the_boundary(name):
+    system, sol = mms_run(name, 8)
+    assert system.n_u == len(sol.v_space.free_dofs())
+    assert sol.u.shape == (sol.v_space.n_dofs,)
+    assert np.all(sol.u[sol.v_space.boundary_dofs] == 0.0)
+    assert np.any(sol.u != 0.0)
 
 
 def test_plain_pair_fails_at_moderate_refinement():

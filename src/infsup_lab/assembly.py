@@ -7,7 +7,11 @@ rule must reproduce the same matrices to round-off.  Boundary operators are
 specific to scalar P1 spaces, the only case the weak-boundary machinery
 needs, and integrate edgewise with 2-point Gauss.  Every operator is a
 ``scipy.sparse.csr_array`` in canonical form (sorted column indices,
-duplicate entries summed).
+duplicate entries summed) that stores no exact zero: contributions that
+cancel (right angles of the structured mesh zero some stiffness couplings)
+are dropped, so a sparse factorization never treats them as structural
+nonzeros.  Cell-weighted forms (the pressure-gradient stabilizations) take
+per-cell weights through ``stiffness`` and ``gradient_load``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .mesh import (
     Mesh,
     boundary_edge_geometry,
     triangle_areas,
-    triangle_diameters,
     triangle_grad_lambda,
 )
 
@@ -55,12 +58,15 @@ def _phys_gradients(space: FeSpace, rule: QuadratureRule) -> np.ndarray:
 def _scatter(rows_cells: np.ndarray, cols_cells: np.ndarray,
              locals_: np.ndarray, n_rows: int, n_cols: int) -> sp.csr_array:
     """Accumulate per-cell local matrices (T, nr, nc) into a CSR matrix,
-    summing the contributions of cells that share an (i, j) entry."""
+    summing the contributions of cells that share an (i, j) entry and
+    dropping the sums that cancel to exact zeros."""
     t, nr, nc = locals_.shape
     i = np.repeat(rows_cells[:, :, None], nc, axis=2)
     j = np.repeat(cols_cells[:, None, :], nr, axis=1)
-    return sp.coo_array((locals_.ravel(), (i.ravel(), j.ravel())),
-                        shape=(n_rows, n_cols)).tocsr()
+    out = sp.coo_array((locals_.ravel(), (i.ravel(), j.ravel())),
+                       shape=(n_rows, n_cols)).tocsr()
+    out.eliminate_zeros()
+    return out
 
 
 def _expand_components(scalar: sp.csr_array, components: int) -> sp.csr_array:
@@ -159,13 +165,6 @@ def grad_coupling(v_space: FeSpace, p_space: FeSpace,
     return parts[0] + parts[1]
 
 
-def pressure_grad_stab(p_space: FeSpace, cell_weights=None) -> sp.csr_array:
-    """Elementwise weighted pressure-gradient form, default weights h_K^2."""
-    if cell_weights is None:
-        cell_weights = triangle_diameters(p_space.mesh) ** 2
-    return stiffness(p_space, DEFAULT_DEGREE, cell_weights)
-
-
 def load_vector(space: FeSpace, func, degree: int = DEFAULT_DEGREE) -> np.ndarray:
     """Right-hand side ``(f, phi_i)`` for a callable ``func`` of positions.
 
@@ -193,7 +192,7 @@ def load_vector(space: FeSpace, func, degree: int = DEFAULT_DEGREE) -> np.ndarra
     return out
 
 
-def gradient_load(space: FeSpace, func, cell_weights=None) -> np.ndarray:
+def gradient_load(space: FeSpace, func, cell_weights) -> np.ndarray:
     """Gradient-tested load ``sum_K w_K (f, grad psi_i)_K`` for scalar spaces.
 
     ``func`` must return vector values of shape (..., 2).

@@ -171,37 +171,29 @@ def _singular(error: str, results: dict):
             [f"status: singular ({error})"])
 
 
-def _stokes_errors_dict(method, n: int) -> dict:
-    problem = stokes.manufactured_problem()
-    solution = stokes.run(method, unit_square_mesh(n), problem.f)
-    u_l2, u_h1, p_l2 = stokes.errors(solution, problem)
-    return {"err_u_l2": u_l2, "err_u_h1": u_h1, "err_p_l2": p_l2,
-            "_solution": solution}
-
-
 def _run_stokes(args: argparse.Namespace):
     with _usage():
         method = stokes.method_from_name(args.method, args.eps)
     h = float(np.sqrt(2.0) / args.n)
     try:
-        res = _stokes_errors_dict(method, args.n)
+        solution, errs = stokes.manufactured_run(method, args.n)
     except SingularMatrix as exc:
         if method.name != "p1p1-plain":
             raise                       # singularity only expected there
         return _singular(str(exc), {"h": h, "route": method.route,
                                     "cg_iterations": None})
-    solution = res.pop("_solution")
-    results = {"h": h, **res, "residual_norm": solution.residual_norm,
-               "route": method.route, "cg_iterations": solution.cg_iterations}
+    results = {"h": h, **errs, "residual_norm": solution.residual_norm,
+               "route": method.route, "cg_iterations": solution.cg_iterations,
+               "pressure_oscillation": stokes.oscillation_indicator(solution),
+               "boundary_pressure_flux": stokes.boundary_pressure_flux(solution)}
     if args.csv_path:
-        header = ["h", "err_u_l2", "err_u_h1", "err_p_l2"]
-        _write_csv(args.csv_path, header,
-                   [[h, res["err_u_l2"], res["err_u_h1"], res["err_p_l2"]]])
+        _write_csv(args.csv_path, ["h", *errs], [[h, *errs.values()]])
     if args.vtk_path:
         mesh = solution.v_space.mesh
         vectors = {"velocity": _vertex_values(solution.v_space, solution.u)}
-        if solution.z is not None:
-            vectors["projection"] = _vertex_values(solution.v_space, solution.z)
+        if method.name == "p1p1-loss":
+            vectors["projection"] = _vertex_values(
+                solution.v_space, stokes.loss_projection(solution))
         point, cell = {}, None
         if solution.p_space.kind is ElementKind.P0:
             cell = {"pressure": solution.p}
@@ -209,22 +201,16 @@ def _run_stokes(args: argparse.Namespace):
             point["pressure"] = solution.p[:len(mesh.nodes)]
         _write_vtk(args.vtk_path, mesh, point_scalars=point,
                    point_vectors=vectors, cell_scalars=cell)
-    line = "  ".join([f"h={h:.5f}"] + [f"{k}={results[k]:.6e}"
-                     for k in ("err_u_l2", "err_u_h1", "err_p_l2")])
+    line = "  ".join([f"h={h:.5f}"] + [f"{k}={v:.6e}" for k, v in errs.items()])
     return results, "ok", [line]
 
 
 def _run_convergence(args: argparse.Namespace):
     with _usage():
         method = stokes.method_from_name(args.method, args.eps)
-
-    def builder(n):
-        res = _stokes_errors_dict(method, n)
-        res.pop("_solution")
-        return res
-
-    report = verify.run_convergence(builder, args.ns, method=method.name,
-                                    problem="stokes-mms")
+    report = verify.run_convergence(
+        lambda n: stokes.manufactured_run(method, n)[1], args.ns,
+        method=method.name, problem="stokes-mms")
     results = verify.report_dict(report)
     if args.csv_path:
         header, rows = verify.report_rows(report)
@@ -248,6 +234,7 @@ def _run_infsup(args: argparse.Namespace):
         "pair": report.pair, "mode": report.mode, "h": report.h,
         "beta": report.beta, "numerical_rank": report.numerical_rank,
         "kernel_dim_pressure": report.kernel_dim_pressure,
+        "constant_pressure_angle": report.constant_pressure_angle,
         "sigma": list(report.sigma),
     }
     if args.csv_path:

@@ -259,29 +259,8 @@ def build_space(kind: ElementKind, mesh: Mesh, components: int = 1) -> FeSpace:
 
 
 # ---------------------------------------------------------------------------
-# evaluation helpers
+# evaluation
 # ---------------------------------------------------------------------------
-
-def barycentric(mesh: Mesh, t: int, x) -> np.ndarray:
-    """Barycentric coordinates of physical point ``x`` in triangle ``t``."""
-    grad = triangle_grad_lambda(mesh)[t]
-    p = mesh.nodes[mesh.triangles[t]]
-    x = np.asarray(x, dtype=float)
-    return np.array([1.0 + grad[k] @ (x - p[k]) for k in range(3)])
-
-
-def evaluate(space: FeSpace, coeffs, t: int, bary) -> np.ndarray:
-    """Value of the discrete function at a barycentric point of triangle t.
-
-    Returns a scalar for 1-component spaces, else an array of length
-    ``components``.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    vals = shape_values(space.kind, bary)
-    local = coeffs[space.cell_dofs[t]].reshape(space.components, space.n_local)
-    out = local @ vals
-    return out[0] if space.components == 1 else out
-
 
 def fields_at_quadrature(space: FeSpace, coeffs, rule: QuadratureRule):
     """Values and physical gradients at all quadrature points of all cells.

@@ -15,6 +15,12 @@ M = I.  Constant pressures are never deflated -- they land in the numerical
 kernel and are excluded by the rank tolerance.  Squaring the spectrum puts
 the kernel entries of ``sigma`` at about 1e-8 sigma_0 (eigh round-off)
 rather than the 1e-16 sigma_0 of an SVD; beta and the rank do not move.
+
+The report also carries ``constant_pressure_angle``, the sine of the angle
+between the constant pressure and the numerical kernel, read from the same
+M-orthonormal kernel eigenvectors: ~0 when the constants are correctly
+classified as a kernel direction, so any further kernel dimension is a
+spurious pressure mode.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ class InfSupReport:
     numerical_rank: int
     kernel_dim_pressure: int
     worst_pressure_mode: np.ndarray
+    constant_pressure_angle: float  # sin(constants, kernel) in the M norm
     pair: str
     h: float
 
@@ -69,11 +76,7 @@ def pair_operators(v_space: FeSpace, p_space: FeSpace):
     Stokes solve and the inf-sup constant both use these blocks."""
     free = v_space.free_dofs()
     b = divergence(v_space, p_space)[:, free]
-    x = stiffness(v_space)[free][:, free]
-    # right angles cancel some couplings to exact zeros; stored, they would
-    # be structural nonzeros to SuperLU (TH n=32: 21% more fill)
-    x.eliminate_zeros()
-    return b, x, mass(p_space)
+    return b, stiffness(v_space)[free][:, free], mass(p_space)
 
 
 def _spd_schur(b: sp.csr_array, x_norm) -> np.ndarray:
@@ -100,8 +103,9 @@ def _spd_schur(b: sp.csr_array, x_norm) -> np.ndarray:
 
 
 def _spectrum(b, x_norm=None, m_norm=None):
-    """(lambda descending, M-orthonormal Q, rank) of B X^{-1} B^T q = lambda M q,
-    or of B B^T q = lambda q when no norms are given."""
+    """(lambda descending, M-orthonormal Q, rank, dense M or None) of
+    B X^{-1} B^T q = lambda M q, or of B B^T q = lambda q when no norms are
+    given."""
     b = sp.csr_array(b, dtype=float)
     if x_norm is None:
         s, m = (b @ b.T).toarray(), None
@@ -117,11 +121,24 @@ def _spectrum(b, x_norm=None, m_norm=None):
         raise NotPositiveDefinite(f"pressure norm: {exc}") from exc
     lam, q = lam[::-1], q[:, ::-1]
     rank = int(np.count_nonzero(lam > RANK_RTOL * lam[0])) if len(lam) else 0
-    return lam, q, rank
+    return lam, q, rank, m
+
+
+def _constant_pressure_angle(kernel: np.ndarray, m) -> float:
+    """sin of the angle between the constant pressure and span(kernel),
+    whose columns are M-orthonormal (M = I when ``m`` is None); 1 for an
+    empty kernel."""
+    if kernel.shape[1] == 0:
+        return 1.0
+    ones = np.ones(kernel.shape[0])
+    m_ones = ones if m is None else m @ ones
+    gap = ones - kernel @ (kernel.T @ m_ones)
+    m_gap = gap if m is None else m @ gap
+    return float(np.sqrt((gap @ m_gap) / (ones @ m_ones)))
 
 
 def _report(b, spectrum, mode, pair, h):
-    lam, q, rank = spectrum
+    lam, q, rank, m = spectrum
     n_p, n_u = b.shape
     beta, worst = 0.0, np.zeros(n_p)
     if rank > 0:
@@ -131,7 +148,10 @@ def _report(b, spectrum, mode, pair, h):
     return InfSupReport(beta=beta, mode=mode, sigma=sigma,
                         numerical_rank=rank,
                         kernel_dim_pressure=n_p - rank,
-                        worst_pressure_mode=worst, pair=pair, h=h)
+                        worst_pressure_mode=worst,
+                        constant_pressure_angle=_constant_pressure_angle(
+                            q[:, rank:], m),
+                        pair=pair, h=h)
 
 
 def infsup_euclidean(b, pair: str = "custom",
@@ -194,23 +214,3 @@ def alternation_score(mode: np.ndarray, mesh: Mesh, kind: ElementKind) -> float:
         return 0.0
     flips = (left * right < 0) & signed
     return float(flips.sum() / signed.sum())
-
-
-def constant_pressure_angle(pair: str, mesh: Mesh,
-                            weighted: bool = True) -> float:
-    """sin of the angle between the constant pressure and the numerical kernel.
-
-    Measured in the M inner product (M = I in Euclidean mode), in which the
-    kernel eigenvectors of the pencil are orthonormal; ~0 when the constant
-    is correctly classified as a spurious-free kernel direction.
-    """
-    b, x, m = pair_operators(*pair_spaces(pair, mesh))
-    _, q, rank = _spectrum(b, x, m) if weighted else _spectrum(b)
-    if not weighted:
-        m = sp.eye_array(b.shape[0])
-    kernel = q[:, rank:]
-    if kernel.shape[1] == 0:
-        return 1.0
-    ones = np.ones(b.shape[0])
-    gap = ones - kernel @ (kernel.T @ (m @ ones))
-    return float(np.sqrt((gap @ (m @ gap)) / (ones @ (m @ ones))))

@@ -64,8 +64,8 @@ from .assembly import (
     stiffness,
 )
 from .fespace import ElementKind, FeSpace, build_space
-from .linalg import SingularMatrix, sym_eig
-from .mesh import Mesh, triangle_grad_lambda, unit_square_mesh
+from .linalg import SingularMatrix
+from .mesh import Mesh, unit_square_mesh
 
 DEFAULT_POINCARE = 1.0 / (np.pi * np.sqrt(2.0))   # 1/sqrt(2 pi^2), unit square
 _METHODS = ("plain", "corrected", "multiplier")
@@ -319,47 +319,3 @@ def lambda_sweep(config: LockingConfig, lambdas) -> list:
 def run(config: LockingConfig) -> LockingReport:
     """Build and solve one penalty: the one-lambda sweep."""
     return lambda_sweep(config, [config.lambda_])[0]
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-def coercivity_eigenvalue(config: LockingConfig) -> float:
-    """Smallest eigenvalue of the assembled plain matrix."""
-    lam, _ = sym_eig(build_plain(config, _blocks(config)).saddle.full_matrix())
-    return float(lam[-1])
-
-
-def projection_gap(config: LockingConfig, p_coeffs) -> float:
-    """sqrt of the corrected scheme's subtracted form at a nodal p field.
-
-    This is ||grad q - Pi grad q|| with the lumped projection, the
-    quantity whose failure to vanish drives the locking.
-    """
-    b = _blocks(config)
-    q = np.asarray(p_coeffs, dtype=float)[b.free_p]
-    form = b.sp - b.g.T @ sp.diags_array(1.0 / b.ml) @ b.g
-    return float(np.sqrt(max(q @ (form @ q), 0.0)))
-
-
-def gamma_target(config: LockingConfig, u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Coefficients of lambda (u - grad p) in the multiplier space."""
-    if config.gamma_space != "discontinuous":
-        raise ValueError("only the discontinuous gamma space interpolates "
-                         "lambda (u - grad p) exactly")
-    mesh = unit_square_mesh(config.n)
-    tri = mesh.triangles
-    grad_p = np.einsum("tkd,tk->td", triangle_grad_lambda(mesh), p[tri])
-    n_sc = mesh.n_nodes
-    parts = []
-    for c in range(2):
-        vals = u[c * n_sc:][tri] - grad_p[:, c][:, None]      # (T, 3)
-        parts.append(config.lambda_ * vals.ravel())
-    return np.concatenate(parts)
-
-
-def gamma_mass_norm(config: LockingConfig, coeffs: np.ndarray) -> float:
-    y_space = _gamma_space(config, unit_square_mesh(config.n))
-    m = mass(y_space)
-    return float(np.sqrt(coeffs @ (m @ coeffs)))

@@ -38,16 +38,10 @@ def weighted_betas(pair: str) -> tuple:
 
 @lru_cache(maxsize=None)
 def stokes_slopes(name: str) -> dict:
-    problem = stokes.manufactured_problem()
     method = stokes.method_from_name(name)
-
-    def builder(n):
-        sol = stokes.run(method, unit_square_mesh(n), problem.f)
-        u_l2, u_h1, p_l2 = stokes.errors(sol, problem)
-        return {"err_u_l2": u_l2, "err_u_h1": u_h1, "err_p_l2": p_l2}
-
-    report = verify.run_convergence(builder, (8, 16, 32),
-                                    method=name, problem="stokes-mms")
+    report = verify.run_convergence(
+        lambda n: stokes.manufactured_run(method, n)[1], (8, 16, 32),
+        method=name, problem="stokes-mms")
     return dict(report.slopes)
 
 

@@ -12,15 +12,22 @@ contribution to the right-hand side):
 * ``p1p1-plain``        C = 0 (unstable; kept to exhibit the failure)
 * ``p1p1-loss``         C = h^2 (S0 - G^T M_L^{-1} G), the mass-lumped
                         elimination of an auxiliary projected-gradient field
-* ``brezzi-pitkaranta`` C = eps h^2 S0
-* ``galerkin-ls``       C = eps sum_K h_K^2 (grad p, grad q)_K plus the
-                        matching -eps h_K^2 (f, grad q)_K load
-* ``douglas-wang``      like galerkin-ls but with first-power h_K weights and
-                        a flipped constraint-row sign, which makes the
-                        assembled system intentionally asymmetric
+                        z = M_L^{-1} G p (``loss_projection``)
+* ``brezzi-pitkaranta`` C = eps sum_K h_K^2 (grad p, grad q)_K
+* ``galerkin-ls``       the same C (the Laplacian of a P1 field vanishes on
+                        each cell) plus the matching -eps h_K^2 (f, grad q)_K
+                        load
+* ``douglas-wang``      like galerkin-ls but with first-power h_K weights, a
+                        +eps load and a flipped constraint-row sign, which
+                        makes the assembled system intentionally asymmetric
 * ``taylor-hood``       P2/P1, C = 0
 * ``mini``              P1+bubble / P1, C = 0
 * ``p2p0``              P2/P0, C = 0
+
+The three eps methods read (power of h_K, load sign, row sign) from one
+table.  ``oscillation_indicator`` (checkerboard modes) and
+``boundary_pressure_flux`` (the spurious dp/dn = 0 of gradient
+stabilization) show an inf-sup failure in a solved pressure.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ from .assembly import (
     gradient_load,
     load_vector,
     lumped_mass,
-    pressure_grad_stab,
     solve_saddle,
     solve_saddle_pcg,
     stiffness,
@@ -50,6 +56,7 @@ from .mesh import (
     edge_table,
     triangle_areas,
     triangle_diameters,
+    unit_square_mesh,
 )
 
 
@@ -57,7 +64,13 @@ class UnsupportedCombination(ValueError):
     """Requested method or element pairing is not implemented."""
 
 
-_EPS_METHODS = ("brezzi-pitkaranta", "galerkin-ls", "douglas-wang")
+#: (power of h_K, load sign, constraint-row sign) of the weighted-gradient
+#: stabilizations: C = eps sum_K h_K^power (grad p, grad q)_K and
+#: g = load sign * eps sum_K h_K^power (f, grad q)_K
+_GRADIENT_STAB = {"brezzi-pitkaranta": (2, 0.0, 1.0),
+                  "galerkin-ls": (2, -1.0, 1.0),
+                  "douglas-wang": (1, 1.0, -1.0)}
+_EPS_METHODS = tuple(_GRADIENT_STAB)
 _PLAIN_METHODS = ("p1p1-plain", "p1p1-loss", "taylor-hood", "mini", "p2p0")
 DEFAULT_EPS = 0.05
 
@@ -111,12 +124,18 @@ def spaces_for(method: StokesMethod, mesh: Mesh) -> tuple[FeSpace, FeSpace]:
     return pair_spaces(_METHOD_PAIR[method.name], mesh)
 
 
-def _loss_c_block(mesh: Mesh, p_space: FeSpace) -> sp.csr_array:
+def _loss_projection(p_space: FeSpace) -> tuple[sp.csr_array, np.ndarray]:
+    """(G, diagonal of M_L) of the projected gradient z = M_L^{-1} G p,
+    with z in the vector P1 space on the pressure mesh."""
+    z_space = build_space(ElementKind.P1, p_space.mesh, components=2)
+    return grad_coupling(z_space, p_space), lumped_mass(z_space)
+
+
+def _loss_c_block(p_space: FeSpace) -> sp.csr_array:
     """``h^2 (S0 - G^T M_L^{-1} G)`` from the lumped elimination."""
-    z_space = build_space(ElementKind.P1, mesh, components=2)
-    g = grad_coupling(z_space, p_space)
-    ml_inv = sp.diags_array(1.0 / lumped_mass(z_space))
-    return mesh.h ** 2 * (stiffness(p_space) - g.T @ ml_inv @ g)
+    g, ml = _loss_projection(p_space)
+    ml_inv = sp.diags_array(1.0 / ml)
+    return p_space.mesh.h ** 2 * (stiffness(p_space) - g.T @ ml_inv @ g)
 
 
 def build(method: StokesMethod, mesh: Mesh, body_force) -> SaddleSystem:
@@ -134,20 +153,16 @@ def build(method: StokesMethod, mesh: Mesh, body_force) -> SaddleSystem:
     g = np.zeros(p_space.n_dofs)
     c = None
     sign = 1.0
-    hk = triangle_diameters(mesh)
 
     if method.name == "p1p1-loss":
-        c = _loss_c_block(mesh, p_space)
-    elif method.name == "brezzi-pitkaranta":
-        c = method.eps * pressure_grad_stab(p_space)
-    elif method.name == "galerkin-ls":
-        c = method.eps * pressure_grad_stab(p_space, hk ** 2)
-        g = -method.eps * gradient_load(p_space, body_force, hk ** 2)
-    elif method.name == "douglas-wang":
-        # first-power element weights and a flipped constraint row
-        c = method.eps * pressure_grad_stab(p_space, hk)
-        g = method.eps * gradient_load(p_space, body_force, hk)
-        sign = -1.0
+        c = _loss_c_block(p_space)
+    elif method.name in _EPS_METHODS:
+        power, load_sign, sign = _GRADIENT_STAB[method.name]
+        weights = triangle_diameters(mesh) ** power
+        c = method.eps * stiffness(p_space, cell_weights=weights)
+        if load_sign:
+            g = load_sign * method.eps * gradient_load(p_space, body_force,
+                                                       weights)
 
     return SaddleSystem(a=a, b=b, c=c, f=f, g=g, pressure_mass=m,
                         pressure_row_sign=sign, spaces=(v_space, p_space))
@@ -161,7 +176,6 @@ def build(method: StokesMethod, mesh: Mesh, body_force) -> SaddleSystem:
 class StokesSolution:
     u: np.ndarray                   # every velocity dof, boundary ones zero
     p: np.ndarray
-    z: np.ndarray | None
     residual_norm: float
     cg_iterations: int | None       # None on the schur-lu route
     method: StokesMethod
@@ -179,8 +193,7 @@ def solve(system: SaddleSystem, method: StokesMethod) -> StokesSolution:
     the pressure system) takes the mass-preconditioned pressure CG of
     ``solve_saddle_pcg``, preconditioned by the system's own pressure
     mass.  Both routes return the pressure at zero discrete mean; the
-    velocity comes back full length, zero on the boundary dofs, and the
-    projection field ``z`` is attached for ``p1p1-loss``.
+    velocity comes back full length, zero on the boundary dofs.
     """
     v_space, p_space = system.spaces
     if method.route == "schur-pcg":
@@ -189,19 +202,21 @@ def solve(system: SaddleSystem, method: StokesMethod) -> StokesSolution:
         (x, res_rel), iterations = solve_saddle(system), None
     u = v_space.extend_by_zero(x[:system.n_u])
     p = x[system.n_u:system.n_u + system.n_p]
-
-    z = None
-    if method.name == "p1p1-loss":
-        z_space = build_space(ElementKind.P1, v_space.mesh, components=2)
-        g = grad_coupling(z_space, p_space)
-        z = (g @ p) / lumped_mass(z_space)
-    return StokesSolution(u=u, p=p, z=z, residual_norm=res_rel,
+    return StokesSolution(u=u, p=p, residual_norm=res_rel,
                           cg_iterations=iterations, method=method,
                           v_space=v_space, p_space=p_space)
 
 
 def run(method: StokesMethod, mesh: Mesh, body_force) -> StokesSolution:
     return solve(build(method, mesh, body_force), method)
+
+
+def loss_projection(solution: StokesSolution) -> np.ndarray:
+    """The projected pressure gradient z = M_L^{-1} G p of a ``p1p1-loss``
+    solution, in the vector P1 space on the solution's mesh: the auxiliary
+    field that ``_loss_c_block`` eliminates."""
+    g, ml = _loss_projection(solution.p_space)
+    return (g @ solution.p) / ml
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +277,15 @@ def manufactured_problem() -> ManufacturedProblem:
     return ManufacturedProblem(u=u, p=p, f=f, grad_u=grad_u)
 
 
+def manufactured_run(method: StokesMethod, n: int):
+    """Solve the manufactured problem on the n x n mesh: ``(solution,
+    {"err_u_l2", "err_u_h1", "err_p_l2": error})``."""
+    problem = manufactured_problem()
+    solution = run(method, unit_square_mesh(n), problem.f)
+    names = ("err_u_l2", "err_u_h1", "err_p_l2")
+    return solution, dict(zip(names, errors(solution, problem)))
+
+
 # ---------------------------------------------------------------------------
 # errors and diagnostics
 # ---------------------------------------------------------------------------
@@ -319,15 +343,16 @@ def oscillation_indicator(solution: StokesSolution) -> float:
     return float(jumps.sum() / norm)
 
 
-def boundary_pressure_flux(solution: StokesSolution) -> float:
-    """Perimeter-averaged |dp/dn| on the boundary for P1 pressures.
+def boundary_pressure_flux(solution: StokesSolution) -> float | None:
+    """Perimeter-averaged |dp/dn| on the boundary for P1 pressures, None for
+    a P0 pressure, which has no normal derivative.
 
     A diagnostic for the spurious natural condition dp/dn = 0 that plain
     gradient stabilization enforces in the small-h limit.
     """
     p_space = solution.p_space
     if p_space.kind is not ElementKind.P1:
-        raise UnsupportedCombination("boundary pressure flux needs P1 pressure")
+        return None
     lengths, _, _ = boundary_edge_geometry(p_space.mesh)
     flux, tri_nodes = boundary_hat_flux(p_space.mesh)
     dp_dn = np.abs(np.einsum("ek,ek->e", flux, solution.p[tri_nodes]))

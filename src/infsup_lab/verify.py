@@ -79,15 +79,6 @@ def run_convergence(builder, ns, method: str = "", problem: str = "") -> Converg
                              levels=tuple(levels), slopes=slopes)
 
 
-def error_names(report: ConvergenceReport) -> list[str]:
-    names: list[str] = []
-    for lv in report.levels:
-        for k in lv.errors:
-            if k not in names:
-                names.append(k)
-    return names
-
-
 def report_dict(report: ConvergenceReport) -> dict:
     """JSON-ready view of a report."""
     return {
@@ -103,11 +94,9 @@ def report_dict(report: ConvergenceReport) -> dict:
 
 
 def report_rows(report: ConvergenceReport):
-    """(header, rows) for CSV export: level index, h, one error column each."""
-    names = error_names(report)
-    header = ["level", "h"] + names
-    rows = []
-    for i, lv in enumerate(report.levels):
-        row = [i, lv.h] + [lv.errors.get(k, "") for k in names]
-        rows.append(row)
-    return header, rows
+    """(header, rows) for CSV export: level index, h, one error column each
+    in order of first appearance, blank where a level has no such error."""
+    names = list(dict.fromkeys(k for lv in report.levels for k in lv.errors))
+    rows = [[i, lv.h] + [lv.errors.get(k, "") for k in names]
+            for i, lv in enumerate(report.levels)]
+    return ["level", "h"] + names, rows

@@ -276,12 +276,6 @@ def errors(mesh: Mesh, u_vec: np.ndarray, problem: WeakBcProblem):
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def normal_flux_values(mesh: Mesh, u_vec: np.ndarray) -> np.ndarray:
-    """Per-boundary-edge du/dn of a P1 field (constant on each edge)."""
-    flux, tri_nodes = boundary_hat_flux(mesh)
-    return np.einsum("ek,ek->e", flux, u_vec[tri_nodes])
-
-
 def lambda_roughness(solution: WeakBcSolution, mesh: Mesh,
                      trace: str = "p1") -> float:
     """Total variation of the multiplier along the boundary over its scale.

@@ -18,7 +18,6 @@ from infsup_lab.assembly import (
     load_vector,
     lumped_mass,
     mass,
-    pressure_grad_stab,
     schur_complement,
     solve_saddle,
     solve_saddle_pcg,
@@ -64,10 +63,11 @@ def _canonical_csr(m):
 
 def test_operators_are_canonical_csr_arrays():
     # relative_residual's Frobenius norm reads .data, which counts an entry
-    # twice if it is stored twice
+    # twice if it is stored twice; a stored 0.0 (a cancelled coupling) would
+    # be a structural nonzero to SuperLU
     mesh = unit_square_mesh(3)
     p0, p1 = (build_space(k, mesh) for k in (ElementKind.P0, ElementKind.P1))
-    ops = [pressure_grad_stab(p1), boundary_mass(p1),
+    ops = [stiffness(p1, cell_weights=np.arange(1.0, 19.0)), boundary_mass(p1),
            boundary_normal_flux(p1), boundary_flux_flux(p1)]
     for kind in (ElementKind.P1, ElementKind.P1_BUBBLE, ElementKind.P2):
         v = build_space(kind, mesh, components=2)
@@ -76,6 +76,7 @@ def test_operators_are_canonical_csr_arrays():
     disc = build_space(ElementKind.P1_DISC, mesh, components=2)
     ops += [grad_coupling(v1, p1), cross_mass(disc, v1)]
     assert all(_canonical_csr(op) for op in ops)
+    assert all(np.all(op.data != 0.0) for op in ops)
     systems = ([stokes_system(name, 3) for name in stokes.method_names()]
                + [weakbc_system(name, 3) for name in WEAKBC_METHODS]
                + [weakbc.build(method, unit_square_mesh(3), WEAKBC_MMS.f,
@@ -84,8 +85,9 @@ def test_operators_are_canonical_csr_arrays():
                                  weakbc.barbosa_hughes(trace="p0"))]
                + [locking_system(name, 3, 1e2) for name in LOCKING_VARIANTS])
     for system in systems:
-        assert _canonical_csr(system.a) and _canonical_csr(system.b)
-        assert system.c is None or _canonical_csr(system.c)
+        blocks = [system.a, system.b] + ([] if system.c is None else [system.c])
+        assert all(_canonical_csr(op) for op in blocks)
+        assert all(np.all(op.data != 0.0) for op in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +200,6 @@ def test_grad_coupling_is_minus_transpose_of_divergence_inside():
     bt = divergence(v, p).toarray().T
     free = v.free_dofs()
     assert np.allclose(g[free], bt[free], atol=1e-13)
-
-
-def test_pressure_grad_stab_default_weight_is_hk_squared():
-    mesh = unit_square_mesh(4)
-    p = build_space(ElementKind.P1, mesh)
-    s0 = stiffness(p).toarray()
-    sw = pressure_grad_stab(p).toarray()
-    assert np.allclose(sw, mesh.h ** 2 * s0, atol=1e-14)
 
 
 def test_reassembly_with_higher_degree_is_identical():

@@ -105,6 +105,45 @@ def test_stokes_reports_its_solver_route(method, route, tmp_path):
     assert iterations is None if route == "schur-lu" else iterations > 0
 
 
+@pytest.mark.parametrize("method", ["dw", "th"])
+def test_stokes_reports_pressure_diagnostics(method, tmp_path):
+    code, doc = run(["stokes", "--method", method, "--n", "8"], tmp_path,
+                    json_out=True)
+    assert code == 0
+    res = doc["results"]
+    assert math.isfinite(res["pressure_oscillation"])
+    assert res["pressure_oscillation"] > 0.0
+    assert math.isfinite(res["boundary_pressure_flux"])
+    assert res["boundary_pressure_flux"] > 0.0
+    if method == "th":
+        # the exact p = sin(2 pi x) sin(2 pi y) has perimeter-mean |dp/dn| = 4
+        assert res["boundary_pressure_flux"] == pytest.approx(4.0, rel=0.1)
+
+
+def test_p0_pressure_reports_null_boundary_flux(tmp_path):
+    code, doc = run(["stokes", "--method", "p2p0", "--n", "4"], tmp_path,
+                    json_out=True)
+    assert code == 0
+    assert doc["results"]["boundary_pressure_flux"] is None
+    assert doc["results"]["pressure_oscillation"] > 0.0
+
+
+def test_singular_verdict_carries_no_pressure_diagnostics(tmp_path):
+    code, doc = run(["stokes", "--method", "p1p1-plain", "--n", "4"],
+                    tmp_path, json_out=True)
+    assert code == 0
+    assert set(doc["results"]) == {"h", "route", "cg_iterations", "error"}
+
+
+@pytest.mark.parametrize("mode", ["weighted", "euclidean"])
+@pytest.mark.parametrize("pair", ["p1p1", "p1p0", "mini", "th", "p2p0"])
+def test_infsup_reports_constant_pressure_angle(pair, mode, tmp_path):
+    code, doc = run(["infsup", "--pair", pair, "--n", "4", "--mode", mode],
+                    tmp_path, json_out=True)
+    assert code == 0
+    assert 0.0 <= doc["results"]["constant_pressure_angle"] <= 1e-8
+
+
 def test_pressure_cg_failure_exits_1(tmp_path, monkeypatch):
     import scipy.sparse.linalg
     monkeypatch.setattr(scipy.sparse.linalg, "cg",

@@ -9,15 +9,31 @@ from infsup_lab.fespace import (
     ElementKind,
     LOCAL_DOFS,
     UnsupportedDegree,
-    barycentric,
     build_space,
-    evaluate,
     fields_at_quadrature,
     quadrature,
     shape_gradients_bary,
     shape_values,
 )
-from infsup_lab.mesh import edge_table, unit_square_mesh
+from infsup_lab.mesh import edge_table, triangle_grad_lambda, unit_square_mesh
+
+
+def barycentric(mesh, t, x):
+    """Barycentric coordinates of physical point ``x`` in triangle ``t``."""
+    grad = triangle_grad_lambda(mesh)[t]
+    p = mesh.nodes[mesh.triangles[t]]
+    x = np.asarray(x, dtype=float)
+    return np.array([1.0 + grad[k] @ (x - p[k]) for k in range(3)])
+
+
+def evaluate(space, coeffs, t, bary):
+    """Value of a discrete function at one barycentric point of triangle t:
+    a pointwise oracle for ``fields_at_quadrature``.  A scalar for
+    1-component spaces, else an array of length ``components``."""
+    vals = shape_values(space.kind, bary)
+    local = np.asarray(coeffs, dtype=float)[space.cell_dofs[t]]
+    out = local.reshape(space.components, space.n_local) @ vals
+    return out[0] if space.components == 1 else out
 
 
 def bary_monomial_integral(a, b, c):
@@ -175,6 +191,20 @@ def test_p2_interpolation_exact_for_quadratics_with_gradients():
     pts, vals, grads = fields_at_quadrature(space, coeffs, quadrature(4))
     assert np.allclose(vals[..., 0], f(pts), atol=1e-12)
     assert np.allclose(grads[:, :, 0, :], grad_f(pts), atol=1e-11)
+
+
+@pytest.mark.parametrize("kind", [ElementKind.P1, ElementKind.P1_BUBBLE,
+                                  ElementKind.P2])
+def test_fields_at_quadrature_match_pointwise_evaluation(kind):
+    mesh = unit_square_mesh(2)
+    space = build_space(kind, mesh, components=2)
+    coeffs = np.random.default_rng(5).standard_normal(space.n_dofs)
+    rule = quadrature(4)
+    _, values, _ = fields_at_quadrature(space, coeffs, rule)
+    for t in range(mesh.n_triangles):
+        for q, lam in enumerate(rule.points):
+            assert np.allclose(evaluate(space, coeffs, t, lam), values[t, q],
+                               rtol=0.0, atol=1e-13)
 
 
 def test_p2_is_continuous_across_interior_edges():

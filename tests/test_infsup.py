@@ -153,9 +153,44 @@ def test_stable_pairs_keep_beta_level():
 
 def test_constant_pressure_lands_in_kernel():
     for pair in infsup.PAIRS:
-        rep = infsup.study(pair, unit_square_mesh(4))
-        assert rep.kernel_dim_pressure >= 1
-        assert infsup.constant_pressure_angle(pair, unit_square_mesh(4)) <= 1e-8
+        for weighted in (True, False):
+            rep = infsup.study(pair, unit_square_mesh(4), weighted=weighted)
+            assert rep.kernel_dim_pressure >= 1
+            assert rep.constant_pressure_angle <= 1e-8
+
+
+def test_constant_pressure_angle_of_a_hand_kernel():
+    # B B^T = diag(1, 0): the kernel is e_2, the constant (1, 1) sits at 45
+    # degrees to it; a full-rank block leaves no kernel, angle 1
+    rep = infsup.infsup_euclidean(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert rep.kernel_dim_pressure == 1
+    assert rep.constant_pressure_angle == pytest.approx(np.sqrt(0.5),
+                                                        rel=1e-15)
+    # weighted, M = diag(1, 3): ||(1, 0)||_M^2 / ||(1, 1)||_M^2 = 1 / 4
+    rep = infsup.infsup_weighted(np.array([[1.0, 0.0], [0.0, 0.0]]),
+                                 np.eye(2), np.diag([1.0, 3.0]))
+    assert rep.constant_pressure_angle == pytest.approx(0.5, rel=1e-15)
+    assert infsup.infsup_euclidean(np.eye(2, 3)).constant_pressure_angle == 1.0
+
+
+def test_study_assembles_and_solves_once(monkeypatch):
+    # the angle is read from the kernel eigenvectors beta_h is read from
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(infsup, "pair_operators",
+                        counting("pair_operators", infsup.pair_operators))
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        counting("eigh", scipy.linalg.eigh))
+    for weighted in (True, False):
+        calls.clear()
+        infsup.study("taylor-hood", unit_square_mesh(3), weighted=weighted)
+        assert calls == ["pair_operators", "eigh"]
 
 
 def test_report_fields():
@@ -226,7 +261,8 @@ def jacobi_route(b, x=None, m=None):
     return infsup.InfSupReport(
         beta=float(sigma[rank - 1]), mode="oracle", sigma=sigma,
         numerical_rank=rank, kernel_dim_pressure=w.shape[0] - rank,
-        worst_pressure_mode=None, pair="oracle", h=float("nan"))
+        worst_pressure_mode=None, constant_pressure_angle=float("nan"),
+        pair="oracle", h=float("nan"))
 
 
 @pytest.mark.parametrize("weighted", [True, False])
@@ -255,9 +291,9 @@ def test_beta_route_takes_no_svd(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dgejsv", no_svd)
     mesh = unit_square_mesh(4)
     for weighted in (True, False):
-        assert infsup.study("taylor-hood", mesh, weighted=weighted).beta > 0.0
-        assert infsup.constant_pressure_angle("taylor-hood", mesh,
-                                              weighted=weighted) <= 1e-8
+        rep = infsup.study("taylor-hood", mesh, weighted=weighted)
+        assert rep.beta > 0.0
+        assert rep.constant_pressure_angle <= 1e-8
 
 
 # --- spurious modes ---------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from infsup_lab import locking
-from infsup_lab.mesh import unit_square_mesh
+from infsup_lab.assembly import mass
+from infsup_lab.fespace import ElementKind, build_space
+from infsup_lab.mesh import triangle_grad_lambda, unit_square_mesh
 
 
 def zero_f(pts):
@@ -96,8 +99,12 @@ def test_projection_gap_decays_under_refinement():
     for n in (4, 8, 16):
         mesh = unit_square_mesh(n)
         p = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
-        gaps.append(locking.projection_gap(
-            locking.LockingConfig(lambda_=1.0, n=n), p))
+        # ||grad q - Pi grad q|| with the lumped projection: sqrt of the
+        # form S_p - G^T M_L^{-1} G that the corrected scheme subtracts
+        b = locking._blocks(locking.LockingConfig(lambda_=1.0, n=n))
+        q = p[b.free_p]
+        form = b.sp - b.g.T @ sp.diags_array(1.0 / b.ml) @ b.g
+        gaps.append(float(np.sqrt(max(q @ (form @ q), 0.0))))
     assert gaps[0] > gaps[1] > gaps[2] > 0
     assert 1.3 <= gaps[0] / gaps[1] <= 2.3
     assert 1.3 <= gaps[1] / gaps[2] <= 2.3
@@ -114,9 +121,12 @@ def test_plain_locks():
 
 
 def test_plain_coercivity_grows_with_lambda():
-    eigs = [locking.coercivity_eigenvalue(
-                locking.LockingConfig(lambda_=lam, n=4))
-            for lam in (1e2, 1e4, 1e6)]
+    # smallest eigenvalue of the assembled plain matrix
+    eigs = []
+    for lam in (1e2, 1e4, 1e6):
+        cfg = locking.LockingConfig(lambda_=lam, n=4)
+        k = locking.build_plain(cfg, locking._blocks(cfg)).saddle.full_matrix()
+        eigs.append(np.linalg.eigvalsh(k)[0])
     assert all(e >= 0.0 for e in eigs)
     assert eigs[0] < eigs[1] < eigs[2]
 
@@ -186,19 +196,41 @@ def test_multiplier_solution_matches_plain():
     assert np.abs(sol_m.u - sol_p.u).max() <= 1e-9 * np.abs(sol_p.u).max()
 
 
+def gamma_target(config, u, p):
+    """Coefficients of lambda (u - grad p) in the discontinuous multiplier
+    space, which interpolates it exactly: the oracle of the multiplier."""
+    if config.gamma_space != "discontinuous":
+        raise ValueError("only the discontinuous gamma space interpolates "
+                         "lambda (u - grad p) exactly")
+    mesh = unit_square_mesh(config.n)
+    tri = mesh.triangles
+    grad_p = np.einsum("tkd,tk->td", triangle_grad_lambda(mesh), p[tri])
+    n_sc = mesh.n_nodes
+    parts = []
+    for c in range(2):
+        vals = u[c * n_sc:][tri] - grad_p[:, c][:, None]      # (T, 3)
+        parts.append(config.lambda_ * vals.ravel())
+    return np.concatenate(parts)
+
+
 def test_gamma_recovers_scaled_constraint_residual():
     cfg = locking.LockingConfig(lambda_=1e3, n=4, method="multiplier")
     sol = locking.solve(locking.build(cfg))
-    target = locking.gamma_target(cfg, sol.u, sol.p)
-    gap = locking.gamma_mass_norm(cfg, sol.gamma - target)
-    assert gap <= 1e-6 * locking.gamma_mass_norm(cfg, target)
+    target = gamma_target(cfg, sol.u, sol.p)
+    m = mass(build_space(ElementKind.P1_DISC, unit_square_mesh(4),
+                         components=2))
+
+    def norm(coeffs):                  # the L2 norm of the multiplier space
+        return float(np.sqrt(coeffs @ (m @ coeffs)))
+
+    assert norm(sol.gamma - target) <= 1e-6 * norm(target)
 
 
 def test_gamma_target_needs_discontinuous_space():
     cfg = locking.LockingConfig(lambda_=1e3, n=4, method="multiplier",
                                 gamma_space="continuous")
     with pytest.raises(ValueError):
-        locking.gamma_target(cfg, np.zeros(50), np.zeros(25))
+        gamma_target(cfg, np.zeros(50), np.zeros(25))
 
 
 def test_augmented_form_eliminates_to_plain_too():

@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from infsup_lab import infsup, stokes
+from infsup_lab import cli, infsup, stokes
 from infsup_lab.assembly import (divergence, grad_coupling, load_vector,
                                  lumped_mass, stiffness)
 from infsup_lab.fespace import build_space, ElementKind
@@ -170,14 +170,19 @@ def test_loss_eliminated_matches_three_field():
     u = sol.u[sol.v_space.free_dofs()]
     scale = np.linalg.norm(u) + 1.0
     assert np.linalg.norm(x[idx["u"]] - u) <= 1e-9 * scale
-    assert np.linalg.norm(x[idx["z"]] - sol.z) <= 1e-9 * (np.linalg.norm(sol.z) + 1.0)
+    z = stokes.loss_projection(sol)
+    assert z.shape == sol.u.shape
+    assert np.linalg.norm(x[idx["z"]] - z) <= 1e-9 * (np.linalg.norm(z) + 1.0)
 
 
-def test_projection_field_only_for_loss():
-    _, sol = mms_run("p1p1-loss", 8)
-    assert sol.z is not None and sol.z.shape == sol.u.shape
-    _, th = mms_run("taylor-hood", 8)
-    assert th.z is None
+def test_projection_field_only_for_loss(tmp_path):
+    # the VTK export is the one run output that reads the projection
+    for name, exported in (("p1p1-loss", True), ("taylor-hood", False)):
+        path = tmp_path / f"{name}.vtk"
+        assert cli.main(["stokes", "--method", name, "--n", "4",
+                         "--vtk", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        assert ("VECTORS projection double" in lines) is exported
 
 
 def test_unknown_method_rejected():
@@ -259,6 +264,25 @@ def test_plain_pair_fails_at_moderate_refinement():
     assert stokes.oscillation_indicator(sol) > 10 * stokes.oscillation_indicator(th)
 
 
+def test_gradient_stabilizations_share_one_weighted_form():
+    # bp's C is eps h^2 S0 on the uniform mesh; on P1 gls assembles the same
+    # C (the Laplacian of a P1 field vanishes on each cell) with a -eps h^2
+    # load, and dw weights by h_K with a +eps load and a flipped row
+    mesh = unit_square_mesh(4)
+    systems = {name: stokes.build(stokes.method_from_name(name), mesh, EXACT.f)
+               for name in ("bp", "gls", "dw")}
+    s0 = stiffness(build_space(ElementKind.P1, mesh)).toarray()
+    eps = stokes.DEFAULT_EPS
+    bp, gls, dw = systems["bp"], systems["gls"], systems["dw"]
+    assert np.allclose(bp.c.toarray(), eps * mesh.h ** 2 * s0,
+                       rtol=0.0, atol=1e-14)
+    assert (gls.c != bp.c).nnz == 0
+    assert np.allclose(dw.c.toarray(), eps * mesh.h * s0, rtol=0.0, atol=1e-14)
+    assert not np.any(bp.g)
+    assert np.linalg.norm(gls.g + mesh.h * dw.g) <= 1e-14 * np.linalg.norm(gls.g)
+    assert [sys.pressure_row_sign for sys in (bp, gls, dw)] == [1.0, 1.0, -1.0]
+
+
 def test_gls_solves_across_refinements():
     for n in (4, 8, 16):
         sol = stokes.run(stokes.method_from_name("gls"), unit_square_mesh(n),
@@ -291,7 +315,7 @@ def test_errors_interpolation_reproduction():
     uh = np.concatenate([coords[:, 0] + 2 * coords[:, 1],
                          3 * coords[:, 0] - coords[:, 1]])
     ph = p(p_space.dof_coords)
-    sol = stokes.StokesSolution(u=uh, p=ph, z=None, residual_norm=0.0,
+    sol = stokes.StokesSolution(u=uh, p=ph, residual_norm=0.0,
                                 cg_iterations=None, method=None,
                                 v_space=v_space, p_space=p_space)
     errs = stokes.errors(sol, exact)
@@ -303,7 +327,7 @@ def test_errors_of_zero_solution_are_exact_norms():
     v_space, p_space = stokes.spaces_for(stokes.method_from_name("th"),
                                          unit_square_mesh(16))
     zero = stokes.StokesSolution(u=np.zeros(v_space.n_dofs),
-                                 p=np.zeros(p_space.n_dofs), z=None,
+                                 p=np.zeros(p_space.n_dofs),
                                  residual_norm=0.0, cg_iterations=None,
                                  method=None, v_space=v_space,
                                  p_space=p_space)
@@ -331,7 +355,7 @@ def test_p2p0_pressure_projection():
     cell_avg = load_vector(p_space, EXACT.p, degree=6) / load_vector(
         p_space, lambda q: np.ones(q.shape[:-1]))
     sol = stokes.StokesSolution(u=np.zeros(v_space.n_dofs), p=cell_avg,
-                                z=None, residual_norm=0.0,
+                                residual_norm=0.0,
                                 cg_iterations=None, method=None,
                                 v_space=v_space, p_space=p_space)
     assert stokes.errors(sol, EXACT)[2] <= 1e-12
@@ -343,7 +367,7 @@ def test_oscillation_indicator_zero_for_zero_pressure():
     v_space, p_space = stokes.spaces_for(stokes.method_from_name("th"),
                                          unit_square_mesh(4))
     sol = stokes.StokesSolution(u=np.zeros(v_space.n_dofs),
-                                p=np.zeros(p_space.n_dofs), z=None,
+                                p=np.zeros(p_space.n_dofs),
                                 residual_norm=0.0, cg_iterations=None,
                                 method=None, v_space=v_space,
                                 p_space=p_space)
@@ -360,7 +384,7 @@ def test_oscillation_indicator_flags_checkerboard():
     checker = np.where((ij.sum(axis=1)) % 2 == 0, 1.0, -1.0)
 
     def indicator(p):
-        sol = stokes.StokesSolution(u=np.zeros(v_space.n_dofs), p=p, z=None,
+        sol = stokes.StokesSolution(u=np.zeros(v_space.n_dofs), p=p,
                                     residual_norm=0.0, cg_iterations=None,
                                     method=None, v_space=v_space,
                                     p_space=p_space)
@@ -377,5 +401,4 @@ def test_boundary_pressure_flux_reported():
         flux = stokes.boundary_pressure_flux(sol)
         assert np.isfinite(flux) and flux >= 0.0
     _, p2p0 = mms_run("p2p0", 8)
-    with pytest.raises(stokes.UnsupportedCombination):
-        stokes.boundary_pressure_flux(p2p0)
+    assert stokes.boundary_pressure_flux(p2p0) is None      # P0 pressure

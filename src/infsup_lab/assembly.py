@@ -29,7 +29,8 @@ from .fespace import (
     shape_gradients_bary,
     shape_values,
 )
-from .linalg import NotPositiveDefinite, SingularMatrix, check_pivots, lu_solve
+from .linalg import (NotPositiveDefinite, SingularMatrix, _lu_solve_overwrite,
+                     check_pivots)
 from .mesh import (
     Mesh,
     boundary_edge_geometry,
@@ -379,21 +380,25 @@ class SaddleSystem:
         return rhs
 
     def relative_residual(self, x) -> float:
-        """``||K x - rhs|| / (||K||_F ||x|| + ||rhs||)`` with a sparse K.
-
-        Equal to the same quantity formed with the dense ``full_matrix()``.
-        """
-        s = self.pressure_row_sign
-        c = None if self.c is None else -s * self.c
-        blocks = [[self.a, self.b.T], [s * self.b, c]]
-        if self.pressure_mass is not None:
-            m = sp.csr_array(self.mean_row[:, None])
-            blocks = [blocks[0] + [None], blocks[1] + [m], [None, m.T, None]]
-        k = sp.block_array(blocks, format="csr")
-        rhs = self.full_rhs()
-        scale = (np.linalg.norm(k.data) * np.linalg.norm(x)
-                 + np.linalg.norm(rhs))
-        return float(np.linalg.norm(k @ x - rhs) / scale) if scale > 0 else 0.0
+        """``||K x - rhs|| / (||K||_F ||x|| + ||rhs||)`` from the blocks, K
+        never assembled: equal to the same quantity formed with the dense
+        ``full_matrix()``."""
+        s, n_u, n_p = self.pressure_row_sign, self.n_u, self.n_p
+        u, p, m = x[:n_u], x[n_u:n_u + n_p], self.mean_row
+        r_p = s * (self.b @ u) - self.g
+        parts = [self.a @ u + self.b.T @ p - self.f, r_p]
+        entries = [self.a.data, self.b.data, self.b.data]
+        if self.c is not None:
+            r_p -= s * (self.c @ p)
+            entries.append(self.c.data)
+        if m is not None:
+            r_p += x[-1] * m
+            parts.append([m @ p])
+            entries += [m, m]
+        scale = (np.sqrt(sum(e @ e for e in entries)) * np.linalg.norm(x)
+                 + np.linalg.norm(self.full_rhs()))
+        residual = np.linalg.norm(np.concatenate(parts))
+        return float(residual / scale) if scale > 0 else 0.0
 
 
 #: b^T columns per SuperLU solve: 32 no faster, 128+ slower (TH n=32, 1 thread)
@@ -404,20 +409,50 @@ SCHUR_BLOCK = 64
 CG_RTOL = 1e-12
 
 
+class _TwoBlockFactor:
+    """The factor of diag(K, K) held as the SuperLU factor of K alone: a
+    (2n,) or (2n, k) right-hand side is solved as one (n, 2k) block through
+    a Fortran-order reshape, a view of a column-major right-hand side."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        rhs = np.asarray(rhs, dtype=float)
+        x = self.lu.solve(rhs.reshape((self.lu.shape[0], -1), order="F"))
+        return x.reshape(rhs.shape, order="F")
+
+
+def _diagonal_half(matrix: sp.csr_array) -> sp.csr_array | None:
+    """K when the CSR ``matrix`` is exactly diag(K, K) (its bottom rows
+    repeat the top rows with column indices shifted by n), else None."""
+    n, odd = divmod(matrix.shape[0], 2)
+    ptr, idx, val = matrix.indptr, matrix.indices, matrix.data
+    half = ptr[n]
+    if odd or not (np.array_equal(ptr[n:] - half, ptr[:n + 1])
+            and np.array_equal(idx[:half] + n, idx[half:])
+            and np.array_equal(val[:half], val[half:])):
+        return None
+    return sp.csr_array((val[:half], idx[:half], ptr[:n + 1]), shape=(n, n))
+
+
 def sparse_lu(matrix: sp.csr_array, what: str):
     """SuperLU factor (minimum degree on ``matrix^T + matrix``) of a matrix
-    that must be nonsingular, else ``SingularMatrix`` naming ``what``.
+    that must be nonsingular, else ``SingularMatrix`` naming ``what``; of K
+    alone when the matrix is diag(K, K), as every Stokes velocity block is.
     scipy.sparse.linalg is imported here: runs that never factor do not
     load its extension modules."""
     from scipy.sparse.linalg import norm as sparse_norm, splu
 
-    matrix = matrix.tocsc()
+    matrix = sp.csr_array(matrix)
+    block = _diagonal_half(matrix)
+    factored = (matrix if block is None else block).tocsc()
     try:
-        lu = splu(matrix, permc_spec="MMD_AT_PLUS_A")
+        lu = splu(factored, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
         raise SingularMatrix(f"{what}: {exc}") from exc
-    check_pivots(lu.U.diagonal(), float(np.max(sparse_norm(matrix, axis=0))))
-    return lu
+    check_pivots(lu.U.diagonal(), float(np.max(sparse_norm(factored, axis=0))))
+    return lu if block is None else _TwoBlockFactor(lu)
 
 
 def schur_operator(lu, b: sp.csr_array, c: sp.csr_array | None):
@@ -426,8 +461,10 @@ def schur_operator(lu, b: sp.csr_array, c: sp.csr_array | None):
     ``a``."""
     from scipy.sparse.linalg import LinearOperator
 
+    bt = b.T
+
     def apply(q):
-        rhs = b.T @ q
+        rhs = bt @ q
         # a sparse block densifies column-major, the layout SuperLU solves
         # without a transposing copy (row-major blocks made the dense route
         # of locking multiplier n=32 a fifth slower)
@@ -438,16 +475,19 @@ def schur_operator(lu, b: sp.csr_array, c: sp.csr_array | None):
                           dtype=float)
 
 
-def schur_complement(lu, b: sp.csr_array, c: sp.csr_array | None = None) -> np.ndarray:
-    """Dense ``b a^{-1} b^T + c``: ``schur_operator`` applied to SCHUR_BLOCK
-    columns of the sparse identity at a time (workspace n_u × 64)."""
+def schur_complement(lu, b: sp.csr_array, c: sp.csr_array | None,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Dense ``b a^{-1} b^T + c`` by ``schur_operator`` on SCHUR_BLOCK identity
+    columns at a time (workspace n_u × 64), written into the leading n_p ×
+    n_p block of ``out`` (a new array when None), which it returns."""
     n_p = b.shape[0]
-    schur, op = np.empty((n_p, n_p)), schur_operator(lu, b, c)
+    out = np.empty((n_p, n_p)) if out is None else out[:n_p, :n_p]
+    op = schur_operator(lu, b, c)
     for j in range(0, n_p, SCHUR_BLOCK):
         width = min(SCHUR_BLOCK, n_p - j)
-        schur[:, j:j + width] = op.matmat(
+        out[:, j:j + width] = op.matmat(
             sp.eye_array(n_p, width, k=-j, format="csc"))
-    return schur
+    return out
 
 
 def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
@@ -455,11 +495,11 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
 
     1. ``sparse_lu`` factors ``a``, which must be nonsingular.
     2. The Schur complement ``-s (b a^{-1} b^T + c)``, bordered by the mean
-       row ``m = M 1``, is formed dense by ``schur_complement`` in
-       64-column blocks (dense workspace n_u × 64 plus the n_p × n_p S)
-       and solved by ``lu_solve``.  Its pivot test is the singularity
-       verdict: the unstabilized equal-order pair fails there with a zero
-       pivot.
+       row ``m = M 1``, is written by ``schur_complement`` into one
+       Fortran-order array in 64-column blocks (dense workspace n_u × 64
+       plus that array) and LU-factored in place under ``lu_solve``'s
+       contract.  Its pivot test is the singularity verdict: the
+       unstabilized equal-order pair fails there with a zero pivot.
     3. ``u = a^{-1} (f - b^T p)``.
 
     This is the solver of the locking and weak-boundary systems, the
@@ -471,21 +511,20 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     ``relative_residual``; no dense N×N matrix is formed.
     """
     s = system.pressure_row_sign
-    b, f, m = system.b, system.f, system.mean_row
+    b, f, m, n_p = system.b, system.f, system.mean_row, system.n_p
     lu = sparse_lu(system.a, "velocity block")
 
-    schur = schur_complement(lu, b, system.c)
-    schur *= -s
     rhs_p = system.g - s * (b @ lu.solve(f))
+    n_y = n_p + (m is not None)
+    schur = np.empty((n_y, n_y), order="F")
+    schur_complement(lu, b, system.c, schur)
+    schur[:n_p, :n_p] *= -s
     if m is not None:
-        n_p = system.n_p
-        bordered = np.zeros((n_p + 1, n_p + 1))
-        bordered[:n_p, :n_p] = schur
-        bordered[:n_p, -1] = m
-        bordered[-1, :n_p] = m
-        schur, rhs_p = bordered, np.append(rhs_p, 0.0)
-    y = lu_solve(schur, rhs_p)
-    p = y[:system.n_p]
+        schur[:n_p, -1] = schur[-1, :n_p] = m
+        schur[-1, -1] = 0.0
+        rhs_p = np.append(rhs_p, 0.0)
+    y = _lu_solve_overwrite(schur, rhs_p) if n_y else rhs_p
+    p = y[:n_p]
     u = lu.solve(f - b.T @ p)
     x = np.concatenate([u, y])
     if not np.all(np.isfinite(x)):
@@ -501,19 +540,24 @@ def solve_saddle_pcg(system: SaddleSystem) -> tuple[np.ndarray, float, int]:
     ``u = a^{-1} (f - b^T p)`` leaves ``(S + c) p = r + s mu m`` with
     ``S = b a^{-1} b^T``, ``r = b a^{-1} f - s g`` and, for solvability,
     ``mu = -s (1^T r) / (1^T m)``.  ``cg`` runs on ``schur_operator`` to
-    ``CG_RTOL``, preconditioned by the system's pressure mass M (``m = M
-    1``) with ``M^{-1} r`` projected M-orthogonally off the constants.  M
-    bounds ``S + c`` below by beta_h^2 (Verfürth 1984), so the iterations do
-    not grow with n.  A CG that stops short raises ``LinAlgError``; on a
-    singular ``S + c`` it would not, so ``solve_saddle`` stays the verdict
-    and the oracle.  Returns ``(x, residual_rel, iterations)``.
+    ``CG_RTOL``, preconditioned by ``M + c`` (M, the system's pressure mass
+    with ``m = M 1``, when ``c`` is None) with ``(M + c)^{-1} r`` projected
+    M-orthogonally off the constants (``c 1 = 0``).  ``S <= 2 M`` and the
+    stabilized inf-sup condition ``S + c >= gamma M`` (gamma = beta_h^2 for
+    a stable pair; Verfürth 1984) bound ``S + c`` between min(gamma, 1)/2
+    and 2 times ``M + c``, so the iterations do not grow with n; against M
+    alone, douglas-wang's c grows like 1/h and so did its iterations.  A CG
+    that stops short raises ``LinAlgError``; on a singular ``S + c`` it
+    would not, so ``solve_saddle`` stays the verdict and the oracle.
+    Returns ``(x, residual_rel, iterations)``.
     """
     from scipy.sparse.linalg import LinearOperator, cg
 
     s = system.pressure_row_sign
-    b, f, m = system.b, system.f, system.mean_row
+    b, c, f, m = system.b, system.c, system.f, system.mean_row
     lu = sparse_lu(system.a, "velocity block")
-    mass_lu = sparse_lu(system.pressure_mass, "pressure mass")
+    mass_lu = sparse_lu(system.pressure_mass if c is None
+                        else system.pressure_mass + c, "pressure preconditioner")
 
     def precondition(r):
         z = mass_lu.solve(r)
@@ -522,7 +566,7 @@ def solve_saddle_pcg(system: SaddleSystem) -> tuple[np.ndarray, float, int]:
     r = b @ lu.solve(f) - s * system.g
     mu = -s * r.sum() / m.sum()
     iterations = []
-    p, info = cg(schur_operator(lu, b, system.c), r + s * mu * m,
+    p, info = cg(schur_operator(lu, b, c), r + s * mu * m,
                  rtol=CG_RTOL, atol=0.0, callback=iterations.append,
                  M=LinearOperator((system.n_p,) * 2, matvec=precondition,
                                   dtype=float))

@@ -99,7 +99,7 @@ def _spd_schur(b: sp.csr_array, x_norm) -> np.ndarray:
             and np.all(lu.U.diagonal() > 0.0)):
         raise NotPositiveDefinite("velocity norm: off-diagonal or "
                                   "non-positive pivot")
-    return schur_complement(lu, b)
+    return schur_complement(lu, b, None)
 
 
 def _spectrum(b, x_norm=None, m_norm=None):

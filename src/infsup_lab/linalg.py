@@ -81,7 +81,7 @@ def lu_solve(a, b) -> np.ndarray:
 
     Raises ``SingularMatrix`` when any pivot magnitude drops below
     ``PIVOT_RTOL`` times the largest initial column norm.  ``b`` may be a
-    vector or a matrix of right-hand sides.
+    vector or a matrix of right-hand sides; ``a`` is left unchanged.
     """
     a = _as_dense(a)
     n, m = a.shape
@@ -92,11 +92,17 @@ def lu_solve(a, b) -> np.ndarray:
         raise ValueError("right-hand side length mismatch")
     if n == 0:
         return b.copy()
+    return _lu_solve_overwrite(np.array(a, order="F"), b)
 
-    col_scale = float(np.max(np.linalg.norm(a, axis=0)))
+
+def _lu_solve_overwrite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``lu_solve`` on a non-empty, square, finite float64 ``a`` that it
+    overwrites with its LU factors (no copy when ``a`` is Fortran-ordered)."""
+    col_scale = float(np.sqrt(np.max(np.einsum("ij,ij->j", a, a))))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")      # we do our own pivot check below
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True,
+                                         check_finite=False)
     if not np.all(np.isfinite(lu)):
         raise SingularMatrix("non-finite entries in the LU factors")
     check_pivots(np.diag(lu), col_scale)

@@ -497,9 +497,10 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     2. The Schur complement ``-s (b a^{-1} b^T + c)``, bordered by the mean
        row ``m = M 1``, is written by ``schur_complement`` into one
        Fortran-order array in 64-column blocks (dense workspace n_u × 64
-       plus that array) and LU-factored in place under ``lu_solve``'s
-       contract.  Its pivot test is the singularity verdict: the
-       unstabilized equal-order pair fails there with a zero pivot.
+       plus that array) and LU-factored in place by
+       ``linalg._lu_solve_overwrite``.  Its pivot test is the singularity
+       verdict: the unstabilized equal-order pair fails there with a zero
+       pivot.
     3. ``u = a^{-1} (f - b^T p)``.
 
     This is the solver of the locking and weak-boundary systems, the

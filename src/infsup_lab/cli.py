@@ -174,9 +174,10 @@ def _singular(error: str, results: dict):
 def _run_stokes(args: argparse.Namespace):
     with _usage():
         method = stokes.method_from_name(args.method, args.eps)
-    h = float(np.sqrt(2.0) / args.n)
+    mesh = unit_square_mesh(args.n)
+    h = mesh.h
     try:
-        solution, errs = stokes.manufactured_run(method, args.n)
+        solution, errs = stokes.manufactured_run(method, mesh)
     except SingularMatrix as exc:
         if method.name != "p1p1-plain":
             raise                       # singularity only expected there
@@ -189,7 +190,6 @@ def _run_stokes(args: argparse.Namespace):
     if args.csv_path:
         _write_csv(args.csv_path, ["h", *errs], [[h, *errs.values()]])
     if args.vtk_path:
-        mesh = solution.v_space.mesh
         vectors = {"velocity": _vertex_values(solution.v_space, solution.u)}
         if method.name == "p1p1-loss":
             vectors["projection"] = _vertex_values(
@@ -209,7 +209,7 @@ def _run_convergence(args: argparse.Namespace):
     with _usage():
         method = stokes.method_from_name(args.method, args.eps)
     report = verify.run_convergence(
-        lambda n: stokes.manufactured_run(method, n)[1], args.ns,
+        lambda mesh: stokes.manufactured_run(method, mesh)[1], args.ns,
         method=method.name, problem="stokes-mms")
     results = verify.report_dict(report)
     if args.csv_path:
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "levels")
     cv.add_argument("--method", required=True, choices=methods)
     cv.add_argument("--ns", type=_int_list, default=(8, 16, 32),
-                    help="comma-separated mesh sizes (at least 3)")
+                    help="comma-separated mesh sizes (at least 3 distinct)")
     cv.add_argument("--eps", type=_finite_float, default=None,
                     help="stabilization weight (stabilized methods; "
                          "default 0.05)")
@@ -478,8 +478,9 @@ def _validate(args: argparse.Namespace) -> None:
         raise UsageError(f"{args.subcommand} --method {args.method} does "
                          f"not read {', '.join(unread)}")
     if args.subcommand == "convergence":
-        if len(args.ns) < 3:
-            raise UsageError("convergence needs at least 3 mesh sizes")
+        if len(set(args.ns)) < 3:
+            raise UsageError("convergence needs at least 3 distinct mesh "
+                             "sizes")
         if any(n < 1 for n in args.ns):
             raise UsageError("mesh sizes must be >= 1")
     elif args.subcommand == "infsup":

@@ -4,17 +4,18 @@ Dense matrices are plain 2-D float64 ``numpy.ndarray`` objects (row-major);
 sparse operators are ``scipy.sparse.csr_array`` objects built in
 ``assembly``, and no sparse kernel lives here.
 
-``lu_solve`` delegates the factorization to LAPACK but keeps this module's
-error contract; ``check_pivots`` is the pivot contract itself, shared with
-the sparse factor of the eliminated block in ``assembly.solve_saddle``, and
-``require_symmetric`` the symmetry contract, shared with the norm matrices
-of ``infsup``.  The two spectral routines are the package's independent
-cross-checks, used by the selftest and the test oracles (β_h itself comes
-from ``infsup``'s pressure-sized eigenproblem): ``svd`` calls the
-preconditioned one-sided Jacobi SVD ``dgejsv`` in its ``JOBA='C'`` mode, so
-small singular values keep high relative accuracy instead of being rounded
-to zero against the largest one, and ``sym_eig`` calls ``eigh``, a
-tridiagonal route.
+``_lu_solve_overwrite`` is the package's one dense LU, the factor of the
+bordered pressure Schur matrix in ``assembly.solve_saddle``: LAPACK
+factors in place, and this module's pivot contract, ``check_pivots``
+(shared with the sparse factor of the eliminated block), decides
+singularity.  ``require_symmetric`` is the symmetry contract, shared with
+the norm matrices of ``infsup``.  The two spectral routines are the
+package's independent cross-checks, used by the selftest and the test
+oracles (β_h itself comes from ``infsup``'s pressure-sized eigenproblem):
+``svd`` calls the preconditioned one-sided Jacobi SVD ``dgejsv`` in its
+``JOBA='C'`` mode, so small singular values keep high relative accuracy
+instead of being rounded to zero against the largest one, and ``sym_eig``
+calls ``eigh``, a tridiagonal route.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class NotPositiveDefinite(ValueError):
     """A matrix required to be positive definite has a non-positive pivot."""
 
 
-#: relative pivot threshold for lu_solve (× max initial column norm)
+#: relative pivot threshold of every LU factor (× max initial column norm)
 PIVOT_RTOL = 1e-14
 
 #: relative symmetry tolerance required of norm matrices and by sym_eig
@@ -76,28 +77,15 @@ def check_pivots(pivots, col_scale: float) -> None:
                              f"{threshold:.3e}")
 
 
-def lu_solve(a, b) -> np.ndarray:
-    """Solve ``a x = b`` by LU with partial pivoting.
+def _lu_solve_overwrite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` by LU with partial pivoting, overwriting ``a`` (a
+    non-empty, square, finite float64 matrix) with its LU factors; no copy
+    is made when ``a`` is Fortran-ordered.  ``b`` is a vector or a matrix
+    of right-hand sides.
 
     Raises ``SingularMatrix`` when any pivot magnitude drops below
-    ``PIVOT_RTOL`` times the largest initial column norm.  ``b`` may be a
-    vector or a matrix of right-hand sides; ``a`` is left unchanged.
+    ``PIVOT_RTOL`` times the largest initial column norm.
     """
-    a = _as_dense(a)
-    n, m = a.shape
-    if n != m:
-        raise ValueError("lu_solve needs a square matrix")
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != n:
-        raise ValueError("right-hand side length mismatch")
-    if n == 0:
-        return b.copy()
-    return _lu_solve_overwrite(np.array(a, order="F"), b)
-
-
-def _lu_solve_overwrite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``lu_solve`` on a non-empty, square, finite float64 ``a`` that it
-    overwrites with its LU factors (no copy when ``a`` is Fortran-ordered)."""
     col_scale = float(np.sqrt(np.max(np.einsum("ij,ij->j", a, a))))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")      # we do our own pivot check below

@@ -314,8 +314,3 @@ def lambda_sweep(config: LockingConfig, lambdas) -> list:
             reports.append(LockingReport(nan, nan, cfg.lambda_, cfg.method,
                                          solve_ok=False, residual_norm=nan))
     return reports
-
-
-def run(config: LockingConfig) -> LockingReport:
-    """Build and solve one penalty: the one-lambda sweep."""
-    return lambda_sweep(config, [config.lambda_])[0]

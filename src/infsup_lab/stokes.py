@@ -56,7 +56,6 @@ from .mesh import (
     edge_table,
     triangle_areas,
     triangle_diameters,
-    unit_square_mesh,
 )
 
 
@@ -71,8 +70,13 @@ _GRADIENT_STAB = {"brezzi-pitkaranta": (2, 0.0, 1.0),
                   "galerkin-ls": (2, -1.0, 1.0),
                   "douglas-wang": (1, 1.0, -1.0)}
 _EPS_METHODS = tuple(_GRADIENT_STAB)
-_PLAIN_METHODS = ("p1p1-plain", "p1p1-loss", "taylor-hood", "mini", "p2p0")
 DEFAULT_EPS = 0.05
+
+#: every method, in CLI order, with its element pair (a key of
+#: ``infsup.PAIRS``)
+_METHOD_PAIR = {**dict.fromkeys(("p1p1-plain", "p1p1-loss", *_EPS_METHODS),
+                                "p1p1"),
+                "taylor-hood": "taylor-hood", "mini": "mini", "p2p0": "p2p0"}
 
 #: short labels the CLI accepts for ``--method``
 ALIASES = {"bp": "brezzi-pitkaranta", "gls": "galerkin-ls",
@@ -87,14 +91,13 @@ class StokesMethod:
     eps: float | None = None
 
     def __post_init__(self):
+        if self.name not in _METHOD_PAIR:
+            raise UnsupportedCombination(f"unknown Stokes method {self.name!r}")
         if self.name in _EPS_METHODS:
             if self.eps is None or self.eps <= 0.0:
                 raise ValueError(f"{self.name} needs eps > 0")
-        elif self.name in _PLAIN_METHODS:
-            if self.eps is not None:
-                raise ValueError(f"{self.name} takes no eps parameter")
-        else:
-            raise UnsupportedCombination(f"unknown Stokes method {self.name!r}")
+        elif self.eps is not None:
+            raise ValueError(f"{self.name} takes no eps parameter")
 
     @property
     def route(self) -> str:
@@ -111,13 +114,7 @@ def method_from_name(name: str, eps: float | None = None) -> StokesMethod:
 
 
 def method_names() -> list[str]:
-    return list(_PLAIN_METHODS[:2]) + list(_EPS_METHODS) + list(_PLAIN_METHODS[2:])
-
-
-#: the element pair (a key of ``infsup.PAIRS``) of each method
-_METHOD_PAIR = {**dict.fromkeys(("p1p1-plain", "p1p1-loss", *_EPS_METHODS),
-                                "p1p1"),
-                "taylor-hood": "taylor-hood", "mini": "mini", "p2p0": "p2p0"}
+    return list(_METHOD_PAIR)
 
 
 def spaces_for(method: StokesMethod, mesh: Mesh) -> tuple[FeSpace, FeSpace]:
@@ -277,11 +274,11 @@ def manufactured_problem() -> ManufacturedProblem:
     return ManufacturedProblem(u=u, p=p, f=f, grad_u=grad_u)
 
 
-def manufactured_run(method: StokesMethod, n: int):
-    """Solve the manufactured problem on the n x n mesh: ``(solution,
+def manufactured_run(method: StokesMethod, mesh: Mesh):
+    """Solve the manufactured problem on ``mesh``: ``(solution,
     {"err_u_l2", "err_u_h1", "err_p_l2": error})``."""
     problem = manufactured_problem()
-    solution = run(method, unit_square_mesh(n), problem.f)
+    solution = run(method, mesh, problem.f)
     names = ("err_u_l2", "err_u_h1", "err_p_l2")
     return solution, dict(zip(names, errors(solution, problem)))
 

@@ -1,9 +1,9 @@
 """Convergence-rate estimation shared by the solver front ends.
 
-A study runs a builder closure over a list of mesh sizes, records the named
-errors per level, and fits one least-squares slope per error series on the
-log-log points.  Failed levels are kept in the report (with the failure
-message) and simply drop out of the fit.
+A study runs a builder closure on the mesh of each listed size, records the
+mesh's ``h`` and the named errors per level, and fits one least-squares
+slope per error series on the log-log points.  Failed levels are kept in
+the report (with the failure message) and simply drop out of the fit.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .mesh import unit_square_mesh
 
 MIN_LEVELS_FOR_SLOPE = 3
 
@@ -45,8 +47,9 @@ def fit_slope(hs, errs) -> float:
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
 
-def run_convergence(builder, ns, method: str = "", problem: str = "") -> ConvergenceReport:
-    """Run ``builder(n) -> {name: error}`` over mesh sizes ``ns``.
+def run_convergence(builder, ns, method: str, problem: str) -> ConvergenceReport:
+    """Run ``builder(mesh) -> {name: error}`` on the mesh of each size in
+    ``ns``.
 
     Solver failures are caught per level and recorded; slopes are fitted per
     error name over the successful levels, and omitted entirely when fewer
@@ -54,13 +57,14 @@ def run_convergence(builder, ns, method: str = "", problem: str = "") -> Converg
     """
     levels = []
     for n in sorted(set(int(n) for n in ns)):
-        h = np.sqrt(2.0) / n        # longest edge of the structured mesh
+        mesh = unit_square_mesh(n)
         try:
-            errors = {k: float(v) for k, v in builder(n).items()}
+            errors = {k: float(v) for k, v in builder(mesh).items()}
         except Exception as exc:    # recorded, not masked: see report
-            levels.append(Level(h=h, failure=f"{type(exc).__name__}: {exc}"))
+            levels.append(Level(h=mesh.h,
+                                failure=f"{type(exc).__name__}: {exc}"))
         else:
-            levels.append(Level(h=h, errors=errors))
+            levels.append(Level(h=mesh.h, errors=errors))
     levels.sort(key=lambda lv: -lv.h)
 
     good = [lv for lv in levels if lv.failure is None]

@@ -10,10 +10,15 @@ Three routes, all on continuous P1:
 * ``nitsche``         multiplier-free symmetric form with consistency
                       terms and penalty gamma sum_E (1/h_E) <u, v>_E
 
-Stability parameters are calibrated by the inverse-inequality constant
-C_i = sup_v sqrt(h ||dv/dn||_G^2 / ||grad v||^2), estimated once as the top
-eigenvalue of a dense generalized pencil.  Defaults: gamma = 4 C_i^2 and
-alpha = 0.5 / C_i^2.
+``method_from_name`` is the one constructor of a ``WeakBcMethod`` from a
+label.  Stability parameters are calibrated by the inverse-inequality
+constant C_i = sup_v sqrt(h ||dv/dn||_G^2 / ||grad v||^2), estimated once
+as the top eigenvalue of a dense generalized pencil (the one densification
+in this module).  Defaults: gamma = 4 C_i^2 and alpha = 0.5 / C_i^2.
+
+``equivalence_check`` solves the eliminated (Nitsche) form of BH(P0) with
+``assembly.sparse_lu``, the factor ``solve_saddle`` takes of every system
+here.
 """
 
 from __future__ import annotations
@@ -36,10 +41,10 @@ from .assembly import (
     load_vector,
     mass,
     solve_saddle,
+    sparse_lu,
     stiffness,
 )
 from .fespace import ElementKind, FeSpace, build_space, fields_at_quadrature, quadrature
-from .linalg import lu_solve
 from .mesh import (
     Mesh,
     boundary_edge_geometry,
@@ -113,30 +118,19 @@ def default_alpha() -> float:
     return 0.5 / _ci_estimate() ** 2
 
 
-def multiplier(trace: str = "p1") -> WeakBcMethod:
-    return WeakBcMethod("multiplier", trace=trace)
-
-
-def barbosa_hughes(alpha: float | None = None, trace: str = "p1") -> WeakBcMethod:
-    if alpha is None:
-        alpha = default_alpha()
-    return WeakBcMethod("barbosa-hughes", alpha=alpha, trace=trace)
-
-
-def nitsche(gamma: float | None = None) -> WeakBcMethod:
-    if gamma is None:
-        gamma = default_gamma()
-    return WeakBcMethod("nitsche", gamma=gamma)
-
-
 def method_from_name(name: str, alpha: float | None = None,
                      gamma: float | None = None, trace: str = "p1") -> WeakBcMethod:
+    """Resolve a label (``bh`` included); an unset alpha or gamma takes its
+    calibrated default, and a parameter the method does not read is
+    dropped."""
     if name == "multiplier":
-        return multiplier(trace=trace)
+        return WeakBcMethod(name, trace=trace)
     if name in ("barbosa-hughes", "bh"):
-        return barbosa_hughes(alpha=alpha, trace=trace)
+        return WeakBcMethod("barbosa-hughes", trace=trace,
+                            alpha=default_alpha() if alpha is None else alpha)
     if name == "nitsche":
-        return nitsche(gamma=gamma)
+        return WeakBcMethod(name,
+                            gamma=default_gamma() if gamma is None else gamma)
     raise ValueError(f"unknown weak-bc method {name!r}")
 
 
@@ -277,7 +271,7 @@ def errors(mesh: Mesh, u_vec: np.ndarray, problem: WeakBcProblem):
 # ---------------------------------------------------------------------------
 
 def lambda_roughness(solution: WeakBcSolution, mesh: Mesh,
-                     trace: str = "p1") -> float:
+                     trace: str) -> float:
     """Total variation of the multiplier along the boundary over its scale.
 
     The multiplier is known to come out rough; this is the reported
@@ -306,36 +300,38 @@ def lambda_roughness(solution: WeakBcSolution, mesh: Mesh,
 # BH <-> Nitsche equivalence (P0 multipliers, gamma = 1/alpha)
 # ---------------------------------------------------------------------------
 
-def _nitsche_projected(mesh: Mesh, f, d, gamma: float):
-    """Nitsche variant with the penalty acting on P0 edge averages.
+def _nitsche_projected(space: FeSpace, f, d, gamma: float):
+    """Nitsche variant with the penalty acting on P0 edge averages, as a
+    CSR matrix and its load.
 
     Exact elimination of P0 multipliers from the stabilized system yields
     THIS form (the du/dn consistency terms are already edge-wise constant
     for P1, so only the penalty changes).
     """
-    space = build_space(ElementKind.P1, mesh)
-    n = space.n_dofs
+    mesh = space.mesh
     lengths, _, _ = boundary_edge_geometry(mesh)
-    t0 = _p0_trace_ops(mesh, n)[0].toarray()
-    nf = boundary_normal_flux(space).toarray()
-    pen = t0.T @ (t0 * (gamma / lengths ** 2)[:, None])
-    k = _reaction_diffusion(space).toarray() - nf - nf.T + pen
+    weights = gamma / lengths ** 2
+    t0 = _p0_trace_ops(mesh, space.n_dofs)[0]
+    nf = boundary_normal_flux(space)
+    k = (_reaction_diffusion(space) - nf - nf.T
+         + t0.T @ sp.diags_array(weights) @ t0)
     rhs = (load_vector(space, f) - boundary_load(space, d, flux_test=True)
-           + t0.T @ (gamma / lengths ** 2 * boundary_edge_integrals(mesh, d)))
+           + t0.T @ (weights * boundary_edge_integrals(mesh, d)))
     return k, rhs
 
 
-def equivalence_check(mesh: Mesh, f, d, alpha: float = 0.1) -> float:
+def equivalence_check(mesh: Mesh, f, d, alpha: float) -> float:
     """Relative H1 gap between BH(P0, alpha) and Nitsche(gamma = 1/alpha).
 
     The two are algebraically the same system after eliminating the
     multiplier, so the gap sits at solver roundoff.
     """
-    u_bh = run(barbosa_hughes(alpha=alpha, trace="p0"), mesh, f, d).u
-    k_n, rhs_n = _nitsche_projected(mesh, f, d, 1.0 / alpha)
-    u_n = lu_solve(k_n, rhs_n)
+    u_bh = run(WeakBcMethod("barbosa-hughes", alpha=alpha, trace="p0"),
+               mesh, f, d).u
     space = build_space(ElementKind.P1, mesh)
-    h1 = _reaction_diffusion(space).toarray()
+    k_n, rhs_n = _nitsche_projected(space, f, d, 1.0 / alpha)
+    u_n = sparse_lu(k_n, "projected Nitsche matrix").solve(rhs_n)
+    h1 = _reaction_diffusion(space)
     diff = u_bh - u_n
     num = np.sqrt(diff @ (h1 @ diff))
     den = np.sqrt(u_n @ (h1 @ u_n))

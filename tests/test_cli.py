@@ -71,6 +71,9 @@ def test_no_subcommand_is_usage_error():
     ["locking", "--method", "plain", "--grad-div", "--lambdas", "1e3"],
     ["locking", "--method", "corrected", "--gamma-space", "discontinuous"],
     ["locking", "--method", "multiplier", "--c-omega", "0.3"],
+    # fewer than 3 distinct mesh sizes
+    ["convergence", "--method", "th", "--ns", "8,8,16"],
+    ["convergence", "--method", "th", "--ns", "4,4,4"],
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     path = tmp_path / "out.json"

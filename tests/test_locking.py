@@ -23,6 +23,11 @@ def zero_g(pts):
 TRANSVERSE = {"f": locking.transverse_f, "g": locking.transverse_g}
 
 
+def run(config):
+    """Build and solve one penalty: the one-lambda sweep."""
+    return locking.lambda_sweep(config, [config.lambda_])[0]
+
+
 # --- configuration -------------------------------------------------------
 
 def test_config_validation():
@@ -67,14 +72,14 @@ def test_lambda_zero_decouples_and_is_singular():
     assert np.array_equal(system.a.toarray(), b.ku.toarray())   # pure Laplacian
     dead = np.hstack([system.b.toarray(), system.c.toarray()])
     assert np.abs(dead).max() == 0.0                            # dead p block
-    report = locking.run(cfg)
+    report = run(cfg)
     assert not report.solve_ok
     assert np.isnan(report.u_h1_norm)
 
 
 @pytest.mark.parametrize("method", ["plain", "corrected", "multiplier"])
 def test_zero_loads_zero_solution(method):
-    report = locking.run(locking.LockingConfig(
+    report = run(locking.LockingConfig(
         lambda_=1e3, n=4, method=method, f=zero_f, g=zero_g))
     assert report.solve_ok
     assert report.u_h1_norm == 0.0
@@ -143,10 +148,10 @@ def test_corrected_reaches_lambda_independent_plateau():
 
 
 def test_corrected_beats_plain_at_large_lambda():
-    r_c = locking.run(locking.LockingConfig(
+    r_c = run(locking.LockingConfig(
         lambda_=1e6, n=8, method="corrected", w_mass="consistent",
         **TRANSVERSE))
-    r_p = locking.run(locking.LockingConfig(lambda_=1e6, n=8, **TRANSVERSE))
+    r_p = run(locking.LockingConfig(lambda_=1e6, n=8, **TRANSVERSE))
     assert r_c.u_h1_norm / r_p.u_h1_norm >= 100.0
 
 
@@ -164,7 +169,7 @@ def test_default_load_has_zero_limit_transverse_load_does_not():
     # convergent scheme's norm falls under refinement; the transverse
     # load's limit is a nonzero clamped plate and its norm settles
     def norms(**loads):
-        return [locking.run(locking.LockingConfig(
+        return [run(locking.LockingConfig(
                     lambda_=1e8, n=n, method="corrected",
                     w_mass="consistent", **loads)).u_h1_norm
                 for n in (8, 16)]
@@ -246,7 +251,7 @@ def test_augmented_form_eliminates_to_plain_too():
 
 def test_continuous_gamma_needs_augmented_form():
     # a(.,.) alone has no coercivity on the projected-constraint kernel
-    report = locking.run(locking.LockingConfig(
+    report = run(locking.LockingConfig(
         lambda_=1e6, n=8, method="multiplier", gamma_space="continuous"))
     assert not report.solve_ok
 
@@ -255,7 +260,7 @@ def test_constrained_limit_eliminates_the_x_block():
     # continuous gamma with the augmented form eliminates the SPD A_X;
     # eliminating gamma instead would put 1/(lambda - 1) back into the
     # Schur complement and drift by about 1e-6 here
-    report = locking.run(locking.LockingConfig(
+    report = run(locking.LockingConfig(
         lambda_=1e12, n=8, method="multiplier", gamma_space="continuous",
         grad_div_form=True))
     assert report.u_h1_norm == pytest.approx(2.921596515e-02, rel=1e-8)
@@ -307,8 +312,8 @@ def test_sweep_assembles_its_blocks_once(monkeypatch):
     assert len(calls) == 1
     assert [r.lambda_ for r in reports] == [1e2, 1e4, 1e6]
     for lam, report in zip((1e2, 1e4, 1e6), reports):
-        alone = locking.run(locking.LockingConfig(lambda_=lam, n=4,
-                                                  method="corrected"))
+        alone = run(locking.LockingConfig(lambda_=lam, n=4,
+                                          method="corrected"))
         assert report == alone
 
 
@@ -325,7 +330,7 @@ def test_reports_carry_the_solve_residual(method):
 
 
 def test_failed_report_has_nan_residual():
-    report = locking.run(locking.LockingConfig(
+    report = run(locking.LockingConfig(
         lambda_=1e6, n=4, method="multiplier", gamma_space="continuous"))
     assert not report.solve_ok
     assert np.isnan(report.residual_norm)

@@ -1,10 +1,13 @@
 """Every public function and class of the package has a reader in the package.
 
 A public name that only the tests reach is either a diagnostic the runs
-should report or a test helper that belongs in ``tests/``.  A name counts
-as read when it appears as an ``ast.Name``, as the attribute of an
-``ast.Attribute`` or in an import, anywhere in ``src/infsup_lab`` outside
-its own definition; docstrings are strings, so they never count.
+should report or a test helper that belongs in ``tests/``.  Each read is
+resolved to the module it names: ``mod.name`` through ``from . import mod``,
+and a bare ``name`` through ``from .mod import name`` or else the reading
+module's own top level.  So ``locking.run`` is unread although ``stokes.run``
+is read.  A definition counts as read when some statement of the package
+outside the definition itself reads it; docstrings are strings, so they
+never count.
 """
 
 import ast
@@ -13,33 +16,56 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "infsup_lab"
 
 
-def _names_read(node) -> set:
-    names = set()
+def _import_bindings(tree, modules) -> tuple:
+    """(local name -> module, local name -> (module, name)) of the
+    package-relative imports anywhere in ``tree``: ``from . import mod``
+    binds a module, ``from .mod import name`` a definition (``from . import
+    name`` one of ``__init__``)."""
+    bound_modules, bound_names = {}, {}
+    for sub in ast.walk(tree):
+        if not (isinstance(sub, ast.ImportFrom) and sub.level == 1):
+            continue
+        for alias in sub.names:
+            local = alias.asname or alias.name
+            if sub.module is None and alias.name in modules:
+                bound_modules[local] = alias.name
+            else:
+                bound_names[local] = (sub.module or "__init__", alias.name)
+    return bound_modules, bound_names
+
+
+def _reads(node, module, bindings) -> set:
+    """``(module, name)`` of every package-level name that ``node`` reads."""
+    bound_modules, bound_names = bindings
+    reads = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-            names.update(alias.name.rsplit(".", 1)[-1] for alias in sub.names)
-    return names
+        if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                and sub.value.id in bound_modules):
+            reads.add((bound_modules[sub.value.id], sub.attr))
+        elif isinstance(sub, ast.Name):
+            reads.add(bound_names.get(sub.id, (module, sub.id)))
+    return reads
 
 
 def _unread_public_definitions(src: pathlib.Path) -> list:
     """``module.name`` of each public module-level function or class that
     no other statement of the package reads."""
-    statements = []                          # (module, top-level node)
-    for path in sorted(src.glob("*.py")):
+    paths = sorted(src.glob("*.py"))
+    modules = {path.stem for path in paths}
+    statements = []                          # (module, top-level node, reads)
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
-        statements += [(path.stem, node) for node in tree.body]
-    reads = [_names_read(node) for _, node in statements]
+        bindings = _import_bindings(tree, modules)
+        statements += [(path.stem, node, _reads(node, path.stem, bindings))
+                       for node in tree.body]
     unread = []
-    for i, (module, node) in enumerate(statements):
+    for i, (module, node, _) in enumerate(statements):
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         if node.name.startswith("_"):
             continue
-        if not any(node.name in r for j, r in enumerate(reads) if j != i):
+        if not any((module, node.name) in reads
+                   for j, (_, _, reads) in enumerate(statements) if j != i):
             unread.append(f"{module}.{node.name}")
     return unread
 
@@ -60,3 +86,15 @@ def test_scan_flags_a_definition_only_its_own_body_reads(tmp_path):
         "def entry():\n    return used_helper()\n")
     (tmp_path / "c.py").write_text("from . import b\n\nVALUE = b.entry()\n")
     assert _unread_public_definitions(tmp_path) == ["a.recursive", "a.Lonely"]
+
+
+def test_scan_resolves_the_module_of_each_read(tmp_path):
+    # c.run and d.run share a name, but only d's is read; entry is read
+    # through its import, so the bare name resolves to module f
+    (tmp_path / "c.py").write_text("def run():\n    return 1\n")
+    (tmp_path / "d.py").write_text("def run():\n    return 2\n")
+    (tmp_path / "e.py").write_text(
+        "from . import d\nfrom .f import entry\n\n"
+        "VALUE = d.run() + entry()\n")
+    (tmp_path / "f.py").write_text("def entry():\n    return 0\n")
+    assert _unread_public_definitions(tmp_path) == ["c.run"]

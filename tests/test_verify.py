@@ -43,42 +43,46 @@ def test_fit_slope_scale_invariant():
 
 def test_run_convergence_synthetic():
     report = verify.run_convergence(
-        lambda n: {"err": 3.0 * (np.sqrt(2) / n) ** 2, "flat": 7.0},
+        lambda mesh: {"err": 3.0 * (np.sqrt(2) / mesh.n) ** 2, "flat": 7.0},
         [4, 8, 16], method="synthetic", problem="powerlaw")
     assert report.slopes["err"] == pytest.approx(2.0, abs=1e-10)
     assert report.slopes["flat"] == pytest.approx(0.0, abs=1e-12)
     hs = [lv.h for lv in report.levels]
-    assert hs == sorted(hs, reverse=True)
+    # sorted by decreasing h, each level's h read from its mesh
+    assert hs == [unit_square_mesh(n).h for n in (4, 8, 16)]
 
 
 def test_run_convergence_too_few_levels_no_slopes():
-    report = verify.run_convergence(lambda n: {"err": 1.0 / n}, [4, 8])
+    report = verify.run_convergence(lambda mesh: {"err": 1.0 / mesh.n},
+                                    [4, 8], method="m", problem="p")
     assert report.slopes == {}
     assert len(report.levels) == 2
 
 
 def test_run_convergence_records_failures():
-    def builder(n):
-        if n == 8:
+    def builder(mesh):
+        if mesh.n == 8:
             raise SingularMatrix("forced")
-        return {"err": (1.0 / n) ** 2}
+        return {"err": (1.0 / mesh.n) ** 2}
 
-    report = verify.run_convergence(builder, [4, 8, 16, 32])
+    report = verify.run_convergence(builder, [4, 8, 16, 32], method="m",
+                                    problem="p")
     failed = [lv for lv in report.levels if lv.failure]
     assert len(failed) == 1 and "SingularMatrix" in failed[0].failure
     # three healthy levels remain, enough for a fit
     assert report.slopes["err"] == pytest.approx(2.0, abs=1e-10)
 
-    short = verify.run_convergence(builder, [4, 8, 16])
+    short = verify.run_convergence(builder, [4, 8, 16], method="m",
+                                   problem="p")
     assert short.slopes == {}
 
 
 def test_run_convergence_stokes_integration():
     exact = stokes.manufactured_problem()
 
-    def builder(n):
-        sol = stokes.run(stokes.method_from_name("brezzi-pitkaranta"),
-                         unit_square_mesh(n), exact.f)
+    def builder(mesh):
+        sol = stokes.run(stokes.method_from_name("brezzi-pitkaranta"), mesh,
+                         exact.f)
         u_l2, u_h1, p_l2 = stokes.errors(sol, exact)
         return {"err_u_l2": u_l2, "err_u_h1": u_h1, "err_p_l2": p_l2}
 
@@ -90,7 +94,7 @@ def test_run_convergence_stokes_integration():
 
 def test_report_serialization_views():
     report = verify.run_convergence(
-        lambda n: {"e1": 1.0 / n, "e2": 2.0 / n}, [2, 4, 8],
+        lambda mesh: {"e1": 1.0 / mesh.n, "e2": 2.0 / mesh.n}, [2, 4, 8],
         method="m", problem="p")
     d = verify.report_dict(report)
     assert d["method"] == "m" and len(d["levels"]) == 3
@@ -102,12 +106,13 @@ def test_report_serialization_views():
 
 
 def test_report_rows_with_failure_blank_cells():
-    def builder(n):
-        if n == 4:
+    def builder(mesh):
+        if mesh.n == 4:
             raise ValueError("boom")
-        return {"err": 1.0 / n}
+        return {"err": 1.0 / mesh.n}
 
-    report = verify.run_convergence(builder, [2, 4, 8])
+    report = verify.run_convergence(builder, [2, 4, 8], method="m",
+                                    problem="p")
     header, rows = verify.report_rows(report)
     assert rows[1][2] == ""        # failed level leaves the column empty
     assert verify.report_dict(report)["levels"][1]["failure"].startswith("ValueError")

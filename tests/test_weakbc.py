@@ -4,11 +4,22 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from infsup_lab import verify, weakbc
-from infsup_lab.assembly import boundary_hat_flux
+from infsup_lab.assembly import (
+    boundary_edge_integrals,
+    boundary_hat_flux,
+    boundary_load,
+    boundary_normal_flux,
+    load_vector,
+    mass,
+    sparse_lu,
+    stiffness,
+)
 from infsup_lab.fespace import ElementKind, build_space
-from infsup_lab.mesh import unit_square_mesh
+from infsup_lab.mesh import boundary_edge_geometry, unit_square_mesh
+from oracles import lu_solve
 
 PROB = weakbc.mms_problem()
 
@@ -40,8 +51,8 @@ def test_inverse_constant_value_and_drift():
 def test_default_parameters():
     assert abs(weakbc.default_gamma() - 8.0) < 1e-7
     assert abs(weakbc.default_alpha() - 0.25) < 1e-9
-    assert weakbc.nitsche().gamma == weakbc.default_gamma()
-    assert weakbc.barbosa_hughes().alpha == weakbc.default_alpha()
+    assert weakbc.method_from_name("nitsche").gamma == weakbc.default_gamma()
+    assert weakbc.method_from_name("bh").alpha == weakbc.default_alpha()
 
 
 # --- method construction -------------------------------------------------
@@ -106,8 +117,10 @@ def test_zero_field_errors_are_exact_norms():
 
 # --- exact reproduction --------------------------------------------------
 
-ALL_METHODS = [weakbc.nitsche(), weakbc.multiplier(),
-               weakbc.barbosa_hughes(), weakbc.barbosa_hughes(trace="p0")]
+ALL_METHODS = [weakbc.method_from_name("nitsche"),
+               weakbc.method_from_name("multiplier"),
+               weakbc.method_from_name("bh"),
+               weakbc.method_from_name("bh", trace="p0")]
 
 
 @pytest.mark.parametrize("method", ALL_METHODS,
@@ -129,7 +142,7 @@ def test_multiplier_recovers_normal_derivative():
     mesh = unit_square_mesh(8)
     space = build_space(ElementKind.P1, mesh)
     exact = lambda p: 1.0 - p[..., 0]
-    sol = weakbc.run(weakbc.multiplier(), mesh, exact, exact)
+    sol = weakbc.run(weakbc.method_from_name("multiplier"), mesh, exact, exact)
     assert np.abs(sol.u - exact(space.dof_coords)).max() < 1e-12
     coords = space.dof_coords[space.boundary_dofs]
     interior = (coords[:, 1] > 0.05) & (coords[:, 1] < 0.95)
@@ -145,7 +158,8 @@ def test_bh_p0_multiplier_exact_for_linear_solution():
     mesh = unit_square_mesh(8)
     space = build_space(ElementKind.P1, mesh)
     exact = lambda p: 1.0 - p[..., 0]
-    sol = weakbc.run(weakbc.barbosa_hughes(trace="p0"), mesh, exact, exact)
+    sol = weakbc.run(weakbc.method_from_name("bh", trace="p0"), mesh, exact,
+                     exact)
     assert np.abs(sol.u - exact(space.dof_coords)).max() < 1e-12
     mids = edge_midpoints(mesh)
     assert np.abs(sol.lam[mids[:, 0] < 1e-12] + 1.0).max() < 1e-8
@@ -156,23 +170,23 @@ def test_bh_p0_multiplier_exact_for_linear_solution():
 
 def test_nitsche_symmetric_and_spd_at_default_gamma():
     for n in (4, 8, 16):
-        sys_n = weakbc.build(weakbc.nitsche(), unit_square_mesh(n),
-                             PROB.f, PROB.d)
+        sys_n = weakbc.build(weakbc.method_from_name("nitsche"),
+                             unit_square_mesh(n), PROB.f, PROB.d)
         k = sys_n.full_matrix()
         assert np.abs(k - k.T).max() < 1e-12 * np.abs(k).max()
         np.linalg.cholesky(k)                          # must not raise
 
 
 def test_nitsche_loses_spd_below_threshold():
-    sys_lo = weakbc.build(weakbc.nitsche(gamma=0.5), unit_square_mesh(8),
-                          PROB.f, PROB.d)
+    sys_lo = weakbc.build(weakbc.method_from_name("nitsche", gamma=0.5),
+                          unit_square_mesh(8), PROB.f, PROB.d)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(sys_lo.full_matrix())
 
 
 @pytest.mark.parametrize("trace", ["p1", "p0"])
 def test_bh_system_symmetric(trace):
-    sys_bh = weakbc.build(weakbc.barbosa_hughes(trace=trace),
+    sys_bh = weakbc.build(weakbc.method_from_name("bh", trace=trace),
                           unit_square_mesh(8), PROB.f, PROB.d)
     k = sys_bh.full_matrix()
     assert np.abs(k - k.T).max() < 1e-12 * np.abs(k).max()
@@ -190,7 +204,7 @@ def test_p0_multiplier_block_has_one_kernel_mode(n):
     # the alternating edge mode on the closed boundary meets every P1
     # trace with zero edge averages: the multiplier pair fails inf-sup
     mesh = unit_square_mesh(n)
-    t = weakbc.build(weakbc.multiplier(trace="p0"), mesh,
+    t = weakbc.build(weakbc.method_from_name("multiplier", trace="p0"), mesh,
                      PROB.f, PROB.d).b.toarray()
     assert np.linalg.matrix_rank(t) == len(mesh.boundary_edges) - 1
 
@@ -210,12 +224,41 @@ def test_bh_nitsche_equivalence():
         assert gap < 1e-12
 
 
+def dense_nitsche_projected(mesh, f, d, gamma):
+    """The edge-average Nitsche matrix and load formed densely from the
+    boundary operators: the oracle of the sparse build."""
+    space = build_space(ElementKind.P1, mesh)
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    t0 = weakbc._p0_trace_ops(mesh, space.n_dofs)[0].toarray()
+    nf = boundary_normal_flux(space).toarray()
+    pen = t0.T @ (t0 * (gamma / lengths ** 2)[:, None])
+    k = (stiffness(space) + mass(space)).toarray() - nf - nf.T + pen
+    rhs = (load_vector(space, f) - boundary_load(space, d, flux_test=True)
+           + t0.T @ (gamma / lengths ** 2 * boundary_edge_integrals(mesh, d)))
+    return k, rhs
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_sparse_projected_nitsche_solve_matches_dense_oracle(n):
+    mesh = unit_square_mesh(n)
+    k_dense, rhs_dense = dense_nitsche_projected(mesh, PROB.f, PROB.d, 10.0)
+    k, rhs = weakbc._nitsche_projected(build_space(ElementKind.P1, mesh),
+                                       PROB.f, PROB.d, 10.0)
+    assert sp.issparse(k)
+    assert (np.linalg.norm(k.toarray() - k_dense)
+            <= 1e-12 * np.linalg.norm(k_dense))
+    assert np.linalg.norm(rhs - rhs_dense) <= 1e-12 * np.linalg.norm(rhs_dense)
+    u = sparse_lu(k, "projected Nitsche matrix").solve(rhs)
+    u_dense = lu_solve(k_dense, rhs_dense)
+    assert np.linalg.norm(u - u_dense) <= 1e-12 * np.linalg.norm(u_dense)
+
+
 # --- convergence ----------------------------------------------------------
 
 def level_errors(name):
-    def run_level(n):
-        sol = mms_solution(name, n)
-        l2, h1 = weakbc.errors(unit_square_mesh(n), sol.u, PROB)
+    def run_level(mesh):
+        sol = mms_solution(name, mesh.n)
+        l2, h1 = weakbc.errors(mesh, sol.u, PROB)
         return {"err_l2": l2, "err_h1": h1}
     return run_level
 
@@ -242,14 +285,16 @@ def test_methods_agree_on_error_magnitude():
 
 def test_lambda_roughness_reported():
     mesh = unit_square_mesh(8)
-    sol = weakbc.run(weakbc.multiplier(), mesh, PROB.f, PROB.d)
+    sol = weakbc.run(weakbc.method_from_name("multiplier"), mesh, PROB.f,
+                     PROB.d)
     r = weakbc.lambda_roughness(sol, mesh, trace="p1")
     assert 0.0 < r < 2.0
-    sol0 = weakbc.run(weakbc.barbosa_hughes(trace="p0"), mesh, PROB.f, PROB.d)
+    sol0 = weakbc.run(weakbc.method_from_name("bh", trace="p0"), mesh,
+                      PROB.f, PROB.d)
     r0 = weakbc.lambda_roughness(sol0, mesh, trace="p0")
     assert 0.0 < r0 < 2.0
     with pytest.raises(ValueError):
-        weakbc.lambda_roughness(mms_solution("nitsche", 8), mesh)
+        weakbc.lambda_roughness(mms_solution("nitsche", 8), mesh, "p1")
 
 
 def test_normal_flux_diagnostic():

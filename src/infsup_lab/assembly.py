@@ -16,12 +16,15 @@ per-cell weights through ``stiffness`` and ``gradient_load``.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .fespace import (
+    LOCAL_DOFS,
     ElementKind,
     FeSpace,
     QuadratureRule,
@@ -436,15 +439,77 @@ def _diagonal_half(matrix: sp.csr_array) -> sp.csr_array | None:
     return sp.csr_array((val[:half], idx[:half], ptr[:n + 1]), shape=(n, n))
 
 
+class _ElementBlockFactor:
+    """The exact inverse of a block-diagonal matrix of full k×k blocks on
+    contiguous dofs, held as a CSR with the matrix's own pattern."""
+
+    def __init__(self, inv: sp.csr_array):
+        self.inv = inv
+
+    def solve(self, rhs):
+        return self.inv @ rhs
+
+
+def _element_blocks(matrix: sp.csr_array) -> np.ndarray | None:
+    """The (n/k, k, k) diagonal blocks of the canonical CSR ``matrix`` when
+    it is exactly block-diagonal with full k×k blocks on the contiguous
+    rows and columns ``k i ... k i + k - 1``, k (the entries of row 0) at
+    most an element's largest local dof count, else None.  n k distinct
+    entries, each in its row's block, can only fill every block, so the
+    data array is the blocks in row-major order."""
+    n, ptr, idx = matrix.shape[0], matrix.indptr, matrix.indices
+    k = int(ptr[1]) if n else 0
+    if not (0 < k <= max(LOCAL_DOFS.values()) and matrix.nnz == n * k
+            and matrix.has_canonical_format
+            and np.array_equal(idx // k,
+                               np.repeat(np.arange(n) // k, np.diff(ptr)))):
+        return None
+    return matrix.data.reshape(-1, k, k)
+
+
+def _invert_element_blocks(matrix: sp.csr_array, blocks: np.ndarray,
+                           what: str) -> _ElementBlockFactor:
+    """Invert each block under the pivot contract of ``sparse_lu``: a
+    batched LU gives the pivots, checked against the largest column norm
+    of ``matrix`` (each column lives in one block)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # an exact zero pivot is ours
+        lu, _ = scipy.linalg.lu_factor(blocks, check_finite=False)
+    pivots = np.diagonal(lu, axis1=1, axis2=2)
+    singular = np.flatnonzero(np.any(pivots == 0.0, axis=1))
+    if singular.size:
+        raise SingularMatrix(f"{what}: element block {singular[0]} is "
+                             f"exactly singular")
+    check_pivots(pivots, float(np.sqrt(np.max(
+        np.einsum("bij,bij->bj", blocks, blocks)))))
+    inv = np.linalg.inv(blocks)
+    return _ElementBlockFactor(sp.csr_array(
+        (inv.ravel(), matrix.indices, matrix.indptr), shape=matrix.shape))
+
+
 def sparse_lu(matrix: sp.csr_array, what: str):
-    """SuperLU factor (minimum degree on ``matrix^T + matrix``) of a matrix
-    that must be nonsingular, else ``SingularMatrix`` naming ``what``; of K
-    alone when the matrix is diag(K, K), as every Stokes velocity block is.
-    scipy.sparse.linalg is imported here: runs that never factor do not
-    load its extension modules."""
+    """Factor of a matrix that must be nonsingular, else ``SingularMatrix``
+    naming ``what``; every route checks its pivots against ``PIVOT_RTOL``
+    times the largest column norm.
+
+    * Block-diagonal with full k×k blocks on contiguous dofs (k ≤ 6, an
+      element-local field such as the discontinuous multiplier mass of
+      ``locking``): the exact inverse, element by element (static
+      condensation), as a CSR of the same pattern; ``solve`` is a sparse
+      product.
+    * diag(K, K), as every Stokes velocity block is: the SuperLU factor of
+      K alone.
+    * Otherwise: the SuperLU factor (minimum degree on
+      ``matrix^T + matrix``).
+
+    scipy.sparse.linalg is imported only for a SuperLU factor: runs that
+    never need one do not load its extension modules."""
+    matrix = sp.csr_array(matrix)
+    blocks = _element_blocks(matrix)
+    if blocks is not None:
+        return _invert_element_blocks(matrix, blocks, what)
     from scipy.sparse.linalg import norm as sparse_norm, splu
 
-    matrix = sp.csr_array(matrix)
     block = _diagonal_half(matrix)
     factored = (matrix if block is None else block).tocsc()
     try:
@@ -477,11 +542,19 @@ def schur_operator(lu, b: sp.csr_array, c: sp.csr_array | None):
 
 def schur_complement(lu, b: sp.csr_array, c: sp.csr_array | None,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """Dense ``b a^{-1} b^T + c`` by ``schur_operator`` on SCHUR_BLOCK identity
-    columns at a time (workspace n_u × 64), written into the leading n_p ×
-    n_p block of ``out`` (a new array when None), which it returns."""
+    """Dense ``b a^{-1} b^T + c`` written into the leading n_p × n_p block
+    of ``out`` (a new array when None), which it returns.  From an
+    element-block factor, one sparse product scattered into the zeroed
+    block; from a SuperLU factor, ``schur_operator`` on SCHUR_BLOCK
+    identity columns at a time (workspace n_u × 64)."""
     n_p = b.shape[0]
     out = np.empty((n_p, n_p)) if out is None else out[:n_p, :n_p]
+    if isinstance(lu, _ElementBlockFactor):
+        product = b @ lu.inv @ b.T
+        product = (product if c is None else product + c).tocoo()
+        out[...] = 0.0
+        out[product.row, product.col] = product.data
+        return out
     op = schur_operator(lu, b, c)
     for j in range(0, n_p, SCHUR_BLOCK):
         width = min(SCHUR_BLOCK, n_p - j)
@@ -493,14 +566,16 @@ def schur_complement(lu, b: sp.csr_array, c: sp.csr_array | None,
 def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     """Solve the block system by eliminating the block ``a`` (the dense route).
 
-    1. ``sparse_lu`` factors ``a``, which must be nonsingular.
+    1. ``sparse_lu`` factors ``a``, which must be nonsingular: an
+       element-local ``a`` (the discontinuous multiplier mass) is inverted
+       exactly, block by block, any other by SuperLU.
     2. The Schur complement ``-s (b a^{-1} b^T + c)``, bordered by the mean
        row ``m = M 1``, is written by ``schur_complement`` into one
-       Fortran-order array in 64-column blocks (dense workspace n_u × 64
-       plus that array) and LU-factored in place by
-       ``linalg._lu_solve_overwrite``.  Its pivot test is the singularity
-       verdict: the unstabilized equal-order pair fails there with a zero
-       pivot.
+       Fortran-order array (from one sparse product for an element-local
+       ``a``, else in 64-column blocks with a dense n_u × 64 workspace)
+       and LU-factored in place by ``linalg._lu_solve_overwrite``.  Its
+       pivot test is the singularity verdict: the unstabilized equal-order
+       pair fails there with a zero pivot.
     3. ``u = a^{-1} (f - b^T p)``.
 
     This is the solver of the locking and weak-boundary systems, the

@@ -22,6 +22,7 @@ import contextlib
 import csv
 import dataclasses
 import datetime
+import gc
 import math
 import sys
 
@@ -497,26 +498,33 @@ def _validate(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand; returns the exit code.  What the imports and
+    the run leave alive is frozen on return, so the collector never scans
+    it again, and process exit skips a last pass over it (about 0.1 s)."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:           # argparse --help (0) / usage (2)
-        return int(exc.code or 0)
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:           # argparse --help (0) / usage (2)
+            return int(exc.code or 0)
 
-    try:
-        _validate(args)
-        results, status, lines = _RUNNERS[args.subcommand](args)
-    except UsageError as exc:
-        print(f"infsup-lab: error: {exc}", file=sys.stderr)
-        return 2
-    except (SingularMatrix, NotPositiveDefinite, np.linalg.LinAlgError) as exc:
-        print(f"infsup-lab: numerical failure: {exc}", file=sys.stderr)
+        try:
+            _validate(args)
+            results, status, lines = _RUNNERS[args.subcommand](args)
+        except UsageError as exc:
+            print(f"infsup-lab: error: {exc}", file=sys.stderr)
+            return 2
+        except (SingularMatrix, NotPositiveDefinite,
+                np.linalg.LinAlgError) as exc:
+            print(f"infsup-lab: numerical failure: {exc}", file=sys.stderr)
+            if args.json_path:
+                _write_json(args.json_path, args, {"error": str(exc)}, "fail")
+            return 1
+
+        for line in lines:
+            print(line)
         if args.json_path:
-            _write_json(args.json_path, args, {"error": str(exc)}, "fail")
-        return 1
-
-    for line in lines:
-        print(line)
-    if args.json_path:
-        _write_json(args.json_path, args, results, status)
-    return 1 if status == "fail" else 0
+            _write_json(args.json_path, args, results, status)
+        return 1 if status == "fail" else 0
+    finally:
+        gc.freeze()

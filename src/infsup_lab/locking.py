@@ -43,6 +43,9 @@ diag(K_u + lambda M_u, -beta M_w) on (u, w) (``corrected``), A_X for
 continuous gamma with the augmented form (eliminating gamma would put the
 penalty back), and -M_gamma/penalty for every other ``multiplier`` (A_X
 alone is singular; with discontinuous gamma it reproduces ``plain``).
+Discontinuous gamma makes M_gamma block-diagonal by element, so its
+inverse is exact and element-local (static condensation).  The gamma space
+and its operators do not depend on lambda either: a sweep builds them once.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .assembly import (
 )
 from .fespace import ElementKind, FeSpace, build_space
 from .linalg import SingularMatrix
-from .mesh import Mesh, unit_square_mesh
+from .mesh import unit_square_mesh
 
 DEFAULT_POINCARE = 1.0 / (np.pi * np.sqrt(2.0))   # 1/sqrt(2 pi^2), unit square
 _METHODS = ("plain", "corrected", "multiplier")
@@ -138,6 +141,13 @@ class LockingReport:
 
 
 @dataclass(frozen=True)
+class _GammaBlocks:               # the multiplier operators on kept gamma dofs
+    space: FeSpace
+    b_x: sp.csr_array             # [(gamma, u), -(gamma, grad p)]
+    m_y: sp.csr_array
+
+
+@dataclass(frozen=True)
 class _Blocks:                    # no block depends on lambda
     u_space: FeSpace
     p_space: FeSpace
@@ -150,6 +160,7 @@ class _Blocks:                    # no block depends on lambda
     ml: np.ndarray
     load_u: np.ndarray
     load_p: np.ndarray
+    gamma: _GammaBlocks | None    # multiplier only
 
 
 @dataclass(frozen=True)
@@ -169,6 +180,20 @@ class LockingSolution:
     report: LockingReport
 
 
+def _gamma_blocks(config: LockingConfig, u_space: FeSpace, p_space: FeSpace,
+                  fu: np.ndarray, fp: np.ndarray) -> _GammaBlocks:
+    """The multiplier space (zero-trace when continuous) and its couplings."""
+    kind = (ElementKind.P1_DISC if config.gamma_space == "discontinuous"
+            else ElementKind.P1)
+    y_space = build_space(kind, u_space.mesh, components=2)
+    keep = y_space.free_dofs()
+    return _GammaBlocks(
+        space=y_space,
+        b_x=sp.hstack([cross_mass(y_space, u_space)[keep][:, fu],
+                       -grad_coupling(y_space, p_space)[keep][:, fp]]),
+        m_y=mass(y_space)[keep][:, keep])
+
+
 def _blocks(config: LockingConfig) -> _Blocks:
     mesh = unit_square_mesh(config.n)
     u_space = build_space(ElementKind.P1, mesh, components=2)
@@ -185,6 +210,8 @@ def _blocks(config: LockingConfig) -> _Blocks:
         ml=lumped_mass(u_space)[fu],
         load_u=load_vector(u_space, f)[fu],
         load_p=load_vector(p_space, g)[fp],
+        gamma=(_gamma_blocks(config, u_space, p_space, fu, fp)
+               if config.method == "multiplier" else None),
     )
 
 
@@ -234,20 +261,9 @@ def build_corrected(config: LockingConfig, b: _Blocks) -> LockingSystem:
                    f=np.concatenate([b.load_u, np.zeros(nu)]), g=b.load_p)
 
 
-def _gamma_space(config: LockingConfig, mesh: Mesh) -> FeSpace:
-    """The multiplier space; the continuous variant is zero-trace."""
-    kind = (ElementKind.P1_DISC if config.gamma_space == "discontinuous"
-            else ElementKind.P1)
-    return build_space(kind, mesh, components=2)
-
-
 def build_multiplier(config: LockingConfig, b: _Blocks) -> LockingSystem:
-    y_space = _gamma_space(config, b.u_space.mesh)
-    y_keep = y_space.free_dofs()
-    nu, np_, ny = len(b.free_u), len(b.free_p), len(y_keep)
-    b_x = sp.hstack([cross_mass(y_space, b.u_space)[y_keep][:, b.free_u],
-                     -grad_coupling(y_space, b.p_space)[y_keep][:, b.free_p]])
-    m_y = mass(y_space)[y_keep][:, y_keep]
+    b_x, m_y = b.gamma.b_x, b.gamma.m_y
+    nu, np_, ny = len(b.free_u), len(b.free_p), m_y.shape[0]
     load_x = np.concatenate([b.load_u, b.load_p])
     if config.grad_div_form:
         a_x = sp.block_array([[b.ku + b.mu, -b.g], [-b.g.T, b.sp]])
@@ -287,8 +303,7 @@ def solve(system: LockingSystem) -> LockingSolution:
     if "w" in parts:
         w = b.u_space.extend_by_zero(parts["w"])
     if "gamma" in parts:
-        y_space = _gamma_space(system.config, b.u_space.mesh)
-        gamma = y_space.extend_by_zero(parts["gamma"])
+        gamma = b.gamma.space.extend_by_zero(parts["gamma"])
     report = LockingReport(
         u_h1_norm=float(np.sqrt(uf @ (b.ku @ uf))),
         p_h1_norm=float(np.sqrt(pf @ (b.sp @ pf))),

@@ -8,6 +8,7 @@ from infsup_lab import locking, stokes, weakbc
 from infsup_lab.assembly import (
     SaddleSystem,
     _diagonal_half,
+    _element_blocks,
     _scatter,
     boundary_flux_flux,
     boundary_load,
@@ -425,21 +426,25 @@ def test_only_the_velocity_block_is_factored(monkeypatch):
         return real_splu(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
-    # (system, whether a is diag(K, K), factored as K alone)
-    cases = ([(stokes_system(name, 4), True) for name in stokes.method_names()]
-             + [(weakbc_system(name, 4), False) for name in WEAKBC_METHODS]
+    # (system, how a is factored): diag(K, K) as K alone, the discontinuous
+    # multiplier mass element by element with no SuperLU call
+    element = ("multiplier", "multiplier-grad-div")
+    whole = ("corrected-lumped", "corrected-consistent",
+             "multiplier-continuous-grad-div")
+    cases = ([(stokes_system(name, 4), "K") for name in stokes.method_names()]
+             + [(weakbc_system(name, 4), "a") for name in WEAKBC_METHODS]
              + [(locking_system(name, 4, 1e2),
-                 name not in ("corrected-lumped", "corrected-consistent",
-                              "multiplier-continuous-grad-div"))
+                 "element" if name in element else
+                 "a" if name in whole else "K")
                 for name in LOCKING_VARIANTS])
-    for system, two_blocks in cases:
+    for system, route in cases:
         shapes.clear()
         try:
             solve_saddle(system)
         except SingularMatrix:
             pass                   # p1p1-plain, multiplier-continuous
-        n = system.n_u // 2 if two_blocks else system.n_u
-        assert shapes == [(n, n)]
+        n = system.n_u // 2 if route == "K" else system.n_u
+        assert shapes == ([] if route == "element" else [(n, n)])
 
 
 def test_two_block_factor_solves_like_the_full_factor():
@@ -473,25 +478,33 @@ def test_diagonal_half_recognizes_only_exact_replicas():
 
 @pytest.mark.parametrize("k", (np.diag([1.0, 0.0, 2.0]),
                                np.diag([1.0, 1e-17, 2.0])))
-def test_singular_scalar_block_raises(k):
-    # the K-only factor keeps the pivot contract of the full one: an exact
-    # zero pivot names the block, a tiny one fails the pivot threshold
+def test_singular_scalar_block_raises(k, monkeypatch):
+    # the element and the K-only factors keep the pivot contract of the
+    # full one: an exact zero pivot names the block, a tiny one fails the
+    # pivot threshold (block_diag stores both 3×3 blocks in full, zeros
+    # included, so a is an element-block matrix until SuperLU is forced)
     a = sp.csr_array(sp.block_diag([k, k]))
     assert _diagonal_half(a) is not None
+    assert _element_blocks(a).shape == (2, 3, 3)
     system = SaddleSystem(a=a, b=sp.csr_array((0, 6)), c=None,
                           f=np.ones(6), g=np.zeros(0), pressure_mass=None)
     match = "velocity block" if k[1, 1] == 0.0 else "pivot"
     with pytest.raises(SingularMatrix, match=match):
         solve_saddle(system)
+    superlu_route(monkeypatch)
+    with pytest.raises(SingularMatrix, match=match):
+        solve_saddle(system)
 
 
-def test_dense_route_holds_one_schur_matrix():
+def test_dense_route_holds_one_schur_matrix(monkeypatch):
     # the bordered Schur matrix is written and factored in one array: the
     # traced peak stays under 1.5 copies of it plus the n_u × 64 block
-    # workspace (three copies of S at n=24 before the in-place route)
+    # workspace (three copies of S at n=24 before the in-place route); the
+    # multiplier's gamma block is sent to SuperLU, the 64-column route
     import tracemalloc
 
     import scipy.sparse.linalg  # noqa: F401  (imports are not the solve)
+    superlu_route(monkeypatch)
     system = locking_system("multiplier", 24, 1e6)
     tracemalloc.start()
     try:
@@ -624,10 +637,133 @@ def test_taylor_hood_solve_factors_velocity_and_pressure_mass_only(
                                np.diag([1.0, 1e-17, 2.0]),
                                np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
                                          [0.0, 0.0, 1.0]])))
-def test_singular_velocity_block_raises(a):
+def test_singular_velocity_block_raises(a, monkeypatch):
     # an exact zero pivot is SuperLU's own error, a tiny one fails the
-    # pivot contract; both surface as SingularMatrix
+    # pivot contract; both surface as SingularMatrix (the tiny pivot's
+    # stored diagonal is a 1×1 element-block matrix until SuperLU is forced)
     system = SaddleSystem(a=sp.csr_array(a), b=sp.csr_array((0, 3)), c=None,
                           f=np.ones(3), g=np.zeros(0), pressure_mass=None)
     with pytest.raises(SingularMatrix):
         solve_saddle(system)
+    superlu_route(monkeypatch)
+    with pytest.raises(SingularMatrix):
+        solve_saddle(system)
+
+
+# ---------------------------------------------------------------------------
+# element-block factor (static condensation of an element-local field)
+# ---------------------------------------------------------------------------
+
+def superlu_route(monkeypatch):
+    """Send every factor of ``sparse_lu`` to SuperLU: the oracle route."""
+    from infsup_lab import assembly
+    monkeypatch.setattr(assembly, "_element_blocks", lambda matrix: None)
+
+
+def block_diagonal(blocks):
+    """CSR of a block-diagonal matrix storing every entry of its blocks."""
+    nb, k, _ = blocks.shape
+    n = nb * k
+    cols = (np.arange(n) // k * k)[:, None] + np.arange(k)
+    return sp.csr_array((blocks.ravel(), cols.ravel(),
+                         np.arange(n + 1) * k), shape=(n, n))
+
+
+@pytest.mark.parametrize("lam", (1e2, 1e6, 1e10))
+@pytest.mark.parametrize("n", (4, 8))
+@pytest.mark.parametrize("name", ("multiplier", "multiplier-grad-div"))
+def test_element_route_matches_superlu(name, n, lam, monkeypatch):
+    system = locking_system(name, n, lam)
+    lu = sparse_lu(system.a, "velocity block")
+    assert lu.inv.nnz == system.a.nnz == 3 * system.n_u    # 3×3 blocks
+    schur = schur_complement(lu, system.b, system.c)
+    ref = schur_complement(factor(system), system.b, system.c)
+    assert np.linalg.norm(schur - ref) <= 1e-10 * np.linalg.norm(ref)
+    x, residual = solve_saddle(system)
+    superlu_route(monkeypatch)
+    x_ref, _ = solve_saddle(system)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert residual <= 1e-14
+
+
+def test_element_schur_matches_the_dense_elimination():
+    # selftest check 9: eliminating discontinuous gamma reproduces plain
+    cfg = locking.LockingConfig(lambda_=1e2, n=4, method="multiplier")
+    multiplier = locking.build(cfg)
+    system = multiplier.saddle
+    schur = schur_complement(sparse_lu(system.a, "velocity block"),
+                             system.b, system.c)
+    b = system.b.toarray()
+    dense = system.c.toarray() + b @ np.linalg.solve(system.a.toarray(), b.T)
+    assert np.linalg.norm(schur - dense) <= 1e-13 * np.linalg.norm(dense)
+    plain = locking.build_plain(cfg, multiplier.blocks).saddle.full_matrix()
+    assert np.linalg.norm(-schur - plain) <= 1e-12
+
+
+@pytest.mark.parametrize("pivot, match", ((0.0, "velocity block: element "
+                                           "block 1 is exactly singular"),
+                                          (1e-17, "pivot")))
+def test_element_route_keeps_the_pivot_contract(pivot, match):
+    blocks = np.stack([np.eye(3) + 0.5, np.diag([1.0, pivot, 1.0]),
+                       2.0 * np.eye(3)])
+    blocks[1, 0, 2] = blocks[1, 2, 0] = 0.25
+    if pivot == 0.0:
+        blocks[1] = 0.0                      # stored, not dropped
+    a = block_diagonal(blocks)
+    assert _element_blocks(a) is not None
+    with pytest.raises(SingularMatrix, match=match):
+        sparse_lu(a, "velocity block")
+
+
+def test_element_detection_falls_back_to_superlu():
+    a = locking_system("multiplier", 4, 1e2).a
+    n = a.shape[0]
+    assert _element_blocks(a).shape == (n // 3, 3, 3)
+    dropped = a.copy()
+    dropped.data[4] = 0.0                    # an off-diagonal mass entry
+    dropped.eliminate_zeros()
+    coupling = a + sp.csr_array(([1e-3, 1e-3], ([0, 3], [3, 0])),
+                                shape=a.shape)
+    order = np.arange(n).reshape(-1, 3).T.ravel()     # blocks strided
+    strided = sp.csr_array(a[order][:, order])
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((7, 7)) + 7.0 * np.eye(7)     # k = 7 > 6
+    at_cap = rng.standard_normal((2, 6, 6)) + 6.0 * np.eye(6)
+    assert _element_blocks(block_diagonal(at_cap)).shape == (2, 6, 6)
+    for other in (dropped, coupling, strided, sp.csr_array(dense)):
+        assert _element_blocks(other) is None
+        lu = sparse_lu(other, "velocity block")
+        assert not hasattr(lu, "inv")
+        rhs = rng.standard_normal(other.shape[0])
+        x = lu.solve(rhs)
+        assert np.linalg.norm(other @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_element_route_with_an_empty_schur_matrix(monkeypatch):
+    # n=1: no free u or p dof, only gamma; the Schur matrix is 0 × 0
+    config = locking.LockingConfig(lambda_=1.0, n=1, method="multiplier")
+    system = locking.build(config).saddle
+    assert system.n_p == 0 and system.n_u == 12
+    assert schur_complement(sparse_lu(system.a, "velocity block"),
+                            system.b, system.c).shape == (0, 0)
+    reports = locking.lambda_sweep(config, [1e2, 1e6])
+    superlu_route(monkeypatch)
+    assert reports == locking.lambda_sweep(config, [1e2, 1e6])
+    assert all(r.solve_ok and r.u_h1_norm == 0.0 for r in reports)
+
+
+def test_element_route_holds_one_schur_matrix():
+    # the Schur matrix comes from one sparse product scattered into the
+    # bordered array, with no n_u × 64 workspace: the traced peak stays
+    # under 1.25 copies of that array (1.14 measured; the SuperLU route
+    # reads 1.40 here)
+    import tracemalloc
+
+    system = locking_system("multiplier", 24, 1e6)
+    tracemalloc.start()
+    try:
+        solve_saddle(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * (system.n_p + 1) ** 2

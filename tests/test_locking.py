@@ -1,5 +1,7 @@
 """Penalty locking, its correction, and the multiplier reformulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -60,7 +62,8 @@ def test_coefficient_split_identity():
                                      locking.build_corrected,
                                      locking.build_multiplier])
 def test_systems_symmetric(builder):
-    cfg = locking.LockingConfig(lambda_=1e3, n=4)
+    method = builder.__name__.removeprefix("build_")
+    cfg = locking.LockingConfig(lambda_=1e3, n=4, method=method)
     k = builder(cfg, locking._blocks(cfg)).saddle.full_matrix()
     assert np.abs(k - k.T).max() <= 1e-12 * np.abs(k).max()
 
@@ -317,6 +320,27 @@ def test_sweep_assembles_its_blocks_once(monkeypatch):
         assert report == alone
 
 
+
+
+def test_multiplier_sweep_builds_its_gamma_operators_once(monkeypatch):
+    # the gamma space and its couplings do not depend on lambda either
+    real_cross_mass, calls = locking.cross_mass, []
+
+    def recording_cross_mass(*args):
+        calls.append(args[0].kind)
+        return real_cross_mass(*args)
+
+    monkeypatch.setattr(locking, "cross_mass", recording_cross_mass)
+    cfg = locking.LockingConfig(lambda_=1.0, n=4, method="multiplier")
+    reports = locking.lambda_sweep(cfg, [1e2, 1e4, 1e6])
+    assert calls == [ElementKind.P1_DISC]
+    for lam, report in zip((1e2, 1e4, 1e6), reports):
+        assert report == run(dataclasses.replace(cfg, lambda_=lam))
+    calls.clear()
+    for method in ("plain", "corrected"):
+        blocks = locking._blocks(dataclasses.replace(cfg, method=method))
+        assert blocks.gamma is None
+    assert calls == []
 
 # --- solver diagnostics ----------------------------------------------------
 

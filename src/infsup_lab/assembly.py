@@ -16,7 +16,6 @@ per-cell weights through ``stiffness`` and ``gradient_load``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -469,13 +468,12 @@ def _element_blocks(matrix: sp.csr_array) -> np.ndarray | None:
 
 def _invert_element_blocks(matrix: sp.csr_array, blocks: np.ndarray,
                            what: str) -> _ElementBlockFactor:
-    """Invert each block under the pivot contract of ``sparse_lu``: a
-    batched LU gives the pivots, checked against the largest column norm
-    of ``matrix`` (each column lives in one block)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")      # an exact zero pivot is ours
-        lu, _ = scipy.linalg.lu_factor(blocks, check_finite=False)
-    pivots = np.diagonal(lu, axis1=1, axis2=2)
+    """Invert each block under the pivot contract of ``sparse_lu``: one
+    batched LU of the stack (getrf's partial pivoting, block by block in
+    compiled code) gives the pivots, checked against the largest column
+    norm of ``matrix`` (each column lives in one block)."""
+    _, _, upper = scipy.linalg.lu(blocks, p_indices=True, check_finite=False)
+    pivots = np.diagonal(upper, axis1=1, axis2=2)
     singular = np.flatnonzero(np.any(pivots == 0.0, axis=1))
     if singular.size:
         raise SingularMatrix(f"{what}: element block {singular[0]} is "
@@ -499,8 +497,15 @@ def sparse_lu(matrix: sp.csr_array, what: str):
       product.
     * diag(K, K), as every Stokes velocity block is: the SuperLU factor of
       K alone.
-    * Otherwise: the SuperLU factor (minimum degree on
-      ``matrix^T + matrix``).
+    * Otherwise: the SuperLU factor.
+
+    Every matrix factored here is a structurally symmetric FE operator, so
+    SuperLU runs in its symmetric mode: minimum degree on
+    ``matrix^T + matrix``, and a diagonal pivot is kept unless it is below
+    1e-3 times the largest remaining entry of its column (Li, ACM TOMS 31,
+    2005).
+    Threshold 1 (partial pivoting) leaves the symmetric ordering and filled
+    the condensed Schur factor of ``solve_saddle`` 35-150 fold.
 
     scipy.sparse.linalg is imported only for a SuperLU factor: runs that
     never need one do not load its extension modules."""
@@ -513,7 +518,8 @@ def sparse_lu(matrix: sp.csr_array, what: str):
     block = _diagonal_half(matrix)
     factored = (matrix if block is None else block).tocsc()
     try:
-        lu = splu(factored, permc_spec="MMD_AT_PLUS_A")
+        lu = splu(factored, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+                  options={"SymmetricMode": True})
     except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
         raise SingularMatrix(f"{what}: {exc}") from exc
     check_pivots(lu.U.diagonal(), float(np.max(sparse_norm(factored, axis=0))))
@@ -522,8 +528,8 @@ def sparse_lu(matrix: sp.csr_array, what: str):
 
 def schur_operator(lu, b: sp.csr_array, c: sp.csr_array | None):
     """``q -> b a^{-1} b^T q + c q`` as a ``LinearOperator`` on vectors and
-    on dense or sparse column blocks, from ``lu``, the SuperLU factor of
-    ``a``."""
+    on dense or sparse column blocks, from ``lu``, a ``sparse_lu`` factor
+    of ``a``."""
     from scipy.sparse.linalg import LinearOperator
 
     bt = b.T
@@ -543,18 +549,13 @@ def schur_operator(lu, b: sp.csr_array, c: sp.csr_array | None):
 def schur_complement(lu, b: sp.csr_array, c: sp.csr_array | None,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Dense ``b a^{-1} b^T + c`` written into the leading n_p × n_p block
-    of ``out`` (a new array when None), which it returns.  From an
-    element-block factor, one sparse product scattered into the zeroed
-    block; from a SuperLU factor, ``schur_operator`` on SCHUR_BLOCK
-    identity columns at a time (workspace n_u × 64)."""
+    of ``out`` (a new array when None), which it returns:
+    ``schur_operator`` on SCHUR_BLOCK identity columns at a time
+    (workspace n_u × 64).  This is the Schur matrix of a SuperLU-factored
+    ``a``, which is dense; ``solve_saddle`` forms that of an element-block
+    factor sparse instead."""
     n_p = b.shape[0]
     out = np.empty((n_p, n_p)) if out is None else out[:n_p, :n_p]
-    if isinstance(lu, _ElementBlockFactor):
-        product = b @ lu.inv @ b.T
-        product = (product if c is None else product + c).tocoo()
-        out[...] = 0.0
-        out[product.row, product.col] = product.data
-        return out
     op = schur_operator(lu, b, c)
     for j in range(0, n_p, SCHUR_BLOCK):
         width = min(SCHUR_BLOCK, n_p - j)
@@ -564,18 +565,23 @@ def schur_complement(lu, b: sp.csr_array, c: sp.csr_array | None,
 
 
 def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
-    """Solve the block system by eliminating the block ``a`` (the dense route).
+    """Solve the block system by eliminating the block ``a`` and factoring
+    its Schur complement.
 
     1. ``sparse_lu`` factors ``a``, which must be nonsingular: an
        element-local ``a`` (the discontinuous multiplier mass) is inverted
        exactly, block by block, any other by SuperLU.
-    2. The Schur complement ``-s (b a^{-1} b^T + c)``, bordered by the mean
-       row ``m = M 1``, is written by ``schur_complement`` into one
-       Fortran-order array (from one sparse product for an element-local
-       ``a``, else in 64-column blocks with a dense n_u × 64 workspace)
-       and LU-factored in place by ``linalg._lu_solve_overwrite``.  Its
-       pivot test is the singularity verdict: the unstabilized equal-order
-       pair fails there with a zero pivot.
+    2. The Schur complement ``-s (b a^{-1} b^T + c)`` is bordered by the
+       mean row ``m = M 1`` and factored; its pivot test is the
+       singularity verdict (the unstabilized equal-order pair fails there
+       with a zero pivot).
+       * Element-local ``a`` (static condensation): ``a^{-1}`` has the
+         pattern of ``a``, so the Schur complement is a sparse FE operator
+         from one sparse product, and ``sparse_lu`` factors it.
+       * Otherwise it is dense: ``schur_complement`` writes it in 64-column
+         blocks (a dense n_u × 64 workspace) into one Fortran-order array,
+         which ``linalg._lu_solve_overwrite`` LU-factors in place.  This
+         route is also the oracle of the sparse one.
     3. ``u = a^{-1} (f - b^T p)``.
 
     This is the solver of the locking and weak-boundary systems, the
@@ -591,15 +597,27 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     lu = sparse_lu(system.a, "velocity block")
 
     rhs_p = system.g - s * (b @ lu.solve(f))
-    n_y = n_p + (m is not None)
-    schur = np.empty((n_y, n_y), order="F")
-    schur_complement(lu, b, system.c, schur)
-    schur[:n_p, :n_p] *= -s
     if m is not None:
-        schur[:n_p, -1] = schur[-1, :n_p] = m
-        schur[-1, -1] = 0.0
         rhs_p = np.append(rhs_p, 0.0)
-    y = _lu_solve_overwrite(schur, rhs_p) if n_y else rhs_p
+    n_y = len(rhs_p)
+    if not n_y:
+        y = rhs_p
+    elif isinstance(lu, _ElementBlockFactor):
+        schur = b @ lu.inv @ b.T
+        schur = -s * (schur if system.c is None else schur + system.c)
+        if m is not None:
+            border = sp.csr_array(m[:, None])
+            schur = sp.block_array([[schur, border], [border.T, None]],
+                                   format="csr")
+        y = sparse_lu(schur, "Schur complement").solve(rhs_p)
+    else:
+        schur = np.empty((n_y, n_y), order="F")
+        schur_complement(lu, b, system.c, schur)
+        schur[:n_p, :n_p] *= -s
+        if m is not None:
+            schur[:n_p, -1] = schur[-1, :n_p] = m
+            schur[-1, -1] = 0.0
+        y = _lu_solve_overwrite(schur, rhs_p)
     p = y[:n_p]
     u = lu.solve(f - b.T @ p)
     x = np.concatenate([u, y])

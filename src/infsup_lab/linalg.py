@@ -5,9 +5,9 @@ sparse operators are ``scipy.sparse.csr_array`` objects built in
 ``assembly``, and no sparse kernel lives here.
 
 ``_lu_solve_overwrite`` is the package's one dense LU, the factor of the
-bordered pressure Schur matrix in ``assembly.solve_saddle``: LAPACK
+dense bordered pressure Schur matrix in ``assembly.solve_saddle``: LAPACK
 factors in place, and this module's pivot contract, ``check_pivots``
-(shared with the sparse factor of the eliminated block), decides
+(shared with every sparse factor of ``assembly.sparse_lu``), decides
 singularity.  ``require_symmetric`` is the symmetry contract, shared with
 the norm matrices of ``infsup``.  The two spectral routines are the
 package's independent cross-checks, used by the selftest and the test

@@ -37,15 +37,18 @@ gamma space inherits the locking; the ``continuous`` option projects the
 constraint the way the corrected scheme does.
 
 Every scheme is an ``assembly.SaddleSystem`` of sparse blocks solved by
-``assembly.solve_saddle``, whose dense Schur LU gives the singularity
-verdict.  The eliminated block ``a`` is K_u + lambda M_u (``plain``),
-diag(K_u + lambda M_u, -beta M_w) on (u, w) (``corrected``), A_X for
-continuous gamma with the augmented form (eliminating gamma would put the
-penalty back), and -M_gamma/penalty for every other ``multiplier`` (A_X
-alone is singular; with discontinuous gamma it reproduces ``plain``).
-Discontinuous gamma makes M_gamma block-diagonal by element, so its
-inverse is exact and element-local (static condensation).  The gamma space
-and its operators do not depend on lambda either: a sweep builds them once.
+``assembly.solve_saddle``, whose Schur LU gives the singularity verdict:
+dense after a SuperLU factor of the eliminated block, sparse after an
+element-block inverse.  The eliminated block ``a`` is K_u + lambda M_u
+(``plain``), diag(K_u + lambda M_u, -beta M_w) on (u, w) (``corrected``),
+A_X for continuous gamma with the augmented form (eliminating gamma would
+put the penalty back), and -M_gamma/penalty for every other
+``multiplier`` (A_X alone is singular; with discontinuous gamma it
+reproduces ``plain``).  Discontinuous gamma makes M_gamma block-diagonal
+by element, so its inverse is exact and element-local (static
+condensation) and the condensed Schur complement on (u, p) is a sparse
+P1-stencil operator.  The gamma space and its operators do not depend on
+lambda either: a sweep builds them once.
 """
 
 from __future__ import annotations

@@ -416,18 +416,24 @@ def test_relative_residual_matches_dense_formula(name):
     assert system.relative_residual(x) == pytest.approx(dense, rel=1e-12)
 
 
-def test_only_the_velocity_block_is_factored(monkeypatch):
+def recorded_factors(monkeypatch):
+    """(matrix, SuperLU factor) of every ``splu`` call from now on."""
     import scipy.sparse.linalg
-    real_splu = scipy.sparse.linalg.splu
-    shapes = []
+    real_splu, factors = scipy.sparse.linalg.splu, []
 
     def recording_splu(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return real_splu(a, *args, **kwargs)
+        factors.append((a, real_splu(a, *args, **kwargs)))
+        return factors[-1][1]
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
-    # (system, how a is factored): diag(K, K) as K alone, the discontinuous
-    # multiplier mass element by element with no SuperLU call
+    return factors
+
+
+def test_only_the_velocity_block_is_factored(monkeypatch):
+    factors = recorded_factors(monkeypatch)
+    # (system, how a is factored): diag(K, K) as K alone; the discontinuous
+    # multiplier mass element by element, so SuperLU factors only its
+    # sparse Schur complement (n_p × n_p, no mean row)
     element = ("multiplier", "multiplier-grad-div")
     whole = ("corrected-lumped", "corrected-consistent",
              "multiplier-continuous-grad-div")
@@ -438,13 +444,14 @@ def test_only_the_velocity_block_is_factored(monkeypatch):
                  "a" if name in whole else "K")
                 for name in LOCKING_VARIANTS])
     for system, route in cases:
-        shapes.clear()
+        factors.clear()
         try:
             solve_saddle(system)
         except SingularMatrix:
             pass                   # p1p1-plain, multiplier-continuous
-        n = system.n_u // 2 if route == "K" else system.n_u
-        assert shapes == ([] if route == "element" else [(n, n)])
+        n = {"K": system.n_u // 2, "a": system.n_u,
+             "element": system.n_p}[route]
+        assert [a.shape for a, _ in factors] == [(n, n)]
 
 
 def test_two_block_factor_solves_like_the_full_factor():
@@ -673,6 +680,8 @@ def block_diagonal(blocks):
 @pytest.mark.parametrize("n", (4, 8))
 @pytest.mark.parametrize("name", ("multiplier", "multiplier-grad-div"))
 def test_element_route_matches_superlu(name, n, lam, monkeypatch):
+    # the sparse Schur route of an element-block factor against the dense
+    # one, which SuperLU's factor of a takes
     system = locking_system(name, n, lam)
     lu = sparse_lu(system.a, "velocity block")
     assert lu.inv.nnz == system.a.nnz == 3 * system.n_u    # 3×3 blocks
@@ -752,13 +761,14 @@ def test_element_route_with_an_empty_schur_matrix(monkeypatch):
     assert all(r.solve_ok and r.u_h1_norm == 0.0 for r in reports)
 
 
-def test_element_route_holds_one_schur_matrix():
-    # the Schur matrix comes from one sparse product scattered into the
-    # bordered array, with no n_u × 64 workspace: the traced peak stays
-    # under 1.25 copies of that array (1.14 measured; the SuperLU route
-    # reads 1.40 here)
+def test_element_route_forms_no_dense_schur_matrix():
+    # the Schur matrix of an element-block factor is a sparse product and
+    # is factored sparse: the traced peak stays under 0.3 of the dense
+    # bordered Schur array (0.19 measured at n=24; the dense route read
+    # 1.14 here)
     import tracemalloc
 
+    import scipy.sparse.linalg  # noqa: F401  (imports are not the solve)
     system = locking_system("multiplier", 24, 1e6)
     tracemalloc.start()
     try:
@@ -766,4 +776,50 @@ def test_element_route_holds_one_schur_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * (system.n_p + 1) ** 2
+    assert peak <= 0.3 * 8 * (system.n_p + 1) ** 2
+
+
+def test_element_schur_factor_keeps_its_fill(monkeypatch):
+    # SuperLU's symmetric mode keeps the minimum-degree order of the
+    # condensed Schur matrix: 4.3 × nnz(S) at n=16 (34.6 × under partial
+    # pivoting)
+    factors = recorded_factors(monkeypatch)
+    system = locking_system("multiplier", 16, 1e6)
+    solve_saddle(system)
+    [(schur, lu)] = factors
+    assert schur.shape == (system.n_p, system.n_p)
+    assert lu.nnz <= 10 * schur.nnz
+
+
+def test_singular_condensed_schur_raises_on_both_routes(monkeypatch):
+    # a repeated row of b repeats a row of b a^{-1} b^T (c = None): the
+    # sparse Schur factor and the dense one both give the verdict
+    system = locking_system("multiplier", 4, 1e2)
+    b = sp.csr_array(sp.vstack([system.b, system.b[[0]]]))
+    singular = SaddleSystem(a=system.a, b=b, c=None, f=system.f,
+                            g=np.append(system.g, 1.0), pressure_mass=None)
+    with pytest.raises(SingularMatrix):
+        solve_saddle(singular)
+    superlu_route(monkeypatch)
+    with pytest.raises(SingularMatrix):
+        solve_saddle(singular)
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_bordered_element_route_matches_the_dense_route(sign, monkeypatch):
+    # an element-local a with a mean row: the sparse Schur matrix is
+    # bordered by m = M 1 before it is factored
+    import dataclasses
+
+    system = locking_system("multiplier", 4, 1e2)
+    weights = np.random.default_rng(13).uniform(1.0, 2.0, system.n_p)
+    bordered = dataclasses.replace(system, pressure_row_sign=sign,
+                                   pressure_mass=sp.diags_array(weights,
+                                                                format="csr"))
+    factors = recorded_factors(monkeypatch)
+    x, residual = solve_saddle(bordered)
+    assert [a.shape for a, _ in factors] == [(system.n_p + 1,) * 2]
+    superlu_route(monkeypatch)
+    x_ref, _ = solve_saddle(bordered)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert residual <= 1e-14

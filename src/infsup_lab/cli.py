@@ -161,6 +161,15 @@ def _vertex_values(space: FeSpace, vec: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+def _pressure_data(name: str, kind: ElementKind, vec: np.ndarray,
+                   mesh: Mesh) -> dict:
+    """``_write_vtk`` keywords for a P0 or P1 pressure field: cell data for
+    P0, vertex values otherwise."""
+    if kind is ElementKind.P0:
+        return {"cell_scalars": {name: vec}}
+    return {"point_scalars": {name: vec[:len(mesh.nodes)]}}
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners: return (results, status, stdout lines)
 # ---------------------------------------------------------------------------
@@ -195,13 +204,9 @@ def _run_stokes(args: argparse.Namespace):
         if method.name == "p1p1-loss":
             vectors["projection"] = _vertex_values(
                 solution.v_space, stokes.loss_projection(solution))
-        point, cell = {}, None
-        if solution.p_space.kind is ElementKind.P0:
-            cell = {"pressure": solution.p}
-        else:
-            point["pressure"] = solution.p[:len(mesh.nodes)]
-        _write_vtk(args.vtk_path, mesh, point_scalars=point,
-                   point_vectors=vectors, cell_scalars=cell)
+        _write_vtk(args.vtk_path, mesh, point_vectors=vectors,
+                   **_pressure_data("pressure", solution.p_space.kind,
+                                    solution.p, mesh))
     line = "  ".join([f"h={h:.5f}"] + [f"{k}={v:.6e}" for k, v in errs.items()])
     return results, "ok", [line]
 
@@ -232,7 +237,7 @@ def _run_infsup(args: argparse.Namespace):
     mesh = unit_square_mesh(args.n)
     report = infsup.study(args.pair, mesh, weighted=args.mode == "weighted")
     results = {
-        "pair": report.pair, "mode": report.mode, "h": report.h,
+        "pair": args.pair, "mode": args.mode, "h": mesh.h,
         "beta": report.beta, "numerical_rank": report.numerical_rank,
         "kernel_dim_pressure": report.kernel_dim_pressure,
         "constant_pressure_angle": report.constant_pressure_angle,
@@ -242,16 +247,10 @@ def _run_infsup(args: argparse.Namespace):
         _write_csv(args.csv_path, ["index", "sigma"],
                    list(enumerate(report.sigma)))
     if args.vtk_path:
-        mode_vec = report.worst_pressure_mode
-        _, pkind = infsup.PAIRS[args.pair]
-        if pkind is ElementKind.P0:
-            _write_vtk(args.vtk_path, mesh,
-                       cell_scalars={"pressure_mode": mode_vec})
-        else:
-            _write_vtk(args.vtk_path, mesh,
-                       point_scalars={"pressure_mode":
-                                      mode_vec[:len(mesh.nodes)]})
-    line = (f"beta={report.beta:.6f}  pair={report.pair}  mode={report.mode}"
+        _write_vtk(args.vtk_path, mesh, **_pressure_data(
+            "pressure_mode", infsup.PAIRS[args.pair][1],
+            report.worst_pressure_mode, mesh))
+    line = (f"beta={report.beta:.6f}  pair={args.pair}  mode={args.mode}"
             f"  rank={report.numerical_rank}"
             f"  pressure_kernel_dim={report.kernel_dim_pressure}")
     return results, "ok", [line]

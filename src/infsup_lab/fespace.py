@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, edge_table, triangle_grad_lambda
+from .mesh import Mesh, edge_table, triangle_areas, triangle_grad_lambda
 
 
 class UnsupportedDegree(ValueError):
@@ -281,3 +281,28 @@ def fields_at_quadrature(space: FeSpace, coeffs, rule: QuadratureRule):
     values = np.einsum("qb,tcb->tqc", vals, local)
     gradients = np.einsum("tqbd,tcb->tqcd", grads, local)
     return points, values, gradients
+
+
+def field_errors(space: FeSpace, coeffs, exact, exact_grad):
+    """(L2, H1-seminorm) error of a field against the callables ``exact``
+    and ``exact_grad`` of (..., 2) points, by degree-6 quadrature."""
+    rule = quadrature(6)
+    qw = np.outer(triangle_areas(space.mesh), rule.weights)  # (T, nq)
+    pts, vals, grads = fields_at_quadrature(space, coeffs, rule)
+    dv = vals - np.reshape(exact(pts), vals.shape)
+    dg = grads - np.reshape(exact_grad(pts), grads.shape)
+    return (float(np.sqrt(np.einsum("tq,tqc->", qw, dv ** 2))),
+            float(np.sqrt(np.einsum("tq,tqcd->", qw, dg ** 2))))
+
+
+def interior_edge_pairs(mesh: Mesh, kind: ElementKind):
+    """(left, right) dofs of a P0 or P1 field across each interior edge:
+    the two cells that share it (P0) or its two end vertices (P1)."""
+    table = edge_table(mesh)
+    if kind is ElementKind.P0:
+        pairs = table.edge_tris[table.interior_mask()]
+    elif kind is ElementKind.P1:
+        pairs = table.edges[table.interior_mask()]
+    else:
+        raise ValueError("interior-edge pairs are defined for P0/P1 fields")
+    return pairs[:, 0], pairs[:, 1]

@@ -32,9 +32,9 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import divergence, mass, schur_complement, stiffness
-from .fespace import ElementKind, FeSpace, build_space
+from .fespace import ElementKind, FeSpace, build_space, interior_edge_pairs
 from .linalg import NotPositiveDefinite, require_symmetric
-from .mesh import Mesh, edge_table
+from .mesh import Mesh
 
 PAIRS = {
     "p1p1": (ElementKind.P1, ElementKind.P1),
@@ -53,14 +53,11 @@ RANK_RTOL = 1e-10
 @dataclass(frozen=True)
 class InfSupReport:
     beta: float
-    mode: str                       # "euclidean" | "weighted"
     sigma: np.ndarray               # min(n_p, n_u) values, descending
     numerical_rank: int
     kernel_dim_pressure: int
     worst_pressure_mode: np.ndarray
     constant_pressure_angle: float  # sin(constants, kernel) in the M norm
-    pair: str
-    h: float
 
 
 def pair_spaces(pair: str, mesh: Mesh) -> tuple[FeSpace, FeSpace]:
@@ -137,7 +134,7 @@ def _constant_pressure_angle(kernel: np.ndarray, m) -> float:
     return float(np.sqrt((gap @ m_gap) / (ones @ m_ones)))
 
 
-def _report(b, spectrum, mode, pair, h):
+def _report(b, spectrum):
     lam, q, rank, m = spectrum
     n_p, n_u = b.shape
     beta, worst = 0.0, np.zeros(n_p)
@@ -145,28 +142,25 @@ def _report(b, spectrum, mode, pair, h):
         beta = float(np.sqrt(lam[rank - 1]))
         worst = q[:, rank - 1] / np.linalg.norm(q[:, rank - 1])
     sigma = np.sqrt(np.maximum(lam[:min(n_p, n_u)], 0.0))
-    return InfSupReport(beta=beta, mode=mode, sigma=sigma,
+    return InfSupReport(beta=beta, sigma=sigma,
                         numerical_rank=rank,
                         kernel_dim_pressure=n_p - rank,
                         worst_pressure_mode=worst,
                         constant_pressure_angle=_constant_pressure_angle(
-                            q[:, rank:], m),
-                        pair=pair, h=h)
+                            q[:, rank:], m))
 
 
-def infsup_euclidean(b, pair: str = "custom",
-                     h: float = float("nan")) -> InfSupReport:
+def infsup_euclidean(b) -> InfSupReport:
     """beta = smallest positive singular value of the raw block, the square
     root of the smallest nonzero eigenvalue of B B^T.
 
     ``b`` (dense or sparse) has one row per pressure dof, so the reported
     worst mode is the eigenvector of B B^T, a left singular vector of B.
     """
-    return _report(b, _spectrum(b), "euclidean", pair, h)
+    return _report(b, _spectrum(b))
 
 
-def infsup_weighted(b, x_norm, m_norm, pair: str = "custom",
-                    h: float = float("nan")) -> InfSupReport:
+def infsup_weighted(b, x_norm, m_norm) -> InfSupReport:
     """beta from the pencil (B X^{-1} B^T, M).
 
     X and M (dense or sparse) must be symmetric positive definite: an
@@ -174,15 +168,15 @@ def infsup_weighted(b, x_norm, m_norm, pair: str = "custom",
     ``NotPositiveDefinite``.  The reported worst mode is the plain
     nodal/cell eigenvector scaled to unit Euclidean norm (not unit M-norm).
     """
-    return _report(b, _spectrum(b, x_norm, m_norm), "weighted", pair, h)
+    return _report(b, _spectrum(b, x_norm, m_norm))
 
 
 def study(pair: str, mesh: Mesh, weighted: bool = True) -> InfSupReport:
     """Assemble a named pair on a mesh and report its inf-sup constant."""
     b, x, m = pair_operators(*pair_spaces(pair, mesh))
     if weighted:
-        return infsup_weighted(b, x, m, pair=pair, h=mesh.h)
-    return infsup_euclidean(b, pair=pair, h=mesh.h)
+        return infsup_weighted(b, x, m)
+    return infsup_euclidean(b)
 
 
 #: entries below this fraction of max|mode| are round-off zeros, without sign
@@ -198,16 +192,8 @@ def alternation_score(mode: np.ndarray, mesh: Mesh, kind: ElementKind) -> float:
     score near 1, smooth fields near the fraction of edges crossing their
     zero set.
     """
-    table = edge_table(mesh)
-    interior = table.interior_mask()
-    if kind is ElementKind.P0:
-        left = mode[table.edge_tris[interior, 0]]
-        right = mode[table.edge_tris[interior, 1]]
-    elif kind is ElementKind.P1:
-        left = mode[table.edges[interior, 0]]
-        right = mode[table.edges[interior, 1]]
-    else:
-        raise ValueError("alternation score defined for P0/P1 pressures")
+    i, j = interior_edge_pairs(mesh, kind)
+    left, right = mode[i], mode[j]
     tol = ALTERNATION_RTOL * np.max(np.abs(mode), initial=0.0)
     signed = (np.abs(left) > tol) & (np.abs(right) > tol)
     if not signed.any():

@@ -16,9 +16,8 @@ constant C_i = sup_v sqrt(h ||dv/dn||_G^2 / ||grad v||^2), estimated once
 as the top eigenvalue of a dense generalized pencil (the one densification
 in this module).  Defaults: gamma = 4 C_i^2 and alpha = 0.5 / C_i^2.
 
-``equivalence_check`` solves the eliminated (Nitsche) form of BH(P0) with
-``assembly.sparse_lu``, the factor ``solve_saddle`` takes of every system
-here.
+``equivalence_check`` solves the eliminated (Nitsche) form of BH(P0)
+through ``solve``, like every system here.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ import scipy.sparse as sp
 
 from .assembly import (
     SaddleSystem,
+    _scatter,
     boundary_edge_integrals,
     boundary_flux_flux,
     boundary_hat_flux,
@@ -41,16 +41,10 @@ from .assembly import (
     load_vector,
     mass,
     solve_saddle,
-    sparse_lu,
     stiffness,
 )
-from .fespace import ElementKind, FeSpace, build_space, fields_at_quadrature, quadrature
-from .mesh import (
-    Mesh,
-    boundary_edge_geometry,
-    triangle_areas,
-    unit_square_mesh,
-)
+from .fespace import ElementKind, FeSpace, build_space, field_errors
+from .mesh import Mesh, boundary_edge_geometry, unit_square_mesh
 
 
 class UnsupportedTrace(ValueError):
@@ -139,21 +133,18 @@ def method_from_name(name: str, alpha: float | None = None,
 # ---------------------------------------------------------------------------
 
 def _p0_trace_ops(mesh: Mesh, n_dofs: int):
-    """(t0, c_w): edge-indexed <mu_E, v> and h_E <mu_E, dv/dn> as CSR
-    arrays; h_E <mu_E, mu_F> is diagonal, h_E^2 on edge E."""
+    """(t0, c_w): edge-indexed <mu_E, v> and h_E <mu_E, dv/dn>, each
+    boundary edge scattered as a one-row cell; h_E <mu_E, mu_F> is
+    diagonal, h_E^2 on edge E."""
     lengths, _, _ = boundary_edge_geometry(mesh)
     flux, tri_nodes = boundary_hat_flux(mesh)
     edges = np.arange(len(lengths))[:, None]
-
-    def edge_rows(vals, cols):
-        return sp.coo_array(
-            (vals.ravel(), (np.broadcast_to(edges, cols.shape).ravel(),
-                            cols.ravel())),
-            shape=(len(lengths), n_dofs)).tocsr()
-
-    t0 = edge_rows(np.repeat(lengths[:, None] / 2.0, 2, axis=1),
-                   mesh.boundary_edges[:, :2])
-    c_w = edge_rows(lengths[:, None] * (lengths[:, None] * flux), tri_nodes)
+    t0 = _scatter(edges, mesh.boundary_edges[:, :2],
+                  np.repeat(lengths[:, None, None] / 2.0, 2, axis=2),
+                  len(lengths), n_dofs)
+    c_w = _scatter(edges, tri_nodes,
+                   (lengths[:, None] * (lengths[:, None] * flux))[:, None, :],
+                   len(lengths), n_dofs)
     return t0, c_w
 
 
@@ -165,30 +156,35 @@ def _reaction_diffusion(space: FeSpace) -> sp.csr_array:
     return stiffness(space) + mass(space)
 
 
+def _nitsche(space: FeSpace, f, d, penalty: sp.csr_array,
+             penalty_load: np.ndarray) -> SaddleSystem:
+    """The symmetric Nitsche form A + M - N - N^T + ``penalty`` with load
+    f - <d, dv/dn> + ``penalty_load``, as a system with an empty multiplier
+    block so it solves through the same path as the multiplier methods."""
+    nf = boundary_normal_flux(space)
+    rhs = (load_vector(space, f) - boundary_load(space, d, flux_test=True)
+           + penalty_load)
+    return SaddleSystem(a=_reaction_diffusion(space) - nf - nf.T + penalty,
+                        b=sp.csr_array((0, space.n_dofs)), c=None, f=rhs,
+                        g=np.zeros(0), pressure_mass=None)
+
+
 def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
     """Assemble one weak-bc discretization.
 
     ``f`` and ``d`` are scalar callables on (..., 2) points; ``d`` is
     evaluated analytically at trace quadrature points rather than
-    interpolated.  Nitsche returns a system with an empty multiplier block
-    so every method solves through the same path.
+    interpolated.
     """
     space = build_space(ElementKind.P1, mesh)
-    n = space.n_dofs
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    if method.name == "nitsche":
+        weights = method.gamma / lengths
+        return _nitsche(space, f, d, boundary_mass(space, edge_weights=weights),
+                        boundary_load(space, d, edge_weights=weights))
+
     a = _reaction_diffusion(space)
     fvec = load_vector(space, f)
-    lengths, _, _ = boundary_edge_geometry(mesh)
-
-    if method.name == "nitsche":
-        gamma = method.gamma
-        nf = boundary_normal_flux(space)
-        pen = boundary_mass(space, edge_weights=gamma / lengths)
-        k = a - nf - nf.T + pen
-        rhs = (fvec - boundary_load(space, d, flux_test=True)
-               + boundary_load(space, d, edge_weights=gamma / lengths))
-        return SaddleSystem(a=k, b=sp.csr_array((0, n)), c=None, f=rhs,
-                            g=np.zeros(0), pressure_mass=None)
-
     if method.trace == "p1":
         trace = space.boundary_dofs
         t = boundary_mass(space)[trace]
@@ -196,7 +192,7 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
         m_w = boundary_mass(space, edge_weights=lengths)[np.ix_(trace, trace)]
         d_load = boundary_load(space, d)[trace]
     else:
-        t, c_w = _p0_trace_ops(mesh, n)
+        t, c_w = _p0_trace_ops(mesh, space.n_dofs)
         m_w = sp.diags_array(lengths * lengths, format="csr")
         d_load = boundary_edge_integrals(mesh, d)
 
@@ -232,9 +228,6 @@ class WeakBcProblem:
     d: callable
     grad_u: callable
 
-    def __iter__(self):
-        return iter((self.u, self.f, self.d))
-
 
 def mms_problem() -> WeakBcProblem:
     pi = np.pi
@@ -254,16 +247,9 @@ def mms_problem() -> WeakBcProblem:
 
 
 def errors(mesh: Mesh, u_vec: np.ndarray, problem: WeakBcProblem):
-    """(L2, H1-seminorm) error of a P1 field by degree-6 quadrature."""
-    space = build_space(ElementKind.P1, mesh)
-    rule = quadrature(6)
-    qw = np.outer(triangle_areas(mesh), rule.weights)
-    pts, vals, grads = fields_at_quadrature(space, u_vec, rule)
-    dv = vals[..., 0] - problem.u(pts)
-    dg = grads[:, :, 0, :] - problem.grad_u(pts)
-    err_l2 = np.sqrt(np.einsum("tq,tq->", qw, dv ** 2))
-    err_h1 = np.sqrt(np.einsum("tq,tqd->", qw, dg ** 2))
-    return float(err_l2), float(err_h1)
+    """(L2, H1-seminorm) error of a P1 field, by ``field_errors``."""
+    return field_errors(build_space(ElementKind.P1, mesh), u_vec, problem.u,
+                        problem.grad_u)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +286,8 @@ def lambda_roughness(solution: WeakBcSolution, mesh: Mesh,
 # BH <-> Nitsche equivalence (P0 multipliers, gamma = 1/alpha)
 # ---------------------------------------------------------------------------
 
-def _nitsche_projected(space: FeSpace, f, d, gamma: float):
-    """Nitsche variant with the penalty acting on P0 edge averages, as a
-    CSR matrix and its load.
+def _nitsche_projected(space: FeSpace, f, d, gamma: float) -> SaddleSystem:
+    """Nitsche variant with the penalty acting on P0 edge averages.
 
     Exact elimination of P0 multipliers from the stabilized system yields
     THIS form (the du/dn consistency terms are already edge-wise constant
@@ -312,12 +297,8 @@ def _nitsche_projected(space: FeSpace, f, d, gamma: float):
     lengths, _, _ = boundary_edge_geometry(mesh)
     weights = gamma / lengths ** 2
     t0 = _p0_trace_ops(mesh, space.n_dofs)[0]
-    nf = boundary_normal_flux(space)
-    k = (_reaction_diffusion(space) - nf - nf.T
-         + t0.T @ sp.diags_array(weights) @ t0)
-    rhs = (load_vector(space, f) - boundary_load(space, d, flux_test=True)
-           + t0.T @ (weights * boundary_edge_integrals(mesh, d)))
-    return k, rhs
+    return _nitsche(space, f, d, t0.T @ sp.diags_array(weights) @ t0,
+                    t0.T @ (weights * boundary_edge_integrals(mesh, d)))
 
 
 def equivalence_check(mesh: Mesh, f, d, alpha: float) -> float:
@@ -329,8 +310,7 @@ def equivalence_check(mesh: Mesh, f, d, alpha: float) -> float:
     u_bh = run(WeakBcMethod("barbosa-hughes", alpha=alpha, trace="p0"),
                mesh, f, d).u
     space = build_space(ElementKind.P1, mesh)
-    k_n, rhs_n = _nitsche_projected(space, f, d, 1.0 / alpha)
-    u_n = sparse_lu(k_n, "projected Nitsche matrix").solve(rhs_n)
+    u_n = solve(_nitsche_projected(space, f, d, 1.0 / alpha)).u
     h1 = _reaction_diffusion(space)
     diff = u_bh - u_n
     num = np.sqrt(diff @ (h1 @ diff))

@@ -22,7 +22,6 @@ def test_euclidean_diag():
     assert rep.beta == pytest.approx(1.0)
     assert rep.numerical_rank == 2
     assert rep.kernel_dim_pressure == 0
-    assert rep.mode == "euclidean"
 
 
 def test_euclidean_explicit_kernel():
@@ -196,14 +195,14 @@ def test_study_assembles_and_solves_once(monkeypatch):
 def test_report_fields():
     mesh = unit_square_mesh(4)
     rep = infsup.study("taylor-hood", mesh)
-    assert rep.pair == "taylor-hood"
-    assert rep.h == pytest.approx(mesh.h)
-    assert rep.mode == "weighted"
     assert np.all(np.diff(rep.sigma) <= 1e-12)          # descending
     assert rep.beta == pytest.approx(rep.sigma[rep.numerical_rank - 1])
     assert np.linalg.norm(rep.worst_pressure_mode) == pytest.approx(1.0)
+    # the report echoes no inputs; the mode picks the constant
+    b, x, m = infsup.pair_operators(*infsup.pair_spaces("taylor-hood", mesh))
+    assert rep.beta == infsup.infsup_weighted(b, x, m).beta
     eu = infsup.study("taylor-hood", mesh, weighted=False)
-    assert eu.mode == "euclidean"
+    assert eu.beta == infsup.infsup_euclidean(b).beta
 
 
 # β_h and pressure kernel dims of the one-sided Jacobi SVD that ``linalg.svd``
@@ -259,10 +258,9 @@ def jacobi_route(b, x=None, m=None):
     sigma = svd(w).sigma
     rank = int(np.count_nonzero(sigma > 1e-10 * max(w.shape) * sigma[0]))
     return infsup.InfSupReport(
-        beta=float(sigma[rank - 1]), mode="oracle", sigma=sigma,
-        numerical_rank=rank, kernel_dim_pressure=w.shape[0] - rank,
-        worst_pressure_mode=None, constant_pressure_angle=float("nan"),
-        pair="oracle", h=float("nan"))
+        beta=float(sigma[rank - 1]), sigma=sigma, numerical_rank=rank,
+        kernel_dim_pressure=w.shape[0] - rank, worst_pressure_mode=None,
+        constant_pressure_angle=float("nan"))
 
 
 @pytest.mark.parametrize("weighted", [True, False])

@@ -84,9 +84,12 @@ def test_pressure_mean_zero_on_fine_mesh():
     assert abs(cell_integrals.sum()) <= 1e-6
 
 
-def test_problem_unpacks_as_triple():
-    u, p, f = EXACT
-    assert u is EXACT.u and p is EXACT.p and f is EXACT.f
+def test_problem_fields_have_the_shapes_errors_reads():
+    # velocity, pressure, force and velocity gradient at (..., 2) points
+    pts = np.random.default_rng(4).uniform(size=(5, 3, 2))
+    assert EXACT.u(pts).shape == EXACT.f(pts).shape == (5, 3, 2)
+    assert EXACT.p(pts).shape == (5, 3)
+    assert EXACT.grad_u(pts).shape == (5, 3, 2, 2)
 
 
 # --- build ----------------------------------------------------------------

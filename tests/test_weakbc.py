@@ -9,12 +9,13 @@ import scipy.sparse as sp
 from infsup_lab import verify, weakbc
 from infsup_lab.assembly import (
     boundary_edge_integrals,
+    boundary_flux_flux,
     boundary_hat_flux,
     boundary_load,
+    boundary_mass,
     boundary_normal_flux,
     load_vector,
     mass,
-    sparse_lu,
     stiffness,
 )
 from infsup_lab.fespace import ElementKind, build_space
@@ -192,6 +193,24 @@ def test_bh_system_symmetric(trace):
     assert np.abs(k - k.T).max() < 1e-12 * np.abs(k).max()
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_trace_operators_are_canonical_csr_without_stored_zeros(n):
+    # a stored 0.0 is a structural nonzero to SuperLU; the hats whose
+    # gradient is tangential to an edge have zero flux there
+    mesh = unit_square_mesh(n)
+    space = build_space(ElementKind.P1, mesh)
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    trace = space.boundary_dofs
+    ops = [boundary_mass(space)[trace],
+           boundary_normal_flux(space, edge_weights=lengths)[trace],
+           boundary_mass(space, edge_weights=lengths)[np.ix_(trace, trace)],
+           boundary_flux_flux(space, edge_weights=lengths),
+           *weakbc._p0_trace_ops(mesh, space.n_dofs)]
+    for op in ops:
+        assert isinstance(op, sp.csr_array) and op.has_canonical_format
+        assert np.all(op.data != 0.0)
+
+
 def test_multiplier_solvable_on_coarse_meshes():
     for n in (2, 4, 8):
         sol = mms_solution("multiplier", n)
@@ -242,13 +261,14 @@ def dense_nitsche_projected(mesh, f, d, gamma):
 def test_sparse_projected_nitsche_solve_matches_dense_oracle(n):
     mesh = unit_square_mesh(n)
     k_dense, rhs_dense = dense_nitsche_projected(mesh, PROB.f, PROB.d, 10.0)
-    k, rhs = weakbc._nitsche_projected(build_space(ElementKind.P1, mesh),
+    system = weakbc._nitsche_projected(build_space(ElementKind.P1, mesh),
                                        PROB.f, PROB.d, 10.0)
-    assert sp.issparse(k)
+    k, rhs = system.a, system.f
+    assert sp.issparse(k) and system.n_p == 0
     assert (np.linalg.norm(k.toarray() - k_dense)
             <= 1e-12 * np.linalg.norm(k_dense))
     assert np.linalg.norm(rhs - rhs_dense) <= 1e-12 * np.linalg.norm(rhs_dense)
-    u = sparse_lu(k, "projected Nitsche matrix").solve(rhs)
+    u = weakbc.solve(system).u
     u_dense = lu_solve(k_dense, rhs_dense)
     assert np.linalg.norm(u - u_dense) <= 1e-12 * np.linalg.norm(u_dense)
 

@@ -32,7 +32,7 @@ from .fespace import (
     shape_values,
 )
 from .linalg import (NotPositiveDefinite, SingularMatrix, _lu_solve_overwrite,
-                     check_pivots)
+                     check_pivots, column_scale)
 from .mesh import (
     Mesh,
     boundary_edge_geometry,
@@ -470,16 +470,14 @@ def _invert_element_blocks(matrix: sp.csr_array, blocks: np.ndarray,
                            what: str) -> _ElementBlockFactor:
     """Invert each block under the pivot contract of ``sparse_lu``: one
     batched LU of the stack (getrf's partial pivoting, block by block in
-    compiled code) gives the pivots, checked against the largest column
-    norm of ``matrix`` (each column lives in one block)."""
+    compiled code) gives the pivots, checked against ``column_scale``."""
     _, _, upper = scipy.linalg.lu(blocks, p_indices=True, check_finite=False)
     pivots = np.diagonal(upper, axis1=1, axis2=2)
     singular = np.flatnonzero(np.any(pivots == 0.0, axis=1))
     if singular.size:
         raise SingularMatrix(f"{what}: element block {singular[0]} is "
                              f"exactly singular")
-    check_pivots(pivots, float(np.sqrt(np.max(
-        np.einsum("bij,bij->bj", blocks, blocks)))))
+    check_pivots(pivots, column_scale(matrix))
     inv = np.linalg.inv(blocks)
     return _ElementBlockFactor(sp.csr_array(
         (inv.ravel(), matrix.indices, matrix.indptr), shape=matrix.shape))
@@ -508,21 +506,24 @@ def sparse_lu(matrix: sp.csr_array, what: str):
     the condensed Schur factor of ``solve_saddle`` 35-150 fold.
 
     scipy.sparse.linalg is imported only for a SuperLU factor: runs that
-    never need one do not load its extension modules."""
+    never need one do not load its extension modules.  Of matrix size, it
+    allocates SuperLU's workspace and factor and the L+U copy that each
+    ``SuperLU.L`` or ``.U`` access builds (68 MB at TH n=128), no more."""
     matrix = sp.csr_array(matrix)
     blocks = _element_blocks(matrix)
     if blocks is not None:
         return _invert_element_blocks(matrix, blocks, what)
-    from scipy.sparse.linalg import norm as sparse_norm, splu
+    from scipy.sparse.linalg import splu
 
     block = _diagonal_half(matrix)
-    factored = (matrix if block is None else block).tocsc()
+    factored = matrix if block is None else block
+    col_scale = column_scale(factored)
     try:
-        lu = splu(factored, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
-                  options={"SymmetricMode": True})
+        lu = splu(factored.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=1e-3, options={"SymmetricMode": True})
     except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
         raise SingularMatrix(f"{what}: {exc}") from exc
-    check_pivots(lu.U.diagonal(), float(np.max(sparse_norm(factored, axis=0))))
+    check_pivots(lu.U.diagonal(), col_scale)
     return lu if block is None else _TwoBlockFactor(lu)
 
 
@@ -582,7 +583,7 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
          blocks (a dense n_u × 64 workspace) into one Fortran-order array,
          which ``linalg._lu_solve_overwrite`` LU-factors in place.  This
          route is also the oracle of the sparse one.
-    3. ``u = a^{-1} (f - b^T p)``.
+    3. ``u = a^{-1} (f - b^T p)``; with no rows in y, the first solve.
 
     This is the solver of the locking and weak-boundary systems, the
     ``p1p1-plain`` verdict, and the oracle of ``solve_saddle_pcg``.
@@ -596,7 +597,8 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     b, f, m, n_p = system.b, system.f, system.mean_row, system.n_p
     lu = sparse_lu(system.a, "velocity block")
 
-    rhs_p = system.g - s * (b @ lu.solve(f))
+    a_inv_f = lu.solve(f)
+    rhs_p = system.g - s * (b @ a_inv_f)
     if m is not None:
         rhs_p = np.append(rhs_p, 0.0)
     n_y = len(rhs_p)
@@ -618,8 +620,7 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
             schur[:n_p, -1] = schur[-1, :n_p] = m
             schur[-1, -1] = 0.0
         y = _lu_solve_overwrite(schur, rhs_p)
-    p = y[:n_p]
-    u = lu.solve(f - b.T @ p)
+    u = lu.solve(f - b.T @ y[:n_p]) if n_y else a_inv_f
     x = np.concatenate([u, y])
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("non-finite solution from the block elimination")

@@ -6,8 +6,8 @@ sparse operators are ``scipy.sparse.csr_array`` objects built in
 
 ``_lu_solve_overwrite`` is the package's one dense LU, the factor of the
 dense bordered pressure Schur matrix in ``assembly.solve_saddle``: LAPACK
-factors in place, and this module's pivot contract, ``check_pivots``
-(shared with every sparse factor of ``assembly.sparse_lu``), decides
+factors in place, and this module's pivot contract, ``check_pivots`` with
+``column_scale`` (shared with every factor of ``assembly.sparse_lu``), decides
 singularity.  ``require_symmetric`` is the symmetry contract, shared with
 the norm matrices of ``infsup``.  The two spectral routines are the
 package's independent cross-checks, used by the selftest and the test
@@ -77,6 +77,15 @@ def check_pivots(pivots, col_scale: float) -> None:
                              f"{threshold:.3e}")
 
 
+def column_scale(a) -> float:
+    """The pivot contract's scale, the largest column 2-norm of ``a``:
+    dense, or scipy sparse read from its CSR arrays, duplicates summed."""
+    if not sp.issparse(a):
+        return float(np.sqrt(np.max(np.einsum("ij,ij->j", a, a))))
+    a = sp.csr_array(a) if a.has_canonical_format else a.tocoo().tocsr()
+    return float(np.sqrt(np.bincount(a.indices, a.data ** 2, a.shape[1]).max()))
+
+
 def _lu_solve_overwrite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a x = b`` by LU with partial pivoting, overwriting ``a`` (a
     non-empty, square, finite float64 matrix) with its LU factors; no copy
@@ -86,7 +95,7 @@ def _lu_solve_overwrite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Raises ``SingularMatrix`` when any pivot magnitude drops below
     ``PIVOT_RTOL`` times the largest initial column norm.
     """
-    col_scale = float(np.sqrt(np.max(np.einsum("ij,ij->j", a, a))))
+    col_scale = column_scale(a)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")      # we do our own pivot check below
         lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True,

@@ -152,19 +152,14 @@ def _p0_trace_ops(mesh: Mesh, n_dofs: int):
 # build / solve
 # ---------------------------------------------------------------------------
 
-def _reaction_diffusion(space: FeSpace) -> sp.csr_array:
-    return stiffness(space) + mass(space)
-
-
-def _nitsche(space: FeSpace, f, d, penalty: sp.csr_array,
+def _nitsche(space: FeSpace, a, f, d, penalty: sp.csr_array,
              penalty_load: np.ndarray) -> SaddleSystem:
-    """The symmetric Nitsche form A + M - N - N^T + ``penalty`` with load
-    f - <d, dv/dn> + ``penalty_load``, as a system with an empty multiplier
-    block so it solves through the same path as the multiplier methods."""
+    """The symmetric Nitsche form a - N - N^T + ``penalty`` (a = A + M) and
+    load f - <d, dv/dn> + ``penalty_load``, with no multiplier rows."""
     nf = boundary_normal_flux(space)
     rhs = (load_vector(space, f) - boundary_load(space, d, flux_test=True)
            + penalty_load)
-    return SaddleSystem(a=_reaction_diffusion(space) - nf - nf.T + penalty,
+    return SaddleSystem(a=a - nf - nf.T + penalty,
                         b=sp.csr_array((0, space.n_dofs)), c=None, f=rhs,
                         g=np.zeros(0), pressure_mass=None)
 
@@ -177,13 +172,18 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
     interpolated.
     """
     space = build_space(ElementKind.P1, mesh)
-    lengths, _, _ = boundary_edge_geometry(mesh)
+    return _build(method, space, stiffness(space) + mass(space), f, d)
+
+
+def _build(method: WeakBcMethod, space: FeSpace, a, f, d) -> SaddleSystem:
+    """``build`` on a given P1 space and its A + M, ``a``."""
+    lengths, _, _ = boundary_edge_geometry(space.mesh)
     if method.name == "nitsche":
         weights = method.gamma / lengths
-        return _nitsche(space, f, d, boundary_mass(space, edge_weights=weights),
+        return _nitsche(space, a, f, d,
+                        boundary_mass(space, edge_weights=weights),
                         boundary_load(space, d, edge_weights=weights))
 
-    a = _reaction_diffusion(space)
     fvec = load_vector(space, f)
     if method.trace == "p1":
         trace = space.boundary_dofs
@@ -192,9 +192,9 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
         m_w = boundary_mass(space, edge_weights=lengths)[np.ix_(trace, trace)]
         d_load = boundary_load(space, d)[trace]
     else:
-        t, c_w = _p0_trace_ops(mesh, space.n_dofs)
+        t, c_w = _p0_trace_ops(space.mesh, space.n_dofs)
         m_w = sp.diags_array(lengths * lengths, format="csr")
-        d_load = boundary_edge_integrals(mesh, d)
+        d_load = boundary_edge_integrals(space.mesh, d)
 
     if method.name == "multiplier":
         return SaddleSystem(a=a, b=t, c=None, f=fvec, g=d_load,
@@ -286,7 +286,7 @@ def lambda_roughness(solution: WeakBcSolution, mesh: Mesh,
 # BH <-> Nitsche equivalence (P0 multipliers, gamma = 1/alpha)
 # ---------------------------------------------------------------------------
 
-def _nitsche_projected(space: FeSpace, f, d, gamma: float) -> SaddleSystem:
+def _nitsche_projected(space: FeSpace, a, f, d, gamma: float) -> SaddleSystem:
     """Nitsche variant with the penalty acting on P0 edge averages.
 
     Exact elimination of P0 multipliers from the stabilized system yields
@@ -297,7 +297,7 @@ def _nitsche_projected(space: FeSpace, f, d, gamma: float) -> SaddleSystem:
     lengths, _, _ = boundary_edge_geometry(mesh)
     weights = gamma / lengths ** 2
     t0 = _p0_trace_ops(mesh, space.n_dofs)[0]
-    return _nitsche(space, f, d, t0.T @ sp.diags_array(weights) @ t0,
+    return _nitsche(space, a, f, d, t0.T @ sp.diags_array(weights) @ t0,
                     t0.T @ (weights * boundary_edge_integrals(mesh, d)))
 
 
@@ -307,11 +307,11 @@ def equivalence_check(mesh: Mesh, f, d, alpha: float) -> float:
     The two are algebraically the same system after eliminating the
     multiplier, so the gap sits at solver roundoff.
     """
-    u_bh = run(WeakBcMethod("barbosa-hughes", alpha=alpha, trace="p0"),
-               mesh, f, d).u
     space = build_space(ElementKind.P1, mesh)
-    u_n = solve(_nitsche_projected(space, f, d, 1.0 / alpha)).u
-    h1 = _reaction_diffusion(space)
+    h1 = stiffness(space) + mass(space)
+    u_bh = solve(_build(WeakBcMethod("barbosa-hughes", alpha=alpha,
+                                     trace="p0"), space, h1, f, d)).u
+    u_n = solve(_nitsche_projected(space, h1, f, d, 1.0 / alpha)).u
     diff = u_bh - u_n
     num = np.sqrt(diff @ (h1 @ diff))
     den = np.sqrt(u_n @ (h1 @ u_n))

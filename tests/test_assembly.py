@@ -27,9 +27,9 @@ from infsup_lab.assembly import (
     stiffness,
 )
 from infsup_lab.fespace import ElementKind, build_space
-from infsup_lab.linalg import NotPositiveDefinite, SingularMatrix
+from infsup_lab.linalg import NotPositiveDefinite, SingularMatrix, column_scale
 from infsup_lab.mesh import unit_square_mesh
-from oracles import lu_solve
+from oracles import column_scale as column_scale_oracle, lu_solve
 
 
 def frob(csr):
@@ -823,3 +823,86 @@ def test_bordered_element_route_matches_the_dense_route(sign, monkeypatch):
     x_ref, _ = solve_saddle(bordered)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     assert residual <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the pivot contract's column scale and the solves of each route
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", (4, 8))
+def test_column_scale_matches_the_sparse_norm_route(n):
+    # every block a pivot route sees: the Stokes velocity blocks (and the K
+    # that SuperLU factors) and pressure preconditioners, the locking
+    # eliminated and c blocks, the weak-bc systems
+    stokes_systems = [stokes_system(name, n) for name in stokes.method_names()]
+    locking_systems = [locking_system(name, n, 1e4)
+                       for name in ("plain", "corrected-lumped",
+                                    "corrected-consistent", "multiplier")]
+    matrices = ([m for s in stokes_systems
+                 for m in (s.a, _diagonal_half(s.a), s.pressure_mass
+                           if s.c is None else s.pressure_mass + s.c)]
+                + [m for s in locking_systems for m in (s.a, s.c)]
+                + [weakbc_system(name, n).a for name in WEAKBC_METHODS])
+    for m in matrices:
+        assert column_scale(m) == column_scale_oracle(m)
+
+
+def recorded_scales(monkeypatch, module):
+    """The col_scale of every ``check_pivots`` call made from ``module``."""
+    from infsup_lab.linalg import check_pivots
+    scales = []
+
+    def recording(pivots, col_scale):
+        scales.append(col_scale)
+        return check_pivots(pivots, col_scale)
+
+    monkeypatch.setattr(module, "check_pivots", recording)
+    return scales
+
+
+def test_element_route_scale_is_the_blockwise_einsum(monkeypatch):
+    from infsup_lab import assembly
+    scales = recorded_scales(monkeypatch, assembly)
+    rng = np.random.default_rng(11)
+    for a in (locking_system("multiplier", 8, 1e4).a,
+              block_diagonal(rng.standard_normal((5, 4, 4)))):
+        blocks = _element_blocks(a)
+        scales.clear()
+        sparse_lu(a, "velocity block")
+        assert scales == [float(np.sqrt(np.max(
+            np.einsum("bij,bij->bj", blocks, blocks))))]
+
+
+def test_dense_route_scale_is_the_columnwise_einsum(monkeypatch):
+    from infsup_lab import assembly, linalg
+    scales, expected = recorded_scales(monkeypatch, linalg), []
+    real = assembly._lu_solve_overwrite
+
+    def recording(a, b):
+        expected.append(float(np.sqrt(np.max(np.einsum("ij,ij->j", a, a)))))
+        return real(a, b)
+
+    monkeypatch.setattr(assembly, "_lu_solve_overwrite", recording)
+    solve_saddle(locking_system("plain", 8, 1e4))
+    assert len(expected) == 1 and scales == expected
+
+
+def test_a_system_without_multiplier_rows_solves_once(monkeypatch):
+    # nitsche: the first solve a^{-1} f is already u
+    from infsup_lab import assembly
+    real, calls = assembly.sparse_lu, []
+
+    class Counting:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            calls.append(rhs.shape)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(assembly, "sparse_lu",
+                        lambda matrix, what: Counting(real(matrix, what)))
+    system = weakbc_system("nitsche", 8)
+    x, _ = solve_saddle(system)
+    assert calls == [(system.n_u,)]
+    assert np.array_equal(x, real(system.a, "a").solve(system.f))

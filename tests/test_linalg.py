@@ -4,9 +4,10 @@ one dense LU, ``linalg._lu_solve_overwrite``), Jacobi SVD, sym_eig."""
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+import scipy.sparse as sp
 
-from infsup_lab.linalg import SingularMatrix, svd, sym_eig
-from oracles import lu_solve
+from infsup_lab.linalg import SingularMatrix, column_scale, svd, sym_eig
+from oracles import column_scale as column_scale_oracle, lu_solve
 
 
 def random_orthogonal(rng, n):
@@ -50,6 +51,32 @@ def test_lu_solve_near_singular_raises():
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
     with pytest.raises(SingularMatrix):
         lu_solve(a, [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# column scale of the pivot contract
+# ---------------------------------------------------------------------------
+
+def test_column_scale_of_a_dense_matrix_is_the_einsum_value():
+    a = np.random.default_rng(9).standard_normal((7, 5))
+    assert column_scale(a) == float(np.sqrt(np.max(
+        np.einsum("ij,ij->j", a, a))))
+    assert column_scale(np.diag([3.0, -4.0])) == 4.0
+
+
+def test_column_scale_sums_duplicates_before_squaring():
+    # column 0 holds 1 + 2 at (0, 0): its norm is 3, not sqrt(1 + 4)
+    m = sp.csr_array((np.array([1.0, 2.0, 2.5]), np.array([0, 0, 1]),
+                      np.array([0, 2, 3])), shape=(2, 3))
+    assert not m.has_canonical_format
+    assert column_scale(m) == 3.0 == column_scale_oracle(m)
+    assert m.nnz == 3                     # the caller's matrix is untouched
+    rng = np.random.default_rng(10)
+    rows, cols = rng.integers(0, 6, 40), rng.integers(0, 4, 40)
+    coo = sp.coo_array((rng.standard_normal(40), (rows, cols)), shape=(6, 4))
+    for m in (coo, coo.tocsr(), coo.tocsc()):
+        assert column_scale(m) == pytest.approx(column_scale_oracle(m),
+                                                rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,19 @@ def test_bh_nitsche_equivalence():
         assert gap < 1e-12
 
 
+def test_equivalence_check_builds_the_space_and_operator_once(monkeypatch):
+    counts = {}
+    for name in ("build_space", "stiffness"):
+        def counting(*args, _real=getattr(weakbc, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(weakbc, name, counting)
+    gap = weakbc.equivalence_check(unit_square_mesh(4), PROB.f, PROB.d,
+                                   alpha=0.1)
+    assert gap < 1e-12
+    assert counts == {"build_space": 1, "stiffness": 1}
+
+
 def dense_nitsche_projected(mesh, f, d, gamma):
     """The edge-average Nitsche matrix and load formed densely from the
     boundary operators: the oracle of the sparse build."""
@@ -261,7 +274,8 @@ def dense_nitsche_projected(mesh, f, d, gamma):
 def test_sparse_projected_nitsche_solve_matches_dense_oracle(n):
     mesh = unit_square_mesh(n)
     k_dense, rhs_dense = dense_nitsche_projected(mesh, PROB.f, PROB.d, 10.0)
-    system = weakbc._nitsche_projected(build_space(ElementKind.P1, mesh),
+    space = build_space(ElementKind.P1, mesh)
+    system = weakbc._nitsche_projected(space, stiffness(space) + mass(space),
                                        PROB.f, PROB.d, 10.0)
     k, rhs = system.a, system.f
     assert sp.issparse(k) and system.n_p == 0

@@ -403,7 +403,11 @@ class SaddleSystem:
         return float(residual / scale) if scale > 0 else 0.0
 
 
-#: b^T columns per SuperLU solve: 32 no faster, 128+ slower (TH n=32, 1 thread)
+#: b^T columns per SuperLU solve.  Seconds in ``schur_complement`` at 32 /
+#: 64 / 128 columns (median of 4 CLI runs, one BLAS thread): ``infsup
+#: --pair th --n 32`` 0.63 / 0.55 / 0.97, ``locking --method corrected
+#: --w-mass consistent --n 48`` 4.05 / 4.14 / 5.34, ``weakbc --method bh
+#: --n 64`` 0.08 / 0.10 / 0.11: 32 no faster overall, 128 slower
 SCHUR_BLOCK = 64
 
 #: relative residual at which the pressure CG of ``solve_saddle_pcg`` stops
@@ -507,8 +511,10 @@ def sparse_lu(matrix: sp.csr_array, what: str):
 
     scipy.sparse.linalg is imported only for a SuperLU factor: runs that
     never need one do not load its extension modules.  Of matrix size, it
-    allocates SuperLU's workspace and factor and the L+U copy that each
-    ``SuperLU.L`` or ``.U`` access builds (68 MB at TH n=128), no more."""
+    allocates SuperLU's workspace and factor, and the CSC copies of L and U
+    that scipy builds on the first ``SuperLU.L`` or ``.U`` access (the
+    pivot read here) and keeps for the life of the factor (68 MiB at TH
+    n=128), no more."""
     matrix = sp.csr_array(matrix)
     blocks = _element_blocks(matrix)
     if blocks is not None:

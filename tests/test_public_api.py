@@ -8,6 +8,14 @@ module's own top level.  So ``locking.run`` is unread although ``stokes.run``
 is read.  A definition counts as read when some statement of the package
 outside the definition itself reads it; docstrings are strings, so they
 never count.
+
+A public dataclass field must be read too: some statement of the package
+has to read its attribute name (``obj.field``); passing it as a
+construction keyword stores it and reads nothing.  This scan matches the
+name only, on any object, so a field that shares its name with an
+attribute read elsewhere passes unseen: a ``LockingSolution.gamma`` that
+only the tests read would pass behind ``_Blocks.gamma`` and
+``WeakBcMethod.gamma``.
 """
 
 import ast
@@ -70,8 +78,42 @@ def _unread_public_definitions(src: pathlib.Path) -> list:
     return unread
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(func, "attr", getattr(func, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def _unread_public_fields(src: pathlib.Path) -> list:
+    """``module.Class.field`` of each public field of a public dataclass
+    whose attribute name no statement of the package reads."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(src.glob("*.py"))}
+    read = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, ast.ClassDef) or node.name.startswith("_")
+                    or not _is_dataclass(node)):
+                continue
+            unread += [f"{module}.{node.name}.{stmt.target.id}"
+                       for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign)
+                       and isinstance(stmt.target, ast.Name)
+                       and not stmt.target.id.startswith("_")
+                       and stmt.target.id not in read]
+    return unread
+
+
 def test_every_public_definition_has_a_reader_in_src():
     assert _unread_public_definitions(SRC) == []
+
+
+def test_every_public_dataclass_field_has_a_reader_in_src():
+    assert _unread_public_fields(SRC) == []
 
 
 def test_scan_flags_a_definition_only_its_own_body_reads(tmp_path):
@@ -98,3 +140,26 @@ def test_scan_resolves_the_module_of_each_read(tmp_path):
         "VALUE = d.run() + entry()\n")
     (tmp_path / "f.py").write_text("def entry():\n    return 0\n")
     assert _unread_public_definitions(tmp_path) == ["c.run"]
+
+
+def test_field_scan_counts_attribute_reads_only(tmp_path):
+    # kept is read, shown only through a construction keyword, stored only
+    # by an assignment, noted only in a docstring; a private dataclass and
+    # a plain annotated class are not scanned
+    (tmp_path / "a.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Result:\n"
+        '    """noted is named in this docstring only."""\n'
+        "    kept: int\n    shown: int\n    stored: int = 0\n"
+        "    noted: int = 0\n\n\n"
+        "@dataclasses.dataclass\nclass Other:\n    lonely: int\n\n\n"
+        "@dataclass\nclass _Private:\n    hidden: int\n\n\n"
+        "class Plain:\n    annotated: int\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import Result\n\n\n"
+        "def entry(other):\n"
+        "    result = Result(kept=1, shown=2)\n"
+        "    other.stored = result.kept\n"
+        "    return result\n")
+    assert _unread_public_fields(tmp_path) == [
+        "a.Result.shown", "a.Result.stored", "a.Result.noted", "a.Other.lonely"]

@@ -11,7 +11,7 @@ from infsup_lab.assembly import (divergence, grad_coupling, load_vector,
 from infsup_lab.fespace import build_space, ElementKind
 from infsup_lab.linalg import SingularMatrix
 from infsup_lab.mesh import unit_square_mesh
-from oracles import lu_solve
+from oracles import dof_coords, lu_solve
 
 EXACT = stokes.manufactured_problem()
 
@@ -315,10 +315,10 @@ def test_errors_interpolation_reproduction():
         return pts[..., 0] - pts[..., 1]
 
     exact = stokes.ManufacturedProblem(u=u, p=p, f=None, grad_u=grad_u)
-    coords = v_space.dof_coords
+    coords = dof_coords(v_space)
     uh = np.concatenate([coords[:, 0] + 2 * coords[:, 1],
                          3 * coords[:, 0] - coords[:, 1]])
-    ph = p(p_space.dof_coords)
+    ph = p(dof_coords(p_space))
     sol = stokes.StokesSolution(u=uh, p=ph, residual_norm=0.0,
                                 cg_iterations=None, method=None,
                                 v_space=v_space, p_space=p_space)

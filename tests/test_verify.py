@@ -41,6 +41,35 @@ def test_fit_slope_scale_invariant():
     assert abs(s1 - s2) <= 1e-12
 
 
+def test_fit_slope_matches_polyfit():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        size = rng.integers(2, 8)
+        hs = np.sort(rng.uniform(1e-3, 1.0, size=size))
+        errs = rng.uniform(0.5, 2.0) * hs ** rng.uniform(0.5, 4.0) \
+            * np.exp(0.1 * rng.standard_normal(size))
+        expected = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+        assert verify.fit_slope(hs, errs) == pytest.approx(expected, rel=1e-12)
+
+
+def test_fit_slope_needs_two_distinct_h():
+    with pytest.raises(verify.DegenerateFit):
+        verify.fit_slope([0.5, 0.5, 0.5], [1.0, 2.0, 3.0])
+
+
+def test_run_convergence_fits_without_lapack_least_squares(monkeypatch):
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("slope fit called LAPACK least squares")
+
+    # polyfit holds its own reference to lstsq, so both are replaced
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    monkeypatch.setattr(np, "polyfit", no_lstsq)
+    report = verify.run_convergence(
+        lambda mesh: {"err": 3.0 * mesh.h ** 2}, [4, 8, 16],
+        method="synthetic", problem="powerlaw")
+    assert report.slopes["err"] == pytest.approx(2.0, abs=1e-12)
+
+
 def test_run_convergence_synthetic():
     report = verify.run_convergence(
         lambda mesh: {"err": 3.0 * (np.sqrt(2) / mesh.n) ** 2, "flat": 7.0},

@@ -403,12 +403,13 @@ class SaddleSystem:
         return float(residual / scale) if scale > 0 else 0.0
 
 
-#: b^T columns per SuperLU solve.  Seconds in ``schur_complement`` at 32 /
-#: 64 / 128 columns (median of 4 CLI runs, one BLAS thread): ``infsup
-#: --pair th --n 32`` 0.63 / 0.55 / 0.97, ``locking --method corrected
-#: --w-mass consistent --n 48`` 4.05 / 4.14 / 5.34, ``weakbc --method bh
-#: --n 64`` 0.08 / 0.10 / 0.11: 32 no faster overall, 128 slower
-SCHUR_BLOCK = 64
+#: b^T columns per SuperLU solve.  Seconds in ``schur_complement`` at 16 /
+#: 32 / 64 columns (median of 5 CLI runs, one BLAS thread): ``infsup
+#: --pair th --n 32`` 0.58 / 0.50 / 0.83, ``locking --method corrected
+#: --w-mass consistent --n 48`` 3.97 / 4.39 / 3.82, ``weakbc --method bh
+#: --n 64`` 0.060 / 0.066 / 0.071: 16 is at most 4% slower than 64, with a
+#: quarter of its n_u × width workspace
+SCHUR_BLOCK = 16
 
 #: relative residual at which the pressure CG of ``solve_saddle_pcg`` stops
 #: (absolute tolerance 0): printed errors match the dense route at n <= 64
@@ -534,40 +535,37 @@ def sparse_lu(matrix: sp.csr_array, what: str):
 
 
 def schur_operator(lu, b: sp.csr_array, c: sp.csr_array | None):
-    """``q -> b a^{-1} b^T q + c q`` as a ``LinearOperator`` on vectors and
-    on dense or sparse column blocks, from ``lu``, a ``sparse_lu`` factor
-    of ``a``."""
+    """``q -> b a^{-1} b^T q + c q`` as a ``LinearOperator`` on vectors,
+    from ``lu``, a ``sparse_lu`` factor of ``a``."""
     from scipy.sparse.linalg import LinearOperator
 
     bt = b.T
 
     def apply(q):
-        rhs = bt @ q
-        # a sparse block densifies column-major, the layout SuperLU solves
-        # without a transposing copy (row-major blocks made the dense route
-        # of locking multiplier n=32 a fifth slower)
-        out = b @ lu.solve(rhs.toarray() if sp.issparse(rhs) else rhs)
+        out = b @ lu.solve(bt @ q)
         return out if c is None else out + c @ q
 
-    return LinearOperator((b.shape[0],) * 2, matvec=apply, matmat=apply,
-                          dtype=float)
+    return LinearOperator((b.shape[0],) * 2, matvec=apply, dtype=float)
 
 
 def schur_complement(lu, b: sp.csr_array, c: sp.csr_array | None,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Dense ``b a^{-1} b^T + c`` written into the leading n_p × n_p block
-    of ``out`` (a new array when None), which it returns:
-    ``schur_operator`` on SCHUR_BLOCK identity columns at a time
-    (workspace n_u × 64).  This is the Schur matrix of a SuperLU-factored
+    of ``out`` (a new array when None), which it returns, SCHUR_BLOCK
+    columns at a time: rows j:k of ``b`` densify column-major as the
+    right-hand side (the layout SuperLU solves without a transposing
+    copy), and columns j:k of ``c`` come from one CSC copy (workspace
+    n_u × SCHUR_BLOCK).  This is the Schur matrix of a SuperLU-factored
     ``a``, which is dense; ``solve_saddle`` forms that of an element-block
     factor sparse instead."""
     n_p = b.shape[0]
     out = np.empty((n_p, n_p)) if out is None else out[:n_p, :n_p]
-    op = schur_operator(lu, b, c)
+    c = None if c is None else sp.csc_array(c)
     for j in range(0, n_p, SCHUR_BLOCK):
-        width = min(SCHUR_BLOCK, n_p - j)
-        out[:, j:j + width] = op.matmat(
-            sp.eye_array(n_p, width, k=-j, format="csc"))
+        k = min(j + SCHUR_BLOCK, n_p)
+        out[:, j:k] = b @ lu.solve(b[j:k].T.toarray(order="F"))
+        if c is not None:
+            out[:, j:k] += c[:, j:k].toarray()
     return out
 
 
@@ -585,10 +583,11 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
        * Element-local ``a`` (static condensation): ``a^{-1}`` has the
          pattern of ``a``, so the Schur complement is a sparse FE operator
          from one sparse product, and ``sparse_lu`` factors it.
-       * Otherwise it is dense: ``schur_complement`` writes it in 64-column
-         blocks (a dense n_u × 64 workspace) into one Fortran-order array,
-         which ``linalg._lu_solve_overwrite`` LU-factors in place.  This
-         route is also the oracle of the sparse one.
+       * Otherwise it is dense: ``schur_complement`` writes it in
+         SCHUR_BLOCK-column blocks (a dense n_u × SCHUR_BLOCK workspace)
+         into one Fortran-order array, which
+         ``linalg._lu_solve_overwrite`` LU-factors in place.  This route
+         is also the oracle of the sparse one.
     3. ``u = a^{-1} (f - b^T p)``; with no rows in y, the first solve.
 
     This is the solver of the locking and weak-boundary systems, the

@@ -447,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     wb.add_argument("--n", type=int, default=8, help="mesh cells per side")
     wb.add_argument("--alpha", type=_finite_float,
                     help="flux-multiplier stabilization weight "
-                         "(default 0.5/C_i^2)")
+                         "(default 0.25 = 0.5/C_i^2)")
     wb.add_argument("--gamma", type=_finite_float,
-                    help="penalty weight (default 4*C_i^2)")
+                    help="penalty weight (default 8 = 4*C_i^2)")
     wb.add_argument("--trace", choices=("p1", "p0"),
                     help="multiplier trace space (default p1)")
     _add_outputs(wb)

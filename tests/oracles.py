@@ -1,10 +1,15 @@
-"""Test oracles: dense routes for the package's sparse and in-place ones,
-and the geometry of the dofs, which the package never needs."""
+"""Test oracles: dense routes for the package's sparse, in-place, sliced
+and closed-form ones, and the geometry of the dofs, which the package never
+needs."""
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
 
-from infsup_lab.fespace import ElementKind
+from infsup_lab.assembly import boundary_flux_flux, mass, stiffness
+from infsup_lab.fespace import ElementKind, build_space
 from infsup_lab.linalg import _lu_solve_overwrite
+from infsup_lab.mesh import boundary_edge_geometry
 
 # barycentric node of each local basis function, in the order of
 # ``fespace.shape_values``: vertices, then the centroid (the bubble) or the
@@ -45,3 +50,35 @@ def dof_coords(space) -> np.ndarray:
         "bk,tkd->tbd", np.array(_LOCAL_NODES[space.kind]),
         mesh.nodes[mesh.triangles])
     return coords
+
+
+def identity_schur_complement(lu, b, c) -> np.ndarray:
+    """Dense ``b a^{-1} b^T + c`` from the operator q -> b a^{-1} b^T q + c q
+    applied to 64 columns of the identity at a time, each densified from a
+    sparse block: the route that ``assembly.schur_complement`` replaced."""
+    n_p = b.shape[0]
+    out = np.empty((n_p, n_p))
+    for j in range(0, n_p, 64):
+        width = min(64, n_p - j)
+        q = sp.eye_array(n_p, width, k=-j, format="csc")
+        block = b @ lu.solve((b.T @ q).toarray())
+        out[:, j:j + width] = block if c is None else block + c @ q
+    return out
+
+
+def inverse_constant(mesh) -> float:
+    """C_i with h_E ||dv/dn||_E^2 <= C_i^2 ||grad v||^2 on P1.
+
+    Largest eigenvalue of the pencil (h_E-weighted boundary flux-flux,
+    K + 1e-12 M), one dense generalized ``eigh``.  Constants
+    contribute zero numerator, so no explicit deflation is needed.
+    """
+    space = build_space(ElementKind.P1, mesh)
+    k = stiffness(space).toarray()
+    m = mass(space).toarray()
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    n_w = boundary_flux_flux(space, edge_weights=lengths).toarray()
+    n = space.n_dofs
+    lam = scipy.linalg.eigh(n_w, k + 1e-12 * m, eigvals_only=True,
+                            subset_by_index=[n - 1, n - 1])
+    return float(np.sqrt(max(lam[0], 0.0)))

@@ -1,11 +1,14 @@
 """Assembly tests: hand stencils, integral identities, re-quadrature oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from infsup_lab import locking, stokes, weakbc
 from infsup_lab.assembly import (
+    SCHUR_BLOCK,
     SaddleSystem,
     _diagonal_half,
     _element_blocks,
@@ -29,7 +32,12 @@ from infsup_lab.assembly import (
 from infsup_lab.fespace import ElementKind, build_space
 from infsup_lab.linalg import NotPositiveDefinite, SingularMatrix, column_scale
 from infsup_lab.mesh import unit_square_mesh
-from oracles import column_scale as column_scale_oracle, dof_coords, lu_solve
+from oracles import (
+    column_scale as column_scale_oracle,
+    dof_coords,
+    identity_schur_complement,
+    lu_solve,
+)
 
 
 def frob(csr):
@@ -505,9 +513,9 @@ def test_singular_scalar_block_raises(k, monkeypatch):
 
 def test_dense_route_holds_one_schur_matrix(monkeypatch):
     # the bordered Schur matrix is written and factored in one array: the
-    # traced peak stays under 1.5 copies of it plus the n_u × 64 block
+    # traced peak stays under 1.5 copies of it plus the n_u × SCHUR_BLOCK
     # workspace (three copies of S at n=24 before the in-place route); the
-    # multiplier's gamma block is sent to SuperLU, the 64-column route
+    # multiplier's gamma block is sent to SuperLU, the dense route
     import tracemalloc
 
     import scipy.sparse.linalg  # noqa: F401  (imports are not the solve)
@@ -519,7 +527,8 @@ def test_dense_route_holds_one_schur_matrix(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * (system.n_p + 1) ** 2 + 8 * system.n_u * 64
+    assert peak <= (1.5 * 8 * (system.n_p + 1) ** 2
+                    + 8 * system.n_u * SCHUR_BLOCK)
 
 
 def factor(system):
@@ -527,12 +536,21 @@ def factor(system):
     return splu(system.a.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
+def with_asymmetric_c(system):
+    """``system`` with a random sparse c whose transpose differs from it."""
+    c = sp.random_array((system.n_p,) * 2, density=0.2, format="csr",
+                        rng=np.random.default_rng(5))
+    assert (c - c.T).count_nonzero()
+    return dataclasses.replace(system, c=c)
+
+
 @pytest.mark.parametrize("make, n_p", [
-    (lambda: stokes_system("taylor-hood", 8), 81),     # blocks of 64 + 17
-    (lambda: stokes_system("taylor-hood", 4), 25),     # a single block
+    (lambda: stokes_system("taylor-hood", 8), 81),     # blocks of 16 + 1
+    (lambda: stokes_system("taylor-hood", 4), 25),     # 16 + 9
     (lambda: weakbc_system("nitsche", 4), 0),          # empty b
     (lambda: locking_system("multiplier", 8, 1e6), 147),   # c present
-], ids=["ragged", "single", "empty", "locking-c"])
+    (lambda: with_asymmetric_c(stokes_system("taylor-hood", 4)), 25),
+], ids=["ragged", "single", "empty", "locking-c", "asymmetric-c"])
 def test_schur_complement_matches_one_shot(make, n_p):
     system = make()
     assert system.n_p == n_p
@@ -544,6 +562,10 @@ def test_schur_complement_matches_one_shot(make, n_p):
     assert blocked.shape == (n_p, n_p)
     assert np.linalg.norm(blocked - one_shot) \
         <= 1e-13 * np.linalg.norm(one_shot)
+    # the sliced columns of b^T and c reproduce the identity-column route
+    # bit for bit
+    assert np.array_equal(blocked,
+                          identity_schur_complement(lu, system.b, system.c))
 
 
 class RecordingFactor:
@@ -560,24 +582,24 @@ class RecordingFactor:
         return getattr(self._lu, name)
 
 
-def test_schur_solves_take_at_most_64_columns(monkeypatch):
+def test_schur_solves_take_at_most_schur_block_columns(monkeypatch):
     import scipy.sparse.linalg
     real_splu = scipy.sparse.linalg.splu
     shapes = []
     monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *args, **kw:
                         RecordingFactor(real_splu(*args, **kw), shapes))
     system = stokes_system("taylor-hood", 16)
-    assert system.n_p == 289
+    assert system.n_p == 289 == 18 * SCHUR_BLOCK + 1
     x, residual = solve_saddle(system)
     assert residual <= 1e-14
     # a = diag(K, K): each solve is one block of K with twice the columns,
-    # so a block of b^T stays n_u × 64 doubles
+    # so a block of b^T stays n_u × SCHUR_BLOCK doubles
     n_k = system.n_u // 2
     assert all(shape[0] == n_k for shape in shapes)
     widths = [shape[1] for shape in shapes]
-    assert [w for w in widths if w > 2] == [128, 128, 128, 128, 66]
-    assert widths.count(2) == 2                 # a^{-1} f and a^{-1} (f - b^T p)
-    assert max(n_k * w for w in widths) <= 64 * system.n_u
+    assert widths[0] == widths[-1] == 2         # a^{-1} f and a^{-1} (f - b^T p)
+    assert widths[1:-1] == [2 * SCHUR_BLOCK] * 18 + [2]    # 289 = 18·16 + 1
+    assert max(n_k * w for w in widths) <= SCHUR_BLOCK * system.n_u
 
 
 @pytest.mark.parametrize("name, n", [

@@ -317,18 +317,16 @@ class SaddleSystem:
     The assembled block form is::
 
         [ a            b^T        0 ] [u]   [f]
-        [ s*b         -s*c        m ] [p] = [g]
+        [ b           -c          m ] [p] = [g]
         [ 0            m^T        0 ] [mu]  [0]
 
-    with ``s = pressure_row_sign`` (-1 only for the one intentionally
-    asymmetric method) and the mean row/column present when
-    ``pressure_mass`` M is set: ``m = M 1``, the integral of each pressure
-    basis function, since every pressure space here (P0, P1) is a partition
-    of unity.  ``a`` is the eliminated block and must be nonsingular; for
-    the Stokes and weak-bc systems it is the velocity block, on the free
-    velocity dofs when the boundary is Dirichlet.  ``c`` need not be
-    positive semidefinite: the locking systems put -lambda S_p or -A_X
-    there.
+    with the mean row/column present when ``pressure_mass`` M is set:
+    ``m = M 1``, the integral of each pressure basis function, since every
+    pressure space here (P0, P1) is a partition of unity.  ``a`` is the
+    eliminated block and must be nonsingular; for the Stokes and weak-bc
+    systems it is the velocity block, on the free velocity dofs when the
+    boundary is Dirichlet.  ``c`` need not be positive semidefinite: the
+    locking systems put -lambda S_p or -A_X there.
     """
 
     a: sp.csr_array
@@ -337,7 +335,6 @@ class SaddleSystem:
     f: np.ndarray
     g: np.ndarray
     pressure_mass: sp.csr_array | None
-    pressure_row_sign: float = 1.0
     spaces: tuple | None = None      # (velocity space, pressure space)
 
     @property
@@ -363,14 +360,13 @@ class SaddleSystem:
     def full_matrix(self) -> np.ndarray:
         """The dense assembled matrix: a test oracle for ``solve_saddle``."""
         nu, np_ = self.n_u, self.n_p
-        s = self.pressure_row_sign
         k = np.zeros((self.n_total, self.n_total))
         bd = self.b.toarray()
         k[:nu, :nu] = self.a.toarray()
         k[:nu, nu:nu + np_] = bd.T
-        k[nu:nu + np_, :nu] = s * bd
+        k[nu:nu + np_, :nu] = bd
         if self.c is not None:
-            k[nu:nu + np_, nu:nu + np_] = -s * self.c.toarray()
+            k[nu:nu + np_, nu:nu + np_] = -self.c.toarray()
         if self.pressure_mass is not None:
             k[nu:nu + np_, -1] = k[-1, nu:nu + np_] = self.mean_row
         return k
@@ -385,13 +381,13 @@ class SaddleSystem:
         """``||K x - rhs|| / (||K||_F ||x|| + ||rhs||)`` from the blocks, K
         never assembled: equal to the same quantity formed with the dense
         ``full_matrix()``."""
-        s, n_u, n_p = self.pressure_row_sign, self.n_u, self.n_p
+        n_u, n_p = self.n_u, self.n_p
         u, p, m = x[:n_u], x[n_u:n_u + n_p], self.mean_row
-        r_p = s * (self.b @ u) - self.g
+        r_p = self.b @ u - self.g
         parts = [self.a @ u + self.b.T @ p - self.f, r_p]
         entries = [self.a.data, self.b.data, self.b.data]
         if self.c is not None:
-            r_p -= s * (self.c @ p)
+            r_p -= self.c @ p
             entries.append(self.c.data)
         if m is not None:
             r_p += x[-1] * m
@@ -576,7 +572,7 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     1. ``sparse_lu`` factors ``a``, which must be nonsingular: an
        element-local ``a`` (the discontinuous multiplier mass) is inverted
        exactly, block by block, any other by SuperLU.
-    2. The Schur complement ``-s (b a^{-1} b^T + c)`` is bordered by the
+    2. The Schur complement ``-(b a^{-1} b^T + c)`` is bordered by the
        mean row ``m = M 1`` and factored; its pivot test is the
        singularity verdict (the unstabilized equal-order pair fails there
        with a zero pivot).
@@ -598,12 +594,11 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     with ``x`` ordered like ``full_rhs()`` and ``residual_rel`` from
     ``relative_residual``; no dense N×N matrix is formed.
     """
-    s = system.pressure_row_sign
     b, f, m, n_p = system.b, system.f, system.mean_row, system.n_p
     lu = sparse_lu(system.a, "velocity block")
 
     a_inv_f = lu.solve(f)
-    rhs_p = system.g - s * (b @ a_inv_f)
+    rhs_p = system.g - b @ a_inv_f
     if m is not None:
         rhs_p = np.append(rhs_p, 0.0)
     n_y = len(rhs_p)
@@ -611,7 +606,7 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
         y = rhs_p
     elif isinstance(lu, _ElementBlockFactor):
         schur = b @ lu.inv @ b.T
-        schur = -s * (schur if system.c is None else schur + system.c)
+        schur = -(schur if system.c is None else schur + system.c)
         if m is not None:
             border = sp.csr_array(m[:, None])
             schur = sp.block_array([[schur, border], [border.T, None]],
@@ -620,7 +615,7 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     else:
         schur = np.empty((n_y, n_y), order="F")
         schur_complement(lu, b, system.c, schur)
-        schur[:n_p, :n_p] *= -s
+        schur[:n_p, :n_p] *= -1.0
         if m is not None:
             schur[:n_p, -1] = schur[-1, :n_p] = m
             schur[-1, -1] = 0.0
@@ -637,9 +632,9 @@ def solve_saddle_pcg(system: SaddleSystem) -> tuple[np.ndarray, float, int]:
     complement, which must be symmetric with only the constants in its
     kernel.
 
-    ``u = a^{-1} (f - b^T p)`` leaves ``(S + c) p = r + s mu m`` with
-    ``S = b a^{-1} b^T``, ``r = b a^{-1} f - s g`` and, for solvability,
-    ``mu = -s (1^T r) / (1^T m)``.  ``cg`` runs on ``schur_operator`` to
+    ``u = a^{-1} (f - b^T p)`` leaves ``(S + c) p = r + mu m`` with
+    ``S = b a^{-1} b^T``, ``r = b a^{-1} f - g`` and, for solvability,
+    ``mu = -(1^T r) / (1^T m)``.  ``cg`` runs on ``schur_operator`` to
     ``CG_RTOL``, preconditioned by ``M + c`` (M, the system's pressure mass
     with ``m = M 1``, when ``c`` is None) with ``(M + c)^{-1} r`` projected
     M-orthogonally off the constants (``c 1 = 0``).  ``S <= 2 M`` and the
@@ -653,7 +648,6 @@ def solve_saddle_pcg(system: SaddleSystem) -> tuple[np.ndarray, float, int]:
     """
     from scipy.sparse.linalg import LinearOperator, cg
 
-    s = system.pressure_row_sign
     b, c, f, m = system.b, system.c, system.f, system.mean_row
     lu = sparse_lu(system.a, "velocity block")
     mass_lu = sparse_lu(system.pressure_mass if c is None
@@ -663,10 +657,10 @@ def solve_saddle_pcg(system: SaddleSystem) -> tuple[np.ndarray, float, int]:
         z = mass_lu.solve(r)
         return z - (m @ z) / m.sum()
 
-    r = b @ lu.solve(f) - s * system.g
-    mu = -s * r.sum() / m.sum()
+    r = b @ lu.solve(f) - system.g
+    mu = -r.sum() / m.sum()
     iterations = []
-    p, info = cg(schur_operator(lu, b, c), r + s * mu * m,
+    p, info = cg(schur_operator(lu, b, c), r + mu * m,
                  rtol=CG_RTOL, atol=0.0, callback=iterations.append,
                  M=LinearOperator((system.n_p,) * 2, matvec=precondition,
                                   dtype=float))

@@ -320,7 +320,7 @@ def _run_weakbc(args: argparse.Namespace):
 
 
 def _run_selftest(args: argparse.Namespace):
-    checks = selftest.run_all(seed=args.seed)
+    checks = selftest.run_all()
     results = [{"number": c.number, "label": c.label, "passed": c.passed,
                 "detail": c.detail} for c in checks]
     lines = [f"{c.number:2d}  {'ok  ' if c.passed else 'FAIL'}  {c.label}"
@@ -377,7 +377,6 @@ def _add_outputs(sub, vtk: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentDefaultsHelpFormatter
     parser = argparse.ArgumentParser(
         prog="infsup-lab",
         description="Saddle-point stability laboratory on the unit square.")
@@ -386,79 +385,85 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     methods = stokes.method_names() + list(stokes.ALIASES)
-    st = sub.add_parser("stokes", formatter_class=fmt,
+    st = sub.add_parser("stokes",
                         help="solve one manufactured Stokes problem and "
                              "report errors")
     st.add_argument("--method", required=True, choices=methods)
-    st.add_argument("--n", type=int, default=8, help="mesh cells per side")
+    st.add_argument("--n", type=int, default=8,
+                    help="mesh cells per side (default: %(default)s)")
     st.add_argument("--eps", type=_finite_float, default=None,
-                    help="stabilization weight (stabilized methods; "
-                         "default 0.05)")
+                    help="stabilization weight of the stabilized methods "
+                         "(default: 0.05)")
     _add_outputs(st)
 
-    cv = sub.add_parser("convergence", formatter_class=fmt,
+    cv = sub.add_parser("convergence",
                         help="manufactured-solution error study over mesh "
                              "levels")
     cv.add_argument("--method", required=True, choices=methods)
     cv.add_argument("--ns", type=_int_list, default=(8, 16, 32),
-                    help="comma-separated mesh sizes (at least 3 distinct)")
+                    help="comma-separated mesh sizes, at least 3 distinct "
+                         "(default: %(default)s)")
     cv.add_argument("--eps", type=_finite_float, default=None,
-                    help="stabilization weight (stabilized methods; "
-                         "default 0.05)")
+                    help="stabilization weight of the stabilized methods "
+                         "(default: 0.05)")
     _add_outputs(cv, vtk=False)
 
-    inf = sub.add_parser("infsup", formatter_class=fmt,
+    inf = sub.add_parser("infsup",
                          help="discrete inf-sup constant of an element pair")
     inf.add_argument("--pair", required=True,
                      choices=list(infsup.PAIRS) + list(_PAIR_ALIASES))
-    inf.add_argument("--n", type=int, default=8, help="mesh cells per side")
+    inf.add_argument("--n", type=int, default=8,
+                     help="mesh cells per side (default: %(default)s)")
     inf.add_argument("--mode", choices=("euclidean", "weighted"),
-                     default="weighted", help="norms for the constant")
+                     default="weighted",
+                     help="norms for the constant (default: %(default)s)")
     _add_outputs(inf)
 
-    lk = sub.add_parser("locking", formatter_class=fmt,
+    lk = sub.add_parser("locking",
                         help="penalized problem: locking sweep over "
                              "penalty values")
     lk.add_argument("--method", default="plain",
-                    choices=("plain", "corrected", "multiplier"))
+                    choices=("plain", "corrected", "multiplier"),
+                    help="penalty scheme (default: %(default)s)")
     lk.add_argument("--lambdas", type=_float_list, default=(1e2, 1e4, 1e6),
-                    help="comma-separated penalty values")
-    lk.add_argument("--n", type=int, default=8, help="mesh cells per side")
+                    help="comma-separated penalty values "
+                         "(default: %(default)s)")
+    lk.add_argument("--n", type=int, default=8,
+                    help="mesh cells per side (default: %(default)s)")
     lk.add_argument("--c-omega", type=_finite_float, dest="c_omega",
                     help="Poincare constant in the corrected split "
-                         "(default 1/(pi sqrt 2))")
+                         "(default: 1/(pi sqrt 2))")
     lk.add_argument("--w-mass", dest="w_mass",
                     choices=("lumped", "consistent"),
-                    help="corrected projection mass (default lumped)")
+                    help="corrected projection mass (default: lumped)")
     lk.add_argument("--gamma-space", dest="gamma_space",
                     choices=("discontinuous", "continuous"),
-                    help="multiplier space (default discontinuous)")
+                    help="multiplier space (default: discontinuous)")
     lk.add_argument("--grad-div", dest="grad_div_form", action="store_true",
                     default=None,
                     help="keep one penalty unit inside a(.,.) "
                          "(multiplier method, lambda > 1)")
     _add_outputs(lk)
 
-    wb = sub.add_parser("weakbc", formatter_class=fmt,
+    wb = sub.add_parser("weakbc",
                         help="weak Dirichlet conditions for a reaction-"
                              "diffusion problem")
     wb.add_argument("--method", required=True,
                     choices=("multiplier", "barbosa-hughes", "bh", "nitsche"))
-    wb.add_argument("--n", type=int, default=8, help="mesh cells per side")
+    wb.add_argument("--n", type=int, default=8,
+                    help="mesh cells per side (default: %(default)s)")
     wb.add_argument("--alpha", type=_finite_float,
                     help="flux-multiplier stabilization weight "
-                         "(default 0.25 = 0.5/C_i^2)")
+                         "(default: 0.25 = 0.5/C_i^2)")
     wb.add_argument("--gamma", type=_finite_float,
-                    help="penalty weight (default 8 = 4*C_i^2)")
+                    help="penalty weight (default: 8 = 4*C_i^2)")
     wb.add_argument("--trace", choices=("p1", "p0"),
-                    help="multiplier trace space (default p1)")
+                    help="multiplier trace space (default: p1)")
     _add_outputs(wb)
 
-    stest = sub.add_parser("selftest", formatter_class=fmt,
+    stest = sub.add_parser("selftest",
                            help="replay the acceptance checks and print a "
                                 "pass/fail table")
-    stest.add_argument("--seed", type=int, default=42,
-                       help="seed for the randomized matrix batch")
     stest.add_argument("--json", metavar="PATH", dest="json_path",
                        help="write a JSON report")
     return parser

@@ -138,7 +138,6 @@ class LockingReport:
     u_h1_norm: float
     p_h1_norm: float
     lambda_: float
-    method: str
     solve_ok: bool
     residual_norm: float          # relative residual of the solve; NaN if failed
 
@@ -301,8 +300,7 @@ def solve(system: LockingSystem) -> LockingSolution:
     report = LockingReport(
         u_h1_norm=float(np.sqrt(uf @ (b.ku @ uf))),
         p_h1_norm=float(np.sqrt(pf @ (b.sp @ pf))),
-        lambda_=system.config.lambda_, method=system.config.method,
-        solve_ok=True, residual_norm=residual)
+        lambda_=system.config.lambda_, solve_ok=True, residual_norm=residual)
     return LockingSolution(u=b.u_space.extend_by_zero(uf),
                            p=b.p_space.extend_by_zero(pf), report=report)
 
@@ -319,6 +317,6 @@ def lambda_sweep(config: LockingConfig, lambdas) -> list:
             reports.append(solve(_BUILDERS[cfg.method](cfg, b)).report)
         except SingularMatrix:
             nan = float("nan")
-            reports.append(LockingReport(nan, nan, cfg.lambda_, cfg.method,
+            reports.append(LockingReport(nan, nan, cfg.lambda_,
                                          solve_ok=False, residual_norm=nan))
     return reports

@@ -17,17 +17,16 @@ contribution to the right-hand side):
 * ``galerkin-ls``       the same C (the Laplacian of a P1 field vanishes on
                         each cell) plus the matching -eps h_K^2 (f, grad q)_K
                         load
-* ``douglas-wang``      like galerkin-ls but with first-power h_K weights, a
-                        +eps load and a flipped constraint-row sign, which
-                        makes the assembled system intentionally asymmetric
+* ``douglas-wang``      like galerkin-ls but with first-power h_K weights
 * ``taylor-hood``       P2/P1, C = 0
 * ``mini``              P1+bubble / P1, C = 0
 * ``p2p0``              P2/P0, C = 0
 
-The three eps methods read (power of h_K, load sign, row sign) from one
-table.  ``oscillation_indicator`` (checkerboard modes) and
-``boundary_pressure_flux`` (the spurious dp/dn = 0 of gradient
-stabilization) show an inf-sup failure in a solved pressure.
+The three eps methods read (power of h_K, load sign) from one table, and
+every assembled system is symmetric.  ``oscillation_indicator``
+(checkerboard modes) and ``boundary_pressure_flux`` (the spurious
+dp/dn = 0 of gradient stabilization) show an inf-sup failure in a solved
+pressure.
 """
 
 from __future__ import annotations
@@ -63,12 +62,12 @@ class UnsupportedCombination(ValueError):
     """Requested method or element pairing is not implemented."""
 
 
-#: (power of h_K, load sign, constraint-row sign) of the weighted-gradient
-#: stabilizations: C = eps sum_K h_K^power (grad p, grad q)_K and
+#: (power of h_K, load sign) of the weighted-gradient stabilizations:
+#: C = eps sum_K h_K^power (grad p, grad q)_K and
 #: g = load sign * eps sum_K h_K^power (f, grad q)_K
-_GRADIENT_STAB = {"brezzi-pitkaranta": (2, 0.0, 1.0),
-                  "galerkin-ls": (2, -1.0, 1.0),
-                  "douglas-wang": (1, 1.0, -1.0)}
+_GRADIENT_STAB = {"brezzi-pitkaranta": (2, 0.0),
+                  "galerkin-ls": (2, -1.0),
+                  "douglas-wang": (1, -1.0)}
 _EPS_METHODS = tuple(_GRADIENT_STAB)
 DEFAULT_EPS = 0.05
 
@@ -149,12 +148,11 @@ def build(method: StokesMethod, mesh: Mesh, body_force) -> SaddleSystem:
     f = load_vector(v_space, body_force)[v_space.free_dofs()]
     g = np.zeros(p_space.n_dofs)
     c = None
-    sign = 1.0
 
     if method.name == "p1p1-loss":
         c = _loss_c_block(p_space)
     elif method.name in _EPS_METHODS:
-        power, load_sign, sign = _GRADIENT_STAB[method.name]
+        power, load_sign = _GRADIENT_STAB[method.name]
         weights = triangle_diameters(mesh) ** power
         c = method.eps * stiffness(p_space, cell_weights=weights)
         if load_sign:
@@ -162,7 +160,7 @@ def build(method: StokesMethod, mesh: Mesh, body_force) -> SaddleSystem:
                                                        weights)
 
     return SaddleSystem(a=a, b=b, c=c, f=f, g=g, pressure_mass=m,
-                        pressure_row_sign=sign, spaces=(v_space, p_space))
+                        spaces=(v_space, p_space))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +173,6 @@ class StokesSolution:
     p: np.ndarray
     residual_norm: float
     cg_iterations: int | None       # None on the schur-lu route
-    method: StokesMethod
     v_space: FeSpace
     p_space: FeSpace
 
@@ -186,11 +183,10 @@ def solve(system: SaddleSystem, method: StokesMethod) -> StokesSolution:
     ``p1p1-plain`` takes the dense Schur LU of ``solve_saddle``: its
     ``SingularMatrix`` is the verdict on the unstabilized pair at every
     refinement, and that route is the oracle of the other.  Every other
-    method (``douglas-wang`` too: its flipped row only flips the sign of
-    the pressure system) takes the mass-preconditioned pressure CG of
-    ``solve_saddle_pcg``, preconditioned by the system's own pressure
-    mass.  Both routes return the pressure at zero discrete mean; the
-    velocity comes back full length, zero on the boundary dofs.
+    method takes the mass-preconditioned pressure CG of ``solve_saddle_pcg``,
+    preconditioned by the system's own pressure mass.  Both routes return
+    the pressure at zero discrete mean; the velocity comes back full
+    length, zero on the boundary dofs.
     """
     v_space, p_space = system.spaces
     if method.route == "schur-pcg":
@@ -200,8 +196,8 @@ def solve(system: SaddleSystem, method: StokesMethod) -> StokesSolution:
     u = v_space.extend_by_zero(x[:system.n_u])
     p = x[system.n_u:system.n_u + system.n_p]
     return StokesSolution(u=u, p=p, residual_norm=res_rel,
-                          cg_iterations=iterations, method=method,
-                          v_space=v_space, p_space=p_space)
+                          cg_iterations=iterations, v_space=v_space,
+                          p_space=p_space)
 
 
 def run(method: StokesMethod, mesh: Mesh, body_force) -> StokesSolution:

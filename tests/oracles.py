@@ -1,6 +1,8 @@
-"""Test oracles: dense routes for the package's sparse, in-place, sliced
-and closed-form ones, and the geometry of the dofs, which the package never
-needs."""
+"""Test oracles: dense routes for the package's sparse, in-place, sliced,
+closed-form and eigen ones, and the geometry of the dofs, which the package
+never needs."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -82,3 +84,54 @@ def inverse_constant(mesh) -> float:
     lam = scipy.linalg.eigh(n_w, k + 1e-12 * m, eigvals_only=True,
                             subset_by_index=[n - 1, n - 1])
     return float(np.sqrt(max(lam[0], 0.0)))
+
+
+@dataclass(frozen=True)
+class SvdResult:
+    """Full singular value decomposition ``a = u @ diag_{m,n}(sigma) @ v.T``."""
+
+    u: np.ndarray            # (m, m) orthogonal
+    sigma: np.ndarray        # (min(m, n),) non-negative, descending
+    v: np.ndarray            # (n, n) orthogonal
+
+    def sigma_matrix(self) -> np.ndarray:
+        """The m×n diagonal extension of ``sigma``."""
+        m, n = self.u.shape[0], self.v.shape[0]
+        s = np.zeros((m, n))
+        k = len(self.sigma)
+        s[:k, :k] = np.diag(self.sigma)
+        return s
+
+    def reconstruct(self) -> np.ndarray:
+        return self.u @ self.sigma_matrix() @ self.v.T
+
+
+def svd(a) -> SvdResult:
+    """Singular value decomposition with full U and V by LAPACK ``dgejsv``:
+    the Jacobi oracle of the β_h that ``infsup`` takes from its
+    pressure-sized eigenproblem.
+
+    ``dgejsv`` is the preconditioned one-sided Jacobi SVD of Drmač and
+    Veselić (SIAM J. Matrix Anal. Appl. 29, 2008).  It runs with
+    ``JOBA='C'``: the relative error of every singular value is bounded by
+    O(eps) times the condition of ``a`` with its columns scaled to unit
+    norm, whatever that column scaling was, and no value is truncated.
+    (The wrapper's default ``'A'`` sets every value below n·eps·‖a‖ to
+    exactly zero, which would erase the small constants under study.)
+    Raises ``numpy.linalg.LinAlgError`` when LAPACK reports a failure.
+    """
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
+    if min(m, n) == 0:
+        return SvdResult(u=np.eye(m), sigma=np.zeros(0), v=np.eye(n))
+
+    transposed = m < n                           # dgejsv needs rows >= cols
+    # joba='C', jobu='F' (full U), jobv='V', jobr='R', jobt='N', jobp='N'
+    sva, u_jsv, v_jsv, work, _, info = scipy.linalg.lapack.dgejsv(
+        a.T if transposed else a,
+        joba=0, jobu=1, jobv=0, jobr=1, jobt=0, jobp=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgejsv failed (info={info})")
+    sigma = (work[0] / work[1]) * sva            # sva is scaled against overflow
+    u, v = (v_jsv, u_jsv) if transposed else (u_jsv, v_jsv)
+    return SvdResult(u=u, sigma=sigma, v=v)

@@ -830,12 +830,13 @@ def test_singular_condensed_schur_raises_on_both_routes(monkeypatch):
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 def test_bordered_element_route_matches_the_dense_route(sign, monkeypatch):
     # an element-local a with a mean row: the sparse Schur matrix is
-    # bordered by m = M 1 before it is factored
+    # bordered by m = M 1 before it is factored; either sign of the
+    # constraint load
     import dataclasses
 
     system = locking_system("multiplier", 4, 1e2)
     weights = np.random.default_rng(13).uniform(1.0, 2.0, system.n_p)
-    bordered = dataclasses.replace(system, pressure_row_sign=sign,
+    bordered = dataclasses.replace(system, g=sign * system.g,
                                    pressure_mass=sp.diags_array(weights,
                                                                 format="csr"))
     factors = recorded_factors(monkeypatch)

@@ -1,13 +1,14 @@
 """Tests for the dense kernels: LU (through the ``lu_solve`` oracle on the
-one dense LU, ``linalg._lu_solve_overwrite``), Jacobi SVD, sym_eig."""
+one dense LU, ``linalg._lu_solve_overwrite``), and the Jacobi SVD oracle of
+β_h."""
 
 import numpy as np
 import pytest
 import scipy.linalg.lapack
 import scipy.sparse as sp
 
-from infsup_lab.linalg import SingularMatrix, column_scale, svd, sym_eig
-from oracles import column_scale as column_scale_oracle, lu_solve
+from infsup_lab.linalg import SingularMatrix, column_scale
+from oracles import column_scale as column_scale_oracle, lu_solve, svd
 
 
 def random_orthogonal(rng, n):
@@ -201,27 +202,6 @@ def test_svd_lapack_failure_raises_linalg_error(monkeypatch):
         svd(np.eye(3))
 
 
-# ---------------------------------------------------------------------------
-# sym_eig
-# ---------------------------------------------------------------------------
-
-def test_sym_eig_known_spectrum():
-    lam, q = sym_eig([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(lam, [3.0, 1.0], atol=1e-13)
-    assert np.allclose(q.T @ q, np.eye(2), atol=1e-13)
-
-
-def test_sym_eig_random_and_pairing_with_svd():
-    rng = np.random.default_rng(13)
-    for n in (1, 2, 6, 25):
-        g = rng.standard_normal((n, n))
-        a = 0.5 * (g + g.T)
-        lam, q = sym_eig(a)
-        assert np.all(np.diff(lam) <= 1e-12 * max(np.abs(lam).max(), 1.0))
-        assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-12 * n
-        assert np.linalg.norm(a @ q - q * lam) <= 1e-10 * max(np.linalg.norm(a), 1.0)
-
-
 def test_block_saddle_eigenvalues_are_plus_minus_singular_values():
     # eigenpairs of [[0, B], [B^T, 0]] come in +/- sigma pairs
     rng = np.random.default_rng(29)
@@ -230,12 +210,7 @@ def test_block_saddle_eigenvalues_are_plus_minus_singular_values():
     block = np.zeros((m + n, m + n))
     block[:m, m:] = b
     block[m:, :m] = b.T
-    lam, _ = sym_eig(block)
+    lam = scipy.linalg.eigh(block, eigvals_only=True)
     sig = svd(b).sigma
     expect = np.sort(np.concatenate([sig, -sig, np.zeros(n - m)]))[::-1]
     assert np.allclose(np.sort(lam), np.sort(expect), atol=1e-10)
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        sym_eig([[1.0, 2.0], [0.0, 1.0]])

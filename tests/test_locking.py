@@ -308,7 +308,6 @@ def test_single_lambda_sweep():
                                    [7.0])
     assert len(reports) == 1
     assert reports[0].lambda_ == 7.0
-    assert reports[0].method == "plain"
     assert reports[0].solve_ok
     assert np.isfinite(reports[0].u_h1_norm)
     assert np.isfinite(reports[0].p_h1_norm)

@@ -227,25 +227,22 @@ def test_mms_solve_contract(name):
 
 @pytest.mark.parametrize("name", SOLVABLE)
 def test_discrete_mass_balance(name):
-    # second block row holds exactly: s*(B u - C p) = g  (mean multiplier
+    # second block row holds exactly: B u - C p = g  (mean multiplier
     # vanishes; for the residual-based methods g carries the f-coupling)
     system, sol = mms_run(name, 8)
     bu = system.b @ sol.u[sol.v_space.free_dofs()]
     cp = system.c @ sol.p if system.c is not None else np.zeros_like(bu)
-    row = system.pressure_row_sign * (bu - cp) - system.g
+    row = bu - cp - system.g
     scale = np.linalg.norm(bu) + np.linalg.norm(cp) + np.linalg.norm(system.g) + 1.0
     assert np.linalg.norm(row) <= 1e-9 * scale
 
 
 def test_symmetry_classification():
+    # every method, douglas-wang included, assembles a symmetric system
     for name in SOLVABLE:
         system, _ = mms_run(name, 8)
         k = system.full_matrix()
-        asym = np.linalg.norm(k - k.T)
-        if name == "douglas-wang":
-            assert asym > 0.1
-        else:
-            assert asym <= 1e-12 * np.linalg.norm(k)
+        assert np.linalg.norm(k - k.T) <= 1e-12 * np.linalg.norm(k)
 
 
 @pytest.mark.parametrize("name", SOLVABLE)
@@ -271,7 +268,7 @@ def test_plain_pair_fails_at_moderate_refinement():
 def test_gradient_stabilizations_share_one_weighted_form():
     # bp's C is eps h^2 S0 on the uniform mesh; on P1 gls assembles the same
     # C (the Laplacian of a P1 field vanishes on each cell) with a -eps h^2
-    # load, and dw weights by h_K with a +eps load and a flipped row
+    # load, and dw weights by h_K with the same -eps load
     mesh = unit_square_mesh(4)
     systems = {name: stokes.build(stokes.method_from_name(name), mesh, EXACT.f)
                for name in ("bp", "gls", "dw")}
@@ -283,8 +280,7 @@ def test_gradient_stabilizations_share_one_weighted_form():
     assert (gls.c != bp.c).nnz == 0
     assert np.allclose(dw.c.toarray(), eps * mesh.h * s0, rtol=0.0, atol=1e-14)
     assert not np.any(bp.g)
-    assert np.linalg.norm(gls.g + mesh.h * dw.g) <= 1e-14 * np.linalg.norm(gls.g)
-    assert [sys.pressure_row_sign for sys in (bp, gls, dw)] == [1.0, 1.0, -1.0]
+    assert np.linalg.norm(gls.g - mesh.h * dw.g) <= 1e-14 * np.linalg.norm(gls.g)
 
 
 def test_gls_solves_across_refinements():
@@ -320,7 +316,7 @@ def test_errors_interpolation_reproduction():
                          3 * coords[:, 0] - coords[:, 1]])
     ph = p(dof_coords(p_space))
     sol = stokes.StokesSolution(u=uh, p=ph, residual_norm=0.0,
-                                cg_iterations=None, method=None,
+                                cg_iterations=None,
                                 v_space=v_space, p_space=p_space)
     errs = stokes.errors(sol, exact)
     assert max(errs) <= 1e-12
@@ -333,8 +329,7 @@ def test_errors_of_zero_solution_are_exact_norms():
     zero = stokes.StokesSolution(u=np.zeros(v_space.n_dofs),
                                  p=np.zeros(p_space.n_dofs),
                                  residual_norm=0.0, cg_iterations=None,
-                                 method=None, v_space=v_space,
-                                 p_space=p_space)
+                                 v_space=v_space, p_space=p_space)
     err_u_l2, err_u_h1, err_p_l2 = stokes.errors(zero, EXACT)
     assert err_u_l2 == pytest.approx(np.sqrt(3.0 / 8.0), rel=1e-8)
     assert err_u_h1 == pytest.approx(np.sqrt(2.0) * np.pi, rel=1e-8)
@@ -360,7 +355,7 @@ def test_p2p0_pressure_projection():
         p_space, lambda q: np.ones(q.shape[:-1]))
     sol = stokes.StokesSolution(u=np.zeros(v_space.n_dofs), p=cell_avg,
                                 residual_norm=0.0,
-                                cg_iterations=None, method=None,
+                                cg_iterations=None,
                                 v_space=v_space, p_space=p_space)
     assert stokes.errors(sol, EXACT)[2] <= 1e-12
 
@@ -373,8 +368,7 @@ def test_oscillation_indicator_zero_for_zero_pressure():
     sol = stokes.StokesSolution(u=np.zeros(v_space.n_dofs),
                                 p=np.zeros(p_space.n_dofs),
                                 residual_norm=0.0, cg_iterations=None,
-                                method=None, v_space=v_space,
-                                p_space=p_space)
+                                v_space=v_space, p_space=p_space)
     assert stokes.oscillation_indicator(sol) == 0.0
 
 
@@ -390,8 +384,7 @@ def test_oscillation_indicator_flags_checkerboard():
     def indicator(p):
         sol = stokes.StokesSolution(u=np.zeros(v_space.n_dofs), p=p,
                                     residual_norm=0.0, cg_iterations=None,
-                                    method=None, v_space=v_space,
-                                    p_space=p_space)
+                                    v_space=v_space, p_space=p_space)
         return stokes.oscillation_indicator(sol)
 
     assert indicator(checker) > 5 * indicator(mesh.nodes[:, 0].copy())

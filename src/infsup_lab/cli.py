@@ -8,7 +8,8 @@ and legacy-ASCII VTK for field inspection.
 
 The parsed arguments are the run's configuration: each runner builds its
 domain object from them once, before any work or output, and the JSON
-``"config"`` object echoes them (unset options left out).
+``"config"`` object echoes them (unset options left out).  A module that
+one runner alone reads is imported inside it, so a run loads only its own.
 
 Exit codes: 0 success, including a pair that is singular by design (the
 unstabilized equal-order ``p1p1-plain`` in ``stokes`` and ``convergence``,
@@ -28,7 +29,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, infsup, locking, selftest, stokes, verify, weakbc
+from . import __version__, infsup, stokes
 from .fespace import ElementKind, FeSpace
 from .linalg import NotPositiveDefinite, SingularMatrix
 from .mesh import Mesh, unit_square_mesh
@@ -212,6 +213,7 @@ def _run_stokes(args: argparse.Namespace):
 
 
 def _run_convergence(args: argparse.Namespace):
+    from . import verify
     with _usage():
         method = stokes.method_from_name(args.method, args.eps)
     report = verify.run_convergence(
@@ -257,6 +259,7 @@ def _run_infsup(args: argparse.Namespace):
 
 
 def _run_locking(args: argparse.Namespace):
+    from . import locking
     # every LockingConfig condition bounds lambda from below, so the
     # smallest penalty validates the whole sweep
     options = {"poincare_const": args.c_omega, "w_mass": args.w_mass,
@@ -293,6 +296,7 @@ def _run_locking(args: argparse.Namespace):
 
 
 def _run_weakbc(args: argparse.Namespace):
+    from . import weakbc
     options = {"alpha": args.alpha, "gamma": args.gamma, "trace": args.trace}
     with _usage():
         method = weakbc.method_from_name(
@@ -320,6 +324,7 @@ def _run_weakbc(args: argparse.Namespace):
 
 
 def _run_selftest(args: argparse.Namespace):
+    from . import selftest
     checks = selftest.run_all()
     results = [{"number": c.number, "label": c.label, "passed": c.passed,
                 "detail": c.detail} for c in checks]
@@ -532,3 +537,7 @@ def main(argv=None) -> int:
         return 1 if status == "fail" else 0
     finally:
         gc.freeze()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

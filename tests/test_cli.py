@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import infsup_lab
-from infsup_lab import cli, locking
+from infsup_lab import cli, locking, selftest, weakbc
 from infsup_lab.linalg import SingularMatrix
 
 SUBCOMMANDS = ("stokes", "convergence", "infsup", "locking", "weakbc",
@@ -212,7 +212,7 @@ def test_convergence_without_slopes_fails(tmp_path, monkeypatch):
 def test_other_weakbc_singularity_exits_1(tmp_path, monkeypatch):
     def singular_run(*args):
         raise SingularMatrix("synthetic weak-bc breakdown")
-    monkeypatch.setattr(cli.weakbc, "run", singular_run)
+    monkeypatch.setattr(weakbc, "run", singular_run)
     code, doc = run(["weakbc", "--method", "bh", "--trace", "p0", "--n", "4"],
                     tmp_path, json_out=True)
     assert code == 1
@@ -242,27 +242,50 @@ def test_eigensolver_failure_exits_1(mode, tmp_path, monkeypatch, capsys):
     assert "synthetic eigh breakdown" in capsys.readouterr().err
 
 
-def test_python_dash_m_runs_cli():
+def _python(*argv):
+    """A fresh interpreter run with this checkout's package on the path."""
     src = os.path.dirname(os.path.dirname(infsup_lab.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "infsup_lab", "infsup", "--pair", "th",
-         "--n", "2"], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_cli():
+    proc = _python("-m", "infsup_lab", "infsup", "--pair", "th", "--n", "2")
     assert proc.returncode == 0, proc.stderr
     assert "beta=" in proc.stdout
 
 
-def test_sparse_solver_imported_lazily():
+def test_python_dash_m_runs_cli_module():
+    proc = _python("-m", "infsup_lab.cli", "infsup", "--pair", "th",
+                   "--n", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "beta=" in proc.stdout
+
+
+_DEFERRED = ("infsup_lab.locking", "infsup_lab.weakbc", "infsup_lab.verify",
+             "infsup_lab.selftest")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
     # scipy.sparse.linalg loads the SuperLU, ARPACK and PROPACK extensions;
     # only a saddle solve may pay for them
-    src = os.path.dirname(os.path.dirname(infsup_lab.__file__))
-    code = ("import sys, infsup_lab.cli; "
-            "print('scipy.sparse.linalg' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
+    (None, (*_DEFERRED, "scipy.sparse.linalg")),
+    (["infsup", "--pair", "th", "--n", "2"], _DEFERRED),
+    (["locking", "--n", "2", "--lambdas", "1e2"],
+     ("infsup_lab.weakbc", "infsup_lab.verify")),
+    (["weakbc", "--method", "nitsche", "--n", "2"],
+     ("infsup_lab.locking", "infsup_lab.verify")),
+], ids=["import", "infsup", "locking", "weakbc"])
+def test_run_imports_only_its_subcommands_modules(argv, unloaded):
+    # a module that one subcommand alone reads is imported when that
+    # subcommand is dispatched, not with the front end
+    proc = _python("-c", "import sys, infsup_lab.cli; "
+                   f"argv = {argv!r}; "
+                   "code = 0 if argv is None else infsup_lab.cli.main(argv); "
+                   f"print(code, sorted(set({unloaded!r}) & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 # --- JSON ------------------------------------------------------------------
@@ -299,7 +322,7 @@ def test_json_document_shape(tmp_path):
 def test_json_config_echoes_the_arguments(argv, config, tmp_path,
                                           monkeypatch):
     # unset options are left out; the output paths are echoed as given
-    monkeypatch.setattr(cli.selftest, "run_all", lambda: [])
+    monkeypatch.setattr(selftest, "run_all", lambda: [])
     code, doc = run(argv, tmp_path, json_out=True)
     assert code == 0
     assert doc["config"] == {**config, "json_path": str(tmp_path / "out.json")}
@@ -320,8 +343,8 @@ def _recording(monkeypatch, owner, name):
 @pytest.mark.parametrize("argv, module", [
     (["stokes", "--method", "th", "--n", "2"], cli.stokes),
     (["stokes", "--method", "bp", "--n", "2", "--eps", "0.1"], cli.stokes),
-    (["weakbc", "--method", "nitsche", "--n", "2"], cli.weakbc),
-    (["weakbc", "--method", "bh", "--trace", "p0", "--n", "2"], cli.weakbc),
+    (["weakbc", "--method", "nitsche", "--n", "2"], weakbc),
+    (["weakbc", "--method", "bh", "--trace", "p0", "--n", "2"], weakbc),
 ], ids=["stokes-th", "stokes-bp", "weakbc-nitsche", "weakbc-bh-p0"])
 def test_each_run_resolves_its_method_once(argv, module, monkeypatch):
     calls = _recording(monkeypatch, module, "method_from_name")

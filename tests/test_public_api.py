@@ -4,10 +4,11 @@ A public name that only the tests reach is either a diagnostic the runs
 should report or a test helper that belongs in ``tests/``.  Each read is
 resolved to the module it names: ``mod.name`` through ``from . import mod``,
 and a bare ``name`` through ``from .mod import name`` or else the reading
-module's own top level.  So ``locking.run`` is unread although ``stokes.run``
-is read.  A definition counts as read when some statement of the package
-outside the definition itself reads it; docstrings are strings, so they
-never count.
+module's own top level.  So when ``e`` reads ``d.run`` through ``from . import
+d``, ``c.run`` stays unread although it shares the name
+(``test_scan_resolves_the_module_of_each_read``).  A definition counts as
+read when some statement of the package outside the definition itself
+reads it; docstrings are strings, so they never count.
 
 A public dataclass field must be read too: some statement of the package
 has to read its attribute name (``obj.field``); passing it as a

@@ -31,8 +31,8 @@ from .fespace import (
     shape_gradients_bary,
     shape_values,
 )
-from .linalg import (NotPositiveDefinite, SingularMatrix, _lu_solve_overwrite,
-                     check_pivots, column_scale)
+from .linalg import (Factor, NotPositiveDefinite, SingularMatrix,
+                     check_pivots, column_scale, dense_lu)
 from .mesh import (
     Mesh,
     boundary_edge_geometry,
@@ -412,20 +412,6 @@ SCHUR_BLOCK = 16
 CG_RTOL = 1e-12
 
 
-class _TwoBlockFactor:
-    """The factor of diag(K, K) held as the SuperLU factor of K alone: a
-    (2n,) or (2n, k) right-hand side is solved as one (n, 2k) block through
-    a Fortran-order reshape, a view of a column-major right-hand side."""
-
-    def __init__(self, lu):
-        self.lu = lu
-
-    def solve(self, rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        x = self.lu.solve(rhs.reshape((self.lu.shape[0], -1), order="F"))
-        return x.reshape(rhs.shape, order="F")
-
-
 def _diagonal_half(matrix: sp.csr_array) -> sp.csr_array | None:
     """K when the CSR ``matrix`` is exactly diag(K, K) (its bottom rows
     repeat the top rows with column indices shifted by n), else None."""
@@ -439,17 +425,6 @@ def _diagonal_half(matrix: sp.csr_array) -> sp.csr_array | None:
     return sp.csr_array((val[:half], idx[:half], ptr[:n + 1]), shape=(n, n))
 
 
-class _ElementBlockFactor:
-    """The exact inverse of a block-diagonal matrix of full k×k blocks on
-    contiguous dofs, held as a CSR with the matrix's own pattern."""
-
-    def __init__(self, inv: sp.csr_array):
-        self.inv = inv
-
-    def solve(self, rhs):
-        return self.inv @ rhs
-
-
 def _element_blocks(matrix: sp.csr_array) -> np.ndarray | None:
     """The (n/k, k, k) diagonal blocks of the canonical CSR ``matrix`` when
     it is exactly block-diagonal with full k×k blocks on the contiguous
@@ -458,7 +433,7 @@ def _element_blocks(matrix: sp.csr_array) -> np.ndarray | None:
     entries, each in its row's block, can only fill every block, so the
     data array is the blocks in row-major order."""
     n, ptr, idx = matrix.shape[0], matrix.indptr, matrix.indices
-    k = int(ptr[1]) if n else 0
+    k = int(ptr[1])
     if not (0 < k <= max(LOCAL_DOFS.values()) and matrix.nnz == n * k
             and matrix.has_canonical_format
             and np.array_equal(idx // k,
@@ -467,36 +442,22 @@ def _element_blocks(matrix: sp.csr_array) -> np.ndarray | None:
     return matrix.data.reshape(-1, k, k)
 
 
-def _invert_element_blocks(matrix: sp.csr_array, blocks: np.ndarray,
-                           what: str) -> _ElementBlockFactor:
-    """Invert each block under the pivot contract of ``sparse_lu``: one
-    batched LU of the stack (getrf's partial pivoting, block by block in
-    compiled code) gives the pivots, checked against ``column_scale``."""
-    _, _, upper = scipy.linalg.lu(blocks, p_indices=True, check_finite=False)
-    pivots = np.diagonal(upper, axis1=1, axis2=2)
-    singular = np.flatnonzero(np.any(pivots == 0.0, axis=1))
-    if singular.size:
-        raise SingularMatrix(f"{what}: element block {singular[0]} is "
-                             f"exactly singular")
-    check_pivots(pivots, column_scale(matrix))
-    inv = np.linalg.inv(blocks)
-    return _ElementBlockFactor(sp.csr_array(
-        (inv.ravel(), matrix.indices, matrix.indptr), shape=matrix.shape))
+def sparse_lu(matrix: sp.csr_array, what: str) -> Factor:
+    """The ``linalg.Factor`` of a matrix that must be nonsingular, else
+    ``SingularMatrix`` naming ``what``; every route checks its pivots
+    against ``PIVOT_RTOL`` times the largest column norm.
 
-
-def sparse_lu(matrix: sp.csr_array, what: str):
-    """Factor of a matrix that must be nonsingular, else ``SingularMatrix``
-    naming ``what``; every route checks its pivots against ``PIVOT_RTOL``
-    times the largest column norm.
-
-    * Block-diagonal with full k×k blocks on contiguous dofs (k ≤ 6, an
-      element-local field such as the discontinuous multiplier mass of
-      ``locking``): the exact inverse, element by element (static
-      condensation), as a CSR of the same pattern; ``solve`` is a sparse
-      product.
-    * diag(K, K), as every Stokes velocity block is: the SuperLU factor of
-      K alone.
-    * Otherwise: the SuperLU factor.
+    * Empty (no free dof, as at n=1), or block-diagonal with full k×k
+      blocks on contiguous dofs (k ≤ 6, an element-local field such as the
+      discontinuous multiplier mass of ``locking``): ``element``, the exact
+      inverse, element by element (static condensation), as a CSR of the
+      same pattern, so ``solve`` is a sparse product.  The pivots come
+      from one batched LU of the blocks (getrf in compiled code).
+    * diag(K, K), as every Stokes velocity block and β_h's velocity norm
+      are: ``two-block``, the SuperLU factor of K alone; a (2n,) or (2n, k)
+      right-hand side is solved as one (n, 2k) block through a
+      Fortran-order reshape, a view of a column-major right-hand side.
+    * Otherwise: ``superlu``, with the same reshape, to (n, k).
 
     Every matrix factored here is a structurally symmetric FE operator, so
     SuperLU runs in its symmetric mode: minimum degree on
@@ -513,9 +474,22 @@ def sparse_lu(matrix: sp.csr_array, what: str):
     pivot read here) and keeps for the life of the factor (68 MiB at TH
     n=128), no more."""
     matrix = sp.csr_array(matrix)
+    if not matrix.shape[0]:
+        return Factor(lambda rhs: matrix @ rhs, "element", np.zeros(0), True)
     blocks = _element_blocks(matrix)
     if blocks is not None:
-        return _invert_element_blocks(matrix, blocks, what)
+        rows, _, upper = scipy.linalg.lu(blocks, p_indices=True,
+                                         check_finite=False)
+        pivots = np.diagonal(upper, axis1=1, axis2=2)
+        singular = np.flatnonzero(np.any(pivots == 0.0, axis=1))
+        if singular.size:
+            raise SingularMatrix(f"{what}: element block {singular[0]} is "
+                                 f"exactly singular")
+        check_pivots(pivots, column_scale(matrix))
+        inv = sp.csr_array((np.linalg.inv(blocks).ravel(), matrix.indices,
+                            matrix.indptr), shape=matrix.shape)
+        return Factor(lambda rhs: inv @ rhs, "element", pivots.ravel(),
+                      bool(np.all(rows == np.arange(blocks.shape[-1]))))
     from scipy.sparse.linalg import splu
 
     block = _diagonal_half(matrix)
@@ -526,22 +500,16 @@ def sparse_lu(matrix: sp.csr_array, what: str):
                   diag_pivot_thresh=1e-3, options={"SymmetricMode": True})
     except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
         raise SingularMatrix(f"{what}: {exc}") from exc
-    check_pivots(lu.U.diagonal(), col_scale)
-    return lu if block is None else _TwoBlockFactor(lu)
+    pivots = np.tile(lu.U.diagonal(), 1 if block is None else 2)
+    check_pivots(pivots, col_scale)
 
+    def solve(rhs):
+        rhs = np.asarray(rhs, dtype=float)
+        x = lu.solve(rhs.reshape((lu.shape[0], -1), order="F"))
+        return x.reshape(rhs.shape, order="F")
 
-def schur_operator(lu, b: sp.csr_array, c: sp.csr_array | None):
-    """``q -> b a^{-1} b^T q + c q`` as a ``LinearOperator`` on vectors,
-    from ``lu``, a ``sparse_lu`` factor of ``a``."""
-    from scipy.sparse.linalg import LinearOperator
-
-    bt = b.T
-
-    def apply(q):
-        out = b @ lu.solve(bt @ q)
-        return out if c is None else out + c @ q
-
-    return LinearOperator((b.shape[0],) * 2, matvec=apply, dtype=float)
+    return Factor(solve, "superlu" if block is None else "two-block", pivots,
+                  bool(np.array_equal(lu.perm_r, lu.perm_c)))
 
 
 def schur_complement(lu, b: sp.csr_array, c: sp.csr_array | None,
@@ -571,19 +539,20 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
 
     1. ``sparse_lu`` factors ``a``, which must be nonsingular: an
        element-local ``a`` (the discontinuous multiplier mass) is inverted
-       exactly, block by block, any other by SuperLU.
+       exactly, block by block (route ``element``), any other by SuperLU.
     2. The Schur complement ``-(b a^{-1} b^T + c)`` is bordered by the
        mean row ``m = M 1`` and factored; its pivot test is the
        singularity verdict (the unstabilized equal-order pair fails there
        with a zero pivot).
-       * Element-local ``a`` (static condensation): ``a^{-1}`` has the
-         pattern of ``a``, so the Schur complement is a sparse FE operator
-         from one sparse product, and ``sparse_lu`` factors it.
+       * Element-local ``a`` (static condensation): ``a^{-1}``, the
+         element factor's solve of the identity, has the pattern of ``a``,
+         so the Schur complement is a sparse FE operator from one sparse
+         product, and ``sparse_lu`` factors it.
        * Otherwise it is dense: ``schur_complement`` writes it in
          SCHUR_BLOCK-column blocks (a dense n_u × SCHUR_BLOCK workspace)
-         into one Fortran-order array, which
-         ``linalg._lu_solve_overwrite`` LU-factors in place.  This route
-         is also the oracle of the sparse one.
+         into one Fortran-order array, which ``linalg.dense_lu``
+         LU-factors in place.  This route is also the oracle of the
+         sparse one.
     3. ``u = a^{-1} (f - b^T p)``; with no rows in y, the first solve.
 
     This is the solver of the locking and weak-boundary systems, the
@@ -604,8 +573,10 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
     n_y = len(rhs_p)
     if not n_y:
         y = rhs_p
-    elif isinstance(lu, _ElementBlockFactor):
-        schur = b @ lu.inv @ b.T
+    elif lu.route == "element":
+        # sorted like a: the products sum in the order the digits came from
+        a_inv = lu.solve(sp.eye_array(system.n_u, format="csr"))
+        schur = b @ a_inv.sorted_indices() @ b.T
         schur = -(schur if system.c is None else schur + system.c)
         if m is not None:
             border = sp.csr_array(m[:, None])
@@ -619,7 +590,7 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
         if m is not None:
             schur[:n_p, -1] = schur[-1, :n_p] = m
             schur[-1, -1] = 0.0
-        y = _lu_solve_overwrite(schur, rhs_p)
+        y = dense_lu(schur).solve(rhs_p)
     u = lu.solve(f - b.T @ y[:n_p]) if n_y else a_inv_f
     x = np.concatenate([u, y])
     if not np.all(np.isfinite(x)):
@@ -634,10 +605,11 @@ def solve_saddle_pcg(system: SaddleSystem) -> tuple[np.ndarray, float, int]:
 
     ``u = a^{-1} (f - b^T p)`` leaves ``(S + c) p = r + mu m`` with
     ``S = b a^{-1} b^T``, ``r = b a^{-1} f - g`` and, for solvability,
-    ``mu = -(1^T r) / (1^T m)``.  ``cg`` runs on ``schur_operator`` to
-    ``CG_RTOL``, preconditioned by ``M + c`` (M, the system's pressure mass
-    with ``m = M 1``, when ``c`` is None) with ``(M + c)^{-1} r`` projected
-    M-orthogonally off the constants (``c 1 = 0``).  ``S <= 2 M`` and the
+    ``mu = -(1^T r) / (1^T m)``.  ``cg`` applies ``S + c`` through the
+    factor of ``a`` and runs to ``CG_RTOL``, preconditioned by ``M + c`` (M,
+    the system's pressure mass with ``m = M 1``, when ``c`` is None) with
+    ``(M + c)^{-1} r`` projected M-orthogonally off the constants
+    (``c 1 = 0``).  ``S <= 2 M`` and the
     stabilized inf-sup condition ``S + c >= gamma M`` (gamma = beta_h^2 for
     a stable pair; Verfürth 1984) bound ``S + c`` between min(gamma, 1)/2
     and 2 times ``M + c``, so the iterations do not grow with n; against M
@@ -653,6 +625,12 @@ def solve_saddle_pcg(system: SaddleSystem) -> tuple[np.ndarray, float, int]:
     mass_lu = sparse_lu(system.pressure_mass if c is None
                         else system.pressure_mass + c, "pressure preconditioner")
 
+    bt = b.T
+
+    def schur(q):
+        out = b @ lu.solve(bt @ q)
+        return out if c is None else out + c @ q
+
     def precondition(r):
         z = mass_lu.solve(r)
         return z - (m @ z) / m.sum()
@@ -660,10 +638,11 @@ def solve_saddle_pcg(system: SaddleSystem) -> tuple[np.ndarray, float, int]:
     r = b @ lu.solve(f) - system.g
     mu = -r.sum() / m.sum()
     iterations = []
-    p, info = cg(schur_operator(lu, b, c), r + mu * m,
-                 rtol=CG_RTOL, atol=0.0, callback=iterations.append,
-                 M=LinearOperator((system.n_p,) * 2, matvec=precondition,
-                                  dtype=float))
+    shape = (system.n_p,) * 2
+    p, info = cg(LinearOperator(shape, matvec=schur, dtype=float),
+                 r + mu * m, rtol=CG_RTOL, atol=0.0,
+                 callback=iterations.append,
+                 M=LinearOperator(shape, matvec=precondition, dtype=float))
     if info != 0:
         raise np.linalg.LinAlgError(
             f"pressure CG stopped after {len(iterations)} iterations "

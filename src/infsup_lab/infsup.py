@@ -9,7 +9,8 @@ inf-sup constant is the smallest nonzero eigenvalue of the pencil
 and beta = sqrt(lambda).  The weighted constant takes X the velocity
 H1-seminorm Gram on free dofs and M the pressure mass, the constant of the
 actual quotient b(v,q)/(|v|_1 ||q||_0); S is formed dense by
-``assembly.schur_complement`` from a sparse factor of X.  The Euclidean
+``assembly.schur_complement`` from the ``assembly.sparse_lu`` factor of X,
+whose pivots are X's SPD check.  The Euclidean
 constant, the smallest positive singular value of B, takes S = B B^T and
 M = I.  Constant pressures are never deflated -- they land in the numerical
 kernel and are excluded by the rank tolerance.  Squaring the spectrum puts
@@ -31,9 +32,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import divergence, mass, schur_complement, stiffness
+from .assembly import (divergence, mass, schur_complement, sparse_lu,
+                       stiffness)
 from .fespace import ElementKind, FeSpace, build_space, interior_edge_pairs
-from .linalg import NotPositiveDefinite, require_symmetric
+from .linalg import NotPositiveDefinite, SingularMatrix, require_symmetric
 from .mesh import Mesh
 
 PAIRS = {
@@ -76,27 +78,27 @@ def pair_operators(v_space: FeSpace, p_space: FeSpace):
     return b, stiffness(v_space)[free][:, free], mass(p_space)
 
 
-def _spd_schur(b: sp.csr_array, x_norm) -> np.ndarray:
-    """Dense B X^{-1} B^T.  SuperLU pivots on the diagonal only (symmetric
-    mode, ``diag_pivot_thresh=0``), so its factor is a symmetrically permuted
-    L D L^T, and X is positive definite exactly when every pivot is positive.
-    """
-    x = sp.csc_array(x_norm, dtype=float)
-    require_symmetric(x, "infsup_weighted")
-    if x.shape[0] == 0:
-        return np.zeros((b.shape[0], b.shape[0]))
-    from scipy.sparse.linalg import splu
+def _positive_definite(factor) -> bool:
+    """The SPD rule of a symmetric matrix from its ``sparse_lu`` factor:
+    diagonal pivots (their signs are then its inertia), all > 0.  It is
+    sufficient, not necessary: an SPD matrix that its factor pivots off the
+    diagonal fails it; no velocity norm of the five pairs does (n ≤ 64)."""
+    return factor.diagonal_pivots and bool(np.all(factor.pivots > 0.0))
 
+
+def _spd_schur(b: sp.csr_array, x_norm) -> np.ndarray:
+    """Dense B X^{-1} B^T from the ``sparse_lu`` factor of X (of K alone
+    when X = diag(K, K)), which must pass ``_positive_definite``."""
+    x = sp.csr_array(x_norm, dtype=float)
+    require_symmetric(x, "infsup_weighted")
     try:
-        lu = splu(x, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
-        raise NotPositiveDefinite(f"velocity norm: {exc}") from exc
-    if not (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.all(lu.U.diagonal() > 0.0)):
+        factor = sparse_lu(x, "velocity norm")
+    except SingularMatrix as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+    if not _positive_definite(factor):
         raise NotPositiveDefinite("velocity norm: off-diagonal or "
                                   "non-positive pivot")
-    return schur_complement(lu, b, None)
+    return schur_complement(factor, b, None)
 
 
 def _spectrum(b, x_norm=None, m_norm=None):

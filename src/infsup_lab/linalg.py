@@ -1,4 +1,4 @@
-"""The numerical contracts of the package and its one dense LU.
+"""The numerical contracts of the package, its factor type and dense LU.
 
 Dense matrices are plain 2-D float64 ``numpy.ndarray`` objects (row-major);
 sparse operators are ``scipy.sparse.csr_array`` objects built in
@@ -7,17 +7,18 @@ sparse operators are ``scipy.sparse.csr_array`` objects built in
 The module holds the two exceptions a contract raises, ``SingularMatrix``
 and ``NotPositiveDefinite``; the symmetry contract ``require_symmetric``,
 which the norm matrices of ``infsup`` must meet; the pivot contract
-``check_pivots`` with its scale ``column_scale``, shared with every factor
-of ``assembly.sparse_lu``; and ``_lu_solve_overwrite``, the package's one
-dense LU, the factor of the dense bordered pressure Schur matrix in
-``assembly.solve_saddle``, which LAPACK factors in place and the pivot
-contract declares singular or not.  β_h itself comes from ``infsup``'s
-pressure-sized eigenproblem.
+``check_pivots`` with its scale ``column_scale``; ``Factor``, the type of
+every factor, which ``assembly.sparse_lu`` makes on its sparse routes; and
+``dense_lu``, the one dense LU, the factor of the dense bordered pressure
+Schur matrix in ``assembly.solve_saddle``.  β_h itself comes from
+``infsup``'s pressure-sized eigenproblem.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -73,15 +74,27 @@ def column_scale(a) -> float:
     return float(np.sqrt(np.bincount(a.indices, a.data ** 2, a.shape[1]).max()))
 
 
-def _lu_solve_overwrite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` by LU with partial pivoting, overwriting ``a`` (a
-    non-empty, square, finite float64 matrix) with its LU factors; no copy
-    is made when ``a`` is Fortran-ordered.  ``b`` is a vector or a matrix
-    of right-hand sides.
+@dataclass(frozen=True)
+class Factor:
+    """A factor whose pivots passed ``check_pivots``.  ``solve`` takes a
+    vector or columns; ``route`` is ``element``, ``two-block``, ``superlu``
+    (``assembly.sparse_lu``) or ``dense``; ``pivots`` has one per row.
+    ``diagonal_pivots`` holds when each was taken on the diagonal of a
+    symmetric permutation (SuperLU: ``perm_r == perm_c``; getrf: no row
+    exchange): on a symmetric matrix their signs are then its inertia."""
 
-    Raises ``SingularMatrix`` when any pivot magnitude drops below
-    ``PIVOT_RTOL`` times the largest initial column norm.
-    """
+    solve: Callable
+    route: str
+    pivots: np.ndarray
+    diagonal_pivots: bool
+
+
+def dense_lu(a: np.ndarray) -> Factor:
+    """The ``dense`` factor of ``a`` (a non-empty, square, finite float64
+    matrix) by LU with partial pivoting, which overwrites ``a`` (no copy
+    when it is Fortran-ordered).  Raises ``SingularMatrix`` when any pivot
+    magnitude drops below ``PIVOT_RTOL`` times the largest initial column
+    norm, and on a non-finite solution."""
     col_scale = column_scale(a)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")      # we do our own pivot check below
@@ -90,7 +103,12 @@ def _lu_solve_overwrite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(lu)):
         raise SingularMatrix("non-finite entries in the LU factors")
     check_pivots(np.diag(lu), col_scale)
-    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrix("non-finite solution from LU back substitution")
-    return x
+
+    def solve(b):
+        x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+        if not np.all(np.isfinite(x)):
+            raise SingularMatrix("non-finite solution from LU back substitution")
+        return x
+
+    return Factor(solve, "dense", np.diag(lu),
+                  bool(np.all(piv == np.arange(len(piv)))))

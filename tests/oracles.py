@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from infsup_lab.assembly import boundary_flux_flux, mass, stiffness
 from infsup_lab.fespace import ElementKind, build_space
-from infsup_lab.linalg import _lu_solve_overwrite
+from infsup_lab.linalg import dense_lu
 from infsup_lab.mesh import boundary_edge_geometry
 
 # barycentric node of each local basis function, in the order of
@@ -30,8 +30,8 @@ _LOCAL_NODES = {
 def lu_solve(a, b) -> np.ndarray:
     """Dense ``a x = b`` by the package's one dense LU, on a copy of ``a``;
     ``SingularMatrix`` under its pivot contract."""
-    return _lu_solve_overwrite(np.array(a, dtype=float, order="F"),
-                               np.asarray(b, dtype=float))
+    return dense_lu(np.array(a, dtype=float, order="F")).solve(
+        np.asarray(b, dtype=float))
 
 
 def column_scale(m) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from infsup_lab import locking, stokes, weakbc
+from infsup_lab import infsup, locking, stokes, weakbc
 from infsup_lab.assembly import (
     SCHUR_BLOCK,
     SaddleSystem,
@@ -30,7 +30,8 @@ from infsup_lab.assembly import (
     stiffness,
 )
 from infsup_lab.fespace import ElementKind, build_space
-from infsup_lab.linalg import NotPositiveDefinite, SingularMatrix, column_scale
+from infsup_lab.linalg import (NotPositiveDefinite, SingularMatrix,
+                                column_scale, dense_lu)
 from infsup_lab.mesh import unit_square_mesh
 from oracles import (
     column_scale as column_scale_oracle,
@@ -462,12 +463,53 @@ def test_only_the_velocity_block_is_factored(monkeypatch):
         assert [a.shape for a, _ in factors] == [(n, n)]
 
 
-def test_two_block_factor_solves_like_the_full_factor():
+@pytest.mark.parametrize("pair", ("taylor-hood", "mini", "p2p0"))
+def test_beta_factors_only_k_of_the_velocity_norm(pair, monkeypatch):
+    # X = diag(K, K) takes the K-only factor of every Stokes solve
+    factors = recorded_factors(monkeypatch)
+    b, x, m = infsup.pair_operators(
+        *infsup.pair_spaces(pair, unit_square_mesh(4)))
+    infsup.infsup_weighted(b, x, m)
+    n = x.shape[0] // 2
+    assert [a.shape for a, _ in factors] == [(n, n)]
+
+
+#: symmetric and diagonally dominant, two negative eigenvalues: every
+#: route pivots on its diagonal
+TRIDIAGONAL = (np.diag([4.0, -5.0, 6.0, -4.0, 5.0])
+               + np.eye(5, k=1) + np.eye(5, k=-1))
+
+
+@pytest.mark.parametrize("route, a", [
+    ("element", sp.block_diag([[[4.0, 1.0, 1.0], [1.0, -5.0, 1.0],
+                                [1.0, 1.0, 6.0]],
+                               [[-4.0, 1.0, 0.5], [1.0, 5.0, 1.0],
+                                [0.5, 1.0, -6.0]]]).toarray()),
+    ("two-block", sp.block_diag([TRIDIAGONAL, TRIDIAGONAL]).toarray()),
+    ("superlu", TRIDIAGONAL),
+    ("dense", TRIDIAGONAL),
+])
+def test_diagonal_pivots_give_the_inertia(route, a):
+    # Sylvester's law: pivots taken on the diagonal of a symmetric
+    # permutation of a symmetric matrix have the signs of its eigenvalues
+    if route == "dense":
+        factor = dense_lu(np.array(a, order="F"))
+    else:
+        factor = sparse_lu(sp.csr_array(a), "test matrix")
+    assert factor.route == route and factor.diagonal_pivots
+    assert factor.pivots.shape == (len(a),)
+    assert (np.count_nonzero(factor.pivots < 0.0)
+            == np.count_nonzero(np.linalg.eigvalsh(a) < 0.0) > 0)
+
+
+def test_two_block_factor_solves_like_the_full_factor(monkeypatch):
     from scipy.sparse.linalg import splu
     a = stokes_system("taylor-hood", 4).a
     n = a.shape[0] // 2
+    factors = recorded_factors(monkeypatch)
     lu = sparse_lu(a, "velocity block")
-    assert lu.lu.shape == (n, n)                # K alone
+    assert [k.shape for k, _ in factors] == [(n, n)]       # K alone
+    assert lu.route == "two-block" and lu.pivots.shape == (2 * n,)
     full = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
     rng = np.random.default_rng(5)
     block = rng.standard_normal((2 * n, 7))
@@ -488,7 +530,9 @@ def test_diagonal_half_recognizes_only_exact_replicas():
     coupling = sp.csr_array(([1e-3], ([0], [n])), shape=a.shape)
     for other in (a[:-1, :-1], perturbed, a + coupling):
         assert _diagonal_half(sp.csr_array(other)) is None
-        assert sparse_lu(other, "velocity block").shape == other.shape
+        lu = sparse_lu(other, "velocity block")
+        assert lu.route == "superlu"
+        assert lu.pivots.shape == (other.shape[0],)    # the whole matrix
 
 
 @pytest.mark.parametrize("k", (np.diag([1.0, 0.0, 2.0]),
@@ -706,7 +750,9 @@ def test_element_route_matches_superlu(name, n, lam, monkeypatch):
     # one, which SuperLU's factor of a takes
     system = locking_system(name, n, lam)
     lu = sparse_lu(system.a, "velocity block")
-    assert lu.inv.nnz == system.a.nnz == 3 * system.n_u    # 3×3 blocks
+    assert lu.route == "element"
+    a_inv = lu.solve(sp.eye_array(system.n_u, format="csr"))
+    assert a_inv.nnz == system.a.nnz == 3 * system.n_u     # 3×3 blocks
     schur = schur_complement(lu, system.b, system.c)
     ref = schur_complement(factor(system), system.b, system.c)
     assert np.linalg.norm(schur - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -764,7 +810,7 @@ def test_element_detection_falls_back_to_superlu():
     for other in (dropped, coupling, strided, sp.csr_array(dense)):
         assert _element_blocks(other) is None
         lu = sparse_lu(other, "velocity block")
-        assert not hasattr(lu, "inv")
+        assert lu.route == "superlu"
         rhs = rng.standard_normal(other.shape[0])
         x = lu.solve(rhs)
         assert np.linalg.norm(other @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
@@ -899,13 +945,13 @@ def test_element_route_scale_is_the_blockwise_einsum(monkeypatch):
 def test_dense_route_scale_is_the_columnwise_einsum(monkeypatch):
     from infsup_lab import assembly, linalg
     scales, expected = recorded_scales(monkeypatch, linalg), []
-    real = assembly._lu_solve_overwrite
+    real = assembly.dense_lu
 
-    def recording(a, b):
+    def recording(a):
         expected.append(float(np.sqrt(np.max(np.einsum("ij,ij->j", a, a)))))
-        return real(a, b)
+        return real(a)
 
-    monkeypatch.setattr(assembly, "_lu_solve_overwrite", recording)
+    monkeypatch.setattr(assembly, "dense_lu", recording)
     solve_saddle(locking_system("plain", 8, 1e4))
     assert len(expected) == 1 and scales == expected
 
@@ -915,16 +961,16 @@ def test_a_system_without_multiplier_rows_solves_once(monkeypatch):
     from infsup_lab import assembly
     real, calls = assembly.sparse_lu, []
 
-    class Counting:
-        def __init__(self, lu):
-            self.lu = lu
+    def counting(matrix, what):
+        lu = real(matrix, what)
 
-        def solve(self, rhs):
+        def solve(rhs):
             calls.append(rhs.shape)
-            return self.lu.solve(rhs)
+            return lu.solve(rhs)
 
-    monkeypatch.setattr(assembly, "sparse_lu",
-                        lambda matrix, what: Counting(real(matrix, what)))
+        return dataclasses.replace(lu, solve=solve)
+
+    monkeypatch.setattr(assembly, "sparse_lu", counting)
     system = weakbc_system("nitsche", 8)
     x, _ = solve_saddle(system)
     assert calls == [(system.n_u,)]

@@ -97,6 +97,32 @@ def test_expected_singular_pair_exits_0(tmp_path):
     assert "error" in doc["results"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["stokes", "--method", "p1p1-plain", "--n", "1"],
+    ["stokes", "--method", "p1p1-loss", "--n", "1"],
+    ["stokes", "--method", "bp", "--n", "1"],
+    ["locking", "--n", "1"],
+    ["locking", "--method", "corrected", "--n", "1"],
+    ["convergence", "--method", "bp", "--ns", "1,2,4"],
+])
+def test_a_mesh_without_free_velocity_dofs_solves(argv, tmp_path):
+    # n=1: every velocity dof lies on the boundary, so the velocity block
+    # is 0 × 0; u = 0, and the unstabilized pair keeps its verdict
+    code, doc = run(argv, tmp_path, json_out=True)
+    assert code == 0
+    plain = "p1p1-plain" in argv
+    assert doc["status"] == ("singular" if plain else "ok")
+    results = doc["results"]
+    if argv[0] == "locking":
+        assert all(r["solve_ok"] and r["u_h1_norm"] == 0.0
+                   for r in results["reports"])
+    elif argv[0] == "convergence":
+        assert len(results["levels"]) == 3 and set(results["slopes"]) == {
+            "err_u_l2", "err_u_h1", "err_p_l2"}
+    elif not plain:
+        assert results["residual_norm"] == 0.0
+
+
 def test_p0_multiplier_is_singular_by_design(tmp_path):
     code, doc = run(["weakbc", "--method", "multiplier", "--trace", "p0",
                      "--n", "4"], tmp_path, json_out=True)

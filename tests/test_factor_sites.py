@@ -1,0 +1,86 @@
+"""Every factorization of the package goes through ``assembly.sparse_lu``
+or ``linalg.dense_lu``, and a factor is told apart by its ``route``.
+
+The scan reads the package's AST: a reference is a name, an attribute or
+an imported alias, and it is charged to the top-level function or class
+that holds it.  Docstrings are strings, so naming a routine in prose is no
+reference.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "infsup_lab"
+
+
+def _top_level_nodes(src: pathlib.Path):
+    """(module.owner, node) of each top-level statement; owner is the
+    function or class name, or None for other statements."""
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            yield f"{path.stem}.{getattr(node, 'name', None)}", node
+
+
+def _referenced_names(node) -> set:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _sites(src: pathlib.Path, names: set) -> set:
+    """The owners that reference any of ``names``."""
+    return {owner for owner, node in _top_level_nodes(src)
+            if _referenced_names(node) & names}
+
+
+def _factor_isinstance_calls(src: pathlib.Path) -> list:
+    """Owners of each ``isinstance`` call whose object is named like a
+    factor (``lu``, ``*_lu``, ``factor``) or whose class is named like
+    one (``*Factor*``, ``SuperLU``)."""
+    found = []
+    for owner, node in _top_level_nodes(src):
+        for sub in ast.walk(node):
+            if not (isinstance(sub, ast.Call)
+                    and getattr(sub.func, "id", None) == "isinstance"
+                    and len(sub.args) == 2):
+                continue
+            obj, cls = (_referenced_names(arg) for arg in sub.args)
+            if (any(n == "lu" or n.endswith("_lu") or n == "factor"
+                    for n in obj)
+                    or any("Factor" in n or n == "SuperLU" for n in cls)):
+                found.append(owner)
+    return found
+
+
+def test_splu_is_named_only_in_sparse_lu():
+    assert _sites(SRC, {"splu"}) == {"assembly.sparse_lu"}
+
+
+def test_lapack_lu_is_named_only_in_the_dense_route():
+    assert _sites(SRC, {"lu_factor", "lu_solve"}) == {"linalg.dense_lu"}
+
+
+def test_no_isinstance_tests_a_factor():
+    assert _factor_isinstance_calls(SRC) == []
+
+
+def test_scan_sees_calls_and_imports_but_not_docstrings(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""splu and lu_factor are named in this docstring only."""\n'
+        "import scipy.linalg\n\n\n"
+        "def dense(a):\n    return scipy.linalg.lu_factor(a)\n\n\n"
+        "def sparse(a):\n"
+        "    from scipy.sparse.linalg import splu\n    return splu(a)\n\n\n"
+        "def route(lu, other):\n"
+        "    return isinstance(lu, dict), isinstance(other, _TwoFactor)\n\n\n"
+        "def plain(x):\n    return isinstance(x, dict)\n")
+    assert _sites(tmp_path, {"splu"}) == {"a.sparse"}
+    assert _sites(tmp_path, {"lu_factor", "lu_solve"}) == {"a.dense"}
+    assert _factor_isinstance_calls(tmp_path) == ["a.route", "a.route"]

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from infsup_lab import infsup
+from infsup_lab.assembly import sparse_lu
 from infsup_lab.fespace import ElementKind
 from infsup_lab.linalg import NotPositiveDefinite
 from infsup_lab.mesh import unit_square_mesh
@@ -118,7 +120,8 @@ INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
     (np.eye(2), np.eye(2), INDEFINITE, NotPositiveDefinite, None),
     (np.eye(2), np.zeros((2, 2)), np.eye(2), NotPositiveDefinite, None),
     (np.eye(2), np.eye(2), np.zeros((2, 2)), NotPositiveDefinite, None),
-    # zero diagonal: SuperLU pivots off it, and both U pivots read +1
+    # zero diagonal: SuperLU pivots off it, and both U pivots read +1;
+    # INDEFINITE takes the element route, whose getrf exchanges its rows
     (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2),
      NotPositiveDefinite, None),
     # S = B X^-1 B^T = [[1]] is positive definite, X = diag(1, -1) is not
@@ -130,6 +133,39 @@ def test_norm_matrices_must_be_spd(b, x, m, error, match):
         infsup.infsup_weighted(b, x, m)
     if error is ValueError:
         assert not isinstance(exc.value, NotPositiveDefinite)
+
+
+def taylor_hood_with_negated_velocity_norm():
+    b, x, m = infsup.pair_operators(
+        *infsup.pair_spaces("taylor-hood", unit_square_mesh(2)))
+    return b, -x, m
+
+
+def identity_norm_case(x):
+    return lambda: (np.eye(len(x)), x, np.eye(len(x)))
+
+
+#: symmetric, nonsingular, zero diagonal: SuperLU takes every pivot off the
+#: diagonal, and all of them read +1
+PATH_ADJACENCY = np.eye(4, k=1) + np.eye(4, k=-1)
+#: symmetric, diagonally dominant: diagonal pivots, one of them negative
+ONE_NEGATIVE_PIVOT = np.array([[2.0, -1.0, 0.0, 0.0], [-1.0, 2.0, -1.0, 0.0],
+                               [0.0, -1.0, -3.0, -1.0], [0.0, 0.0, -1.0, 2.0]])
+
+
+@pytest.mark.parametrize("make, route", [
+    (identity_norm_case(INDEFINITE), "element"),
+    (taylor_hood_with_negated_velocity_norm, "two-block"),
+    (identity_norm_case(PATH_ADJACENCY), "superlu"),
+    (identity_norm_case(ONE_NEGATIVE_PIVOT), "superlu"),
+], ids=["row-exchange", "negated-k", "zero-diagonal", "negative-pivot"])
+def test_velocity_norm_spd_rule_on_each_route(make, route):
+    # each X is symmetric and nonsingular, so only the SPD rule (diagonal
+    # pivots, all > 0) can reject it
+    b, x, m = make()
+    assert sparse_lu(sp.csr_array(x), "velocity norm").route == route
+    with pytest.raises(NotPositiveDefinite, match="velocity norm"):
+        infsup.infsup_weighted(b, x, m)
 
 
 # --- element pairs ---------------------------------------------------------

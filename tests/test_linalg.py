@@ -1,6 +1,5 @@
 """Tests for the dense kernels: LU (through the ``lu_solve`` oracle on the
-one dense LU, ``linalg._lu_solve_overwrite``), and the Jacobi SVD oracle of
-β_h."""
+one dense LU, ``linalg.dense_lu``), and the Jacobi SVD oracle of β_h."""
 
 import numpy as np
 import pytest

@@ -498,8 +498,8 @@ def sparse_lu(matrix: sp.csr_array, what: str) -> Factor:
     try:
         lu = splu(factored.tocsc(), permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=1e-3, options={"SymmetricMode": True})
-    except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
-        raise SingularMatrix(f"{what}: {exc}") from exc
+    except RuntimeError as exc:          # SuperLU's text can name its sources
+        raise SingularMatrix(f"{what}: exactly singular (SuperLU)") from exc
     pivots = np.tile(lu.U.diagonal(), 1 if block is None else 2)
     check_pivots(pivots, col_scale)
 
@@ -513,17 +513,17 @@ def sparse_lu(matrix: sp.csr_array, what: str) -> Factor:
 
 
 def schur_complement(lu, b: sp.csr_array, c: sp.csr_array | None,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray) -> np.ndarray:
     """Dense ``b a^{-1} b^T + c`` written into the leading n_p × n_p block
-    of ``out`` (a new array when None), which it returns, SCHUR_BLOCK
-    columns at a time: rows j:k of ``b`` densify column-major as the
-    right-hand side (the layout SuperLU solves without a transposing
-    copy), and columns j:k of ``c`` come from one CSC copy (workspace
-    n_u × SCHUR_BLOCK).  This is the Schur matrix of a SuperLU-factored
-    ``a``, which is dense; ``solve_saddle`` forms that of an element-block
-    factor sparse instead."""
+    of ``out`` (both callers pass a Fortran-order buffer), which it
+    returns, SCHUR_BLOCK columns at a time: rows j:k of ``b`` densify
+    column-major as the right-hand side (the layout SuperLU solves without
+    a transposing copy), and columns j:k of ``c`` come from one CSC copy
+    (workspace n_u × SCHUR_BLOCK).  This is the Schur matrix of a
+    SuperLU-factored ``a``, which is dense; ``solve_saddle`` forms that of
+    an element-block factor sparse instead."""
     n_p = b.shape[0]
-    out = np.empty((n_p, n_p)) if out is None else out[:n_p, :n_p]
+    out = out[:n_p, :n_p]
     c = None if c is None else sp.csc_array(c)
     for j in range(0, n_p, SCHUR_BLOCK):
         k = min(j + SCHUR_BLOCK, n_p)

@@ -241,34 +241,34 @@ def build_space(kind: ElementKind, mesh: Mesh, components: int = 1) -> FeSpace:
 def fields_at_quadrature(space: FeSpace, coeffs, rule: QuadratureRule):
     """Values and physical gradients at all quadrature points of all cells.
 
-    Returns ``(points, values, gradients)`` with shapes
-    ``(T, nq, 2)``, ``(T, nq, components)`` and ``(T, nq, components, 2)``.
+    Returns ``(points, values, gradients)`` with shapes ``(T, nq, 2)``,
+    ``(T, nq, components)`` and ``(T, nq, components, 2)``; the gradients
+    pass through (T, nq, components, 3), not a (T, nq, n_local, 2) table.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     mesh = space.mesh
-    corners = mesh.nodes[mesh.triangles]                      # (T, 3, 2)
-    points = np.einsum("qk,tkd->tqd", rule.points, corners)
-    vals = shape_values(space.kind, rule.points)              # (nq, nb)
-    gl = triangle_grad_lambda(mesh)                           # (T, 3, 2)
-    grads = np.einsum("qbl,tld->tqbd",
-                      shape_gradients_bary(space.kind, rule.points), gl)
+    points = np.einsum("qk,tkd->tqd", rule.points, mesh.nodes[mesh.triangles])
     local = coeffs[space.cell_dofs].reshape(
         mesh.n_triangles, space.components, space.n_local)    # (T, c, nb)
-    values = np.einsum("qb,tcb->tqc", vals, local)
-    gradients = np.einsum("tqbd,tcb->tqcd", grads, local)
-    return points, values, gradients
+    values = np.einsum("qb,tcb->tqc", shape_values(space.kind, rule.points),
+                       local)
+    bary = np.einsum("qbl,tcb->tqcl",                         # (T, nq, c, 3)
+                     shape_gradients_bary(space.kind, rule.points), local)
+    return points, values, np.einsum("tqcl,tld->tqcd", bary,
+                                     triangle_grad_lambda(mesh))
 
 
 def field_errors(space: FeSpace, coeffs, exact, exact_grad):
     """(L2, H1-seminorm) error of a field against the callables ``exact``
-    and ``exact_grad`` of (..., 2) points, by degree-6 quadrature."""
+    and ``exact_grad`` of (..., 2) points, by degree-6 quadrature, in place."""
     rule = quadrature(6)
-    qw = np.outer(triangle_areas(space.mesh), rule.weights)  # (T, nq)
-    pts, vals, grads = fields_at_quadrature(space, coeffs, rule)
-    dv = vals - np.reshape(exact(pts), vals.shape)
-    dg = grads - np.reshape(exact_grad(pts), grads.shape)
-    return (float(np.sqrt(np.einsum("tq,tqc->", qw, dv ** 2))),
-            float(np.sqrt(np.einsum("tq,tqcd->", qw, dg ** 2))))
+    w = np.outer(triangle_areas(space.mesh), rule.weights)   # (T, nq)
+    pts, dv, dg = fields_at_quadrature(space, coeffs, rule)
+    dv -= np.reshape(exact(pts), dv.shape)
+    l2 = float(np.sqrt(np.einsum("tq,tqc->", w, np.square(dv, out=dv))))
+    del dv                                   # before exact_grad allocates
+    dg -= np.reshape(exact_grad(pts), dg.shape)
+    return l2, float(np.sqrt(np.einsum("tq,tqcd->", w, np.square(dg, out=dg))))
 
 
 def interior_edge_pairs(mesh: Mesh, kind: ElementKind):

@@ -87,8 +87,8 @@ def _positive_definite(factor) -> bool:
 
 
 def _spd_schur(b: sp.csr_array, x_norm) -> np.ndarray:
-    """Dense B X^{-1} B^T from the ``sparse_lu`` factor of X (of K alone
-    when X = diag(K, K)), which must pass ``_positive_definite``."""
+    """Dense B X^{-1} B^T, Fortran-ordered, from the ``sparse_lu`` factor of
+    X (of K alone for diag(K, K)), which must pass ``_positive_definite``."""
     x = sp.csr_array(x_norm, dtype=float)
     require_symmetric(x, "infsup_weighted")
     try:
@@ -98,22 +98,24 @@ def _spd_schur(b: sp.csr_array, x_norm) -> np.ndarray:
     if not _positive_definite(factor):
         raise NotPositiveDefinite("velocity norm: off-diagonal or "
                                   "non-positive pivot")
-    return schur_complement(factor, b, None)
+    n_p = b.shape[0]
+    return schur_complement(factor, b, None, np.empty((n_p, n_p), order="F"))
 
 
 def _spectrum(b, x_norm=None, m_norm=None):
-    """(lambda descending, M-orthonormal Q, rank, dense M or None) of
+    """(lambda descending, M-orthonormal Q, rank, sparse M or None) of
     B X^{-1} B^T q = lambda M q, or of B B^T q = lambda q when no norms are
-    given."""
+    given; ``eigh`` overwrites S and the dense M (Fortran order, no copy)."""
     b = sp.csr_array(b, dtype=float)
     if x_norm is None:
-        s, m = (b @ b.T).toarray(), None
+        s, m = (b @ b.T).toarray(order="F"), None
     else:
-        m = m_norm.toarray() if sp.issparse(m_norm) else np.asarray(m_norm, float)
+        m = sp.csr_array(m_norm, dtype=float)
         require_symmetric(m, "infsup_weighted")
         s = _spd_schur(b, x_norm)
     try:
-        lam, q = scipy.linalg.eigh(s, m)
+        lam, q = scipy.linalg.eigh(s, m if m is None else m.toarray(order="F"),
+                                   overwrite_a=True, overwrite_b=True)
     except np.linalg.LinAlgError as exc:
         if m is None:
             raise

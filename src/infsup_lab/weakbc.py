@@ -238,16 +238,14 @@ def lambda_roughness(solution: WeakBcSolution, mesh: Mesh,
     """
     if solution.lam is None:
         raise ValueError("solution carries no multiplier")
-    lam = solution.lam
+    lam, ends = solution.lam, mesh.boundary_edges[:, :2]
     if trace == "p1":
         space = build_space(ElementKind.P1, mesh)
         nodal = np.zeros(space.n_dofs)
         nodal[space.boundary_dofs] = lam
-        ends = mesh.boundary_edges[:, :2]
         jumps = np.abs(nodal[ends[:, 0]] - nodal[ends[:, 1]])
     else:
         # P0 multipliers: pair edges sharing a boundary vertex
-        ends = mesh.boundary_edges[:, :2]
         owner_of_start = {ends[e, 0]: e for e in range(len(ends))}
         partner = np.array([owner_of_start[ends[e, 1]] for e in range(len(ends))])
         jumps = np.abs(lam - lam[partner])

@@ -580,6 +580,12 @@ def factor(system):
     return splu(system.a.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
+def dense_schur(lu, b, c):
+    """``schur_complement`` into a new Fortran-order n_p × n_p buffer, the
+    buffer that both of its callers in the package pass."""
+    return schur_complement(lu, b, c, np.empty((b.shape[0],) * 2, order="F"))
+
+
 def with_asymmetric_c(system):
     """``system`` with a random sparse c whose transpose differs from it."""
     c = sp.random_array((system.n_p,) * 2, density=0.2, format="csr",
@@ -602,7 +608,7 @@ def test_schur_complement_matches_one_shot(make, n_p):
     one_shot = system.b @ lu.solve(system.b.T.toarray())
     if system.c is not None:
         one_shot += system.c.toarray()
-    blocked = schur_complement(lu, system.b, system.c)
+    blocked = dense_schur(lu, system.b, system.c)
     assert blocked.shape == (n_p, n_p)
     assert np.linalg.norm(blocked - one_shot) \
         <= 1e-13 * np.linalg.norm(one_shot)
@@ -753,8 +759,8 @@ def test_element_route_matches_superlu(name, n, lam, monkeypatch):
     assert lu.route == "element"
     a_inv = lu.solve(sp.eye_array(system.n_u, format="csr"))
     assert a_inv.nnz == system.a.nnz == 3 * system.n_u     # 3×3 blocks
-    schur = schur_complement(lu, system.b, system.c)
-    ref = schur_complement(factor(system), system.b, system.c)
+    schur = dense_schur(lu, system.b, system.c)
+    ref = dense_schur(factor(system), system.b, system.c)
     assert np.linalg.norm(schur - ref) <= 1e-10 * np.linalg.norm(ref)
     x, residual = solve_saddle(system)
     superlu_route(monkeypatch)
@@ -768,8 +774,8 @@ def test_element_schur_matches_the_dense_elimination():
     cfg = locking.LockingConfig(lambda_=1e2, n=4, method="multiplier")
     multiplier = locking.build(cfg)
     system = multiplier.saddle
-    schur = schur_complement(sparse_lu(system.a, "velocity block"),
-                             system.b, system.c)
+    schur = dense_schur(sparse_lu(system.a, "velocity block"),
+                        system.b, system.c)
     b = system.b.toarray()
     dense = system.c.toarray() + b @ np.linalg.solve(system.a.toarray(), b.T)
     assert np.linalg.norm(schur - dense) <= 1e-13 * np.linalg.norm(dense)
@@ -790,6 +796,18 @@ def test_element_route_keeps_the_pivot_contract(pivot, match):
     assert _element_blocks(a) is not None
     with pytest.raises(SingularMatrix, match=match):
         sparse_lu(a, "velocity block")
+
+
+def test_superlu_abort_becomes_one_fixed_text():
+    # SuperLU's own text varies with where it stopped (it can name its
+    # source file and line); the verdict names ``what`` and keeps the
+    # original as the cause
+    a = sp.csr_array(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                               [0.0, 0.0, 1.0]]))
+    with pytest.raises(SingularMatrix) as info:
+        sparse_lu(a, "velocity block")
+    assert str(info.value) == "velocity block: exactly singular (SuperLU)"
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 def test_element_detection_falls_back_to_superlu():
@@ -821,8 +839,8 @@ def test_element_route_with_an_empty_schur_matrix(monkeypatch):
     config = locking.LockingConfig(lambda_=1.0, n=1, method="multiplier")
     system = locking.build(config).saddle
     assert system.n_p == 0 and system.n_u == 12
-    assert schur_complement(sparse_lu(system.a, "velocity block"),
-                            system.b, system.c).shape == (0, 0)
+    assert dense_schur(sparse_lu(system.a, "velocity block"),
+                       system.b, system.c).shape == (0, 0)
     reports = locking.lambda_sweep(config, [1e2, 1e6])
     superlu_route(monkeypatch)
     assert reports == locking.lambda_sweep(config, [1e2, 1e6])

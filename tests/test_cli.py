@@ -123,6 +123,23 @@ def test_a_mesh_without_free_velocity_dofs_solves(argv, tmp_path):
         assert results["residual_norm"] == 0.0
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_small_mesh_verdict_is_one_fixed_line(n, tmp_path, capsys):
+    # the sparse Schur route: SuperLU's own abort text named its source
+    # file and line, with a stray newline (n=1), or read "Factor is
+    # exactly singular" (n=2)
+    code, doc = run(["stokes", "--method", "p1p1-plain", "--n", n],
+                    tmp_path, json_out=True)
+    out = capsys.readouterr().out
+    assert code == 0 and doc["status"] == "singular"
+    assert out.startswith("status: singular (") and out.count("\n") == 1
+    for word in ("line", "file"):
+        assert word not in out
+    # one fixed text at both sizes
+    assert doc["results"]["error"] == \
+        "Schur complement: exactly singular (SuperLU)"
+
+
 def test_p0_multiplier_is_singular_by_design(tmp_path):
     code, doc = run(["weakbc", "--method", "multiplier", "--trace", "p0",
                      "--n", "4"], tmp_path, json_out=True)

@@ -168,6 +168,25 @@ def test_velocity_norm_spd_rule_on_each_route(make, route):
         infsup.infsup_weighted(b, x, m)
 
 
+def test_eigen_phase_copies_neither_matrix():
+    # the traced peak of infsup_weighted is its eigen phase: S, the dense M
+    # and eigh's 2 n_p² workspace, 4.04 n_p² doubles at TH n=16 (6.04 when
+    # eigh copied a C-ordered S and M into Fortran order)
+    import tracemalloc
+
+    b, x, m = infsup.pair_operators(*infsup.pair_spaces(
+        "taylor-hood", unit_square_mesh(16)))
+    first = infsup.infsup_weighted(b, x, m)  # imports are not the phase
+    tracemalloc.start()
+    try:
+        report = infsup.infsup_weighted(b, x, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.beta == first.beta
+    assert peak <= 5.0 * 8 * b.shape[0] ** 2
+
+
 # --- element pairs ---------------------------------------------------------
 
 def test_unknown_pair_rejected():

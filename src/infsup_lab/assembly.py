@@ -28,6 +28,7 @@ from .fespace import (
     FeSpace,
     QuadratureRule,
     quadrature,
+    quadrature_points,
     shape_gradients_bary,
     shape_values,
 )
@@ -177,7 +178,7 @@ def load_vector(space: FeSpace, func, degree: int = DEFAULT_DEGREE) -> np.ndarra
     rule = quadrature(degree)
     mesh = space.mesh
     w = _quad_weights(mesh, rule)
-    pts = np.einsum("qk,tkd->tqd", rule.points, mesh.nodes[mesh.triangles])
+    pts = quadrature_points(mesh, rule)
     fv = np.asarray(func(pts), dtype=float)
     v = shape_values(space.kind, rule.points)
     out = np.zeros(space.n_dofs)
@@ -205,7 +206,7 @@ def gradient_load(space: FeSpace, func, cell_weights) -> np.ndarray:
     rule = quadrature(DEFAULT_DEGREE)
     mesh = space.mesh
     w = _quad_weights(mesh, rule, cell_weights)
-    pts = np.einsum("qk,tkd->tqd", rule.points, mesh.nodes[mesh.triangles])
+    pts = quadrature_points(mesh, rule)
     fv = np.broadcast_to(np.asarray(func(pts), dtype=float), pts.shape)
     g = _phys_gradients(space, rule)
     locals_ = np.einsum("tq,tqd,tqbd->tb", w, fv, g)

@@ -41,7 +41,7 @@ _PAIR_ALIASES = {"th": "taylor-hood"}
 _METHOD_OPTIONS = {
     "weakbc": {"multiplier": ("trace",), "barbosa-hughes": ("alpha", "trace"),
                "bh": ("alpha", "trace"), "nitsche": ("gamma",)},
-    "locking": {"plain": (), "corrected": ("c_omega", "w_mass"),
+    "locking": {"plain": (), "corrected": ("w_mass",),
                 "multiplier": ("gamma_space", "grad_div_form")},
 }
 
@@ -237,7 +237,7 @@ def _run_convergence(args: argparse.Namespace):
 
 def _run_infsup(args: argparse.Namespace):
     mesh = unit_square_mesh(args.n)
-    report = infsup.study(args.pair, mesh, weighted=args.mode == "weighted")
+    report = infsup.study(args.pair, mesh)
     results = {
         "pair": args.pair, "mode": args.mode, "h": mesh.h,
         "beta": report.beta, "numerical_rank": report.numerical_rank,
@@ -262,8 +262,7 @@ def _run_locking(args: argparse.Namespace):
     from . import locking
     # every LockingConfig condition bounds lambda from below, so the
     # smallest penalty validates the whole sweep
-    options = {"poincare_const": args.c_omega, "w_mass": args.w_mass,
-               "gamma_space": args.gamma_space,
+    options = {"w_mass": args.w_mass, "gamma_space": args.gamma_space,
                "grad_div_form": args.grad_div_form}
     with _usage():
         base = locking.LockingConfig(
@@ -419,9 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=list(infsup.PAIRS) + list(_PAIR_ALIASES))
     inf.add_argument("--n", type=int, default=8,
                      help="mesh cells per side (default: %(default)s)")
-    inf.add_argument("--mode", choices=("euclidean", "weighted"),
-                     default="weighted",
-                     help="norms for the constant (default: %(default)s)")
+    inf.add_argument("--mode", choices=("weighted",), default="weighted",
+                     help="norms of the constant, |v|_1 and ||q||_0 "
+                          "(default: %(default)s)")
     _add_outputs(inf)
 
     lk = sub.add_parser("locking",
@@ -435,9 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: %(default)s)")
     lk.add_argument("--n", type=int, default=8,
                     help="mesh cells per side (default: %(default)s)")
-    lk.add_argument("--c-omega", type=_finite_float, dest="c_omega",
-                    help="Poincare constant in the corrected split "
-                         "(default: 1/(pi sqrt 2))")
     lk.add_argument("--w-mass", dest="w_mass",
                     choices=("lumped", "consistent"),
                     help="corrected projection mass (default: lumped)")

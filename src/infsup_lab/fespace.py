@@ -238,6 +238,11 @@ def build_space(kind: ElementKind, mesh: Mesh, components: int = 1) -> FeSpace:
 # evaluation
 # ---------------------------------------------------------------------------
 
+def quadrature_points(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
+    """(T, nq, 2) physical positions of the rule's points in every cell."""
+    return np.einsum("qk,tkd->tqd", rule.points, mesh.nodes[mesh.triangles])
+
+
 def fields_at_quadrature(space: FeSpace, coeffs, rule: QuadratureRule):
     """Values and physical gradients at all quadrature points of all cells.
 
@@ -247,7 +252,7 @@ def fields_at_quadrature(space: FeSpace, coeffs, rule: QuadratureRule):
     """
     coeffs = np.asarray(coeffs, dtype=float)
     mesh = space.mesh
-    points = np.einsum("qk,tkd->tqd", rule.points, mesh.nodes[mesh.triangles])
+    points = quadrature_points(mesh, rule)
     local = coeffs[space.cell_dofs].reshape(
         mesh.n_triangles, space.components, space.n_local)    # (T, c, nb)
     values = np.einsum("qb,tcb->tqc", shape_values(space.kind, rule.points),

@@ -6,16 +6,16 @@ inf-sup constant is the smallest nonzero eigenvalue of the pencil
 
     S q = lambda M q,    S = B X^{-1} B^T    (Chapelle-Bathe inf-sup test),
 
-and beta = sqrt(lambda).  The weighted constant takes X the velocity
+and beta = sqrt(lambda).  A pair is measured with X the velocity
 H1-seminorm Gram on free dofs and M the pressure mass, the constant of the
 actual quotient b(v,q)/(|v|_1 ||q||_0); S is formed dense by
 ``assembly.schur_complement`` from the ``assembly.sparse_lu`` factor of X,
-whose pivots are X's SPD check.  The Euclidean
-constant, the smallest positive singular value of B, takes S = B B^T and
-M = I.  Constant pressures are never deflated -- they land in the numerical
-kernel and are excluded by the rank tolerance.  Squaring the spectrum puts
-the kernel entries of ``sigma`` at about 1e-8 sigma_0 (eigh round-off)
-rather than the 1e-16 sigma_0 of an SVD; beta and the rank do not move.
+whose pivots are X's SPD check.  (X = I and M = I give the smallest
+positive singular value of B, which falls with h for every pair.)  Constant
+pressures are never deflated -- they land in the numerical kernel and are
+excluded by the rank tolerance.  Squaring the spectrum puts the kernel
+entries of ``sigma`` at about 1e-8 sigma_0 (eigh round-off) rather than
+the 1e-16 sigma_0 of an SVD; beta and the rank do not move.
 
 The report also carries ``constant_pressure_angle``, the sine of the angle
 between the constant pressure and the numerical kernel, read from the same
@@ -102,44 +102,37 @@ def _spd_schur(b: sp.csr_array, x_norm) -> np.ndarray:
     return schur_complement(factor, b, None, np.empty((n_p, n_p), order="F"))
 
 
-def _spectrum(b, x_norm=None, m_norm=None):
-    """(lambda descending, M-orthonormal Q, rank, sparse M or None) of
-    B X^{-1} B^T q = lambda M q, or of B B^T q = lambda q when no norms are
-    given; ``eigh`` overwrites S and the dense M (Fortran order, no copy)."""
-    b = sp.csr_array(b, dtype=float)
-    if x_norm is None:
-        s, m = (b @ b.T).toarray(order="F"), None
-    else:
-        m = sp.csr_array(m_norm, dtype=float)
-        require_symmetric(m, "infsup_weighted")
-        s = _spd_schur(b, x_norm)
-    try:
-        lam, q = scipy.linalg.eigh(s, m if m is None else m.toarray(order="F"),
-                                   overwrite_a=True, overwrite_b=True)
-    except np.linalg.LinAlgError as exc:
-        if m is None:
-            raise
-        raise NotPositiveDefinite(f"pressure norm: {exc}") from exc
-    lam, q = lam[::-1], q[:, ::-1]
-    rank = int(np.count_nonzero(lam > RANK_RTOL * lam[0])) if len(lam) else 0
-    return lam, q, rank, m
-
-
 def _constant_pressure_angle(kernel: np.ndarray, m) -> float:
     """sin of the angle between the constant pressure and span(kernel),
-    whose columns are M-orthonormal (M = I when ``m`` is None); 1 for an
-    empty kernel."""
+    whose columns are M-orthonormal; 1 for an empty kernel."""
     if kernel.shape[1] == 0:
         return 1.0
     ones = np.ones(kernel.shape[0])
-    m_ones = ones if m is None else m @ ones
+    m_ones = m @ ones
     gap = ones - kernel @ (kernel.T @ m_ones)
-    m_gap = gap if m is None else m @ gap
-    return float(np.sqrt((gap @ m_gap) / (ones @ m_ones)))
+    return float(np.sqrt((gap @ (m @ gap)) / (ones @ m_ones)))
 
 
-def _report(b, spectrum):
-    lam, q, rank, m = spectrum
+def infsup_weighted(b, x_norm, m_norm) -> InfSupReport:
+    """beta from the pencil (B X^{-1} B^T, M).
+
+    X and M (dense or sparse) must be symmetric positive definite: an
+    asymmetric one raises ``ValueError``, an indefinite or singular one
+    ``NotPositiveDefinite``.  ``eigh`` overwrites S and the dense M
+    (Fortran order, no copy).  The reported worst mode is the plain
+    nodal/cell eigenvector scaled to unit Euclidean norm (not unit M-norm).
+    """
+    b = sp.csr_array(b, dtype=float)
+    m = sp.csr_array(m_norm, dtype=float)
+    require_symmetric(m, "infsup_weighted")
+    s = _spd_schur(b, x_norm)
+    try:
+        lam, q = scipy.linalg.eigh(s, m.toarray(order="F"),
+                                   overwrite_a=True, overwrite_b=True)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"pressure norm: {exc}") from exc
+    lam, q = lam[::-1], q[:, ::-1]
+    rank = int(np.count_nonzero(lam > RANK_RTOL * lam[0])) if len(lam) else 0
     n_p, n_u = b.shape
     beta, worst = 0.0, np.zeros(n_p)
     if rank > 0:
@@ -154,33 +147,9 @@ def _report(b, spectrum):
                             q[:, rank:], m))
 
 
-def infsup_euclidean(b) -> InfSupReport:
-    """beta = smallest positive singular value of the raw block, the square
-    root of the smallest nonzero eigenvalue of B B^T.
-
-    ``b`` (dense or sparse) has one row per pressure dof, so the reported
-    worst mode is the eigenvector of B B^T, a left singular vector of B.
-    """
-    return _report(b, _spectrum(b))
-
-
-def infsup_weighted(b, x_norm, m_norm) -> InfSupReport:
-    """beta from the pencil (B X^{-1} B^T, M).
-
-    X and M (dense or sparse) must be symmetric positive definite: an
-    asymmetric one raises ``ValueError``, an indefinite or singular one
-    ``NotPositiveDefinite``.  The reported worst mode is the plain
-    nodal/cell eigenvector scaled to unit Euclidean norm (not unit M-norm).
-    """
-    return _report(b, _spectrum(b, x_norm, m_norm))
-
-
-def study(pair: str, mesh: Mesh, weighted: bool = True) -> InfSupReport:
+def study(pair: str, mesh: Mesh) -> InfSupReport:
     """Assemble a named pair on a mesh and report its inf-sup constant."""
-    b, x, m = pair_operators(*pair_spaces(pair, mesh))
-    if weighted:
-        return infsup_weighted(b, x, m)
-    return infsup_euclidean(b)
+    return infsup_weighted(*pair_operators(*pair_spaces(pair, mesh)))
 
 
 #: entries below this fraction of max|mode| are round-off zeros, without sign

@@ -23,8 +23,9 @@ the load under which locking is measured.
 
 ``corrected`` removes the spurious stiffness by subtracting
 lambda^2/(lambda + c) ||grad q - Pi grad q||^2 (Pi the lumped L2
-projection onto the vector P1 space, c the Poincare constant), assembled
-as a three-field system in (u, p, w = Pi grad p).
+projection onto the vector P1 space, c = ``POINCARE`` the Poincare
+constant of the unit square), assembled as a three-field system in
+(u, p, w = Pi grad p).
 
 ``multiplier`` rewrites the penalty through gamma = lambda (u - grad p):
 
@@ -73,7 +74,7 @@ from .fespace import ElementKind, FeSpace, build_space
 from .linalg import SingularMatrix
 from .mesh import unit_square_mesh
 
-DEFAULT_POINCARE = 1.0 / (np.pi * np.sqrt(2.0))   # 1/sqrt(2 pi^2), unit square
+POINCARE = 1.0 / (np.pi * np.sqrt(2.0))   # 1/sqrt(2 pi^2), unit square
 _METHODS = ("plain", "corrected", "multiplier")
 
 
@@ -107,7 +108,6 @@ class LockingConfig:
     lambda_: float
     n: int = 8
     method: str = "plain"
-    poincare_const: float = DEFAULT_POINCARE
     f: object = None                  # vector load, defaults to (1, 1)
     g: object = None                  # scalar load, defaults to 0
     gamma_space: str = "discontinuous"   # multiplier only: | continuous
@@ -117,8 +117,6 @@ class LockingConfig:
     def __post_init__(self):
         if self.lambda_ < 0:
             raise ValueError("lambda_ must be nonnegative")
-        if self.poincare_const <= 0:
-            raise ValueError("poincare_const must be positive")
         if self.method not in _METHODS:
             raise ValueError(f"unknown locking method {self.method!r}")
         if self.gamma_space not in ("discontinuous", "continuous"):
@@ -215,7 +213,7 @@ def _blocks(config: LockingConfig) -> _Blocks:
 
 def _coefficients(config: LockingConfig):
     """The split lambda = c lambda/(lambda+c) + lambda^2/(lambda+c)."""
-    lam, c = config.lambda_, config.poincare_const
+    lam, c = config.lambda_, POINCARE
     return c * lam / (lam + c), lam ** 2 / (lam + c)
 
 

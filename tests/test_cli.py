@@ -30,8 +30,11 @@ def run(args, tmp_path=None, json_out=False):
 # --- grammar and exit codes -----------------------------------------------
 
 #: options with a default, per subcommand
-DEFAULTED_OPTIONS = {"stokes": 2, "convergence": 2, "infsup": 2, "locking": 6,
+DEFAULTED_OPTIONS = {"stokes": 2, "convergence": 2, "infsup": 2, "locking": 5,
                      "weakbc": 4, "selftest": 0}
+
+#: the choices of ``infsup --mode``
+INFSUP_MODES = ["weighted"]
 
 
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
@@ -68,7 +71,7 @@ def test_no_subcommand_is_usage_error():
     ["convergence", "--method", "bp", "--ns", "4,8,16", "--eps", "nan"],
     ["locking", "--lambdas", "nan"],
     ["locking", "--lambdas", "1e2,inf"],
-    ["locking", "--c-omega", "nan"],
+    ["convergence", "--method", "gls", "--ns", "4,8,16", "--eps", "inf"],
     ["weakbc", "--method", "nitsche", "--gamma", "nan"],
     ["weakbc", "--method", "bh", "--alpha", "inf"],
     # options the method does not read, even at their default values
@@ -78,10 +81,12 @@ def test_no_subcommand_is_usage_error():
     ["locking", "--method", "plain", "--w-mass", "lumped"],
     ["locking", "--method", "plain", "--grad-div", "--lambdas", "1e3"],
     ["locking", "--method", "corrected", "--gamma-space", "discontinuous"],
-    ["locking", "--method", "multiplier", "--c-omega", "0.3"],
+    ["locking", "--method", "multiplier", "--w-mass", "consistent"],
     # fewer than 3 distinct mesh sizes
     ["convergence", "--method", "th", "--ns", "8,8,16"],
     ["convergence", "--method", "th", "--ns", "4,4,4"],
+    # the one inf-sup mode is the weighted pencil
+    ["infsup", "--pair", "th", "--mode", "euclidean"],
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     path = tmp_path / "out.json"
@@ -189,7 +194,7 @@ def test_singular_verdict_carries_no_pressure_diagnostics(tmp_path):
     assert set(doc["results"]) == {"h", "route", "cg_iterations", "error"}
 
 
-@pytest.mark.parametrize("mode", ["weighted", "euclidean"])
+@pytest.mark.parametrize("mode", INFSUP_MODES)
 @pytest.mark.parametrize("pair", ["p1p1", "p1p0", "mini", "th", "p2p0"])
 def test_infsup_reports_constant_pressure_angle(pair, mode, tmp_path):
     code, doc = run(["infsup", "--pair", pair, "--n", "4", "--mode", mode],
@@ -273,7 +278,7 @@ def test_unexpected_numerical_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert "synthetic breakdown" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["weighted", "euclidean"])
+@pytest.mark.parametrize("mode", INFSUP_MODES)
 def test_eigensolver_failure_exits_1(mode, tmp_path, monkeypatch, capsys):
     def failing_eigh(*args, **kwargs):
         raise np.linalg.LinAlgError("synthetic eigh breakdown")
@@ -352,9 +357,9 @@ def test_json_document_shape(tmp_path):
      {"subcommand": "stokes", "method": "bp", "n": 2, "eps": 0.1}),
     (["convergence", "--method", "gls", "--ns", "2,3,4"],
      {"subcommand": "convergence", "method": "gls", "ns": [2, 3, 4]}),
-    (["infsup", "--pair", "th", "--n", "2", "--mode", "euclidean"],
+    (["infsup", "--pair", "th", "--n", "2", "--mode", "weighted"],
      {"subcommand": "infsup", "pair": "taylor-hood", "n": 2,
-      "mode": "euclidean"}),
+      "mode": "weighted"}),
     (["locking", "--n", "3", "--lambdas", "1e2,1e4"],
      {"subcommand": "locking", "method": "plain", "lambdas": [1e2, 1e4],
       "n": 3}),
@@ -403,7 +408,7 @@ def test_locking_sweep_builds_one_config_per_penalty(lambdas, monkeypatch):
     assert len(calls) == 1 + len(lambdas.split(","))
 
 
-@pytest.mark.parametrize("mode", ["weighted", "euclidean"])
+@pytest.mark.parametrize("mode", INFSUP_MODES)
 def test_infsup_one_cell_mesh_has_no_free_velocity(mode, tmp_path):
     # --n 1 leaves P1 velocity no free dof: every pressure is in the kernel
     code, doc = run(["infsup", "--pair", "p1p1", "--n", "1", "--mode", mode],
@@ -552,8 +557,7 @@ def test_p0_pressure_lands_in_cell_data(tmp_path):
 
 def test_infsup_vtk_exports_worst_mode(tmp_path):
     path = tmp_path / "mode.vtk"
-    cli.main(["infsup", "--pair", "p1p0", "--n", "4", "--mode", "euclidean",
-              "--vtk", str(path)])
+    cli.main(["infsup", "--pair", "p1p0", "--n", "4", "--vtk", str(path)])
     lines = vtk_sections(path.read_text())
     assert "SCALARS pressure_mode double 1" in lines
     assert "CELL_DATA 32" in lines

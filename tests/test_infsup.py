@@ -18,17 +18,25 @@ def random_orthogonal(n, rng):
     return q
 
 
-# --- euclidean ------------------------------------------------------------
+def euclidean(b):
+    """The Euclidean constant, the smallest positive singular value of B:
+    the pencil with identity norms."""
+    n_p, n_u = np.shape(b)
+    return infsup.infsup_weighted(b, sp.identity(n_u, format="csr"),
+                                  sp.identity(n_p, format="csr"))
+
+
+# --- identity norms ---------------------------------------------------------
 
 def test_euclidean_diag():
-    rep = infsup.infsup_euclidean(np.diag([3.0, 1.0]))
+    rep = euclidean(np.diag([3.0, 1.0]))
     assert rep.beta == pytest.approx(1.0)
     assert rep.numerical_rank == 2
     assert rep.kernel_dim_pressure == 0
 
 
 def test_euclidean_explicit_kernel():
-    rep = infsup.infsup_euclidean(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    rep = euclidean(np.array([[1.0, 0.0], [0.0, 0.0]]))
     assert rep.beta == pytest.approx(1.0)
     assert rep.kernel_dim_pressure == 1
     # the worst KEPT mode is the first pressure axis
@@ -41,14 +49,14 @@ def test_euclidean_constructed_spectrum():
     v = random_orthogonal(4, rng)
     s = np.zeros((5, 4))
     s[[0, 1, 2], [0, 1, 2]] = [5.0, 2.0, 1e-14]
-    rep = infsup.infsup_euclidean(u @ s @ v.T)
+    rep = euclidean(u @ s @ v.T)
     assert rep.numerical_rank == 2
     assert rep.beta == pytest.approx(2.0, abs=1e-10)
     assert rep.kernel_dim_pressure == 3
 
 
 def test_euclidean_zero_block():
-    rep = infsup.infsup_euclidean(np.zeros((3, 2)))
+    rep = euclidean(np.zeros((3, 2)))
     assert rep.beta == 0.0
     assert rep.numerical_rank == 0
     assert rep.kernel_dim_pressure == 3
@@ -63,7 +71,7 @@ def test_euclidean_matches_block_eigenpairing():
     block[:n_v, n_v:] = b.T
     block[n_v:, :n_v] = b
     lam = scipy.linalg.eigh(block, eigvals_only=True)
-    rep = infsup.infsup_euclidean(b)
+    rep = euclidean(b)
     positive = lam[lam > 1e-10]
     kept = rep.sigma[:rep.numerical_rank]
     assert np.allclose(np.sort(positive), np.sort(kept), atol=1e-10)
@@ -75,9 +83,9 @@ def test_weighted_reduces_to_euclidean_under_identity_norms():
     rng = np.random.default_rng(4)
     b = rng.standard_normal((6, 9))
     rep_w = infsup.infsup_weighted(b, np.eye(9), np.eye(6))
-    rep_e = infsup.infsup_euclidean(b)
-    assert rep_w.beta == pytest.approx(rep_e.beta, abs=1e-12)
-    assert np.allclose(rep_w.sigma, rep_e.sigma, atol=1e-12)
+    sigma = svd(b).sigma
+    assert rep_w.beta == pytest.approx(sigma[-1], abs=1e-12)
+    assert np.allclose(rep_w.sigma, sigma, atol=1e-12)
 
 
 def test_weighted_square_symmetric_block():
@@ -208,8 +216,9 @@ def test_stable_pairs_keep_beta_level():
 
 def test_constant_pressure_lands_in_kernel():
     for pair in infsup.PAIRS:
-        for weighted in (True, False):
-            rep = infsup.study(pair, unit_square_mesh(4), weighted=weighted)
+        b, x, m = infsup.pair_operators(
+            *infsup.pair_spaces(pair, unit_square_mesh(4)))
+        for rep in (infsup.infsup_weighted(b, x, m), euclidean(b)):
             assert rep.kernel_dim_pressure >= 1
             assert rep.constant_pressure_angle <= 1e-8
 
@@ -217,7 +226,7 @@ def test_constant_pressure_lands_in_kernel():
 def test_constant_pressure_angle_of_a_hand_kernel():
     # B B^T = diag(1, 0): the kernel is e_2, the constant (1, 1) sits at 45
     # degrees to it; a full-rank block leaves no kernel, angle 1
-    rep = infsup.infsup_euclidean(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    rep = euclidean(np.array([[1.0, 0.0], [0.0, 0.0]]))
     assert rep.kernel_dim_pressure == 1
     assert rep.constant_pressure_angle == pytest.approx(np.sqrt(0.5),
                                                         rel=1e-15)
@@ -225,7 +234,7 @@ def test_constant_pressure_angle_of_a_hand_kernel():
     rep = infsup.infsup_weighted(np.array([[1.0, 0.0], [0.0, 0.0]]),
                                  np.eye(2), np.diag([1.0, 3.0]))
     assert rep.constant_pressure_angle == pytest.approx(0.5, rel=1e-15)
-    assert infsup.infsup_euclidean(np.eye(2, 3)).constant_pressure_angle == 1.0
+    assert euclidean(np.eye(2, 3)).constant_pressure_angle == 1.0
 
 
 def test_study_assembles_and_solves_once(monkeypatch):
@@ -242,10 +251,8 @@ def test_study_assembles_and_solves_once(monkeypatch):
                         counting("pair_operators", infsup.pair_operators))
     monkeypatch.setattr(scipy.linalg, "eigh",
                         counting("eigh", scipy.linalg.eigh))
-    for weighted in (True, False):
-        calls.clear()
-        infsup.study("taylor-hood", unit_square_mesh(3), weighted=weighted)
-        assert calls == ["pair_operators", "eigh"]
+    infsup.study("taylor-hood", unit_square_mesh(3))
+    assert calls == ["pair_operators", "eigh"]
 
 
 def test_report_fields():
@@ -254,16 +261,15 @@ def test_report_fields():
     assert np.all(np.diff(rep.sigma) <= 1e-12)          # descending
     assert rep.beta == pytest.approx(rep.sigma[rep.numerical_rank - 1])
     assert np.linalg.norm(rep.worst_pressure_mode) == pytest.approx(1.0)
-    # the report echoes no inputs; the mode picks the constant
+    # the report echoes no inputs
     b, x, m = infsup.pair_operators(*infsup.pair_spaces("taylor-hood", mesh))
     assert rep.beta == infsup.infsup_weighted(b, x, m).beta
-    eu = infsup.study("taylor-hood", mesh, weighted=False)
-    assert eu.beta == infsup.infsup_euclidean(b).beta
 
 
 # β_h and pressure kernel dims of the one-sided Jacobi SVD that ``oracles.svd``
 # used before it called LAPACK's dgejsv (Python rotations, 1e-14 stopping
-# test), recorded on the same meshes.
+# test), recorded on the same meshes.  The ``euclidean`` rows are the
+# smallest positive singular values of the raw B, the identity-norm pencil.
 JACOBI_ROUTE = [
     ("p1p1", 4, "weighted", 0.10053584305115354, 8),
     ("p1p1", 4, "euclidean", 0.021025698160342242, 8),
@@ -290,7 +296,9 @@ JACOBI_ROUTE = [
 
 @pytest.mark.parametrize("pair,n,mode,beta,kernel_dim", JACOBI_ROUTE)
 def test_beta_matches_jacobi_route(pair, n, mode, beta, kernel_dim):
-    rep = infsup.study(pair, unit_square_mesh(n), weighted=mode == "weighted")
+    b, x, m = infsup.pair_operators(
+        *infsup.pair_spaces(pair, unit_square_mesh(n)))
+    rep = infsup.infsup_weighted(b, x, m) if mode == "weighted" else euclidean(b)
     assert rep.beta == pytest.approx(beta, rel=1e-12)
     assert rep.kernel_dim_pressure == kernel_dim
     # the kernel decision sits far from its cut (lambda ~ 1e-10 lambda_0):
@@ -325,7 +333,7 @@ def test_eigen_route_matches_jacobi_oracle(pair, weighted):
     mesh = unit_square_mesh(16)
     b, x, m = infsup.pair_operators(*infsup.pair_spaces(pair, mesh))
     rep = jacobi_route(b, x, m) if weighted else jacobi_route(b)
-    got = infsup.study(pair, mesh, weighted=weighted)
+    got = infsup.infsup_weighted(b, x, m) if weighted else euclidean(b)
     assert got.beta == pytest.approx(rep.beta, rel=1e-12)
     assert got.kernel_dim_pressure == rep.kernel_dim_pressure
     assert len(got.sigma) == len(rep.sigma)
@@ -342,9 +350,9 @@ def test_beta_route_takes_no_svd(monkeypatch):
         raise AssertionError("the beta route took an SVD")
 
     monkeypatch.setattr(scipy.linalg.lapack, "dgejsv", no_svd)
-    mesh = unit_square_mesh(4)
-    for weighted in (True, False):
-        rep = infsup.study("taylor-hood", mesh, weighted=weighted)
+    b, x, m = infsup.pair_operators(
+        *infsup.pair_spaces("taylor-hood", unit_square_mesh(4)))
+    for rep in (infsup.infsup_weighted(b, x, m), euclidean(b)):
         assert rep.beta > 0.0
         assert rep.constant_pressure_angle <= 1e-8
 
@@ -353,7 +361,7 @@ def test_beta_route_takes_no_svd(monkeypatch):
 
 def test_checkerboard_alternation_p1p0():
     mesh = unit_square_mesh(8)
-    rep = infsup.study("p1p0", mesh, weighted=False)
+    rep = infsup.study("p1p0", mesh)
     score = infsup.alternation_score(rep.worst_pressure_mode, mesh,
                                      ElementKind.P0)
     assert score >= 0.8
@@ -363,7 +371,7 @@ def test_alternation_score_ignores_roundoff_signs():
     # 16 of the 128 cells of the p1p0 worst mode at n=8 are round-off
     # zeros; their signs must not move the score
     mesh = unit_square_mesh(8)
-    mode = infsup.study("p1p0", mesh, weighted=False).worst_pressure_mode
+    mode = infsup.study("p1p0", mesh).worst_pressure_mode
     score = infsup.alternation_score(mode, mesh, ElementKind.P0)
     tiny = np.abs(mode) < infsup.ALTERNATION_RTOL * np.abs(mode).max()
     assert tiny.any()

@@ -44,8 +44,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         locking.LockingConfig(lambda_=-1.0)
     with pytest.raises(ValueError):
-        locking.LockingConfig(lambda_=1.0, poincare_const=0.0)
-    with pytest.raises(ValueError):
         locking.LockingConfig(lambda_=1.0, method="penalty")
     with pytest.raises(ValueError):
         locking.LockingConfig(lambda_=1.0, gamma_space="p2")

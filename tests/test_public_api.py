@@ -17,12 +17,20 @@ name only, on any object, so a field that shares its name with an
 attribute read elsewhere passes unseen: a ``LockingSolution.gamma`` that
 only the tests read would pass behind ``_Blocks.gamma`` and
 ``WeakBcMethod.gamma``.
+
+Two counts that ROADMAP aim 2 tracks may fall but never rise: the
+defaulted parameters of the package (function defaults plus keyword-only
+defaults, over the AST) and the options of the six subcommands.
 """
 
+import argparse
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "infsup_lab"
+
+MAX_DEFAULTED_PARAMETERS = 26
+MAX_CLI_OPTIONS = 35            # --help excluded
 
 
 def _import_bindings(tree, modules) -> tuple:
@@ -164,3 +172,37 @@ def test_field_scan_counts_attribute_reads_only(tmp_path):
         "    return result\n")
     assert _unread_public_fields(tmp_path) == [
         "a.Result.shown", "a.Result.stored", "a.Result.noted", "a.Other.lonely"]
+
+
+def _defaulted_parameters(src: pathlib.Path) -> int:
+    """Function defaults plus keyword-only defaults of every module."""
+    return sum(len(node.defaults)
+               + sum(d is not None for d in node.kw_defaults)
+               for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.arguments))
+
+
+def test_defaulted_parameters_do_not_grow():
+    assert _defaulted_parameters(SRC) <= MAX_DEFAULTED_PARAMETERS
+
+
+def test_cli_options_do_not_grow():
+    from infsup_lab import cli
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = [action for sub in subparsers.choices.values()
+               for action in sub._actions
+               if not isinstance(action, argparse._HelpAction)]
+    assert len(subparsers.choices) == 6
+    assert len(options) <= MAX_CLI_OPTIONS
+
+
+def test_default_count_reads_every_kind_of_default(tmp_path):
+    # one positional, two keyword-only (the bare ``c`` has none), one
+    # lambda and one method default
+    (tmp_path / "a.py").write_text(
+        "def f(a, b=1, *, c, d=2, e=3):\n    return a\n\n"
+        "g = lambda x=0: x\n\n"
+        "class K:\n    def m(self, y=None):\n        return y\n")
+    assert _defaulted_parameters(tmp_path) == 5

@@ -360,6 +360,39 @@ def test_p2p0_pressure_projection():
     assert stokes.errors(sol, EXACT)[2] <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["taylor-hood", "p2p0"])
+def test_errors_evaluate_only_the_velocity_field(name, monkeypatch):
+    # the pressure error reads values (P1) or cell means (P0), never a
+    # gradient, so the one field evaluation of ``errors`` is the velocity's
+    from infsup_lab import fespace
+    _, sol = mms_run(name, 4)
+    real, spaces = fespace.fields_at_quadrature, []
+
+    def counting(space, coeffs, rule):
+        spaces.append(space)
+        return real(space, coeffs, rule)
+
+    monkeypatch.setattr(fespace, "fields_at_quadrature", counting)
+    monkeypatch.setattr(stokes, "fields_at_quadrature", counting,
+                        raising=False)
+    stokes.errors(sol, EXACT)
+    assert len(spaces) == 1 and spaces[0] is sol.v_space
+
+
+@pytest.mark.parametrize("name", ["taylor-hood", "mini", "p1p1-loss"])
+def test_p1_pressure_error_matches_the_field_evaluation(name):
+    from infsup_lab.fespace import fields_at_quadrature, quadrature
+    from infsup_lab.mesh import triangle_areas
+    _, sol = mms_run(name, 4)
+    rule = quadrature(6)
+    qw = np.outer(triangle_areas(sol.p_space.mesh), rule.weights)
+    pts, p_vals, _ = fields_at_quadrature(sol.p_space, sol.p, rule)
+    p_ex = EXACT.p(pts)
+    p_ex -= np.einsum("tq,tq->", qw, p_ex)
+    want = np.sqrt(np.einsum("tq,tq->", qw, (p_ex - p_vals[..., 0]) ** 2))
+    assert stokes.errors(sol, EXACT)[2] == pytest.approx(want, rel=1e-14)
+
+
 # --- diagnostics ----------------------------------------------------------
 
 def test_oscillation_indicator_zero_for_zero_pressure():

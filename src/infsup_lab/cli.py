@@ -21,7 +21,6 @@ that fitted no slope; 2 usage error.
 import argparse
 import contextlib
 import csv
-import dataclasses
 import datetime
 import gc
 import math
@@ -260,34 +259,31 @@ def _run_infsup(args: argparse.Namespace):
 
 def _run_locking(args: argparse.Namespace):
     from . import locking
-    # every LockingConfig condition bounds lambda from below, so the
-    # smallest penalty validates the whole sweep
     options = {"w_mass": args.w_mass, "gamma_space": args.gamma_space,
                "grad_div_form": args.grad_div_form}
     with _usage():
-        base = locking.LockingConfig(
-            lambda_=min(args.lambdas), n=args.n, method=args.method,
+        config = locking.LockingConfig(
+            lambdas=args.lambdas, n=args.n, method=args.method,
             **{k: v for k, v in options.items() if v is not None})
-    reports = locking.lambda_sweep(base, args.lambdas)
+    solutions = locking.lambda_sweep(config)
+    reports = [s.report for s in solutions]
     rows = [{"lambda": r.lambda_, "u_h1_norm": r.u_h1_norm,
              "p_h1_norm": r.p_h1_norm, "solve_ok": r.solve_ok,
              "residual_norm": r.residual_norm}
             for r in reports]
-    results = {"method": base.method, "n": base.n, "reports": rows}
+    results = {"method": config.method, "n": config.n, "reports": rows}
     status = "ok" if all(r.solve_ok for r in reports) else "singular"
     if args.csv_path:
         _write_csv(args.csv_path,
                    ["lambda", "u_h1_norm", "p_h1_norm", "solve_ok"],
                    [[r.lambda_, r.u_h1_norm, r.p_h1_norm, r.solve_ok]
                     for r in reports])
-    if args.vtk_path:
-        solved = [r.lambda_ for r in reports if r.solve_ok]
-        if solved:
-            system = locking.build(dataclasses.replace(base, lambda_=solved[-1]))
-            sol, u_space = locking.solve(system), system.blocks.u_space
-            _write_vtk(args.vtk_path, u_space.mesh,
-                       point_scalars={"p": sol.p},
-                       point_vectors={"u": _vertex_values(u_space, sol.u)})
+    solved = [s for s in solutions if s.report.solve_ok]
+    if args.vtk_path and solved:
+        # P1 fields: u holds the x, then the y nodal values
+        _write_vtk(args.vtk_path, unit_square_mesh(config.n),
+                   point_scalars={"p": solved[-1].p},
+                   point_vectors={"u": solved[-1].u.reshape(2, -1).T})
     lines = [f"lambda={r.lambda_:.3e}  u_h1={r.u_h1_norm:.6e}  "
              f"p_h1={r.p_h1_norm:.6e}" + ("" if r.solve_ok else "  (singular)")
              for r in reports]
@@ -491,11 +487,6 @@ def _validate(args: argparse.Namespace) -> None:
             raise UsageError("mesh sizes must be >= 1")
     elif args.subcommand == "infsup":
         args.pair = _PAIR_ALIASES.get(args.pair, args.pair)
-    elif args.subcommand == "locking":
-        if not args.lambdas:
-            raise UsageError("--lambdas must name at least one value")
-        if any(lam <= 0 for lam in args.lambdas):
-            raise UsageError("penalty values must be > 0")
 
 
 # ---------------------------------------------------------------------------

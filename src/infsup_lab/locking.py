@@ -48,13 +48,13 @@ put the penalty back), and -M_gamma/penalty for every other
 reproduces ``plain``).  Discontinuous gamma makes M_gamma block-diagonal
 by element, so its inverse is exact and element-local (static
 condensation) and the condensed Schur complement on (u, p) is a sparse
-P1-stencil operator.  The gamma space and its operators do not depend on
-lambda either: a sweep builds them once.
+P1-stencil operator.  A run is a sweep: no block (the gamma space and its
+operators included) depends on lambda, so ``lambda_sweep`` assembles them
+once and returns u, p and the report at each penalty of the config.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,35 +98,33 @@ def transverse_g(pts):
 
 @dataclass(frozen=True)
 class LockingConfig:
-    """One locking run: penalty, mesh resolution, scheme and loads.
-
-    ``lambda_ = 0`` is tolerated for ``plain`` and ``corrected``: the
-    decoupled p-block is then singular and surfaces as a failed report.
-    ``multiplier`` rejects it, since its gamma block is scaled by 1/lambda.
+    """One locking run: the penalties of its sweep, in order, on one mesh,
+    scheme and loads.  Every penalty is checked here, before any assembly:
+    lambda > 0 (at 0 the p-block decouples), and lambda > 1 with
+    ``grad_div_form``, which splits lambda = 1 + (lambda - 1).
     """
 
-    lambda_: float
+    lambdas: tuple
     n: int = 8
     method: str = "plain"
-    f: object = None                  # vector load, defaults to (1, 1)
-    g: object = None                  # scalar load, defaults to 0
+    f: object = _default_f            # vector load, (1, 1)
+    g: object = _default_g            # scalar load, 0
     gamma_space: str = "discontinuous"   # multiplier only: | continuous
     grad_div_form: bool = False          # multiplier only: augmented a(.,.)
     w_mass: str = "lumped"               # corrected only: | consistent
 
     def __post_init__(self):
-        if self.lambda_ < 0:
-            raise ValueError("lambda_ must be nonnegative")
+        if not self.lambdas:
+            raise ValueError("lambdas must name at least one value")
+        if any(lam <= 0 for lam in self.lambdas):
+            raise ValueError("penalty values must be > 0")
         if self.method not in _METHODS:
             raise ValueError(f"unknown locking method {self.method!r}")
         if self.gamma_space not in ("discontinuous", "continuous"):
             raise ValueError(f"unknown gamma space {self.gamma_space!r}")
         if self.w_mass not in ("lumped", "consistent"):
             raise ValueError(f"unknown w mass treatment {self.w_mass!r}")
-        if self.method == "multiplier" and self.lambda_ == 0:
-            raise ValueError("the multiplier form scales its gamma block "
-                             "by 1/lambda and needs lambda > 0")
-        if self.grad_div_form and self.lambda_ <= 1.0:
+        if self.grad_div_form and any(lam <= 1.0 for lam in self.lambdas):
             raise ValueError("the augmented form splits lambda = 1 + "
                              "(lambda - 1) and needs lambda > 1")
 
@@ -166,14 +164,14 @@ class _Blocks:                    # no block depends on lambda
 class LockingSystem:
     saddle: SaddleSystem
     layout: tuple                 # ((field, size), ...) in the order of x
-    config: LockingConfig
+    lambda_: float                # the penalty the system was built at
     blocks: _Blocks               # the operators the system was built from
 
 
 @dataclass(frozen=True)
 class LockingSolution:
-    u: np.ndarray                 # full nodal vector coefficients
-    p: np.ndarray                 # full nodal scalar coefficients
+    u: np.ndarray | None          # full nodal vector coefficients; None if failed
+    p: np.ndarray | None          # full nodal scalar coefficients; None if failed
     report: LockingReport
 
 
@@ -195,8 +193,6 @@ def _blocks(config: LockingConfig) -> _Blocks:
     u_space = build_space(ElementKind.P1, mesh, components=2)
     p_space = build_space(ElementKind.P1, mesh)
     fu, fp = u_space.free_dofs(), p_space.free_dofs()
-    f = config.f if config.f is not None else _default_f
-    g = config.g if config.g is not None else _default_g
     return _Blocks(
         u_space=u_space, p_space=p_space, free_u=fu, free_p=fp,
         ku=stiffness(u_space)[fu][:, fu],
@@ -204,34 +200,33 @@ def _blocks(config: LockingConfig) -> _Blocks:
         g=grad_coupling(u_space, p_space)[fu][:, fp],
         sp=stiffness(p_space)[fp][:, fp],
         ml=lumped_mass(u_space)[fu],
-        load_u=load_vector(u_space, f)[fu],
-        load_p=load_vector(p_space, g)[fp],
+        load_u=load_vector(u_space, config.f)[fu],
+        load_p=load_vector(p_space, config.g)[fp],
         gamma=(_gamma_blocks(config, u_space, p_space, fu, fp)
                if config.method == "multiplier" else None),
     )
 
 
-def _coefficients(config: LockingConfig):
+def _coefficients(lam: float):
     """The split lambda = c lambda/(lambda+c) + lambda^2/(lambda+c)."""
-    lam, c = config.lambda_, POINCARE
-    return c * lam / (lam + c), lam ** 2 / (lam + c)
+    return POINCARE * lam / (lam + POINCARE), lam ** 2 / (lam + POINCARE)
 
 
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 
-def _system(config: LockingConfig, source: _Blocks, layout: tuple,
+def _system(lam: float, source: _Blocks, layout: tuple,
             a, b, c, f, g) -> LockingSystem:
     """``[[a, b^T], [b, -c]] x = [f, g]``, x split by ``layout``."""
     saddle = SaddleSystem(a=sp.csr_array(a), b=sp.csr_array(b),
                           c=sp.csr_array(c), f=f, g=g, pressure_mass=None)
-    return LockingSystem(saddle, layout, config, source)
+    return LockingSystem(saddle, layout, lam, source)
 
 
-def build_plain(config: LockingConfig, b: _Blocks) -> LockingSystem:
-    lam = config.lambda_
-    return _system(config, b, (("u", len(b.free_u)), ("p", len(b.free_p))),
+def build_plain(config: LockingConfig, b: _Blocks,
+                lam: float) -> LockingSystem:
+    return _system(lam, b, (("u", len(b.free_u)), ("p", len(b.free_p))),
                    a=b.ku + lam * b.mu, b=-lam * b.g.T, c=-lam * b.sp,
                    f=b.load_u, g=b.load_p)
 
@@ -242,14 +237,14 @@ def _w_mass(config: LockingConfig, b: _Blocks) -> sp.sparray:
     return b.mu
 
 
-def build_corrected(config: LockingConfig, b: _Blocks) -> LockingSystem:
+def build_corrected(config: LockingConfig, b: _Blocks,
+                    lam: float) -> LockingSystem:
     """Three-field form in (u, w, p); the w rows are scaled by beta to stay
     symmetric.  Its Schur complement in p is the eliminated two-field form
     with p-block alpha S_p + beta G^T M_w^{-1} G."""
-    lam = config.lambda_
-    alpha, beta = _coefficients(config)
+    alpha, beta = _coefficients(lam)
     nu = len(b.free_u)
-    return _system(config, b, (("u", nu), ("w", nu), ("p", len(b.free_p))),
+    return _system(lam, b, (("u", nu), ("w", nu), ("p", len(b.free_p))),
                    a=sp.block_diag([b.ku + lam * b.mu,
                                     -beta * _w_mass(config, b)]),
                    b=sp.hstack([-lam * b.g.T, beta * b.g.T]),
@@ -257,22 +252,23 @@ def build_corrected(config: LockingConfig, b: _Blocks) -> LockingSystem:
                    f=np.concatenate([b.load_u, np.zeros(nu)]), g=b.load_p)
 
 
-def build_multiplier(config: LockingConfig, b: _Blocks) -> LockingSystem:
+def build_multiplier(config: LockingConfig, b: _Blocks,
+                     lam: float) -> LockingSystem:
     b_x, m_y = b.gamma.b_x, b.gamma.m_y
     nu, np_, ny = len(b.free_u), len(b.free_p), m_y.shape[0]
     load_x = np.concatenate([b.load_u, b.load_p])
     if config.grad_div_form:
         a_x = sp.block_array([[b.ku + b.mu, -b.g], [-b.g.T, b.sp]])
-        penalty = config.lambda_ - 1.0
+        penalty = lam - 1.0
     else:
         a_x = sp.block_diag([b.ku, sp.csr_array((np_, np_))])
-        penalty = config.lambda_
+        penalty = lam
     if config.grad_div_form and config.gamma_space == "continuous":
         # A_X is SPD here, and eliminating gamma would put 1/penalty back
-        return _system(config, b, (("u", nu), ("p", np_), ("gamma", ny)),
+        return _system(lam, b, (("u", nu), ("p", np_), ("gamma", ny)),
                        a=a_x, b=b_x, c=m_y / penalty,
                        f=load_x, g=np.zeros(ny))
-    return _system(config, b, (("gamma", ny), ("u", nu), ("p", np_)),
+    return _system(lam, b, (("gamma", ny), ("u", nu), ("p", np_)),
                    a=-m_y / penalty, b=b_x.T, c=-a_x,
                    f=np.zeros(ny), g=load_x)
 
@@ -281,8 +277,9 @@ _BUILDERS = {"plain": build_plain, "corrected": build_corrected,
              "multiplier": build_multiplier}
 
 
-def build(config: LockingConfig) -> LockingSystem:
-    return _BUILDERS[config.method](config, _blocks(config))
+def build(config: LockingConfig, lam: float) -> LockingSystem:
+    """The system of ``config``'s scheme, mesh and loads at penalty ``lam``."""
+    return _BUILDERS[config.method](config, _blocks(config), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +295,22 @@ def solve(system: LockingSystem) -> LockingSolution:
     report = LockingReport(
         u_h1_norm=float(np.sqrt(uf @ (b.ku @ uf))),
         p_h1_norm=float(np.sqrt(pf @ (b.sp @ pf))),
-        lambda_=system.config.lambda_, solve_ok=True, residual_norm=residual)
+        lambda_=system.lambda_, solve_ok=True, residual_norm=residual)
     return LockingSolution(u=b.u_space.extend_by_zero(uf),
                            p=b.p_space.extend_by_zero(pf), report=report)
 
 
-def lambda_sweep(config: LockingConfig, lambdas) -> list:
-    """Build and solve ``config`` at each penalty from one assembly of the
-    blocks, none of which depends on lambda; a singular system becomes a
-    failed report."""
+def lambda_sweep(config: LockingConfig) -> list:
+    """One ``LockingSolution`` per penalty of ``config``, in order, all built
+    from one assembly of the blocks; a singular system becomes a failed
+    report with no fields."""
     b = _blocks(config)
-    reports = []
-    for lam in lambdas:
-        cfg = dataclasses.replace(config, lambda_=float(lam))
+    solutions = []
+    for lam in config.lambdas:
         try:
-            reports.append(solve(_BUILDERS[cfg.method](cfg, b)).report)
+            solutions.append(solve(_BUILDERS[config.method](config, b, lam)))
         except SingularMatrix:
             nan = float("nan")
-            reports.append(LockingReport(nan, nan, cfg.lambda_,
-                                         solve_ok=False, residual_norm=nan))
-    return reports
+            solutions.append(LockingSolution(None, None, LockingReport(
+                nan, nan, lam, solve_ok=False, residual_norm=nan)))
+    return solutions

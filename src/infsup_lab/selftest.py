@@ -45,11 +45,11 @@ def stokes_slopes(name: str) -> dict:
 
 
 @lru_cache(maxsize=None)
-def locking_ratio(method: str, w_mass: str = "lumped") -> float:
-    cfg = locking.LockingConfig(lambda_=1.0, n=8, method=method,
+def locking_ratio(method: str, w_mass: str) -> float:
+    cfg = locking.LockingConfig(lambdas=(1e2, 1e6), n=8, method=method,
                                 w_mass=w_mass, f=locking.transverse_f,
                                 g=locking.transverse_g)
-    lo, hi = locking.lambda_sweep(cfg, [1e2, 1e6])
+    lo, hi = (s.report for s in locking.lambda_sweep(cfg))
     return hi.u_h1_norm / lo.u_h1_norm
 
 
@@ -137,7 +137,7 @@ def check_locking_and_cure() -> CheckResult:
     # norm.)  The plain form collapses; the corrected form with the
     # consistent projection holds; the lumped projection fails to cancel
     # the penalty and collapses too.
-    plain = locking_ratio("plain")
+    plain = locking_ratio("plain", "lumped")
     lumped = locking_ratio("corrected", "lumped")
     consistent = locking_ratio("corrected", "consistent")
     corrected_ok = 0.8 <= consistent <= 1.25 or 0.8 <= lumped <= 1.25
@@ -149,10 +149,10 @@ def check_locking_and_cure() -> CheckResult:
 
 
 def check_multiplier_elimination() -> CheckResult:
-    cfg = locking.LockingConfig(lambda_=1e2, n=4, method="multiplier")
-    multiplier = locking.build(cfg)
+    cfg = locking.LockingConfig(lambdas=(1e2,), n=4, method="multiplier")
+    multiplier = locking.build(cfg, 1e2)
     sys_m = multiplier.saddle
-    sys_p = locking.build_plain(cfg, multiplier.blocks).saddle
+    sys_p = locking.build_plain(cfg, multiplier.blocks, 1e2).saddle
     # the (u, p) Schur complement -(c + b a^{-1} b^T) of the gamma block
     b = sys_m.b.toarray()
     elim = -(sys_m.c.toarray() + b @ np.linalg.solve(sys_m.a.toarray(), b.T))

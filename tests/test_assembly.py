@@ -353,8 +353,9 @@ LOCKING_VARIANTS = {
 
 
 def locking_system(name, n, lam):
-    config = locking.LockingConfig(lambda_=lam, n=n, **LOCKING_VARIANTS[name])
-    return locking.build(config).saddle
+    config = locking.LockingConfig(lambdas=(lam,), n=n,
+                                   **LOCKING_VARIANTS[name])
+    return locking.build(config, lam).saddle
 
 
 def check_against_dense(system, rtol=1e-12):
@@ -405,7 +406,10 @@ def test_solve_saddle_matches_dense_lu_locking(name, n, lam):
 @pytest.mark.parametrize("name", ("plain", "corrected-lumped",
                                   "corrected-consistent"))
 def test_locking_lambda_zero_is_singular_on_both_routes(name, n):
-    check_singular_on_both_routes(locking_system(name, n, 0.0))
+    # the config rejects lambda = 0; its builders still assemble it
+    config = locking.LockingConfig(lambdas=(1e2,), n=n,
+                                   **LOCKING_VARIANTS[name])
+    check_singular_on_both_routes(locking.build(config, 0.0).saddle)
 
 
 @pytest.mark.parametrize("name", [*stokes.method_names(), *WEAKBC_METHODS,
@@ -771,15 +775,16 @@ def test_element_route_matches_superlu(name, n, lam, monkeypatch):
 
 def test_element_schur_matches_the_dense_elimination():
     # selftest check 9: eliminating discontinuous gamma reproduces plain
-    cfg = locking.LockingConfig(lambda_=1e2, n=4, method="multiplier")
-    multiplier = locking.build(cfg)
+    cfg = locking.LockingConfig(lambdas=(1e2,), n=4, method="multiplier")
+    multiplier = locking.build(cfg, 1e2)
     system = multiplier.saddle
     schur = dense_schur(sparse_lu(system.a, "velocity block"),
                         system.b, system.c)
     b = system.b.toarray()
     dense = system.c.toarray() + b @ np.linalg.solve(system.a.toarray(), b.T)
     assert np.linalg.norm(schur - dense) <= 1e-13 * np.linalg.norm(dense)
-    plain = locking.build_plain(cfg, multiplier.blocks).saddle.full_matrix()
+    plain = locking.build_plain(cfg, multiplier.blocks,
+                                1e2).saddle.full_matrix()
     assert np.linalg.norm(-schur - plain) <= 1e-12
 
 
@@ -836,14 +841,15 @@ def test_element_detection_falls_back_to_superlu():
 
 def test_element_route_with_an_empty_schur_matrix(monkeypatch):
     # n=1: no free u or p dof, only gamma; the Schur matrix is 0 × 0
-    config = locking.LockingConfig(lambda_=1.0, n=1, method="multiplier")
-    system = locking.build(config).saddle
+    config = locking.LockingConfig(lambdas=(1e2, 1e6), n=1,
+                                   method="multiplier")
+    system = locking.build(config, 1.0).saddle
     assert system.n_p == 0 and system.n_u == 12
     assert dense_schur(sparse_lu(system.a, "velocity block"),
                        system.b, system.c).shape == (0, 0)
-    reports = locking.lambda_sweep(config, [1e2, 1e6])
+    reports = [s.report for s in locking.lambda_sweep(config)]
     superlu_route(monkeypatch)
-    assert reports == locking.lambda_sweep(config, [1e2, 1e6])
+    assert reports == [s.report for s in locking.lambda_sweep(config)]
     assert all(r.solve_ok and r.u_h1_norm == 0.0 for r in reports)
 
 

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import infsup_lab
-from infsup_lab import cli, locking, selftest, weakbc
+from infsup_lab import assembly, cli, locking, selftest, weakbc
 from infsup_lab.linalg import SingularMatrix
 
 SUBCOMMANDS = ("stokes", "convergence", "infsup", "locking", "weakbc",
@@ -87,6 +87,10 @@ def test_no_subcommand_is_usage_error():
     ["convergence", "--method", "th", "--ns", "4,4,4"],
     # the one inf-sup mode is the weighted pencil
     ["infsup", "--pair", "th", "--mode", "euclidean"],
+    # every penalty of a sweep is checked, not only the smallest
+    ["locking", "--method", "corrected", "--lambdas", "1e2,0"],
+    ["locking", "--method", "multiplier", "--grad-div", "--lambdas",
+     "1e3,1"],
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     path = tmp_path / "out.json"
@@ -402,10 +406,10 @@ def test_each_run_resolves_its_method_once(argv, module, monkeypatch):
 
 @pytest.mark.parametrize("lambdas", ["1e2", "1e4,1e2,1e6"])
 def test_locking_sweep_builds_one_config_per_penalty(lambdas, monkeypatch):
-    # one config validates the sweep, then one per penalty
+    # the config carries every penalty of the sweep: one per run
     calls = _recording(monkeypatch, locking.LockingConfig, "__post_init__")
     assert cli.main(["locking", "--n", "3", "--lambdas", lambdas]) == 0
-    assert len(calls) == 1 + len(lambdas.split(","))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mode", INFSUP_MODES)
@@ -528,22 +532,55 @@ def test_stokes_vtk_nodal_fields(tmp_path):
 
 
 def test_locking_vtk_reuses_its_blocks(tmp_path, monkeypatch):
-    # one assembly for the whole sweep, one for the exported solution
-    real_blocks = locking._blocks
-    calls = []
-
-    def recording_blocks(config):
-        calls.append(config.lambda_)
-        return real_blocks(config)
-
-    monkeypatch.setattr(locking, "_blocks", recording_blocks)
+    # the export writes the sweep's own fields: one assembly and no
+    # second factorization
+    blocks = _recording(monkeypatch, locking, "_blocks")
+    factors = _recording(monkeypatch, assembly, "sparse_lu")
     path = tmp_path / "lock.vtk"
     for lambdas in ("1e2", "1e2,1e4"):
-        calls.clear()
-        assert cli.main(["locking", "--n", "4", "--lambdas", lambdas,
-                         "--vtk", str(path)]) == 0
-        assert len(calls) == 2
+        counts = []
+        for vtk in ([], ["--vtk", str(path)]):
+            blocks.clear()
+            factors.clear()
+            assert cli.main(["locking", "--n", "4", "--lambdas", lambdas,
+                             *vtk]) == 0
+            assert len(blocks) == 1
+            counts.append(len(factors))
+        assert counts[0] == counts[1] > 0
         assert "VECTORS u double" in path.read_text()
+
+
+def vtk_block(lines, header, count):
+    """The ``count`` rows of numbers after ``header``, as an array."""
+    start = lines.index(header) + 1
+    if lines[start] == "LOOKUP_TABLE default":
+        start += 1
+    return np.array([[float(v) for v in row.split()]
+                     for row in lines[start:start + count]])
+
+
+@pytest.mark.parametrize("w_mass, lambdas, exported", [
+    ("consistent", "1e2,1e6", 1e6),
+    # the lumped form is singular at n=4, lambda=1e16: the export is the
+    # last solved penalty
+    ("lumped", "1e2,1e16", 1e2),
+], ids=["last", "last-singular"])
+def test_locking_vtk_fields_are_the_last_solved_penalty(w_mass, lambdas,
+                                                        exported, tmp_path):
+    path = tmp_path / "lock.vtk"
+    assert cli.main(["locking", "--method", "corrected", "--w-mass", w_mass,
+                     "--n", "4", "--lambdas", lambdas,
+                     "--vtk", str(path)]) == 0
+    config = locking.LockingConfig(lambdas=(exported,), n=4,
+                                   method="corrected", w_mass=w_mass)
+    direct = locking.solve(locking.build(config, exported))
+    lines = path.read_text().splitlines()
+    u = vtk_block(lines, "VECTORS u double", 25)
+    p = vtk_block(lines, "SCALARS p double 1", 25)
+    # u stacks the x then the y components of the 25 nodes
+    assert np.array_equal(u, np.column_stack([direct.u[:25], direct.u[25:],
+                                              np.zeros(25)]))
+    assert np.array_equal(p[:, 0], direct.p)
 
 
 def test_p0_pressure_lands_in_cell_data(tmp_path):

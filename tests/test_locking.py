@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from infsup_lab import locking
 from infsup_lab.assembly import mass, solve_saddle
 from infsup_lab.fespace import ElementKind, build_space
+from infsup_lab.linalg import SingularMatrix
 from infsup_lab.mesh import triangle_grad_lambda, unit_square_mesh
 
 
@@ -26,8 +27,14 @@ TRANSVERSE = {"f": locking.transverse_f, "g": locking.transverse_g}
 
 
 def run(config):
-    """Build and solve one penalty: the one-lambda sweep."""
-    return locking.lambda_sweep(config, [config.lambda_])[0]
+    """The report of a one-penalty sweep."""
+    [solution] = locking.lambda_sweep(config)
+    return solution.report
+
+
+def reports(config):
+    """The reports of ``config``'s sweep, in order."""
+    return [solution.report for solution in locking.lambda_sweep(config)]
 
 
 def solved_fields(system):
@@ -42,23 +49,39 @@ def solved_fields(system):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        locking.LockingConfig(lambda_=-1.0)
+        locking.LockingConfig(lambdas=(-1.0,))
     with pytest.raises(ValueError):
-        locking.LockingConfig(lambda_=1.0, method="penalty")
+        locking.LockingConfig(lambdas=(1.0,), method="penalty")
     with pytest.raises(ValueError):
-        locking.LockingConfig(lambda_=1.0, gamma_space="p2")
+        locking.LockingConfig(lambdas=(1.0,), gamma_space="p2")
     with pytest.raises(ValueError):
-        locking.LockingConfig(lambda_=1.0, w_mass="diagonal")
+        locking.LockingConfig(lambdas=(1.0,), w_mass="diagonal")
     with pytest.raises(ValueError):
-        locking.LockingConfig(lambda_=0.5, grad_div_form=True)
+        locking.LockingConfig(lambdas=(0.5,), grad_div_form=True)
     with pytest.raises(ValueError):
-        locking.LockingConfig(lambda_=0.0, method="multiplier")
+        locking.LockingConfig(lambdas=(0.0,), method="multiplier")
+    with pytest.raises(ValueError):
+        locking.LockingConfig(lambdas=())
+    for method in ("plain", "corrected"):
+        with pytest.raises(ValueError):
+            locking.LockingConfig(lambdas=(1e2, 0.0), method=method)
+
+
+def test_sweep_checks_every_penalty_before_assembly(monkeypatch):
+    # the first penalty is valid and the second is not: nothing is
+    # assembled or solved before the sweep is rejected
+    calls = []
+    monkeypatch.setattr(locking, "_blocks", calls.append)
+    with pytest.raises(ValueError, match="lambda > 1"):
+        locking.lambda_sweep(locking.LockingConfig(
+            lambdas=(1e3, 0.5), n=4, method="multiplier",
+            grad_div_form=True))
+    assert calls == []
 
 
 def test_coefficient_split_identity():
     for lam in (1e2, 1e4, 1e6):
-        cfg = locking.LockingConfig(lambda_=lam)
-        alpha, beta = locking._coefficients(cfg)
+        alpha, beta = locking._coefficients(lam)
         assert abs(alpha + beta - lam) < 1e-12 * lam
 
 
@@ -69,27 +92,28 @@ def test_coefficient_split_identity():
                                      locking.build_multiplier])
 def test_systems_symmetric(builder):
     method = builder.__name__.removeprefix("build_")
-    cfg = locking.LockingConfig(lambda_=1e3, n=4, method=method)
-    k = builder(cfg, locking._blocks(cfg)).saddle.full_matrix()
+    cfg = locking.LockingConfig(lambdas=(1e3,), n=4, method=method)
+    k = builder(cfg, locking._blocks(cfg), 1e3).saddle.full_matrix()
     assert np.abs(k - k.T).max() <= 1e-12 * np.abs(k).max()
 
 
 def test_lambda_zero_decouples_and_is_singular():
-    cfg = locking.LockingConfig(lambda_=0.0, n=4)
+    # the config rejects lambda = 0 (see test_config_validation); the
+    # builder still shows why
+    cfg = locking.LockingConfig(lambdas=(1e2,), n=4)
     b = locking._blocks(cfg)
-    system = locking.build_plain(cfg, b).saddle
+    system = locking.build_plain(cfg, b, 0.0).saddle
     assert np.array_equal(system.a.toarray(), b.ku.toarray())   # pure Laplacian
     dead = np.hstack([system.b.toarray(), system.c.toarray()])
     assert np.abs(dead).max() == 0.0                            # dead p block
-    report = run(cfg)
-    assert not report.solve_ok
-    assert np.isnan(report.u_h1_norm)
+    with pytest.raises(SingularMatrix):
+        solve_saddle(system)
 
 
 @pytest.mark.parametrize("method", ["plain", "corrected", "multiplier"])
 def test_zero_loads_zero_solution(method):
     report = run(locking.LockingConfig(
-        lambda_=1e3, n=4, method=method, f=zero_f, g=zero_g))
+        lambdas=(1e3,), n=4, method=method, f=zero_f, g=zero_g))
     assert report.solve_ok
     assert report.u_h1_norm == 0.0
     assert report.p_h1_norm == 0.0
@@ -98,8 +122,8 @@ def test_zero_loads_zero_solution(method):
 # --- corrected scheme ----------------------------------------------------
 
 def test_corrected_w_is_lumped_projection():
-    cfg = locking.LockingConfig(lambda_=1e3, n=4, method="corrected")
-    system = locking.build(cfg)
+    cfg = locking.LockingConfig(lambdas=(1e3,), n=4, method="corrected")
+    system = locking.build(cfg, 1e3)
     b = system.blocks
     fields = solved_fields(system)
     w = np.linalg.solve(np.diag(b.ml), b.g @ fields["p"])
@@ -115,7 +139,7 @@ def test_projection_gap_decays_under_refinement():
         p = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
         # ||grad q - Pi grad q|| with the lumped projection: sqrt of the
         # form S_p - G^T M_L^{-1} G that the corrected scheme subtracts
-        b = locking._blocks(locking.LockingConfig(lambda_=1.0, n=n))
+        b = locking._blocks(locking.LockingConfig(lambdas=(1.0,), n=n))
         q = p[b.free_p]
         form = b.sp - b.g.T @ sp.diags_array(1.0 / b.ml) @ b.g
         gaps.append(float(np.sqrt(max(q @ (form @ q), 0.0))))
@@ -127,10 +151,10 @@ def test_projection_gap_decays_under_refinement():
 # --- locking and its cure ------------------------------------------------
 
 def test_plain_locks():
-    reports = locking.lambda_sweep(
-        locking.LockingConfig(lambda_=1.0, n=8, **TRANSVERSE), [1e2, 1e6])
-    assert all(r.solve_ok for r in reports)
-    ratio = reports[1].u_h1_norm / reports[0].u_h1_norm
+    lo, hi = reports(locking.LockingConfig(lambdas=(1e2, 1e6), n=8,
+                                           **TRANSVERSE))
+    assert lo.solve_ok and hi.solve_ok
+    ratio = hi.u_h1_norm / lo.u_h1_norm
     assert ratio <= 0.2
 
 
@@ -138,8 +162,9 @@ def test_plain_coercivity_grows_with_lambda():
     # smallest eigenvalue of the assembled plain matrix
     eigs = []
     for lam in (1e2, 1e4, 1e6):
-        cfg = locking.LockingConfig(lambda_=lam, n=4)
-        k = locking.build_plain(cfg, locking._blocks(cfg)).saddle.full_matrix()
+        cfg = locking.LockingConfig(lambdas=(lam,), n=4)
+        k = locking.build_plain(cfg, locking._blocks(cfg),
+                                lam).saddle.full_matrix()
         eigs.append(np.linalg.eigvalsh(k)[0])
     assert all(e >= 0.0 for e in eigs)
     assert eigs[0] < eigs[1] < eigs[2]
@@ -149,27 +174,24 @@ def test_corrected_reaches_lambda_independent_plateau():
     # with the consistent projection the corrected scheme settles on a
     # lambda-independent solution once lambda clears the discrete
     # spectrum (~1/h^2); the lumped shortcut does not cure the collapse
-    cfg = locking.LockingConfig(lambda_=1.0, n=8, method="corrected",
-                                w_mass="consistent")
-    reports = locking.lambda_sweep(cfg, [1e4, 1e8])
-    ratio = reports[1].u_h1_norm / reports[0].u_h1_norm
+    lo, hi = reports(locking.LockingConfig(
+        lambdas=(1e4, 1e8), n=8, method="corrected", w_mass="consistent"))
+    ratio = hi.u_h1_norm / lo.u_h1_norm
     assert 0.95 <= ratio <= 1.05
 
 
 def test_corrected_beats_plain_at_large_lambda():
     r_c = run(locking.LockingConfig(
-        lambda_=1e6, n=8, method="corrected", w_mass="consistent",
+        lambdas=(1e6,), n=8, method="corrected", w_mass="consistent",
         **TRANSVERSE))
-    r_p = run(locking.LockingConfig(lambda_=1e6, n=8, **TRANSVERSE))
+    r_p = run(locking.LockingConfig(lambdas=(1e6,), n=8, **TRANSVERSE))
     assert r_c.u_h1_norm / r_p.u_h1_norm >= 100.0
 
 
 def test_lumped_projection_does_not_cure():
-    reports = locking.lambda_sweep(
-        locking.LockingConfig(lambda_=1.0, n=8, method="corrected",
-                              **TRANSVERSE),
-        [1e2, 1e6])
-    assert reports[1].u_h1_norm / reports[0].u_h1_norm <= 0.01
+    lo, hi = reports(locking.LockingConfig(
+        lambdas=(1e2, 1e6), n=8, method="corrected", **TRANSVERSE))
+    assert hi.u_h1_norm / lo.u_h1_norm <= 0.01
 
 
 def test_default_load_has_zero_limit_transverse_load_does_not():
@@ -179,7 +201,7 @@ def test_default_load_has_zero_limit_transverse_load_does_not():
     # load's limit is a nonzero clamped plate and its norm settles
     def norms(**loads):
         return [run(locking.LockingConfig(
-                    lambda_=1e8, n=n, method="corrected",
+                    lambdas=(1e8,), n=n, method="corrected",
                     w_mass="consistent", **loads)).u_h1_norm
                 for n in (8, 16)]
 
@@ -192,10 +214,10 @@ def test_default_load_has_zero_limit_transverse_load_does_not():
 # --- multiplier reformulation --------------------------------------------
 
 def test_multiplier_elimination_reproduces_plain():
-    cfg = locking.LockingConfig(lambda_=1e2, n=4, method="multiplier")
+    cfg = locking.LockingConfig(lambdas=(1e2,), n=4, method="multiplier")
     b = locking._blocks(cfg)
-    sys_m = locking.build_multiplier(cfg, b).saddle
-    sys_p = locking.build_plain(cfg, b).saddle
+    sys_m = locking.build_multiplier(cfg, b, 1e2).saddle
+    sys_p = locking.build_plain(cfg, b, 1e2).saddle
     # the (u, p) Schur complement -(c + b a^{-1} b^T) of the gamma block
     bm = sys_m.b.toarray()
     elim = -(sys_m.c.toarray() + bm @ np.linalg.solve(sys_m.a.toarray(), bm.T))
@@ -203,14 +225,14 @@ def test_multiplier_elimination_reproduces_plain():
 
 
 def test_multiplier_solution_matches_plain():
-    cfg = locking.LockingConfig(lambda_=1e3, n=8, method="multiplier")
-    sol_m = locking.solve(locking.build(cfg))
+    cfg = locking.LockingConfig(lambdas=(1e3,), n=8, method="multiplier")
+    sol_m = locking.solve(locking.build(cfg, 1e3))
     sol_p = locking.solve(locking.build(
-        locking.LockingConfig(lambda_=1e3, n=8)))
+        locking.LockingConfig(lambdas=(1e3,), n=8), 1e3))
     assert np.abs(sol_m.u - sol_p.u).max() <= 1e-9 * np.abs(sol_p.u).max()
 
 
-def gamma_target(config, u, p):
+def gamma_target(config, lam, u, p):
     """Coefficients of lambda (u - grad p) in the discontinuous multiplier
     space, which interpolates it exactly: the oracle of the multiplier."""
     if config.gamma_space != "discontinuous":
@@ -223,16 +245,16 @@ def gamma_target(config, u, p):
     parts = []
     for c in range(2):
         vals = u[c * n_sc:][tri] - grad_p[:, c][:, None]      # (T, 3)
-        parts.append(config.lambda_ * vals.ravel())
+        parts.append(lam * vals.ravel())
     return np.concatenate(parts)
 
 
 def test_gamma_recovers_scaled_constraint_residual():
-    cfg = locking.LockingConfig(lambda_=1e3, n=4, method="multiplier")
-    system = locking.build(cfg)
+    cfg = locking.LockingConfig(lambdas=(1e3,), n=4, method="multiplier")
+    system = locking.build(cfg, 1e3)
     b = system.blocks
     fields = solved_fields(system)
-    target = gamma_target(cfg, b.u_space.extend_by_zero(fields["u"]),
+    target = gamma_target(cfg, 1e3, b.u_space.extend_by_zero(fields["u"]),
                           b.p_space.extend_by_zero(fields["p"]))
     m = mass(build_space(ElementKind.P1_DISC, unit_square_mesh(4),
                          components=2))
@@ -247,27 +269,27 @@ def test_gamma_recovers_scaled_constraint_residual():
 
 
 def test_gamma_target_needs_discontinuous_space():
-    cfg = locking.LockingConfig(lambda_=1e3, n=4, method="multiplier",
+    cfg = locking.LockingConfig(lambdas=(1e3,), n=4, method="multiplier",
                                 gamma_space="continuous")
     with pytest.raises(ValueError):
-        gamma_target(cfg, np.zeros(50), np.zeros(25))
+        gamma_target(cfg, 1e3, np.zeros(50), np.zeros(25))
 
 
 def test_augmented_form_eliminates_to_plain_too():
     # splitting lambda = 1 + (lambda - 1) moves one penalty unit into
     # a(.,.); with discontinuous multipliers the sum is again exact
-    cfg = locking.LockingConfig(lambda_=100.0, n=4, method="multiplier",
+    cfg = locking.LockingConfig(lambdas=(100.0,), n=4, method="multiplier",
                                 grad_div_form=True)
-    sol_a = locking.solve(locking.build(cfg))
+    sol_a = locking.solve(locking.build(cfg, 100.0))
     sol_p = locking.solve(locking.build(
-        locking.LockingConfig(lambda_=100.0, n=4)))
+        locking.LockingConfig(lambdas=(100.0,), n=4), 100.0))
     assert np.abs(sol_a.u - sol_p.u).max() <= 1e-9 * np.abs(sol_p.u).max()
 
 
 def test_continuous_gamma_needs_augmented_form():
     # a(.,.) alone has no coercivity on the projected-constraint kernel
     report = run(locking.LockingConfig(
-        lambda_=1e6, n=8, method="multiplier", gamma_space="continuous"))
+        lambdas=(1e6,), n=8, method="multiplier", gamma_space="continuous"))
     assert not report.solve_ok
 
 
@@ -276,7 +298,7 @@ def test_constrained_limit_eliminates_the_x_block():
     # eliminating gamma instead would put 1/(lambda - 1) back into the
     # Schur complement and drift by about 1e-6 here
     report = run(locking.LockingConfig(
-        lambda_=1e12, n=8, method="multiplier", gamma_space="continuous",
+        lambdas=(1e12,), n=8, method="multiplier", gamma_space="continuous",
         grad_div_form=True))
     assert report.u_h1_norm == pytest.approx(2.921596515e-02, rel=1e-8)
 
@@ -287,11 +309,11 @@ def test_constrained_limit_matches_corrected():
     # corrected scheme
     n = 16
     sol_m = locking.solve(locking.build(locking.LockingConfig(
-        lambda_=1e12, n=n, method="multiplier", gamma_space="continuous",
-        grad_div_form=True)))
-    cfg_c = locking.LockingConfig(lambda_=1e12, n=n, method="corrected",
+        lambdas=(1e12,), n=n, method="multiplier", gamma_space="continuous",
+        grad_div_form=True), 1e12))
+    cfg_c = locking.LockingConfig(lambdas=(1e12,), n=n, method="corrected",
                                   w_mass="consistent")
-    system_c = locking.build(cfg_c)
+    system_c = locking.build(cfg_c, 1e12)
     b = system_c.blocks
     sol_c = locking.solve(system_c)
     du = (sol_m.u - sol_c.u)[b.free_u]
@@ -302,13 +324,12 @@ def test_constrained_limit_matches_corrected():
 # --- sweep bookkeeping ----------------------------------------------------
 
 def test_single_lambda_sweep():
-    reports = locking.lambda_sweep(locking.LockingConfig(lambda_=1.0, n=4),
-                                   [7.0])
-    assert len(reports) == 1
-    assert reports[0].lambda_ == 7.0
-    assert reports[0].solve_ok
-    assert np.isfinite(reports[0].u_h1_norm)
-    assert np.isfinite(reports[0].p_h1_norm)
+    sweep = reports(locking.LockingConfig(lambdas=(7.0,), n=4))
+    assert len(sweep) == 1
+    assert sweep[0].lambda_ == 7.0
+    assert sweep[0].solve_ok
+    assert np.isfinite(sweep[0].u_h1_norm)
+    assert np.isfinite(sweep[0].p_h1_norm)
 
 
 def test_sweep_assembles_its_blocks_once(monkeypatch):
@@ -317,18 +338,22 @@ def test_sweep_assembles_its_blocks_once(monkeypatch):
     calls = []
 
     def recording_blocks(config):
-        calls.append(config.lambda_)
+        calls.append(config.lambdas)
         return real_blocks(config)
 
     monkeypatch.setattr(locking, "_blocks", recording_blocks)
-    cfg = locking.LockingConfig(lambda_=1.0, n=4, method="corrected")
-    reports = locking.lambda_sweep(cfg, [1e2, 1e4, 1e6])
+    cfg = locking.LockingConfig(lambdas=(1e2, 1e4, 1e6), n=4,
+                                method="corrected")
+    sweep = locking.lambda_sweep(cfg)
     assert len(calls) == 1
-    assert [r.lambda_ for r in reports] == [1e2, 1e4, 1e6]
-    for lam, report in zip((1e2, 1e4, 1e6), reports):
-        alone = run(locking.LockingConfig(lambda_=lam, n=4,
-                                          method="corrected"))
-        assert report == alone
+    assert [s.report.lambda_ for s in sweep] == [1e2, 1e4, 1e6]
+    for lam, solution in zip((1e2, 1e4, 1e6), sweep):
+        alone = locking.solve(locking.build(
+            locking.LockingConfig(lambdas=(lam,), n=4, method="corrected"),
+            lam))
+        assert solution.report == alone.report
+        assert np.array_equal(solution.u, alone.u)
+        assert np.array_equal(solution.p, alone.p)
 
 
 
@@ -342,11 +367,12 @@ def test_multiplier_sweep_builds_its_gamma_operators_once(monkeypatch):
         return real_cross_mass(*args)
 
     monkeypatch.setattr(locking, "cross_mass", recording_cross_mass)
-    cfg = locking.LockingConfig(lambda_=1.0, n=4, method="multiplier")
-    reports = locking.lambda_sweep(cfg, [1e2, 1e4, 1e6])
+    cfg = locking.LockingConfig(lambdas=(1e2, 1e4, 1e6), n=4,
+                                method="multiplier")
+    sweep = reports(cfg)
     assert calls == [ElementKind.P1_DISC]
-    for lam, report in zip((1e2, 1e4, 1e6), reports):
-        assert report == run(dataclasses.replace(cfg, lambda_=lam))
+    for lam, report in zip((1e2, 1e4, 1e6), sweep):
+        assert report == run(dataclasses.replace(cfg, lambdas=(lam,)))
     calls.clear()
     for method in ("plain", "corrected"):
         blocks = locking._blocks(dataclasses.replace(cfg, method=method))
@@ -357,15 +383,15 @@ def test_multiplier_sweep_builds_its_gamma_operators_once(monkeypatch):
 
 @pytest.mark.parametrize("method", ["plain", "corrected", "multiplier"])
 def test_reports_carry_the_solve_residual(method):
-    reports = locking.lambda_sweep(
-        locking.LockingConfig(lambda_=1.0, n=16, method=method),
-        [1e2, 1e6, 1e10])
-    assert all(r.solve_ok for r in reports)
-    assert all(r.residual_norm <= 1e-14 for r in reports)
+    sweep = reports(locking.LockingConfig(lambdas=(1e2, 1e6, 1e10), n=16,
+                                          method=method))
+    assert all(r.solve_ok for r in sweep)
+    assert all(r.residual_norm <= 1e-14 for r in sweep)
 
 
 def test_failed_report_has_nan_residual():
-    report = run(locking.LockingConfig(
-        lambda_=1e6, n=4, method="multiplier", gamma_space="continuous"))
-    assert not report.solve_ok
-    assert np.isnan(report.residual_norm)
+    [solution] = locking.lambda_sweep(locking.LockingConfig(
+        lambdas=(1e6,), n=4, method="multiplier", gamma_space="continuous"))
+    assert not solution.report.solve_ok
+    assert np.isnan(solution.report.residual_norm)
+    assert solution.u is None and solution.p is None

@@ -3,8 +3,10 @@
 One subcommand per experiment family (``stokes``, ``convergence``,
 ``infsup``, ``locking``, ``weakbc``) plus ``selftest``, which replays the
 acceptance checks and prints a pass/fail table.  Results serialize to
-JSON (floats at 17 significant digits), CSV (always with a header row),
-and legacy-ASCII VTK for field inspection.
+JSON (floats at 17 significant digits), CSV (a header row; ``nan`` for a
+non-finite value) and legacy-ASCII VTK of solved fields: a singular
+``stokes`` or ``weakbc`` run writes neither, nor ``locking --vtk`` a sweep
+with no solved penalty.
 
 The parsed arguments are the run's configuration: each runner builds its
 domain object from them once, before any work or output, and the JSON
@@ -13,9 +15,10 @@ one runner alone reads is imported inside it, so a run loads only its own.
 
 Exit codes: 0 success, including a pair that is singular by design (the
 unstabilized equal-order ``p1p1-plain`` in ``stokes`` and ``convergence``,
-``weakbc --method multiplier --trace p0``), reported as ``status: singular``;
-1 numerical failure, a failed selftest check, or a ``convergence`` study
-that fitted no slope; 2 usage error.
+and a ``weakbc`` multiplier whose measured inf-sup kernel is not empty, as
+for ``--trace p0``), reported as ``status: singular``; 1 numerical failure,
+a failed selftest check, or a ``convergence`` study that fitted no slope;
+2 usage error.
 """
 
 import argparse
@@ -115,7 +118,7 @@ def _write_csv(path: str, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_float_text(v) if isinstance(v, float) else v
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else v
                              for v in row])
 
 
@@ -176,7 +179,7 @@ def _pressure_data(name: str, kind: ElementKind, vec: np.ndarray,
 
 def _singular(error: str, results: dict):
     """The verdict of a pair that is singular by design: status
-    ``singular`` (exit 0), with the solver's message kept."""
+    ``singular`` (exit 0), with the message that decided it kept."""
     return ({**results, "error": error}, "singular",
             [f"status: singular ({error})"])
 
@@ -297,19 +300,19 @@ def _run_weakbc(args: argparse.Namespace):
         method = weakbc.method_from_name(
             args.method, **{k: v for k, v in options.items() if v is not None})
     mesh = unit_square_mesh(args.n)
+    results = {"method": method.name, "h": mesh.h}
+    if method.name == "multiplier":
+        report = weakbc.multiplier_infsup(mesh, method.trace)
+        kernel = report.kernel_dim_pressure
+        results.update(beta=report.beta, kernel_dim=kernel)
+        if kernel:
+            return _singular(f"multiplier inf-sup kernel of dimension "
+                             f"{kernel}", results)
     problem = weakbc.mms_problem()
-    try:
-        solution = weakbc.run(method, mesh, problem.f, problem.d)
-    except SingularMatrix as exc:
-        if method.name != "multiplier" or method.trace != "p0":
-            raise                       # singular by design only there
-        return _singular(str(exc), {"method": method.name, "h": mesh.h})
+    solution = weakbc.run(method, mesh, problem.f, problem.d)
     err_l2, err_h1 = weakbc.errors(mesh, solution.u, problem)
-    results = {"method": method.name, "h": mesh.h, "err_l2": err_l2,
-               "err_h1": err_h1, "residual_norm": solution.residual_norm}
-    if solution.lam is not None:
-        results["multiplier_roughness"] = weakbc.lambda_roughness(
-            solution, mesh, method.trace)
+    results.update(err_l2=err_l2, err_h1=err_h1,
+                   residual_norm=solution.residual_norm)
     if args.csv_path:
         _write_csv(args.csv_path, ["h", "err_l2", "err_h1"],
                    [[mesh.h, err_l2, err_h1]])

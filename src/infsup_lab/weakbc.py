@@ -50,6 +50,7 @@ from .assembly import (
     stiffness,
 )
 from .fespace import ElementKind, FeSpace, build_space, field_errors
+from .infsup import InfSupReport, infsup_weighted
 from .mesh import Mesh, boundary_edge_geometry
 
 
@@ -78,11 +79,12 @@ class WeakBcMethod:
 @dataclass(frozen=True)
 class WeakBcSolution:
     u: np.ndarray
-    lam: np.ndarray | None       # trace multiplier, None for nitsche
     residual_norm: float
 
 
-#: Nitsche penalty and Barbosa-Hughes weight from C_i^2 = 2 (module docstring)
+#: Nitsche penalty and Barbosa-Hughes weight from C_i^2 = 2 (module
+#: docstring).  BH's A + M - alpha N_w is SPD for alpha <= 1/C_i^2 = 0.5 and
+#: indefinite at 0.6 (n = 8, 16); at alpha = 1 err_h1 grows 27-fold (n = 16)
 GAMMA = 8.0
 ALPHA = 0.25
 
@@ -119,6 +121,33 @@ def _p0_trace_ops(mesh: Mesh, n_dofs: int):
                    (lengths[:, None] * (lengths[:, None] * flux))[:, None, :],
                    len(lengths), n_dofs)
     return t0, c_w
+
+
+def _trace_ops(space: FeSpace, trace: str):
+    """(T, C_w, W) of a multiplier trace space on the P1 ``space``: the
+    trace <mu, v>_E, the flux h_E <mu, dv/dn>_E, and the multiplier norm
+    W = sum_E h_E <mu, mu>_E, the mesh-dependent H^{-1/2} norm (the
+    h_E-weighted boundary mass for P1, diag(h_E^2) for P0).  BH's C is
+    alpha W, and W is the norm of ``multiplier_infsup``."""
+    lengths, _, _ = boundary_edge_geometry(space.mesh)
+    if trace == "p0":
+        return (*_p0_trace_ops(space.mesh, space.n_dofs),
+                sp.diags_array(lengths * lengths, format="csr"))
+    dofs = space.boundary_dofs
+    return (boundary_mass(space)[dofs],
+            boundary_normal_flux(space, edge_weights=lengths)[dofs],
+            boundary_mass(space, edge_weights=lengths)[np.ix_(dofs, dofs)])
+
+
+def multiplier_infsup(mesh: Mesh, trace: str) -> InfSupReport:
+    """beta_h and kernel of the multiplier pair (P1 fields, ``trace``
+    multipliers): ``infsup_weighted`` on the pencil (T (A+M)^{-1} T^T, W) of
+    ``_trace_ops``.  The kernel is the multipliers orthogonal to every
+    trace: none for P1 (beta_h 0.344 at n = 16, 32); for P0 the edge mode
+    alternating around the boundary, as each hat meets two equal edges."""
+    space = build_space(ElementKind.P1, mesh)
+    t, _, w = _trace_ops(space, trace)
+    return infsup_weighted(t, stiffness(space) + mass(space), w)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +187,10 @@ def _build(method: WeakBcMethod, space: FeSpace, a, f, d) -> SaddleSystem:
                         boundary_load(space, d, edge_weights=weights))
 
     fvec = load_vector(space, f)
-    if method.trace == "p1":
-        trace = space.boundary_dofs
-        t = boundary_mass(space)[trace]
-        c_w = boundary_normal_flux(space, edge_weights=lengths)[trace]
-        m_w = boundary_mass(space, edge_weights=lengths)[np.ix_(trace, trace)]
-        d_load = boundary_load(space, d)[trace]
-    else:
-        t, c_w = _p0_trace_ops(space.mesh, space.n_dofs)
-        m_w = sp.diags_array(lengths * lengths, format="csr")
-        d_load = boundary_edge_integrals(space.mesh, d)
+    t, c_w, w = _trace_ops(space, method.trace)
+    d_load = (boundary_load(space, d)[space.boundary_dofs]
+              if method.trace == "p1"
+              else boundary_edge_integrals(space.mesh, d))
 
     if method.name == "multiplier":
         return SaddleSystem(a=a, b=t, c=None, f=fvec, g=d_load,
@@ -175,15 +198,13 @@ def _build(method: WeakBcMethod, space: FeSpace, a, f, d) -> SaddleSystem:
 
     alpha = method.alpha
     n_w = boundary_flux_flux(space, edge_weights=alpha * lengths)
-    return SaddleSystem(a=a - n_w, b=t - alpha * c_w, c=alpha * m_w, f=fvec,
+    return SaddleSystem(a=a - n_w, b=t - alpha * c_w, c=alpha * w, f=fvec,
                         g=d_load, pressure_mass=None)
 
 
 def solve(system: SaddleSystem) -> WeakBcSolution:
     x, res_rel = solve_saddle(system)
-    nu = system.n_u
-    lam = x[nu:] if system.n_p > 0 else None
-    return WeakBcSolution(u=x[:nu], lam=lam, residual_norm=res_rel)
+    return WeakBcSolution(u=x[:system.n_u], residual_norm=res_rel)
 
 
 def run(method: WeakBcMethod, mesh: Mesh, f, d) -> WeakBcSolution:
@@ -223,34 +244,6 @@ def errors(mesh: Mesh, u_vec: np.ndarray, problem: WeakBcProblem):
     """(L2, H1-seminorm) error of a P1 field, by ``field_errors``."""
     return field_errors(build_space(ElementKind.P1, mesh), u_vec, problem.u,
                         problem.grad_u)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-def lambda_roughness(solution: WeakBcSolution, mesh: Mesh,
-                     trace: str) -> float:
-    """Total variation of the multiplier along the boundary over its scale.
-
-    The multiplier is known to come out rough; this is the reported
-    indicator (never asserted against a threshold).
-    """
-    if solution.lam is None:
-        raise ValueError("solution carries no multiplier")
-    lam, ends = solution.lam, mesh.boundary_edges[:, :2]
-    if trace == "p1":
-        space = build_space(ElementKind.P1, mesh)
-        nodal = np.zeros(space.n_dofs)
-        nodal[space.boundary_dofs] = lam
-        jumps = np.abs(nodal[ends[:, 0]] - nodal[ends[:, 1]])
-    else:
-        # P0 multipliers: pair edges sharing a boundary vertex
-        owner_of_start = {ends[e, 0]: e for e in range(len(ends))}
-        partner = np.array([owner_of_start[ends[e, 1]] for e in range(len(ends))])
-        jumps = np.abs(lam - lam[partner])
-    scale = np.abs(lam).max()
-    return float(jumps.sum() / (len(jumps) * scale)) if scale > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

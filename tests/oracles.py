@@ -85,6 +85,16 @@ def identity_schur_complement(lu, b, c) -> np.ndarray:
     return out
 
 
+def dense_pencil(b, x, m):
+    """Eigenvalues (descending) and M-orthonormal eigenvectors of the pencil
+    (B X^{-1} B^T, M), with S formed from a dense solve with X and one
+    generalized ``eigh`` on copies: the oracle of ``infsup_weighted``."""
+    b = sp.csr_array(b).toarray()
+    s = b @ np.linalg.solve(sp.csr_array(x).toarray(), b.T)
+    lam, q = scipy.linalg.eigh(s, sp.csr_array(m).toarray())
+    return lam[::-1], q[:, ::-1]
+
+
 def inverse_constant(mesh) -> float:
     """C_i with h_E ||dv/dn||_E^2 <= C_i^2 ||grad v||^2 on P1.
 

@@ -154,7 +154,29 @@ def test_p0_multiplier_is_singular_by_design(tmp_path):
                      "--n", "4"], tmp_path, json_out=True)
     assert code == 0
     assert doc["status"] == "singular"
-    assert set(doc["results"]) == {"method", "h", "error"}
+    assert set(doc["results"]) == {"method", "h", "beta", "kernel_dim",
+                                   "error"}
+    # beta is taken past the kernel, as ``infsup`` reports it
+    assert doc["results"]["kernel_dim"] == 1
+    assert round(doc["results"]["beta"], 4) == 0.1241
+
+
+def _no_solve(*args):
+    raise AssertionError("weak-bc solve attempted")
+
+
+@pytest.mark.parametrize("n", ["2", "8", "32", "128"])
+def test_p0_multiplier_verdict_is_measured_before_any_solve(
+        n, tmp_path, monkeypatch, capsys):
+    # the pivot test of the solve let n=128 through as "ok"; the pencil's
+    # kernel decides at every n
+    monkeypatch.setattr(weakbc, "run", _no_solve)
+    code, doc = run(["weakbc", "--method", "multiplier", "--trace", "p0",
+                     "--n", n], tmp_path, json_out=True)
+    assert code == 0 and doc["status"] == "singular"
+    assert doc["results"]["kernel_dim"] == 1
+    assert capsys.readouterr().out == \
+        "status: singular (multiplier inf-sup kernel of dimension 1)\n"
 
 
 @pytest.mark.parametrize("method, route", [
@@ -454,6 +476,37 @@ def test_nan_serializes_as_null(tmp_path):
 
 # --- CSV -------------------------------------------------------------------
 
+def test_singular_locking_sweep_writes_parseable_csv_and_no_vtk(tmp_path):
+    # NaN norms of a singular penalty are written as nan, which float()
+    # reads; with no solved penalty there is no field to export
+    path, vtk = tmp_path / "sweep.csv", tmp_path / "lock.vtk"
+    code, doc = run(["locking", "--method", "multiplier", "--gamma-space",
+                     "continuous", "--n", "4", "--lambdas", "1e2,1e4",
+                     "--csv", str(path), "--vtk", str(vtk)], tmp_path,
+                    json_out=True)
+    assert code == 0 and doc["status"] == "singular"
+    assert not vtk.exists()
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "lambda,u_h1_norm,p_h1_norm,solve_ok"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(r[0]) for r in rows] == [1e2, 1e4]
+    for row in rows:
+        assert all(math.isnan(float(v)) for v in row[1:3])
+        assert row[3] == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["stokes", "--method", "p1p1-plain", "--n", "4"],
+    ["weakbc", "--method", "multiplier", "--trace", "p0", "--n", "4"],
+], ids=["stokes", "weakbc"])
+def test_singular_run_writes_no_csv_or_vtk(argv, tmp_path):
+    csv_path, vtk_path = tmp_path / "out.csv", tmp_path / "out.vtk"
+    code, doc = run(argv + ["--csv", str(csv_path), "--vtk", str(vtk_path)],
+                    tmp_path, json_out=True)
+    assert code == 0 and doc["status"] == "singular"
+    assert not csv_path.exists() and not vtk_path.exists()
+
+
 def test_stokes_csv_header_and_row(tmp_path):
     path = tmp_path / "errs.csv"
     assert cli.main(["stokes", "--method", "p1p1-loss", "--n", "4",
@@ -610,15 +663,17 @@ def test_weakbc_vtk_and_report(tmp_path):
     assert code == 0
     res = doc["results"]
     assert res["err_l2"] < 0.1
-    assert res["multiplier_roughness"] > 0.0
+    assert res["kernel_dim"] == 0
+    assert round(res["beta"], 4) == 0.3619
     assert "SCALARS u double 1" in vtk.read_text().splitlines()
 
 
-def test_nitsche_report_has_no_roughness(tmp_path):
-    code, doc = run(["weakbc", "--method", "nitsche", "--n", "4"],
+@pytest.mark.parametrize("method", ["nitsche", "bh"])
+def test_weakbc_report_has_beta_for_multiplier_only(method, tmp_path):
+    code, doc = run(["weakbc", "--method", method, "--n", "4"],
                     tmp_path, json_out=True)
     assert code == 0
-    assert "multiplier_roughness" not in doc["results"]
+    assert not {"beta", "kernel_dim"} & set(doc["results"])
 
 
 def test_stokes_stdout_summary(capsys):

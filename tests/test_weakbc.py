@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from infsup_lab import verify, weakbc
+from infsup_lab import infsup, verify, weakbc
 from infsup_lab.assembly import (
     boundary_edge_integrals,
     boundary_flux_flux,
@@ -16,11 +16,13 @@ from infsup_lab.assembly import (
     boundary_normal_flux,
     load_vector,
     mass,
+    solve_saddle,
+    sparse_lu,
     stiffness,
 )
 from infsup_lab.fespace import ElementKind, build_space
 from infsup_lab.mesh import boundary_edge_geometry, unit_square_mesh
-from oracles import dof_coords, inverse_constant, lu_solve
+from oracles import dense_pencil, dof_coords, inverse_constant, lu_solve
 
 PROB = weakbc.mms_problem()
 
@@ -30,6 +32,15 @@ def mms_solution(name, n, trace="p1"):
     mesh = unit_square_mesh(n)
     meth = weakbc.method_from_name(name, trace=trace)
     return weakbc.run(meth, mesh, PROB.f, PROB.d)
+
+
+def solve_split(method, mesh, f, d):
+    """(u, lambda, relative residual) of a weak-bc system: the solution of
+    ``solve_saddle`` split after the field block (lambda is empty for
+    Nitsche); ``WeakBcSolution`` keeps u only."""
+    system = weakbc.build(method, mesh, f, d)
+    x, residual = solve_saddle(system)
+    return x[:system.n_u], x[system.n_u:], residual
 
 
 def edge_midpoints(mesh):
@@ -147,11 +158,10 @@ def test_constant_state_reproduced(method):
     # u = 1 solves -lap(u) + u = 1 with d = 1; every variant is consistent
     mesh = unit_square_mesh(8)
     one = lambda p: np.ones(p.shape[:-1])
-    sol = weakbc.run(method, mesh, one, one)
-    assert np.abs(sol.u - 1.0).max() < 1e-10
-    assert sol.residual_norm < 1e-9
-    if sol.lam is not None:
-        assert np.abs(sol.lam).max() < 1e-10
+    u, lam, residual = solve_split(method, mesh, one, one)
+    assert np.abs(u - 1.0).max() < 1e-10
+    assert residual < 1e-9
+    assert np.abs(lam).max(initial=0.0) < 1e-10
 
 
 def test_multiplier_recovers_normal_derivative():
@@ -160,12 +170,13 @@ def test_multiplier_recovers_normal_derivative():
     mesh = unit_square_mesh(8)
     space = build_space(ElementKind.P1, mesh)
     exact = lambda p: 1.0 - p[..., 0]
-    sol = weakbc.run(weakbc.method_from_name("multiplier"), mesh, exact, exact)
-    assert np.abs(sol.u - exact(dof_coords(space))).max() < 1e-12
+    u, lam, _ = solve_split(weakbc.method_from_name("multiplier"), mesh,
+                            exact, exact)
+    assert np.abs(u - exact(dof_coords(space))).max() < 1e-12
     coords = dof_coords(space)[space.boundary_dofs]
     interior = (coords[:, 1] > 0.05) & (coords[:, 1] < 0.95)
-    left = sol.lam[(coords[:, 0] < 1e-12) & interior]
-    right = sol.lam[(coords[:, 0] > 1 - 1e-12) & interior]
+    left = lam[(coords[:, 0] < 1e-12) & interior]
+    right = lam[(coords[:, 0] > 1 - 1e-12) & interior]
     assert np.abs(left + 1.0).max() < 0.2
     assert np.abs(right - 1.0).max() < 0.2
 
@@ -176,12 +187,12 @@ def test_bh_p0_multiplier_exact_for_linear_solution():
     mesh = unit_square_mesh(8)
     space = build_space(ElementKind.P1, mesh)
     exact = lambda p: 1.0 - p[..., 0]
-    sol = weakbc.run(weakbc.method_from_name("bh", trace="p0"), mesh, exact,
-                     exact)
-    assert np.abs(sol.u - exact(dof_coords(space))).max() < 1e-12
+    u, lam, _ = solve_split(weakbc.method_from_name("bh", trace="p0"), mesh,
+                            exact, exact)
+    assert np.abs(u - exact(dof_coords(space))).max() < 1e-12
     mids = edge_midpoints(mesh)
-    assert np.abs(sol.lam[mids[:, 0] < 1e-12] + 1.0).max() < 1e-8
-    assert np.abs(sol.lam[mids[:, 0] > 1 - 1e-12] - 1.0).max() < 1e-8
+    assert np.abs(lam[mids[:, 0] < 1e-12] + 1.0).max() < 1e-8
+    assert np.abs(lam[mids[:, 0] > 1 - 1e-12] - 1.0).max() < 1e-8
 
 
 # --- structure -----------------------------------------------------------
@@ -232,7 +243,6 @@ def test_multiplier_solvable_on_coarse_meshes():
     for n in (2, 4, 8):
         sol = mms_solution("multiplier", n)
         assert sol.residual_norm < 1e-9
-        assert sol.lam is not None
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -246,7 +256,9 @@ def test_p0_multiplier_block_has_one_kernel_mode(n):
 
 
 def test_nitsche_has_no_multiplier():
-    assert mms_solution("nitsche", 8).lam is None
+    system = weakbc.build(weakbc.method_from_name("nitsche"),
+                          unit_square_mesh(8), PROB.f, PROB.d)
+    assert system.n_p == 0 and system.c is None
 
 
 # --- BH / Nitsche equivalence --------------------------------------------
@@ -332,21 +344,72 @@ def test_methods_agree_on_error_magnitude():
         assert 0.8 * base < v < 1.25 * base
 
 
+# --- stability of the multiplier pair -------------------------------------
+
+@pytest.mark.parametrize("n, beta", [(4, 0.3619), (8, 0.3505), (16, 0.3459),
+                                     (32, 0.3441)])
+def test_p1_multiplier_beta_is_mesh_independent(n, beta):
+    # in the mesh-dependent H^{-1/2} norm W the P1 multiplier is stable
+    report = weakbc.multiplier_infsup(unit_square_mesh(n), "p1")
+    assert report.kernel_dim_pressure == 0
+    assert round(report.beta, 4) == beta
+    if n >= 16:
+        assert abs(report.beta - 0.344) <= 0.01
+
+
+def boundary_neighbours(mesh):
+    """(e, f) for every pair of boundary edges that share a vertex, with e
+    the edge that ends where f starts."""
+    ends = mesh.boundary_edges[:, :2]
+    starting = {v: f for f, v in enumerate(ends[:, 0])}
+    return np.array([(e, starting[v]) for e, v in enumerate(ends[:, 1])])
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_p0_multiplier_kernel_is_the_alternating_edge_mode(n):
+    mesh = unit_square_mesh(n)
+    assert weakbc.multiplier_infsup(mesh, "p0").kernel_dim_pressure == 1
+    # the 4n edges close a cycle of even length: a sign that flips across
+    # every shared vertex has zero edge average against every P1 trace
+    pairs = boundary_neighbours(mesh)
+    assert len(pairs) == 4 * n
+    space = build_space(ElementKind.P1, mesh)
+    t, _, w = weakbc._trace_ops(space, "p0")
+    lam, q = dense_pencil(t, stiffness(space) + mass(space), w)
+    kernel = q[:, -1]
+    assert lam[-1] <= infsup.RANK_RTOL * lam[0] < lam[-2]
+    assert np.all(kernel[pairs[:, 0]] * kernel[pairs[:, 1]] < 0.0)
+    assert np.ptp(np.abs(kernel)) <= 1e-10 * np.abs(kernel).max()
+
+
+@pytest.mark.parametrize("trace", ["p1", "p0"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_multiplier_beta_matches_dense_pencil(trace, n):
+    mesh = unit_square_mesh(n)
+    report = weakbc.multiplier_infsup(mesh, trace)
+    space = build_space(ElementKind.P1, mesh)
+    t, _, w = weakbc._trace_ops(space, trace)
+    lam, _ = dense_pencil(t, stiffness(space) + mass(space), w)
+    rank = int(np.count_nonzero(lam > infsup.RANK_RTOL * lam[0]))
+    assert report.kernel_dim_pressure == len(lam) - rank
+    assert abs(report.beta - np.sqrt(lam[rank - 1])) <= 1e-12 * report.beta
+
+
+@pytest.mark.parametrize("trace", ["p1", "p0"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_bh_velocity_block_is_spd_up_to_inverse_constant(trace, n):
+    # A + M - alpha N_w >= (1 - alpha C_i^2) |v|_1^2 + ||v||^2: SPD for
+    # alpha <= 1/C_i^2 = 0.5, a second check on C_i^2 = 2
+    def spd(alpha):
+        system = weakbc.build(weakbc.method_from_name("bh", alpha=alpha,
+                                                      trace=trace),
+                              unit_square_mesh(n), PROB.f, PROB.d)
+        return infsup._positive_definite(sparse_lu(system.a, "BH velocity"))
+    assert spd(0.5)
+    assert not spd(0.6)
+
+
 # --- diagnostics ----------------------------------------------------------
-
-def test_lambda_roughness_reported():
-    mesh = unit_square_mesh(8)
-    sol = weakbc.run(weakbc.method_from_name("multiplier"), mesh, PROB.f,
-                     PROB.d)
-    r = weakbc.lambda_roughness(sol, mesh, trace="p1")
-    assert 0.0 < r < 2.0
-    sol0 = weakbc.run(weakbc.method_from_name("bh", trace="p0"), mesh,
-                      PROB.f, PROB.d)
-    r0 = weakbc.lambda_roughness(sol0, mesh, trace="p0")
-    assert 0.0 < r0 < 2.0
-    with pytest.raises(ValueError):
-        weakbc.lambda_roughness(mms_solution("nitsche", 8), mesh, "p1")
-
 
 def test_normal_flux_diagnostic():
     mesh = unit_square_mesh(4)

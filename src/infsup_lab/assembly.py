@@ -3,9 +3,13 @@
 All volume operators integrate with the 6-point degree-4 rule by default,
 which is exact for every form assembled here (the highest-order integrand is
 the quartic bubble-gradient product), so re-assembling with a higher-degree
-rule must reproduce the same matrices to round-off.  Boundary operators are
-specific to scalar P1 spaces, the only case the weak-boundary machinery
-needs, and integrate edgewise with 2-point Gauss.  Every operator is a
+rule must reproduce the same matrices to round-off.  On affine triangles
+each volume form is a reference tensor per pair of element kinds, summed
+once over the rule's points and contracted with a few coefficients per cell
+(Kirby, Knepley, Logg and Scott, SIAM J. Sci. Comput. 27, 2005): no table
+of physical basis gradients per point.  Boundary operators are specific to
+scalar P1 spaces, the only case the weak-boundary machinery needs, and
+integrate edgewise with 2-point Gauss.  Every operator is a
 ``scipy.sparse.csr_array`` in canonical form (sorted column indices,
 duplicate entries summed) that stores no exact zero: contributions that
 cancel (right angles of the structured mesh zero some stiffness couplings)
@@ -16,7 +20,7 @@ per-cell weights through ``stiffness`` and ``gradient_load``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -26,7 +30,6 @@ from .fespace import (
     LOCAL_DOFS,
     ElementKind,
     FeSpace,
-    QuadratureRule,
     quadrature,
     quadrature_points,
     shape_gradients_bary,
@@ -44,19 +47,15 @@ from .mesh import (
 DEFAULT_DEGREE = 4
 
 
-def _quad_weights(mesh: Mesh, rule: QuadratureRule,
-                  cell_weights=None) -> np.ndarray:
-    """(T, nq) physical quadrature weights, optionally scaled per cell."""
-    w = np.outer(triangle_areas(mesh), rule.weights)
-    if cell_weights is not None:
-        w = w * np.asarray(cell_weights, dtype=float)[:, None]
-    return w
-
-
-def _phys_gradients(space: FeSpace, rule: QuadratureRule) -> np.ndarray:
-    """(T, nq, n_local, 2) physical basis gradients."""
-    ref = shape_gradients_bary(space.kind, rule.points)       # (nq, nb, 3)
-    return np.einsum("qbl,tld->tqbd", ref, triangle_grad_lambda(space.mesh))
+def _contract(coefs: np.ndarray, tensors: np.ndarray) -> np.ndarray:
+    """(T, nr, nc) local matrices ``sum_k coefs[:, k] tensors[k]`` from
+    (T, K) per-cell coefficients and K reference tensors (K, nr, nc): K
+    broadcast multiply-adds into one output through one reused buffer."""
+    out = np.multiply.outer(coefs[:, 0], tensors[0])
+    buf = np.empty_like(out) if len(tensors) > 1 else None
+    for k in range(1, len(tensors)):
+        out += np.multiply.outer(coefs[:, k], tensors[k], out=buf)
+    return out
 
 
 def _scatter(rows_cells: np.ndarray, cols_cells: np.ndarray,
@@ -74,8 +73,26 @@ def _scatter(rows_cells: np.ndarray, cols_cells: np.ndarray,
 
 
 def _expand_components(scalar: sp.csr_array, components: int) -> sp.csr_array:
-    """Block-diagonal replication of a scalar operator over components."""
-    return sp.block_diag([scalar] * components, format="csr")
+    """diag(scalar, scalar) for two components, from the CSR arrays: the
+    second block repeats ``data``, with ``indices`` shifted by the column
+    count and ``indptr`` by the nnz."""
+    if components == 1:
+        return scalar
+    (n_rows, n_cols), nnz = scalar.shape, scalar.nnz
+    return sp.csr_array(
+        (np.concatenate([scalar.data, scalar.data]),
+         np.concatenate([scalar.indices, scalar.indices + n_cols]),
+         np.concatenate([scalar.indptr, scalar.indptr[1:] + nnz])),
+        shape=(2 * n_rows, 2 * n_cols))
+
+
+def free_vector_block(form, space: FeSpace) -> sp.csr_array:
+    """``form(space)[free][:, free]`` of a two-component ``space`` (free =
+    ``space.free_dofs()``, component-major): ``form`` of the scalar space
+    on its free dofs, doubled once."""
+    scalar = replace(space, components=1)
+    free = scalar.free_dofs()
+    return _expand_components(form(scalar)[free][:, free], space.components)
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +101,18 @@ def _expand_components(scalar: sp.csr_array, components: int) -> sp.csr_array:
 
 def stiffness(space: FeSpace, degree: int = DEFAULT_DEGREE,
               cell_weights=None) -> sp.csr_array:
-    """(grad u, grad v), block-diagonal over components for vector spaces."""
-    rule = quadrature(degree)
-    w = _quad_weights(space.mesh, rule, cell_weights)
-    g = _phys_gradients(space, rule)
-    locals_ = np.einsum("tq,tqbd,tqcd->tbc", w, g, g)
+    """(grad u, grad v), block-diagonal over components for vector spaces:
+    R[l, m] = sum_q w_q dphi/dl dphi/dm against |T| w_T (G G^T)[l, m], G
+    the cell's barycentric gradients."""
+    rule, mesh, nb = quadrature(degree), space.mesh, space.n_local
+    d = shape_gradients_bary(space.kind, rule.points)         # (nq, nb, 3)
+    ref = np.einsum("q,qbl,qcm->lmbc", rule.weights, d, d)
+    scale = triangle_areas(mesh)
+    if cell_weights is not None:
+        scale = scale * np.asarray(cell_weights, dtype=float)
+    g = triangle_grad_lambda(mesh)
+    coefs = np.einsum("t,tld,tmd->tlm", scale, g, g)
+    locals_ = _contract(coefs.reshape(-1, 9), ref.reshape(9, nb, nb))
     ns = space.n_scalar_dofs
     scalar = _scatter(space.scalar_cell_dofs, space.scalar_cell_dofs,
                       locals_, ns, ns)
@@ -103,10 +127,10 @@ def cross_mass(row_space: FeSpace, col_space: FeSpace,
     if row_space.components != col_space.components:
         raise ValueError("cross_mass needs matching component counts")
     rule = quadrature(degree)
-    w = _quad_weights(row_space.mesh, rule)
-    va = shape_values(row_space.kind, rule.points)
-    vb = shape_values(col_space.kind, rule.points)
-    locals_ = np.einsum("tq,qb,qc->tbc", w, va, vb)
+    ref = np.einsum("q,qb,qc->bc", rule.weights,
+                    shape_values(row_space.kind, rule.points),
+                    shape_values(col_space.kind, rule.points))
+    locals_ = _contract(triangle_areas(row_space.mesh)[:, None], ref[None])
     scalar = _scatter(row_space.scalar_cell_dofs, col_space.scalar_cell_dofs,
                       locals_, row_space.n_scalar_dofs,
                       col_space.n_scalar_dofs)
@@ -127,25 +151,30 @@ def lumped_mass(space: FeSpace) -> np.ndarray:
     return diag
 
 
+def _value_gradient(values_space: FeSpace, grads_space: FeSpace,
+                    degree: int, sign: float) -> list:
+    """``sign (phi_b, d psi_c / dx_k)`` local matrices for k = 0, 1, phi of
+    ``values_space`` and psi of ``grads_space``: R[l] = sum_q w_q phi dpsi/dl
+    against sign |T| G[:, l, k]."""
+    rule, mesh = quadrature(degree), values_space.mesh
+    ref = np.einsum("q,qb,qcl->lbc", rule.weights,
+                    shape_values(values_space.kind, rule.points),
+                    shape_gradients_bary(grads_space.kind, rule.points))
+    coefs = (sign * triangle_areas(mesh))[:, None, None] \
+        * triangle_grad_lambda(mesh)
+    return [_contract(coefs[:, :, k], ref) for k in range(2)]
+
+
 def divergence(v_space: FeSpace, p_space: FeSpace,
                degree: int = DEFAULT_DEGREE) -> sp.csr_array:
     """Constraint block ``B[q, v] = -(psi_q, div phi_v)``."""
     if v_space.components != 2 or p_space.components != 1:
         raise ValueError("divergence couples a vector velocity with a "
                          "scalar pressure")
-    rule = quadrature(degree)
-    mesh = v_space.mesh
-    w = _quad_weights(mesh, rule)
-    pv = shape_values(p_space.kind, rule.points)              # (nq, np)
-    gv = _phys_gradients(v_space, rule)                       # (T, nq, nv, 2)
-    n_p, n_v = p_space.n_dofs, v_space.n_dofs
-    parts = []
-    for c in range(2):
-        locals_ = -np.einsum("tq,qb,tqv->tbv", w, pv, gv[..., c])
-        cols = v_space.scalar_cell_dofs + c * v_space.n_scalar_dofs
-        parts.append(_scatter(p_space.scalar_cell_dofs, cols,
-                              locals_, n_p, n_v))
-    return parts[0] + parts[1]
+    locals_ = np.concatenate(_value_gradient(p_space, v_space, degree, -1.0),
+                             axis=2)
+    return _scatter(p_space.scalar_cell_dofs, v_space.cell_dofs, locals_,
+                    p_space.n_dofs, v_space.n_dofs)
 
 
 def grad_coupling(v_space: FeSpace, p_space: FeSpace,
@@ -154,19 +183,10 @@ def grad_coupling(v_space: FeSpace, p_space: FeSpace,
     if v_space.components != 2 or p_space.components != 1:
         raise ValueError("grad_coupling couples a vector space with a "
                          "scalar space")
-    rule = quadrature(degree)
-    mesh = v_space.mesh
-    w = _quad_weights(mesh, rule)
-    vv = shape_values(v_space.kind, rule.points)              # (nq, nv)
-    gp = _phys_gradients(p_space, rule)                       # (T, nq, np, 2)
-    n_v, n_p = v_space.n_dofs, p_space.n_dofs
-    parts = []
-    for c in range(2):
-        locals_ = np.einsum("tq,qb,tqp->tbp", w, vv, gp[..., c])
-        rows = v_space.scalar_cell_dofs + c * v_space.n_scalar_dofs
-        parts.append(_scatter(rows, p_space.scalar_cell_dofs,
-                              locals_, n_v, n_p))
-    return parts[0] + parts[1]
+    locals_ = np.concatenate(_value_gradient(v_space, p_space, degree, 1.0),
+                             axis=1)
+    return _scatter(v_space.cell_dofs, p_space.scalar_cell_dofs, locals_,
+                    v_space.n_dofs, p_space.n_dofs)
 
 
 def load_vector(space: FeSpace, func, degree: int = DEFAULT_DEGREE) -> np.ndarray:
@@ -177,7 +197,7 @@ def load_vector(space: FeSpace, func, degree: int = DEFAULT_DEGREE) -> np.ndarra
     """
     rule = quadrature(degree)
     mesh = space.mesh
-    w = _quad_weights(mesh, rule)
+    w = np.outer(triangle_areas(mesh), rule.weights)          # (T, nq)
     pts = quadrature_points(mesh, rule)
     fv = np.asarray(func(pts), dtype=float)
     v = shape_values(space.kind, rule.points)
@@ -205,11 +225,12 @@ def gradient_load(space: FeSpace, func, cell_weights) -> np.ndarray:
         raise ValueError("gradient_load expects a scalar test space")
     rule = quadrature(DEFAULT_DEGREE)
     mesh = space.mesh
-    w = _quad_weights(mesh, rule, cell_weights)
+    w = np.outer(triangle_areas(mesh) * cell_weights, rule.weights)
     pts = quadrature_points(mesh, rule)
     fv = np.broadcast_to(np.asarray(func(pts), dtype=float), pts.shape)
-    g = _phys_gradients(space, rule)
-    locals_ = np.einsum("tq,tqd,tqbd->tb", w, fv, g)
+    fg = np.einsum("tqd,tld->tql", fv, triangle_grad_lambda(mesh))
+    locals_ = np.einsum("tq,tql,qbl->tb", w, fg,
+                        shape_gradients_bary(space.kind, rule.points))
     out = np.zeros(space.n_dofs)
     np.add.at(out, space.scalar_cell_dofs, locals_)
     return out

@@ -32,8 +32,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import (divergence, mass, schur_complement, sparse_lu,
-                       stiffness)
+from .assembly import (divergence, free_vector_block, mass, schur_complement,
+                       sparse_lu, stiffness)
 from .fespace import ElementKind, FeSpace, build_space, interior_edge_pairs
 from .linalg import NotPositiveDefinite, SingularMatrix, require_symmetric
 from .mesh import Mesh
@@ -71,11 +71,11 @@ def pair_spaces(pair: str, mesh: Mesh) -> tuple[FeSpace, FeSpace]:
 
 def pair_operators(v_space: FeSpace, p_space: FeSpace):
     """Sparse CSR (B, X, M) of a pair: divergence block restricted to free
-    velocity columns, velocity stiffness on free dofs, pressure mass.  The
-    Stokes solve and the inf-sup constant both use these blocks."""
-    free = v_space.free_dofs()
-    b = divergence(v_space, p_space)[:, free]
-    return b, stiffness(v_space)[free][:, free], mass(p_space)
+    velocity columns, velocity stiffness on free dofs (diag(K, K), from the
+    scalar K), pressure mass.  The Stokes solve and the inf-sup constant
+    both use these blocks."""
+    b = divergence(v_space, p_space)[:, v_space.free_dofs()]
+    return b, free_vector_block(stiffness, v_space), mass(p_space)
 
 
 def _positive_definite(factor) -> bool:

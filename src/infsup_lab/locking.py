@@ -63,6 +63,7 @@ import scipy.sparse as sp
 from .assembly import (
     SaddleSystem,
     cross_mass,
+    free_vector_block,
     grad_coupling,
     load_vector,
     lumped_mass,
@@ -195,8 +196,8 @@ def _blocks(config: LockingConfig) -> _Blocks:
     fu, fp = u_space.free_dofs(), p_space.free_dofs()
     return _Blocks(
         u_space=u_space, p_space=p_space, free_u=fu, free_p=fp,
-        ku=stiffness(u_space)[fu][:, fu],
-        mu=mass(u_space)[fu][:, fu],
+        ku=free_vector_block(stiffness, u_space),
+        mu=free_vector_block(mass, u_space),
         g=grad_coupling(u_space, p_space)[fu][:, fp],
         sp=stiffness(p_space)[fp][:, fp],
         ml=lumped_mass(u_space)[fu],

@@ -92,12 +92,19 @@ def _directed_edges(triangles: np.ndarray):
     Returns ``(directed, edges, inverse)``: the (3T, 2) directed edges, whose
     row k belongs to triangle k // 3; the unique undirected edges, rows
     sorted, in lexicographic order; and the id in ``edges`` of each directed
-    edge.
+    edge.  An undirected edge is the integer key ``lo (N + 1) + hi``, N the
+    largest node, whose order is the lexicographic one; one stable argsort
+    groups the keys.
     """
     directed = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    edges, inverse = np.unique(np.sort(directed, axis=1), axis=0,
-                               return_inverse=True)
-    return directed, edges, inverse.ravel()
+    lo, hi = directed.min(axis=1), directed.max(axis=1)
+    keys = lo * (triangles.max() + 1) + hi
+    order = np.argsort(keys, kind="stable")
+    first = np.diff(keys[order], prepend=-1) != 0
+    inverse = np.empty_like(keys)
+    inverse[order] = np.cumsum(first) - 1
+    edges = np.column_stack([lo, hi])[order[first]]
+    return directed, edges, inverse
 
 
 def _boundary_edges(triangles: np.ndarray) -> np.ndarray:

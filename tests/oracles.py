@@ -8,11 +8,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from infsup_lab.assembly import boundary_flux_flux, mass, stiffness
-from infsup_lab.fespace import (ElementKind, build_space, shape_gradients_bary,
-                                shape_values)
+from infsup_lab.assembly import _scatter, boundary_flux_flux, mass, stiffness
+from infsup_lab.fespace import (ElementKind, build_space, quadrature,
+                                shape_gradients_bary, shape_values)
 from infsup_lab.linalg import dense_lu
-from infsup_lab.mesh import boundary_edge_geometry, triangle_grad_lambda
+from infsup_lab.mesh import (boundary_edge_geometry, triangle_areas,
+                             triangle_grad_lambda)
 
 # barycentric node of each local basis function, in the order of
 # ``fespace.shape_values``: vertices, then the centroid (the bubble) or the
@@ -69,6 +70,88 @@ def table_fields_at_quadrature(space, coeffs, rule):
     values = np.einsum("qb,tcb->tqc", shape_values(space.kind, rule.points),
                        local)
     return points, values, np.einsum("tqbd,tcb->tqcd", grads, local)
+
+
+def unique_row_edges(triangles):
+    """``mesh._directed_edges`` by ``np.unique(axis=0)`` of the sorted rows:
+    the route that the integer edge keys replaced."""
+    directed = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    edges, inverse = np.unique(np.sort(directed, axis=1), axis=0,
+                               return_inverse=True)
+    return directed, edges, inverse.ravel()
+
+
+# The volume forms from (T, nq) physical quadrature weights and a
+# (T, nq, n_local, 2) table of physical basis gradients, each scalar block
+# replicated over components by ``sp.block_diag``: the kernels that the
+# reference tensors of ``assembly`` replaced.
+
+def _table_weights(mesh, rule, cell_weights=None):
+    w = np.outer(triangle_areas(mesh), rule.weights)
+    if cell_weights is not None:
+        w = w * np.asarray(cell_weights, dtype=float)[:, None]
+    return w
+
+
+def _table_gradients(space, rule):
+    return np.einsum("qbl,tld->tqbd",
+                     shape_gradients_bary(space.kind, rule.points),
+                     triangle_grad_lambda(space.mesh))
+
+
+def _table_components(scalar, components):
+    return sp.csr_array(sp.block_diag([scalar] * components, format="csr"))
+
+
+def table_stiffness(space, degree, cell_weights=None):
+    rule = quadrature(degree)
+    w = _table_weights(space.mesh, rule, cell_weights)
+    g = _table_gradients(space, rule)
+    locals_ = np.einsum("tq,tqbd,tqcd->tbc", w, g, g)
+    ns = space.n_scalar_dofs
+    return _table_components(_scatter(space.scalar_cell_dofs,
+                                      space.scalar_cell_dofs, locals_, ns, ns),
+                             space.components)
+
+
+def table_cross_mass(row_space, col_space, degree):
+    rule = quadrature(degree)
+    w = _table_weights(row_space.mesh, rule)
+    locals_ = np.einsum("tq,qb,qc->tbc", w,
+                        shape_values(row_space.kind, rule.points),
+                        shape_values(col_space.kind, rule.points))
+    return _table_components(
+        _scatter(row_space.scalar_cell_dofs, col_space.scalar_cell_dofs,
+                 locals_, row_space.n_scalar_dofs, col_space.n_scalar_dofs),
+        row_space.components)
+
+
+def table_divergence(v_space, p_space, degree):
+    rule = quadrature(degree)
+    w = _table_weights(v_space.mesh, rule)
+    pv = shape_values(p_space.kind, rule.points)
+    gv = _table_gradients(v_space, rule)
+    parts = []
+    for c in range(2):
+        locals_ = -np.einsum("tq,qb,tqv->tbv", w, pv, gv[..., c])
+        cols = v_space.scalar_cell_dofs + c * v_space.n_scalar_dofs
+        parts.append(_scatter(p_space.scalar_cell_dofs, cols, locals_,
+                              p_space.n_dofs, v_space.n_dofs))
+    return parts[0] + parts[1]
+
+
+def table_grad_coupling(v_space, p_space, degree):
+    rule = quadrature(degree)
+    w = _table_weights(v_space.mesh, rule)
+    vv = shape_values(v_space.kind, rule.points)
+    gp = _table_gradients(p_space, rule)
+    parts = []
+    for c in range(2):
+        locals_ = np.einsum("tq,qb,tqp->tbp", w, vv, gp[..., c])
+        rows = v_space.scalar_cell_dofs + c * v_space.n_scalar_dofs
+        parts.append(_scatter(rows, p_space.scalar_cell_dofs, locals_,
+                              v_space.n_dofs, p_space.n_dofs))
+    return parts[0] + parts[1]
 
 
 def identity_schur_complement(lu, b, c) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from infsup_lab.mesh import (
+    _directed_edges,
     boundary_edge_geometry,
     edge_table,
     triangle_areas,
@@ -11,6 +12,7 @@ from infsup_lab.mesh import (
     triangle_grad_lambda,
     unit_square_mesh,
 )
+from oracles import unique_row_edges
 
 
 def test_counts_n4():
@@ -132,3 +134,14 @@ def test_boundary_orientation_is_ccw_around_the_domain():
             assert d[0] < 0
         elif abs(pa[0]) < 1e-12 and abs(pb[0]) < 1e-12:      # left
             assert d[1] < 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32])
+def test_edge_keys_match_the_unique_rows_route(n):
+    # directed edges, unique edges and inverse, bit for bit and dtype for
+    # dtype, against np.unique(axis=0) of the sorted rows
+    triangles = unit_square_mesh(n).triangles
+    for new, old in zip(_directed_edges(triangles),
+                        unique_row_edges(triangles), strict=True):
+        assert new.dtype == old.dtype
+        assert np.array_equal(new, old)

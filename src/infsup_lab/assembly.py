@@ -7,9 +7,11 @@ rule must reproduce the same matrices to round-off.  On affine triangles
 each volume form is a reference tensor per pair of element kinds, summed
 once over the rule's points and contracted with a few coefficients per cell
 (Kirby, Knepley, Logg and Scott, SIAM J. Sci. Comput. 27, 2005): no table
-of physical basis gradients per point.  Boundary operators are specific to
-scalar P1 spaces, the only case the weak-boundary machinery needs, and
-integrate edgewise with 2-point Gauss.  Every operator is a
+of physical basis gradients per point.  Every boundary form is one 2-point
+Gauss sum per boundary edge over a pair of the three ``edge_bases`` of a
+P1 field (end-node hats, normal derivatives of the owner cell's hats, one
+constant per edge), scattered by ``edge_form``, and every boundary load one
+such sum against one basis (``edge_load``).  Every operator is a
 ``scipy.sparse.csr_array`` in canonical form (sorted column indices,
 duplicate entries summed) that stores no exact zero: contributions that
 cancel (right angles of the structured mesh zero some stiffness couplings)
@@ -21,6 +23,7 @@ per-cell weights through ``stiffness`` and ``gradient_load``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +31,6 @@ import scipy.sparse as sp
 
 from .fespace import (
     LOCAL_DOFS,
-    ElementKind,
     FeSpace,
     quadrature,
     quadrature_points,
@@ -237,7 +239,7 @@ def gradient_load(space: FeSpace, func, cell_weights) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# boundary operators (scalar P1 only)
+# boundary forms
 # ---------------------------------------------------------------------------
 
 #: 2-point Gauss rule on [0, 1]
@@ -245,86 +247,52 @@ _EDGE_GAUSS_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _EDGE_GAUSS_W = np.array([0.5, 0.5])
 
 
-def _edge_weights(space: FeSpace, edge_weights=None) -> np.ndarray:
-    """``|E| w_E`` per boundary edge (``w_E = 1`` by default); checks that
-    ``space`` is scalar P1."""
-    if space.kind is not ElementKind.P1 or space.components != 1:
-        raise ValueError("boundary operators are implemented for scalar P1 "
-                         "spaces only")
-    lengths, _, _ = boundary_edge_geometry(space.mesh)
-    return lengths if edge_weights is None else lengths * np.asarray(edge_weights)
+class EdgeBasis(NamedTuple):
+    """Functions on the boundary edges: per edge E their dofs (E, k), their
+    values at E's two Gauss points (E, 2, k), and the number of dofs."""
+
+    dofs: np.ndarray
+    values: np.ndarray
+    size: int
 
 
-def boundary_hat_flux(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """(flux, tri_nodes), both (E, 3): per boundary edge, the constant normal
-    derivative of each hat function of the edge's owner triangle, and that
-    triangle's nodes; ``sum_k flux[e, k] u[tri_nodes[e, k]]`` is du/dn of a
-    P1 field u on edge e."""
-    _, normals, _ = boundary_edge_geometry(mesh)
-    owners = mesh.boundary_edges[:, 2]
-    flux = np.einsum("ekd,ed->ek", triangle_grad_lambda(mesh)[owners], normals)
-    return flux, mesh.triangles[owners]
+def edge_bases(mesh: Mesh) -> tuple[EdgeBasis, EdgeBasis, EdgeBasis]:
+    """(hats, flux, constants) of a P1 field on the boundary edges: the two
+    end-node hats, the constant normal derivatives of the owner triangle's
+    three hats (``flux.values[e, g] @ u[flux.dofs[e]]`` is du/dn on edge e),
+    and one constant per edge, numbered like ``mesh.boundary_edges``."""
+    edges, (_, normals, _) = mesh.boundary_edges, boundary_edge_geometry(mesh)
+    flux = np.einsum("ekd,ed->ek", triangle_grad_lambda(mesh)[edges[:, 2]],
+                     normals)
+    hats = np.stack([1.0 - _EDGE_GAUSS_S, _EDGE_GAUSS_S], axis=1)  # (2, 2)
+    n = len(edges)
+    return (EdgeBasis(edges[:, :2], np.broadcast_to(hats, (n, 2, 2)),
+                      mesh.n_nodes),
+            EdgeBasis(mesh.triangles[edges[:, 2]],
+                      np.broadcast_to(flux[:, None, :], (n, 2, 3)),
+                      mesh.n_nodes),
+            EdgeBasis(np.arange(n)[:, None], np.ones((n, 2, 1)), n))
 
 
-def _edge_gauss_values(mesh: Mesh, func) -> np.ndarray:
-    """(E, 2) values of ``func`` at the Gauss points of each boundary edge."""
+def edge_form(rows: EdgeBasis, cols: EdgeBasis, weights) -> sp.csr_array:
+    """``sum_E w_E int_E r c ds`` over boundary edges, r of ``rows`` and c
+    of ``cols``, from ``weights`` = |E| w_E."""
+    locals_ = np.einsum("e,g,egr,egc->erc", weights, _EDGE_GAUSS_W,
+                        rows.values, cols.values)
+    return _scatter(rows.dofs, cols.dofs, locals_, rows.size, cols.size)
+
+
+def edge_load(mesh: Mesh, rows: EdgeBasis, func, weights) -> np.ndarray:
+    """``sum_E w_E int_E func r ds`` over boundary edges, r of ``rows``,
+    from ``weights`` = |E| w_E and a scalar callable ``func`` of (E, 2, 2)
+    Gauss points."""
     a = mesh.nodes[mesh.boundary_edges[:, 0]]
     b = mesh.nodes[mesh.boundary_edges[:, 1]]
     pts = a[:, None, :] + _EDGE_GAUSS_S[None, :, None] * (b - a)[:, None, :]
-    return np.asarray(func(pts), dtype=float)
-
-
-def boundary_edge_integrals(mesh: Mesh, func) -> np.ndarray:
-    """``int_E func ds`` per boundary edge (2-point Gauss)."""
-    lengths, _, _ = boundary_edge_geometry(mesh)
-    return np.einsum("e,eg,g->e", lengths, _edge_gauss_values(mesh, func),
-                     _EDGE_GAUSS_W)
-
-
-def boundary_mass(space: FeSpace, edge_weights=None) -> sp.csr_array:
-    """``sum_E w_E int_E u v`` over boundary edges, full dof indexing."""
-    w = _edge_weights(space, edge_weights)
-    edges = space.mesh.boundary_edges
-    local = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
-    locals_ = w[:, None, None] * local
-    n = space.n_dofs
-    return _scatter(edges[:, :2], edges[:, :2], locals_, n, n)
-
-
-def boundary_normal_flux(space: FeSpace, edge_weights=None) -> sp.csr_array:
-    """``sum_E w_E int_E (du/dn) v`` -- test function on trace rows."""
-    w = _edge_weights(space, edge_weights)
-    flux, tri_nodes = boundary_hat_flux(space.mesh)
-    # int_E phi_i = |E|/2 for both endpoint hats; du/dn is constant
-    locals_ = np.broadcast_to(0.5 * w[:, None, None] * flux[:, None, :],
-                              (len(w), 2, 3))
-    n = space.n_dofs
-    return _scatter(space.mesh.boundary_edges[:, :2], tri_nodes, locals_, n, n)
-
-
-def boundary_flux_flux(space: FeSpace, edge_weights=None) -> sp.csr_array:
-    """``sum_E w_E int_E (du/dn)(dv/dn)`` over boundary edges."""
-    w = _edge_weights(space, edge_weights)
-    flux, tri_nodes = boundary_hat_flux(space.mesh)
-    locals_ = w[:, None, None] * flux[:, :, None] * flux[:, None, :]
-    n = space.n_dofs
-    return _scatter(tri_nodes, tri_nodes, locals_, n, n)
-
-
-def boundary_load(space: FeSpace, func, edge_weights=None,
-                  flux_test: bool = False) -> np.ndarray:
-    """``sum_E w_E int_E d v`` (or ``d dv/dn`` with ``flux_test``)."""
-    w = _edge_weights(space, edge_weights)
-    dv = _edge_gauss_values(space.mesh, func)                 # (E, 2)
-    out = np.zeros(space.n_dofs)
-    if flux_test:
-        flux, tri_nodes = boundary_hat_flux(space.mesh)
-        edge_integrals = np.einsum("e,eg,g->e", w, dv, _EDGE_GAUSS_W)
-        np.add.at(out, tri_nodes, edge_integrals[:, None] * flux)
-    else:
-        shape = np.stack([1.0 - _EDGE_GAUSS_S, _EDGE_GAUSS_S], axis=1)  # (2, 2)
-        locals_ = np.einsum("e,eg,g,gk->ek", w, dv, _EDGE_GAUSS_W, shape)
-        np.add.at(out, space.mesh.boundary_edges[:, :2], locals_)
+    out = np.zeros(rows.size)
+    np.add.at(out, rows.dofs,
+              np.einsum("e,g,eg,egr->er", weights, _EDGE_GAUSS_W,
+                        np.asarray(func(pts), dtype=float), rows.values))
     return out
 
 

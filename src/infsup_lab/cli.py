@@ -299,17 +299,18 @@ def _run_weakbc(args: argparse.Namespace):
     with _usage():
         method = weakbc.method_from_name(
             args.method, **{k: v for k, v in options.items() if v is not None})
-    mesh = unit_square_mesh(args.n)
+    mesh, problem = unit_square_mesh(args.n), weakbc.mms_problem()
+    system = weakbc.build(method, mesh, problem.f, problem.d)
     results = {"method": method.name, "h": mesh.h}
     if method.name == "multiplier":
-        report = weakbc.multiplier_infsup(mesh, method.trace)
+        # beta_h of the blocks that are solved, before the solve
+        report = weakbc.multiplier_infsup(system, mesh, method.trace)
         kernel = report.kernel_dim_pressure
         results.update(beta=report.beta, kernel_dim=kernel)
         if kernel:
             return _singular(f"multiplier inf-sup kernel of dimension "
                              f"{kernel}", results)
-    problem = weakbc.mms_problem()
-    solution = weakbc.run(method, mesh, problem.f, problem.d)
+    solution = weakbc.solve(system)
     err_l2, err_h1 = weakbc.errors(mesh, solution.u, problem)
     results.update(err_l2=err_l2, err_h1=err_h1,
                    residual_norm=solution.residual_norm)

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 
 from .assembly import (
     SaddleSystem,
-    boundary_hat_flux,
+    edge_bases,
     grad_coupling,
     gradient_load,
     load_vector,
@@ -332,6 +332,7 @@ def boundary_pressure_flux(solution: StokesSolution) -> float | None:
     if p_space.kind is not ElementKind.P1:
         return None
     lengths, _, _ = boundary_edge_geometry(p_space.mesh)
-    flux, tri_nodes = boundary_hat_flux(p_space.mesh)
-    dp_dn = np.abs(np.einsum("ek,ek->e", flux, solution.p[tri_nodes]))
+    _, flux, _ = edge_bases(p_space.mesh)
+    dp_dn = np.abs(np.einsum("ek,ek->e", flux.values[:, 0],
+                             solution.p[flux.dofs]))
     return float((lengths * dp_dn).sum() / lengths.sum())

@@ -24,6 +24,10 @@ pencil of that inequality (``inverse_constant`` in ``tests/oracles.py``)
 is 2 to round-off at n = 1 ... 16.  Hence the module constants GAMMA =
 4 C_i^2 = 8 and ALPHA = 0.5 / C_i^2 = 1/4.
 
+Every boundary operator and load is one ``assembly.edge_form`` or
+``edge_load`` call over the edge bases of P1 fields (hats, normal
+derivatives) and a multiplier basis chosen once from ``trace``: the P1
+hats on the boundary nodes or one constant per edge (P0).
 ``equivalence_check`` solves the eliminated (Nitsche) form of BH(P0)
 through ``solve``, like every system here.
 """
@@ -36,14 +40,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (
+    EdgeBasis,
     SaddleSystem,
-    _scatter,
-    boundary_edge_integrals,
-    boundary_flux_flux,
-    boundary_hat_flux,
-    boundary_load,
-    boundary_mass,
-    boundary_normal_flux,
+    edge_bases,
+    edge_form,
+    edge_load,
     load_vector,
     mass,
     solve_saddle,
@@ -104,62 +105,44 @@ def method_from_name(name: str, alpha: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# trace operators
+# multiplier basis / build / solve
 # ---------------------------------------------------------------------------
 
-def _p0_trace_ops(mesh: Mesh, n_dofs: int):
-    """(t0, c_w): edge-indexed <mu_E, v> and h_E <mu_E, dv/dn>, each
-    boundary edge scattered as a one-row cell; h_E <mu_E, mu_F> is
-    diagonal, h_E^2 on edge E."""
-    lengths, _, _ = boundary_edge_geometry(mesh)
-    flux, tri_nodes = boundary_hat_flux(mesh)
-    edges = np.arange(len(lengths))[:, None]
-    t0 = _scatter(edges, mesh.boundary_edges[:, :2],
-                  np.repeat(lengths[:, None, None] / 2.0, 2, axis=2),
-                  len(lengths), n_dofs)
-    c_w = _scatter(edges, tri_nodes,
-                   (lengths[:, None] * (lengths[:, None] * flux))[:, None, :],
-                   len(lengths), n_dofs)
-    return t0, c_w
-
-
-def _trace_ops(space: FeSpace, trace: str):
-    """(T, C_w, W) of a multiplier trace space on the P1 ``space``: the
-    trace <mu, v>_E, the flux h_E <mu, dv/dn>_E, and the multiplier norm
-    W = sum_E h_E <mu, mu>_E, the mesh-dependent H^{-1/2} norm (the
-    h_E-weighted boundary mass for P1, diag(h_E^2) for P0).  BH's C is
-    alpha W, and W is the norm of ``multiplier_infsup``."""
-    lengths, _, _ = boundary_edge_geometry(space.mesh)
+def _multiplier(mesh: Mesh, trace: str) -> EdgeBasis:
+    """The multiplier basis of ``trace``: the P1 hats renumbered onto the
+    boundary nodes (``boundary_dofs`` of the P1 space, in the same sorted
+    order), or one constant per boundary edge (P0)."""
+    hats, _, constants = edge_bases(mesh)
     if trace == "p0":
-        return (*_p0_trace_ops(space.mesh, space.n_dofs),
-                sp.diags_array(lengths * lengths, format="csr"))
-    dofs = space.boundary_dofs
-    return (boundary_mass(space)[dofs],
-            boundary_normal_flux(space, edge_weights=lengths)[dofs],
-            boundary_mass(space, edge_weights=lengths)[np.ix_(dofs, dofs)])
+        return constants
+    nodes, dofs = np.unique(hats.dofs, return_inverse=True)
+    return hats._replace(dofs=dofs.reshape(hats.dofs.shape), size=len(nodes))
 
 
-def multiplier_infsup(mesh: Mesh, trace: str) -> InfSupReport:
+def multiplier_infsup(system: SaddleSystem, mesh: Mesh,
+                      trace: str) -> InfSupReport:
     """beta_h and kernel of the multiplier pair (P1 fields, ``trace``
-    multipliers): ``infsup_weighted`` on the pencil (T (A+M)^{-1} T^T, W) of
-    ``_trace_ops``.  The kernel is the multipliers orthogonal to every
-    trace: none for P1 (beta_h 0.344 at n = 16, 32); for P0 the edge mode
-    alternating around the boundary, as each hat meets two equal edges."""
-    space = build_space(ElementKind.P1, mesh)
-    t, _, w = _trace_ops(space, trace)
-    return infsup_weighted(t, stiffness(space) + mass(space), w)
+    multipliers) of a ``multiplier`` system: ``infsup_weighted`` on the
+    pencil (T (A+M)^{-1} T^T, W) of its blocks T = ``b`` and A + M = ``a``,
+    with W = sum_E h_E <mu, mu>_E, the mesh-dependent H^{-1/2} norm.  The
+    kernel is the multipliers orthogonal to every trace: none for P1
+    (beta_h 0.344 at n = 16, 32); for P0 the edge mode alternating around
+    the boundary, as each hat meets two equal edges."""
+    mult = _multiplier(mesh, trace)
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    return infsup_weighted(system.b, system.a,
+                           edge_form(mult, mult, lengths ** 2))
 
-
-# ---------------------------------------------------------------------------
-# build / solve
-# ---------------------------------------------------------------------------
 
 def _nitsche(space: FeSpace, a, f, d, penalty: sp.csr_array,
              penalty_load: np.ndarray) -> SaddleSystem:
     """The symmetric Nitsche form a - N - N^T + ``penalty`` (a = A + M) and
     load f - <d, dv/dn> + ``penalty_load``, with no multiplier rows."""
-    nf = boundary_normal_flux(space)
-    rhs = (load_vector(space, f) - boundary_load(space, d, flux_test=True)
+    mesh = space.mesh
+    hats, flux, _ = edge_bases(mesh)
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    nf = edge_form(hats, flux, lengths)
+    rhs = (load_vector(space, f) - edge_load(mesh, flux, d, lengths)
            + penalty_load)
     return SaddleSystem(a=a - nf - nf.T + penalty,
                         b=sp.csr_array((0, space.n_dofs)), c=None, f=rhs,
@@ -178,27 +161,29 @@ def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
 
 
 def _build(method: WeakBcMethod, space: FeSpace, a, f, d) -> SaddleSystem:
-    """``build`` on a given P1 space and its A + M, ``a``."""
-    lengths, _, _ = boundary_edge_geometry(space.mesh)
+    """``build`` on a given P1 space and its A + M, ``a``.  With the
+    multiplier basis mu: the trace T = <mu, v>_E, its load <d, mu>_E, and
+    for BH the flux h_E <mu, dv/dn>_E, C = alpha W and N_w = alpha sum_E
+    h_E <du/dn, dv/dn>_E."""
+    mesh = space.mesh
+    hats, flux, _ = edge_bases(mesh)
+    lengths, _, _ = boundary_edge_geometry(mesh)
     if method.name == "nitsche":
-        weights = method.gamma / lengths
-        return _nitsche(space, a, f, d,
-                        boundary_mass(space, edge_weights=weights),
-                        boundary_load(space, d, edge_weights=weights))
+        weights = lengths * (method.gamma / lengths)   # w_E = gamma / h_E
+        return _nitsche(space, a, f, d, edge_form(hats, hats, weights),
+                        edge_load(mesh, hats, d, weights))
 
-    fvec = load_vector(space, f)
-    t, c_w, w = _trace_ops(space, method.trace)
-    d_load = (boundary_load(space, d)[space.boundary_dofs]
-              if method.trace == "p1"
-              else boundary_edge_integrals(space.mesh, d))
-
+    mult = _multiplier(mesh, method.trace)
+    t, fvec = edge_form(mult, hats, lengths), load_vector(space, f)
+    d_load = edge_load(mesh, mult, d, lengths)
     if method.name == "multiplier":
         return SaddleSystem(a=a, b=t, c=None, f=fvec, g=d_load,
                             pressure_mass=None)
 
-    alpha = method.alpha
-    n_w = boundary_flux_flux(space, edge_weights=alpha * lengths)
-    return SaddleSystem(a=a - n_w, b=t - alpha * c_w, c=alpha * w, f=fvec,
+    alpha, h_weights = method.alpha, lengths ** 2
+    return SaddleSystem(a=a - edge_form(flux, flux, alpha * h_weights),
+                        b=t - alpha * edge_form(mult, flux, h_weights),
+                        c=alpha * edge_form(mult, mult, h_weights), f=fvec,
                         g=d_load, pressure_mass=None)
 
 
@@ -258,11 +243,12 @@ def _nitsche_projected(space: FeSpace, a, f, d, gamma: float) -> SaddleSystem:
     for P1, so only the penalty changes).
     """
     mesh = space.mesh
+    hats, _, constants = edge_bases(mesh)
     lengths, _, _ = boundary_edge_geometry(mesh)
     weights = gamma / lengths ** 2
-    t0 = _p0_trace_ops(mesh, space.n_dofs)[0]
+    t0 = edge_form(constants, hats, lengths)
     return _nitsche(space, a, f, d, t0.T @ sp.diags_array(weights) @ t0,
-                    t0.T @ (weights * boundary_edge_integrals(mesh, d)))
+                    t0.T @ (weights * edge_load(mesh, constants, d, lengths)))
 
 
 def equivalence_check(mesh: Mesh, f, d, alpha: float) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from infsup_lab.assembly import _scatter, boundary_flux_flux, mass, stiffness
+from infsup_lab.assembly import _scatter, mass, stiffness
 from infsup_lab.fespace import (ElementKind, build_space, quadrature,
                                 shape_gradients_bary, shape_values)
 from infsup_lab.linalg import dense_lu
@@ -152,6 +152,110 @@ def table_grad_coupling(v_space, p_space, degree):
         parts.append(_scatter(rows, p_space.scalar_cell_dofs, locals_,
                               v_space.n_dofs, p_space.n_dofs))
     return parts[0] + parts[1]
+
+
+# The boundary operators and loads of scalar P1 spaces integrated by hand
+# per boundary edge, each with its own edge weights w_E: the closed forms
+# that ``assembly.edge_form`` and ``assembly.edge_load`` replaced.
+
+_EDGE_GAUSS_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+_EDGE_GAUSS_W = np.array([0.5, 0.5])
+
+
+def _edge_weights(space, edge_weights=None) -> np.ndarray:
+    """``|E| w_E`` per boundary edge (``w_E = 1`` by default); checks that
+    ``space`` is scalar P1."""
+    if space.kind is not ElementKind.P1 or space.components != 1:
+        raise ValueError("boundary operators are implemented for scalar P1 "
+                         "spaces only")
+    lengths, _, _ = boundary_edge_geometry(space.mesh)
+    return lengths if edge_weights is None else lengths * np.asarray(edge_weights)
+
+
+def boundary_hat_flux(mesh) -> tuple:
+    """(flux, tri_nodes), both (E, 3): per boundary edge, the constant normal
+    derivative of each hat function of the edge's owner triangle, and that
+    triangle's nodes."""
+    _, normals, _ = boundary_edge_geometry(mesh)
+    owners = mesh.boundary_edges[:, 2]
+    flux = np.einsum("ekd,ed->ek", triangle_grad_lambda(mesh)[owners], normals)
+    return flux, mesh.triangles[owners]
+
+
+def _edge_gauss_values(mesh, func) -> np.ndarray:
+    """(E, 2) values of ``func`` at the Gauss points of each boundary edge."""
+    a = mesh.nodes[mesh.boundary_edges[:, 0]]
+    b = mesh.nodes[mesh.boundary_edges[:, 1]]
+    pts = a[:, None, :] + _EDGE_GAUSS_S[None, :, None] * (b - a)[:, None, :]
+    return np.asarray(func(pts), dtype=float)
+
+
+def boundary_edge_integrals(mesh, func) -> np.ndarray:
+    """``int_E func ds`` per boundary edge (2-point Gauss)."""
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    return np.einsum("e,eg,g->e", lengths, _edge_gauss_values(mesh, func),
+                     _EDGE_GAUSS_W)
+
+
+def boundary_mass(space, edge_weights=None):
+    """``sum_E w_E int_E u v`` over boundary edges, full dof indexing."""
+    w = _edge_weights(space, edge_weights)
+    edges = space.mesh.boundary_edges
+    local = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
+    n = space.n_dofs
+    return _scatter(edges[:, :2], edges[:, :2], w[:, None, None] * local, n, n)
+
+
+def boundary_normal_flux(space, edge_weights=None):
+    """``sum_E w_E int_E (du/dn) v`` -- test function on trace rows."""
+    w = _edge_weights(space, edge_weights)
+    flux, tri_nodes = boundary_hat_flux(space.mesh)
+    # int_E phi_i = |E|/2 for both endpoint hats; du/dn is constant
+    locals_ = np.broadcast_to(0.5 * w[:, None, None] * flux[:, None, :],
+                              (len(w), 2, 3))
+    n = space.n_dofs
+    return _scatter(space.mesh.boundary_edges[:, :2], tri_nodes, locals_, n, n)
+
+
+def boundary_flux_flux(space, edge_weights=None):
+    """``sum_E w_E int_E (du/dn)(dv/dn)`` over boundary edges."""
+    w = _edge_weights(space, edge_weights)
+    flux, tri_nodes = boundary_hat_flux(space.mesh)
+    locals_ = w[:, None, None] * flux[:, :, None] * flux[:, None, :]
+    n = space.n_dofs
+    return _scatter(tri_nodes, tri_nodes, locals_, n, n)
+
+
+def boundary_load(space, func, edge_weights=None, flux_test=False):
+    """``sum_E w_E int_E d v`` (or ``d dv/dn`` with ``flux_test``)."""
+    w = _edge_weights(space, edge_weights)
+    dv = _edge_gauss_values(space.mesh, func)                 # (E, 2)
+    out = np.zeros(space.n_dofs)
+    if flux_test:
+        flux, tri_nodes = boundary_hat_flux(space.mesh)
+        edge_integrals = np.einsum("e,eg,g->e", w, dv, _EDGE_GAUSS_W)
+        np.add.at(out, tri_nodes, edge_integrals[:, None] * flux)
+    else:
+        shape = np.stack([1.0 - _EDGE_GAUSS_S, _EDGE_GAUSS_S], axis=1)  # (2, 2)
+        locals_ = np.einsum("e,eg,g,gk->ek", w, dv, _EDGE_GAUSS_W, shape)
+        np.add.at(out, space.mesh.boundary_edges[:, :2], locals_)
+    return out
+
+
+def edge_trace_ops(space, edge_weights=None):
+    """(t0, c0, d0): edge-indexed ``sum_E w_E int_E mu_E v``, ``sum_E w_E
+    int_E mu_E dv/dn`` and the diagonal ``sum_E w_E int_E mu_E mu_F`` of one
+    constant mu_E per edge, each edge scattered as a one-row cell (with
+    w_E = 1, |E|: the trace and flux operators of a P0 multiplier)."""
+    w = _edge_weights(space, edge_weights)
+    flux, tri_nodes = boundary_hat_flux(space.mesh)
+    edges = np.arange(len(w))[:, None]
+    t0 = _scatter(edges, space.mesh.boundary_edges[:, :2],
+                  np.repeat(w[:, None, None] / 2.0, 2, axis=2),
+                  len(w), space.n_dofs)
+    c0 = _scatter(edges, tri_nodes, (w[:, None] * flux)[:, None, :], len(w),
+                  space.n_dofs)
+    return t0, c0, sp.diags_array(w, format="csr")
 
 
 def identity_schur_complement(lu, b, c) -> np.ndarray:

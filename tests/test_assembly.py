@@ -14,12 +14,11 @@ from infsup_lab.assembly import (
     _diagonal_half,
     _element_blocks,
     _scatter,
-    boundary_flux_flux,
-    boundary_load,
-    boundary_mass,
-    boundary_normal_flux,
     cross_mass,
     divergence,
+    edge_bases,
+    edge_form,
+    edge_load,
     free_vector_block,
     grad_coupling,
     load_vector,
@@ -34,10 +33,16 @@ from infsup_lab.assembly import (
 from infsup_lab.fespace import ElementKind, build_space
 from infsup_lab.linalg import (NotPositiveDefinite, SingularMatrix,
                                 column_scale, dense_lu)
-from infsup_lab.mesh import unit_square_mesh
+from infsup_lab.mesh import boundary_edge_geometry, unit_square_mesh
 from oracles import (
+    boundary_edge_integrals,
+    boundary_flux_flux,
+    boundary_load,
+    boundary_mass,
+    boundary_normal_flux,
     column_scale as column_scale_oracle,
     dof_coords,
+    edge_trace_ops,
     identity_schur_complement,
     lu_solve,
     table_cross_mass,
@@ -86,8 +91,10 @@ def test_operators_are_canonical_csr_arrays():
     # be a structural nonzero to SuperLU
     mesh = unit_square_mesh(3)
     p0, p1 = (build_space(k, mesh) for k in (ElementKind.P0, ElementKind.P1))
-    ops = [stiffness(p1, cell_weights=np.arange(1.0, 19.0)), boundary_mass(p1),
-           boundary_normal_flux(p1), boundary_flux_flux(p1)]
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    ops = [stiffness(p1, cell_weights=np.arange(1.0, 19.0))]
+    ops += [edge_form(r, c, lengths) for r, c in
+            itertools.product(edge_bases(mesh), repeat=2)]
     for kind in (ElementKind.P1, ElementKind.P1_BUBBLE, ElementKind.P2):
         v = build_space(kind, mesh, components=2)
         ops += [stiffness(v), mass(v), divergence(v, p0), divergence(v, p1)]
@@ -330,9 +337,10 @@ def test_pair_assembly_forms_no_full_size_temporaries():
 
 def test_boundary_mass_total_is_perimeter():
     mesh = unit_square_mesh(2)
-    space = build_space(ElementKind.P1, mesh)
-    bm = boundary_mass(space)
-    ones = np.ones(space.n_dofs)
+    hats, _, _ = edge_bases(mesh)
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    bm = edge_form(hats, hats, lengths)
+    ones = np.ones(mesh.n_nodes)
     assert ones @ (bm @ ones) == pytest.approx(4.0, abs=1e-13)
 
 
@@ -340,13 +348,14 @@ def test_boundary_operators_on_two_triangles():
     # n=1: nodes 0=(0,0), 1=(1,0), 2=(0,1), 3=(1,1).  Hand-computed hat
     # normal derivatives per edge give these exact operator entries.
     mesh = unit_square_mesh(1)
-    space = build_space(ElementKind.P1, mesh)
-    nf = boundary_normal_flux(space).toarray()
+    hats, flux, _ = edge_bases(mesh)
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    nf = edge_form(hats, flux, lengths).toarray()
     assert np.allclose(nf[0], [0.0, 0.5, 0.5, -1.0], atol=1e-14)
     assert np.allclose(nf[1], [-0.5, 1.0, 0.0, -0.5], atol=1e-14)
     assert np.allclose(nf[2], [-0.5, 0.0, 1.0, -0.5], atol=1e-14)
     assert np.allclose(nf[3], [-1.0, 0.5, 0.5, 0.0], atol=1e-14)
-    ff = boundary_flux_flux(space).toarray()
+    ff = edge_form(flux, flux, lengths).toarray()
     assert np.allclose(np.diag(ff), 2.0, atol=1e-14)
     assert np.allclose(ff, ff.T, atol=1e-14)
     # flux-flux is PSD: x^T N x = sum_E w_E (du/dn)^2 >= 0
@@ -361,8 +370,10 @@ def test_normal_flux_on_linear_function_integrates_exactly():
     # bottom; pairing with v = 1 over the whole boundary gives zero total
     mesh = unit_square_mesh(3)
     space = build_space(ElementKind.P1, mesh)
+    hats, flux, _ = edge_bases(mesh)
+    lengths, _, _ = boundary_edge_geometry(mesh)
     u = dof_coords(space)[:, 0].copy()
-    nf = boundary_normal_flux(space)
+    nf = edge_form(hats, flux, lengths)
     assert np.ones(space.n_dofs) @ (nf @ u) == pytest.approx(0.0, abs=1e-13)
     # pairing with v = x concentrates on the right edge: int_right 1*1 = 1
     # and on the left edge v = 0, so the total is 1
@@ -372,19 +383,56 @@ def test_normal_flux_on_linear_function_integrates_exactly():
 
 def test_boundary_load_integrates_polynomials_exactly():
     mesh = unit_square_mesh(2)
-    space = build_space(ElementKind.P1, mesh)
+    hats, _, _ = edge_bases(mesh)
+    lengths, _, _ = boundary_edge_geometry(mesh)
     # sum_i int_E d phi_i = int_Gamma d; take d = x^2 (2-pt Gauss is exact)
-    rhs = boundary_load(space, lambda p: p[..., 0] ** 2)
+    rhs = edge_load(mesh, hats, lambda p: p[..., 0] ** 2, lengths)
     # int over bottom+top: 2 * int_0^1 x^2 = 2/3; left: 0; right: 1 * 1 = 1
     assert rhs.sum() == pytest.approx(2.0 / 3.0 + 1.0, abs=1e-13)
 
 
-def test_boundary_ops_require_scalar_p1():
-    mesh = unit_square_mesh(2)
-    with pytest.raises(ValueError):
-        boundary_mass(build_space(ElementKind.P2, mesh))
-    with pytest.raises(ValueError):
-        boundary_mass(build_space(ElementKind.P1, mesh, components=2))
+def _closed_form_edge_ops(space, edge_weights):
+    """{(rows, cols): operator} of the hand-integrated oracles over the
+    bases (hats, flux, constants), for one set of edge weights w_E."""
+    t0, c0, d0 = edge_trace_ops(space, edge_weights)
+    nf = boundary_normal_flux(space, edge_weights)
+    ops = {(0, 0): boundary_mass(space, edge_weights), (0, 1): nf,
+           (1, 1): boundary_flux_flux(space, edge_weights),
+           (2, 0): t0, (2, 1): c0, (2, 2): d0}
+    for (i, j) in list(ops):
+        ops[j, i] = sp.csr_array(ops[i, j].T)
+    return ops
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 32])
+def test_edge_form_and_load_match_closed_forms(n):
+    # every pair of edge bases and every weight the weak-bc forms use
+    # (|E| w_E with w_E = 1/|E|, 1, |E|, alpha |E|): the CSR pattern of
+    # the hand-integrated operator and its entries to round-off
+    mesh = unit_square_mesh(n)
+    space = build_space(ElementKind.P1, mesh)
+    bases = edge_bases(mesh)
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    for weights in (np.ones_like(lengths), lengths, lengths ** 2,
+                    0.25 * lengths ** 2):
+        oracle = _closed_form_edge_ops(space, weights / lengths)
+        for (i, j), expected in oracle.items():
+            op = edge_form(bases[i], bases[j], weights)
+            assert _canonical_csr(op) and expected.has_canonical_format
+            assert np.array_equal(op.indptr, expected.indptr)
+            assert np.array_equal(op.indices, expected.indices)
+            assert (np.linalg.norm(op.data - expected.data)
+                    <= 1e-15 * np.linalg.norm(expected.data))
+    hats, flux, constants = bases
+    d = lambda p: np.exp(p[..., 0]) * np.cos(2.0 * p[..., 1])
+    for load, expected in [
+            (edge_load(mesh, hats, d, lengths), boundary_load(space, d)),
+            (edge_load(mesh, flux, d, lengths),
+             boundary_load(space, d, flux_test=True)),
+            (edge_load(mesh, constants, d, lengths),
+             boundary_edge_integrals(mesh, d))]:
+        assert (np.linalg.norm(load - expected)
+                <= 1e-15 * np.linalg.norm(expected))
 
 
 # ---------------------------------------------------------------------------

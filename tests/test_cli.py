@@ -170,7 +170,7 @@ def test_p0_multiplier_verdict_is_measured_before_any_solve(
         n, tmp_path, monkeypatch, capsys):
     # the pivot test of the solve let n=128 through as "ok"; the pencil's
     # kernel decides at every n
-    monkeypatch.setattr(weakbc, "run", _no_solve)
+    monkeypatch.setattr(weakbc, "solve", _no_solve)
     code, doc = run(["weakbc", "--method", "multiplier", "--trace", "p0",
                      "--n", n], tmp_path, json_out=True)
     assert code == 0 and doc["status"] == "singular"
@@ -284,9 +284,9 @@ def test_convergence_without_slopes_fails(tmp_path, monkeypatch):
 
 
 def test_other_weakbc_singularity_exits_1(tmp_path, monkeypatch):
-    def singular_run(*args):
+    def singular_solve(*args):
         raise SingularMatrix("synthetic weak-bc breakdown")
-    monkeypatch.setattr(weakbc, "run", singular_run)
+    monkeypatch.setattr(weakbc, "solve", singular_solve)
     code, doc = run(["weakbc", "--method", "bh", "--trace", "p0", "--n", "4"],
                     tmp_path, json_out=True)
     assert code == 1
@@ -423,6 +423,13 @@ def _recording(monkeypatch, owner, name):
 def test_each_run_resolves_its_method_once(argv, module, monkeypatch):
     calls = _recording(monkeypatch, module, "method_from_name")
     assert cli.main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_multiplier_run_assembles_its_system_once(monkeypatch):
+    # beta_h is measured on the blocks of the system that is solved
+    calls = _recording(monkeypatch, weakbc, "stiffness")
+    assert cli.main(["weakbc", "--method", "multiplier", "--n", "4"]) == 0
     assert len(calls) == 1
 
 

@@ -8,12 +8,9 @@ import scipy.sparse as sp
 
 from infsup_lab import infsup, verify, weakbc
 from infsup_lab.assembly import (
-    boundary_edge_integrals,
-    boundary_flux_flux,
-    boundary_hat_flux,
-    boundary_load,
-    boundary_mass,
-    boundary_normal_flux,
+    edge_bases,
+    edge_form,
+    edge_load,
     load_vector,
     mass,
     solve_saddle,
@@ -41,6 +38,24 @@ def solve_split(method, mesh, f, d):
     system = weakbc.build(method, mesh, f, d)
     x, residual = solve_saddle(system)
     return x[:system.n_u], x[system.n_u:], residual
+
+
+def trace_ops(mesh, trace):
+    """(T, C_w, W) of the ``trace`` multiplier basis mu: <mu, v>_E,
+    h_E <mu, dv/dn>_E and h_E <mu, mu>_E."""
+    hats, flux, _ = edge_bases(mesh)
+    mult = weakbc._multiplier(mesh, trace)
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    return (edge_form(mult, hats, lengths),
+            edge_form(mult, flux, lengths ** 2),
+            edge_form(mult, mult, lengths ** 2))
+
+
+def multiplier_report(mesh, trace):
+    """``multiplier_infsup`` of the multiplier system on ``mesh``."""
+    system = weakbc.build(weakbc.method_from_name("multiplier", trace=trace),
+                          mesh, PROB.f, PROB.d)
+    return weakbc.multiplier_infsup(system, mesh, trace)
 
 
 def edge_midpoints(mesh):
@@ -226,17 +241,32 @@ def test_trace_operators_are_canonical_csr_without_stored_zeros(n):
     # a stored 0.0 is a structural nonzero to SuperLU; the hats whose
     # gradient is tangential to an edge have zero flux there
     mesh = unit_square_mesh(n)
-    space = build_space(ElementKind.P1, mesh)
+    _, flux, _ = edge_bases(mesh)
     lengths, _, _ = boundary_edge_geometry(mesh)
-    trace = space.boundary_dofs
-    ops = [boundary_mass(space)[trace],
-           boundary_normal_flux(space, edge_weights=lengths)[trace],
-           boundary_mass(space, edge_weights=lengths)[np.ix_(trace, trace)],
-           boundary_flux_flux(space, edge_weights=lengths),
-           *weakbc._p0_trace_ops(mesh, space.n_dofs)]
+    ops = [*trace_ops(mesh, "p1"), *trace_ops(mesh, "p0"),
+           edge_form(flux, flux, lengths ** 2)]
     for op in ops:
         assert isinstance(op, sp.csr_array) and op.has_canonical_format
         assert np.all(op.data != 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_p1_multiplier_is_the_hats_on_the_boundary_dofs(n):
+    # the renumbered hats give the rows (for W also the columns) of the
+    # full-indexed forms at the P1 space's boundary dofs, entry for entry
+    mesh = unit_square_mesh(n)
+    space = build_space(ElementKind.P1, mesh)
+    hats, flux, _ = edge_bases(mesh)
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    dofs = space.boundary_dofs
+    full = [edge_form(hats, hats, lengths)[dofs],
+            edge_form(hats, flux, lengths ** 2)[dofs],
+            edge_form(hats, hats, lengths ** 2)[np.ix_(dofs, dofs)]]
+    for op, expected in zip(trace_ops(mesh, "p1"), full):
+        assert op.shape == expected.shape
+        assert np.array_equal(op.indptr, expected.indptr)
+        assert np.array_equal(op.indices, expected.indices)
+        assert np.array_equal(op.data, expected.data)
 
 
 def test_multiplier_solvable_on_coarse_meshes():
@@ -289,13 +319,15 @@ def dense_nitsche_projected(mesh, f, d, gamma):
     """The edge-average Nitsche matrix and load formed densely from the
     boundary operators: the oracle of the sparse build."""
     space = build_space(ElementKind.P1, mesh)
+    hats, flux, constants = edge_bases(mesh)
     lengths, _, _ = boundary_edge_geometry(mesh)
-    t0 = weakbc._p0_trace_ops(mesh, space.n_dofs)[0].toarray()
-    nf = boundary_normal_flux(space).toarray()
+    t0 = edge_form(constants, hats, lengths).toarray()
+    nf = edge_form(hats, flux, lengths).toarray()
     pen = t0.T @ (t0 * (gamma / lengths ** 2)[:, None])
     k = (stiffness(space) + mass(space)).toarray() - nf - nf.T + pen
-    rhs = (load_vector(space, f) - boundary_load(space, d, flux_test=True)
-           + t0.T @ (gamma / lengths ** 2 * boundary_edge_integrals(mesh, d)))
+    rhs = (load_vector(space, f) - edge_load(mesh, flux, d, lengths)
+           + t0.T @ (gamma / lengths ** 2
+                     * edge_load(mesh, constants, d, lengths)))
     return k, rhs
 
 
@@ -350,7 +382,7 @@ def test_methods_agree_on_error_magnitude():
                                      (32, 0.3441)])
 def test_p1_multiplier_beta_is_mesh_independent(n, beta):
     # in the mesh-dependent H^{-1/2} norm W the P1 multiplier is stable
-    report = weakbc.multiplier_infsup(unit_square_mesh(n), "p1")
+    report = multiplier_report(unit_square_mesh(n), "p1")
     assert report.kernel_dim_pressure == 0
     assert round(report.beta, 4) == beta
     if n >= 16:
@@ -368,13 +400,13 @@ def boundary_neighbours(mesh):
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_p0_multiplier_kernel_is_the_alternating_edge_mode(n):
     mesh = unit_square_mesh(n)
-    assert weakbc.multiplier_infsup(mesh, "p0").kernel_dim_pressure == 1
+    assert multiplier_report(mesh, "p0").kernel_dim_pressure == 1
     # the 4n edges close a cycle of even length: a sign that flips across
     # every shared vertex has zero edge average against every P1 trace
     pairs = boundary_neighbours(mesh)
     assert len(pairs) == 4 * n
     space = build_space(ElementKind.P1, mesh)
-    t, _, w = weakbc._trace_ops(space, "p0")
+    t, _, w = trace_ops(mesh, "p0")
     lam, q = dense_pencil(t, stiffness(space) + mass(space), w)
     kernel = q[:, -1]
     assert lam[-1] <= infsup.RANK_RTOL * lam[0] < lam[-2]
@@ -386,9 +418,9 @@ def test_p0_multiplier_kernel_is_the_alternating_edge_mode(n):
 @pytest.mark.parametrize("n", [4, 8])
 def test_multiplier_beta_matches_dense_pencil(trace, n):
     mesh = unit_square_mesh(n)
-    report = weakbc.multiplier_infsup(mesh, trace)
+    report = multiplier_report(mesh, trace)
     space = build_space(ElementKind.P1, mesh)
-    t, _, w = weakbc._trace_ops(space, trace)
+    t, _, w = trace_ops(mesh, trace)
     lam, _ = dense_pencil(t, stiffness(space) + mass(space), w)
     rank = int(np.count_nonzero(lam > infsup.RANK_RTOL * lam[0]))
     assert report.kernel_dim_pressure == len(lam) - rank
@@ -416,8 +448,9 @@ def test_normal_flux_diagnostic():
     space = build_space(ElementKind.P1, mesh)
     u = 1.0 - dof_coords(space)[:, 0]
     # du/dn per boundary edge, constant along the edge for P1
-    flux, tri_nodes = boundary_hat_flux(mesh)
-    fx = np.einsum("ek,ek->e", flux, u[tri_nodes])
+    _, flux, _ = edge_bases(mesh)
+    assert np.array_equal(flux.values[:, 0], flux.values[:, 1])
+    fx = np.einsum("ek,ek->e", flux.values[:, 0], u[flux.dofs])
     mids = edge_midpoints(mesh)
     assert np.abs(fx[mids[:, 0] < 1e-12] - 1.0).max() < 1e-13
     assert np.abs(fx[mids[:, 0] > 1 - 1e-12] + 1.0).max() < 1e-13

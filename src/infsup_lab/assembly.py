@@ -325,7 +325,7 @@ class SaddleSystem:
     f: np.ndarray
     g: np.ndarray
     pressure_mass: sp.csr_array | None
-    spaces: tuple | None = None      # (velocity space, pressure space)
+    spaces: tuple | None = None      # (field space, pressure space or None)
 
     @property
     def n_u(self) -> int:

@@ -311,7 +311,7 @@ def _run_weakbc(args: argparse.Namespace):
             return _singular(f"multiplier inf-sup kernel of dimension "
                              f"{kernel}", results)
     solution = weakbc.solve(system)
-    err_l2, err_h1 = weakbc.errors(mesh, solution.u, problem)
+    err_l2, err_h1 = weakbc.errors(system.spaces[0], solution.u, problem)
     results.update(err_l2=err_l2, err_h1=err_h1,
                    residual_norm=solution.residual_norm)
     if args.csv_path:

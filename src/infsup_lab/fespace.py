@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, edge_table, triangle_areas, triangle_grad_lambda
+from .mesh import Mesh, triangle_areas, triangle_grad_lambda
 
 
 class UnsupportedDegree(ValueError):
@@ -221,11 +221,10 @@ def build_space(kind: ElementKind, mesh: Mesh, components: int = 1) -> FeSpace:
         bdofs = boundary_nodes           # the bubble vanishes on all edges
         n_scalar = n_nodes + n_tris
     elif kind is ElementKind.P2:
-        table = edge_table(mesh)
-        cell = np.column_stack([mesh.triangles, n_nodes + table.cell_edges])
-        boundary_eids = np.flatnonzero(~table.interior_mask())
+        cell = np.column_stack([mesh.triangles, n_nodes + mesh.cell_edges])
+        boundary_eids = np.flatnonzero(~mesh.interior_mask())
         bdofs = np.concatenate([boundary_nodes, n_nodes + boundary_eids])
-        n_scalar = n_nodes + table.n_edges
+        n_scalar = n_nodes + mesh.n_edges
     else:
         raise ValueError(f"unknown element kind {kind}")
 
@@ -279,11 +278,10 @@ def field_errors(space: FeSpace, coeffs, exact, exact_grad):
 def interior_edge_pairs(mesh: Mesh, kind: ElementKind):
     """(left, right) dofs of a P0 or P1 field across each interior edge:
     the two cells that share it (P0) or its two end vertices (P1)."""
-    table = edge_table(mesh)
     if kind is ElementKind.P0:
-        pairs = table.edge_tris[table.interior_mask()]
+        pairs = mesh.edge_tris[mesh.interior_mask()]
     elif kind is ElementKind.P1:
-        pairs = table.edges[table.interior_mask()]
+        pairs = mesh.edges[mesh.interior_mask()]
     else:
         raise ValueError("interior-edge pairs are defined for P0/P1 fields")
     return pairs[:, 0], pairs[:, 1]

@@ -1,33 +1,71 @@
-"""Structured triangulations of the unit square.
+"""Triangulations, and the structured one of the unit square.
 
-The mesh splits an n×n grid of cells into two triangles each along the
-lower-left to upper-right diagonal.  Triangles are counterclockwise, so all
-signed areas are positive, and boundary edges keep the orientation of their
-owning triangle, which puts the outward normal on the right-hand side of the
+A ``Mesh`` is any counterclockwise triangulation, given by its nodes and
+triangles; its constructor derives everything else (the edge table, the
+boundary edges and h).  ``unit_square_mesh`` is one generator of it: it
+splits an n×n grid of cells into two triangles each along the lower-left to
+upper-right diagonal.  Boundary edges keep the orientation of their owning
+triangle, which puts the outward normal on the right-hand side of the
 directed edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Triangulation of the unit square.
+    """Triangulation from ``nodes`` and counterclockwise ``triangles``.
 
-    ``boundary_edges`` rows are ``(node_a, node_b, owner_triangle)`` with the
-    edge directed counterclockwise around the domain.  ``h`` is the common
-    element diameter (the diagonal, sqrt(2)/n).
+    The edges are the unique undirected ones, rows sorted, in lexicographic
+    order.  ``cell_edges[t, k]`` is the edge id of local edge k of triangle t
+    in the order (v0,v1), (v1,v2), (v2,v0).  ``edge_tris`` holds up to two
+    adjacent triangles per edge, the lower index first (-1 when absent);
+    interior edges have exactly two.  ``boundary_edges`` rows are
+    ``(node_a, node_b, owner_triangle)`` with the edge directed
+    counterclockwise around the domain, sorted by node.  ``h`` is the
+    largest triangle diameter.
     """
 
-    n: int
-    nodes: np.ndarray            # (n_nodes, 2)
-    triangles: np.ndarray        # (n_triangles, 3) int, CCW
-    boundary_edges: np.ndarray   # (n_boundary_edges, 3) int
-    h: float
+    nodes: np.ndarray                                 # (n_nodes, 2)
+    triangles: np.ndarray                             # (n_triangles, 3) int
+    edges: np.ndarray = field(init=False)             # (n_edges, 2) int
+    cell_edges: np.ndarray = field(init=False)        # (n_triangles, 3) int
+    edge_tris: np.ndarray = field(init=False)         # (n_edges, 2) int
+    boundary_edges: np.ndarray = field(init=False)    # (n_boundary, 3) int
+    h: float = field(init=False)
+
+    def __post_init__(self):
+        """Reject a clockwise or degenerate triangle, then derive the edge
+        fields from one stable argsort of the directed edges' integer keys
+        ``lo (N + 1) + hi``, N the largest node, whose order is the
+        lexicographic one.  The sort keeps each edge's directed copies in
+        triangle order, so the lower triangle index fills slot 0."""
+        if np.any(triangle_areas(self) <= 0.0):
+            raise ValueError("every triangle must be counterclockwise")
+        directed = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        lo, hi = directed.min(axis=1), directed.max(axis=1)
+        keys = lo * (self.triangles.max() + 1) + hi
+        order = np.argsort(keys, kind="stable")
+        first = np.diff(keys[order], prepend=-1) != 0
+        ids = np.cumsum(first) - 1
+        inverse = np.empty_like(keys)
+        inverse[order] = ids
+        edge_tris = np.full((ids[-1] + 1, 2), -1, dtype=np.int64)
+        edge_tris[ids[first], 0] = order[first] // 3
+        edge_tris[ids[~first], 1] = order[~first] // 3
+        lone = order[first][edge_tris[:, 1] < 0]      # directed, on the boundary
+        rows = np.column_stack([directed[lone], lone // 3])
+        for name, value in [
+                ("edges", np.column_stack([lo, hi])[order[first]]),
+                ("cell_edges", inverse.reshape(-1, 3)),
+                ("edge_tris", edge_tris),
+                ("boundary_edges", rows[np.lexsort((rows[:, 1], rows[:, 0]))]),
+                ("h", float(triangle_diameters(self).max()))]:
+            object.__setattr__(self, name, value)
 
     @property
     def n_nodes(self) -> int:
@@ -36,20 +74,6 @@ class Mesh:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-
-@dataclass(frozen=True)
-class EdgeTable:
-    """Unique undirected edges with triangle adjacency.
-
-    ``cell_edges[t, k]`` is the edge id of local edge k of triangle t in the
-    order (v0,v1), (v1,v2), (v2,v0).  ``edge_tris`` holds up to two adjacent
-    triangles per edge (-1 when absent); interior edges have exactly two.
-    """
-
-    edges: np.ndarray            # (n_edges, 2) int, each row sorted
-    cell_edges: np.ndarray       # (n_triangles, 3) int
-    edge_tris: np.ndarray        # (n_edges, 2) int
 
     @property
     def n_edges(self) -> int:
@@ -69,66 +93,11 @@ def unit_square_mesh(n: int) -> Mesh:
     nodes = np.column_stack([xg.ravel(), yg.ravel()])
 
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    i = i.ravel()
-    j = j.ravel()
-    a = j * side + i            # lower-left corner of cell (i, j)
-    b = a + 1
-    c = b + side
-    d = a + side
-    lower = np.column_stack([a, b, c])
-    upper = np.column_stack([a, c, d])
+    a = (j * side + i).ravel()     # lower-left corner of cell (i, j)
     triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
-
-    boundary = _boundary_edges(triangles)
-    return Mesh(n=n, nodes=nodes, triangles=triangles,
-                boundary_edges=boundary, h=float(np.sqrt(2.0) / n))
-
-
-def _directed_edges(triangles: np.ndarray):
-    """The local edges (v0,v1), (v1,v2), (v2,v0) of every triangle in turn.
-
-    Returns ``(directed, edges, inverse)``: the (3T, 2) directed edges, whose
-    row k belongs to triangle k // 3; the unique undirected edges, rows
-    sorted, in lexicographic order; and the id in ``edges`` of each directed
-    edge.  An undirected edge is the integer key ``lo (N + 1) + hi``, N the
-    largest node, whose order is the lexicographic one; one stable argsort
-    groups the keys.
-    """
-    directed = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    lo, hi = directed.min(axis=1), directed.max(axis=1)
-    keys = lo * (triangles.max() + 1) + hi
-    order = np.argsort(keys, kind="stable")
-    first = np.diff(keys[order], prepend=-1) != 0
-    inverse = np.empty_like(keys)
-    inverse[order] = np.cumsum(first) - 1
-    edges = np.column_stack([lo, hi])[order[first]]
-    return directed, edges, inverse
-
-
-def _boundary_edges(triangles: np.ndarray) -> np.ndarray:
-    """Directed edges whose undirected pair occurs exactly once."""
-    directed, _, inverse = _directed_edges(triangles)
-    once = np.flatnonzero(np.bincount(inverse)[inverse] == 1)
-    rows = np.column_stack([directed[once], once // 3])
-    order = np.lexsort((rows[:, 1], rows[:, 0]))
-    return rows[order]
-
-
-def edge_table(mesh: Mesh) -> EdgeTable:
-    _, edges, inverse = _directed_edges(mesh.triangles)
-    # a stable sort keeps each edge's directed copies in triangle order, so
-    # the lower triangle index fills slot 0
-    order = np.argsort(inverse, kind="stable")
-    ids, owners = inverse[order], order // 3
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = ids[1:] != ids[:-1]
-    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
-    edge_tris[ids[first], 0] = owners[first]
-    edge_tris[ids[~first], 1] = owners[~first]
-    return EdgeTable(edges=edges, cell_edges=inverse.reshape(-1, 3),
-                     edge_tris=edge_tris)
+    triangles[0::2] = np.column_stack([a, a + 1, a + 1 + side])
+    triangles[1::2] = np.column_stack([a, a + 1 + side, a + side])
+    return Mesh(nodes, triangles)
 
 
 # ---------------------------------------------------------------------------

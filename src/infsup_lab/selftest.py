@@ -59,8 +59,9 @@ def nitsche_mms_slopes() -> dict:
     method = weakbc.method_from_name("nitsche")
 
     def builder(mesh):
-        sol = weakbc.run(method, mesh, problem.f, problem.d)
-        l2, h1 = weakbc.errors(mesh, sol.u, problem)
+        system = weakbc.build(method, mesh, problem.f, problem.d)
+        l2, h1 = weakbc.errors(system.spaces[0], weakbc.solve(system).u,
+                               problem)
         return {"err_l2": l2, "err_h1": h1}
 
     report = verify.run_convergence(builder, (8, 16, 32),

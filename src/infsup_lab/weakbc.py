@@ -146,11 +146,13 @@ def _nitsche(space: FeSpace, a, f, d, penalty: sp.csr_array,
            + penalty_load)
     return SaddleSystem(a=a - nf - nf.T + penalty,
                         b=sp.csr_array((0, space.n_dofs)), c=None, f=rhs,
-                        g=np.zeros(0), pressure_mass=None)
+                        g=np.zeros(0), pressure_mass=None,
+                        spaces=(space, None))
 
 
 def build(method: WeakBcMethod, mesh: Mesh, f, d) -> SaddleSystem:
-    """Assemble one weak-bc discretization.
+    """Assemble one weak-bc discretization, whose ``spaces`` are its P1
+    space and None (the multiplier is an edge basis, not a space).
 
     ``f`` and ``d`` are scalar callables on (..., 2) points; ``d`` is
     evaluated analytically at trace quadrature points rather than
@@ -178,13 +180,13 @@ def _build(method: WeakBcMethod, space: FeSpace, a, f, d) -> SaddleSystem:
     d_load = edge_load(mesh, mult, d, lengths)
     if method.name == "multiplier":
         return SaddleSystem(a=a, b=t, c=None, f=fvec, g=d_load,
-                            pressure_mass=None)
+                            pressure_mass=None, spaces=(space, None))
 
     alpha, h_weights = method.alpha, lengths ** 2
     return SaddleSystem(a=a - edge_form(flux, flux, alpha * h_weights),
                         b=t - alpha * edge_form(mult, flux, h_weights),
                         c=alpha * edge_form(mult, mult, h_weights), f=fvec,
-                        g=d_load, pressure_mass=None)
+                        g=d_load, pressure_mass=None, spaces=(space, None))
 
 
 def solve(system: SaddleSystem) -> WeakBcSolution:
@@ -225,10 +227,10 @@ def mms_problem() -> WeakBcProblem:
     return WeakBcProblem(u=u, f=f, d=u, grad_u=grad_u)
 
 
-def errors(mesh: Mesh, u_vec: np.ndarray, problem: WeakBcProblem):
-    """(L2, H1-seminorm) error of a P1 field, by ``field_errors``."""
-    return field_errors(build_space(ElementKind.P1, mesh), u_vec, problem.u,
-                        problem.grad_u)
+def errors(space: FeSpace, u_vec: np.ndarray, problem: WeakBcProblem):
+    """(L2, H1-seminorm) error of a field of ``space``, the first of a
+    weak-bc system's ``spaces``, by ``field_errors``."""
+    return field_errors(space, u_vec, problem.u, problem.grad_u)
 
 
 # ---------------------------------------------------------------------------

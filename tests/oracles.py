@@ -73,12 +73,60 @@ def table_fields_at_quadrature(space, coeffs, rule):
 
 
 def unique_row_edges(triangles):
-    """``mesh._directed_edges`` by ``np.unique(axis=0)`` of the sorted rows:
-    the route that the integer edge keys replaced."""
+    """``directed_edges`` by ``np.unique(axis=0)`` of the sorted rows: the
+    route that the integer edge keys replaced."""
     directed = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     edges, inverse = np.unique(np.sort(directed, axis=1), axis=0,
                                return_inverse=True)
     return directed, edges, inverse.ravel()
+
+
+# The edge table and the boundary edges by separate passes over the directed
+# edges: the route that the one ``Mesh`` constructor replaced.
+
+def directed_edges(triangles: np.ndarray):
+    """The local edges (v0,v1), (v1,v2), (v2,v0) of every triangle in turn.
+
+    Returns ``(directed, edges, inverse)``: the (3T, 2) directed edges, whose
+    row k belongs to triangle k // 3; the unique undirected edges, rows
+    sorted, in lexicographic order; and the id in ``edges`` of each directed
+    edge.  An undirected edge is the integer key ``lo (N + 1) + hi``, N the
+    largest node, whose order is the lexicographic one; one stable argsort
+    groups the keys.
+    """
+    directed = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    lo, hi = directed.min(axis=1), directed.max(axis=1)
+    keys = lo * (triangles.max() + 1) + hi
+    order = np.argsort(keys, kind="stable")
+    first = np.diff(keys[order], prepend=-1) != 0
+    inverse = np.empty_like(keys)
+    inverse[order] = np.cumsum(first) - 1
+    edges = np.column_stack([lo, hi])[order[first]]
+    return directed, edges, inverse
+
+
+def boundary_edges(triangles: np.ndarray) -> np.ndarray:
+    """Directed edges whose undirected pair occurs exactly once."""
+    directed, _, inverse = directed_edges(triangles)
+    once = np.flatnonzero(np.bincount(inverse)[inverse] == 1)
+    rows = np.column_stack([directed[once], once // 3])
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    return rows[order]
+
+
+def edge_table(triangles: np.ndarray):
+    """``(edges, cell_edges, edge_tris)`` of the triangles."""
+    _, edges, inverse = directed_edges(triangles)
+    # a stable sort keeps each edge's directed copies in triangle order, so
+    # the lower triangle index fills slot 0
+    order = np.argsort(inverse, kind="stable")
+    ids, owners = inverse[order], order // 3
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
+    edge_tris[ids[first], 0] = owners[first]
+    edge_tris[ids[~first], 1] = owners[~first]
+    return edges, inverse.reshape(-1, 3), edge_tris
 
 
 # The volume forms from (T, nq) physical quadrature weights and a

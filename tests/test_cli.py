@@ -268,7 +268,7 @@ def test_convergence_without_slopes_fails(tmp_path, monkeypatch):
     real_run = cli.stokes.run
 
     def run_failing_at_4(method, mesh, f):
-        if mesh.n == 4:
+        if mesh.h == math.sqrt(2.0) / 4:
             raise SingularMatrix("synthetic level breakdown")
         return real_run(method, mesh, f)
 

@@ -16,7 +16,7 @@ from infsup_lab.fespace import (
     shape_gradients_bary,
     shape_values,
 )
-from infsup_lab.mesh import edge_table, triangle_grad_lambda, unit_square_mesh
+from infsup_lab.mesh import triangle_grad_lambda, unit_square_mesh
 from infsup_lab.stokes import manufactured_problem
 from infsup_lab.weakbc import mms_problem
 from oracles import dof_coords, table_fields_at_quadrature
@@ -260,11 +260,10 @@ def test_p2_is_continuous_across_interior_edges():
     space = build_space(ElementKind.P2, mesh)
     rng = np.random.default_rng(9)
     coeffs = rng.standard_normal(space.n_dofs)
-    table = edge_table(mesh)
-    interior = np.flatnonzero(table.interior_mask())
+    interior = np.flatnonzero(mesh.interior_mask())
     for eid in interior[:: max(1, len(interior) // 6)]:
-        a, b = table.edges[eid]
-        t1, t2 = table.edge_tris[eid]
+        a, b = mesh.edges[eid]
+        t1, t2 = mesh.edge_tris[eid]
         for s in (0.2, 0.5, 0.9):
             x = (1 - s) * mesh.nodes[a] + s * mesh.nodes[b]
             v1 = evaluate(space, coeffs, t1, barycentric(mesh, t1, x))

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from infsup_lab.mesh import (
-    _directed_edges,
+    Mesh,
     boundary_edge_geometry,
-    edge_table,
     triangle_areas,
     triangle_diameters,
     triangle_grad_lambda,
     unit_square_mesh,
 )
-from oracles import unique_row_edges
+from oracles import boundary_edges, edge_table, unique_row_edges
 
 
 def test_counts_n4():
@@ -63,12 +62,11 @@ def test_barycentric_gradients():
 
 def test_interior_edges_shared_by_exactly_two_triangles():
     mesh = unit_square_mesh(4)
-    table = edge_table(mesh)
-    interior = table.interior_mask()
+    interior = mesh.interior_mask()
     boundary_pairs = {tuple(sorted(e[:2])) for e in mesh.boundary_edges}
-    for eid in range(table.n_edges):
-        pair = tuple(table.edges[eid])
-        owners = table.edge_tris[eid]
+    for eid in range(mesh.n_edges):
+        pair = tuple(mesh.edges[eid])
+        owners = mesh.edge_tris[eid]
         if pair in boundary_pairs:
             assert owners[1] == -1 and owners[0] >= 0
             assert not interior[eid]
@@ -76,30 +74,28 @@ def test_interior_edges_shared_by_exactly_two_triangles():
             assert owners[0] >= 0 and owners[1] >= 0
             assert interior[eid]
     # Euler-style count: edges = 3T/2 + boundary/2
-    assert table.n_edges == (3 * mesh.n_triangles + len(mesh.boundary_edges)) // 2
+    assert mesh.n_edges == (3 * mesh.n_triangles + len(mesh.boundary_edges)) // 2
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_edge_tris_match_a_first_come_loop(n):
     # each edge's first owner in triangle order fills slot 0, the next slot 1
     mesh = unit_square_mesh(n)
-    table = edge_table(mesh)
-    expected = np.full((table.n_edges, 2), -1, dtype=np.int64)
-    for tri, eids in enumerate(table.cell_edges):
+    expected = np.full((mesh.n_edges, 2), -1, dtype=np.int64)
+    for tri, eids in enumerate(mesh.cell_edges):
         for eid in eids:
             expected[eid, 0 if expected[eid, 0] < 0 else 1] = tri
-    assert np.array_equal(table.edge_tris, expected)
+    assert np.array_equal(mesh.edge_tris, expected)
 
 
 def test_cell_edges_index_the_right_node_pairs():
     mesh = unit_square_mesh(3)
-    table = edge_table(mesh)
     local = [(0, 1), (1, 2), (2, 0)]
     for t in range(mesh.n_triangles):
         tri = mesh.triangles[t]
         for k, (a, b) in enumerate(local):
-            eid = table.cell_edges[t, k]
-            assert set(table.edges[eid]) == {tri[a], tri[b]}
+            eid = mesh.cell_edges[t, k]
+            assert set(mesh.edges[eid]) == {tri[a], tri[b]}
 
 
 def test_boundary_edges_lie_on_the_boundary_with_outward_normals():
@@ -138,10 +134,39 @@ def test_boundary_orientation_is_ccw_around_the_domain():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 32])
 def test_edge_keys_match_the_unique_rows_route(n):
-    # directed edges, unique edges and inverse, bit for bit and dtype for
-    # dtype, against np.unique(axis=0) of the sorted rows
-    triangles = unit_square_mesh(n).triangles
-    for new, old in zip(_directed_edges(triangles),
-                        unique_row_edges(triangles), strict=True):
+    # unique edges and the edge id of each directed edge, bit for bit and
+    # dtype for dtype, against np.unique(axis=0) of the sorted rows
+    mesh = unit_square_mesh(n)
+    _, edges, inverse = unique_row_edges(mesh.triangles)
+    for new, old in [(mesh.edges, edges), (mesh.cell_edges.ravel(), inverse)]:
         assert new.dtype == old.dtype
         assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 64])
+def test_constructor_matches_the_separate_passes(n):
+    # the edge table and boundary edges of the one constructor, values and
+    # dtypes, against the table and boundary passes it replaced
+    mesh = unit_square_mesh(n)
+    old = [*edge_table(mesh.triangles), boundary_edges(mesh.triangles)]
+    new = [mesh.edges, mesh.cell_edges, mesh.edge_tris, mesh.boundary_edges]
+    for a, b in zip(new, old, strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 48, 64, 96, 128])
+def test_h_is_the_largest_diameter(n):
+    mesh = unit_square_mesh(n)
+    assert mesh.h == triangle_diameters(mesh).max()
+    if n & (n - 1) == 0:
+        assert mesh.h == np.sqrt(2.0) / n
+    else:
+        assert mesh.h == pytest.approx(np.sqrt(2.0) / n, rel=1e-14, abs=0)
+
+
+def test_a_clockwise_triangle_raises():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    Mesh(nodes, np.array([[0, 1, 2], [1, 3, 2]]))
+    with pytest.raises(ValueError, match="counterclockwise"):
+        Mesh(nodes, np.array([[0, 1, 2], [1, 2, 3]]))

@@ -411,7 +411,7 @@ def test_oscillation_indicator_flags_checkerboard():
     v_space, p_space = stokes.spaces_for(stokes.method_from_name("bp"),
                                          unit_square_mesh(8))
     mesh = p_space.mesh
-    ij = np.rint(mesh.nodes * mesh.n).astype(int)
+    ij = np.rint(mesh.nodes * 8).astype(int)
     checker = np.where((ij.sum(axis=1)) % 2 == 0, 1.0, -1.0)
 
     def indicator(p):

@@ -72,7 +72,7 @@ def test_run_convergence_fits_without_lapack_least_squares(monkeypatch):
 
 def test_run_convergence_synthetic():
     report = verify.run_convergence(
-        lambda mesh: {"err": 3.0 * (np.sqrt(2) / mesh.n) ** 2, "flat": 7.0},
+        lambda mesh: {"err": 3.0 * mesh.h ** 2, "flat": 7.0},
         [4, 8, 16], method="synthetic", problem="powerlaw")
     assert report.slopes["err"] == pytest.approx(2.0, abs=1e-10)
     assert report.slopes["flat"] == pytest.approx(0.0, abs=1e-12)
@@ -82,7 +82,7 @@ def test_run_convergence_synthetic():
 
 
 def test_run_convergence_too_few_levels_no_slopes():
-    report = verify.run_convergence(lambda mesh: {"err": 1.0 / mesh.n},
+    report = verify.run_convergence(lambda mesh: {"err": mesh.h},
                                     [4, 8], method="m", problem="p")
     assert report.slopes == {}
     assert len(report.levels) == 2
@@ -90,9 +90,9 @@ def test_run_convergence_too_few_levels_no_slopes():
 
 def test_run_convergence_records_failures():
     def builder(mesh):
-        if mesh.n == 8:
+        if mesh.h == np.sqrt(2.0) / 8:
             raise SingularMatrix("forced")
-        return {"err": (1.0 / mesh.n) ** 2}
+        return {"err": mesh.h ** 2}
 
     report = verify.run_convergence(builder, [4, 8, 16, 32], method="m",
                                     problem="p")
@@ -123,7 +123,7 @@ def test_run_convergence_stokes_integration():
 
 def test_report_serialization_views():
     report = verify.run_convergence(
-        lambda mesh: {"e1": 1.0 / mesh.n, "e2": 2.0 / mesh.n}, [2, 4, 8],
+        lambda mesh: {"e1": mesh.h, "e2": 2.0 * mesh.h}, [2, 4, 8],
         method="m", problem="p")
     d = verify.report_dict(report)
     assert d["method"] == "m" and len(d["levels"]) == 3
@@ -136,9 +136,9 @@ def test_report_serialization_views():
 
 def test_report_rows_with_failure_blank_cells():
     def builder(mesh):
-        if mesh.n == 4:
+        if mesh.h == np.sqrt(2.0) / 4:
             raise ValueError("boom")
-        return {"err": 1.0 / mesh.n}
+        return {"err": mesh.h}
 
     report = verify.run_convergence(builder, [2, 4, 8], method="m",
                                     problem="p")

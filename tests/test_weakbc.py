@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from infsup_lab import infsup, verify, weakbc
+from infsup_lab import cli, infsup, verify, weakbc
 from infsup_lab.assembly import (
     edge_bases,
     edge_form,
@@ -154,7 +154,7 @@ def test_mms_dirichlet_data_is_the_trace():
 def test_zero_field_errors_are_exact_norms():
     mesh = unit_square_mesh(16)
     space = build_space(ElementKind.P1, mesh)
-    l2, h1 = weakbc.errors(mesh, np.zeros(space.n_dofs), PROB)
+    l2, h1 = weakbc.errors(space, np.zeros(space.n_dofs), PROB)
     assert abs(l2 - 0.5) < 1e-10
     assert abs(h1 - np.pi / np.sqrt(2.0)) < 1e-10
 
@@ -315,6 +315,21 @@ def test_equivalence_check_builds_the_space_and_operator_once(monkeypatch):
     assert counts == {"build_space": 1, "stiffness": 1}
 
 
+@pytest.mark.parametrize("method", ["nitsche", "multiplier", "bh"])
+def test_weakbc_run_builds_one_space(method, monkeypatch, capsys):
+    # the error quadrature reads the space the system was built on
+    calls = []
+
+    def counting(*args, _real=weakbc.build_space):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(weakbc, "build_space", counting)
+    assert cli.main(["weakbc", "--method", method, "--n", "4"]) == 0
+    assert "err_h1=" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def dense_nitsche_projected(mesh, f, d, gamma):
     """The edge-average Nitsche matrix and load formed densely from the
     boundary operators: the oracle of the sparse build."""
@@ -352,8 +367,9 @@ def test_sparse_projected_nitsche_solve_matches_dense_oracle(n):
 
 def level_errors(name):
     def run_level(mesh):
-        sol = mms_solution(name, mesh.n)
-        l2, h1 = weakbc.errors(mesh, sol.u, PROB)
+        system = weakbc.build(weakbc.method_from_name(name), mesh, PROB.f,
+                              PROB.d)
+        l2, h1 = weakbc.errors(system.spaces[0], weakbc.solve(system).u, PROB)
         return {"err_l2": l2, "err_h1": h1}
     return run_level
 
@@ -370,7 +386,8 @@ def test_methods_agree_on_error_magnitude():
     errs = {}
     for name in ("nitsche", "multiplier", "barbosa-hughes"):
         sol = mms_solution(name, 16)
-        _, errs[name] = weakbc.errors(unit_square_mesh(16), sol.u, PROB)
+        _, errs[name] = weakbc.errors(
+            build_space(ElementKind.P1, unit_square_mesh(16)), sol.u, PROB)
     base = errs["nitsche"]
     for v in errs.values():
         assert 0.8 * base < v < 1.25 * base

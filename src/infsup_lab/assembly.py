@@ -12,12 +12,13 @@ Gauss sum per boundary edge over a pair of the three ``edge_bases`` of a
 P1 field (end-node hats, normal derivatives of the owner cell's hats, one
 constant per edge), scattered by ``edge_form``, and every boundary load one
 such sum against one basis (``edge_load``).  Every operator is a
-``scipy.sparse.csr_array`` in canonical form (sorted column indices,
-duplicate entries summed) that stores no exact zero: contributions that
-cancel (right angles of the structured mesh zero some stiffness couplings)
-are dropped, so a sparse factorization never treats them as structural
-nonzeros.  Cell-weighted forms (the pressure-gradient stabilizations) take
-per-cell weights through ``stiffness`` and ``gradient_load``.
+``scipy.sparse.csr_array`` with int32 indices in canonical form (sorted
+column indices, duplicate entries summed) that stores no exact zero:
+contributions that cancel (right angles of the structured mesh zero some
+stiffness couplings) are dropped, so a sparse factorization never treats
+them as structural nonzeros.  Cell-weighted forms (the pressure-gradient
+stabilizations) take per-cell weights through ``stiffness`` and
+``gradient_load``.
 """
 
 from __future__ import annotations
@@ -60,14 +61,33 @@ def _contract(coefs: np.ndarray, tensors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _index_dtype(n_rows: int, n_cols: int, n_triplets: int) -> type:
+    """The index type of an operator with ``n_triplets`` triplets:
+    ``np.int32`` while every index and pointer of it and of its doubling
+    by ``_expand_components`` (2 n_rows rows, column indices below
+    2 n_cols, nnz at most 2 n_triplets) stays below int32's maximum, else
+    ``np.int64``.  The doubling shifts int32 arrays by an int32 offset,
+    which would wrap without a warning."""
+    largest = 2 * max(n_rows, n_cols, n_triplets)
+    return np.int32 if largest < np.iinfo(np.int32).max else np.int64
+
+
 def _scatter(rows_cells: np.ndarray, cols_cells: np.ndarray,
              locals_: np.ndarray, n_rows: int, n_cols: int) -> sp.csr_array:
     """Accumulate per-cell local matrices (T, nr, nc) into a CSR matrix,
     summing the contributions of cells that share an (i, j) entry and
-    dropping the sums that cancel to exact zeros."""
+    dropping the sums that cancel to exact zeros.
+
+    This is the one place that picks an operator's index type: the
+    triplets are repeated from the cell tables in the type of
+    ``_index_dtype``, int32 at every size the lab runs, and every product,
+    slice and block of the operators keeps it, down to the CSC that
+    ``sparse_lu`` hands SuperLU.  The sums do not depend on it: duplicates
+    are added in input order."""
     t, nr, nc = locals_.shape
-    i = np.repeat(rows_cells[:, :, None], nc, axis=2)
-    j = np.repeat(cols_cells[:, None, :], nr, axis=1)
+    dtype = _index_dtype(n_rows, n_cols, locals_.size)
+    i = np.repeat(rows_cells.astype(dtype)[:, :, None], nc, axis=2)
+    j = np.repeat(cols_cells.astype(dtype)[:, None, :], nr, axis=1)
     out = sp.coo_array((locals_.ravel(), (i.ravel(), j.ravel())),
                        shape=(n_rows, n_cols)).tocsr()
     out.eliminate_zeros()
@@ -462,7 +482,9 @@ def sparse_lu(matrix: sp.csr_array, what: str) -> Factor:
     allocates SuperLU's workspace and factor, and the CSC copies of L and U
     that scipy builds on the first ``SuperLU.L`` or ``.U`` access (the
     pivot read here) and keeps for the life of the factor (68 MiB at TH
-    n=128), no more."""
+    n=128), no more.  The operators carry int32 indices (``_scatter``),
+    so SuperLU takes the ``np.intc`` index arrays of the CSC as they are,
+    with no cast copy."""
     matrix = sp.csr_array(matrix)
     if not matrix.shape[0]:
         return Factor(lambda rhs: matrix @ rhs, "element", np.zeros(0), True)

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from infsup_lab.assembly import _scatter, mass, stiffness
+from infsup_lab.assembly import mass, stiffness
 from infsup_lab.fespace import (ElementKind, build_space, quadrature,
                                 shape_gradients_bary, shape_values)
 from infsup_lab.linalg import dense_lu
@@ -129,6 +129,19 @@ def edge_table(triangles: np.ndarray):
     return edges, inverse.reshape(-1, 3), edge_tris
 
 
+def int64_scatter(rows_cells, cols_cells, locals_, n_rows, n_cols):
+    """``assembly._scatter`` with triplets in the int64 of the cell tables,
+    whose CSR keeps int64 ``indices`` and ``indptr``: the route that the
+    int32 triplets replaced."""
+    t, nr, nc = locals_.shape
+    i = np.repeat(rows_cells[:, :, None], nc, axis=2)
+    j = np.repeat(cols_cells[:, None, :], nr, axis=1)
+    out = sp.coo_array((locals_.ravel(), (i.ravel(), j.ravel())),
+                       shape=(n_rows, n_cols)).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
 # The volume forms from (T, nq) physical quadrature weights and a
 # (T, nq, n_local, 2) table of physical basis gradients, each scalar block
 # replicated over components by ``sp.block_diag``: the kernels that the
@@ -157,9 +170,10 @@ def table_stiffness(space, degree, cell_weights=None):
     g = _table_gradients(space, rule)
     locals_ = np.einsum("tq,tqbd,tqcd->tbc", w, g, g)
     ns = space.n_scalar_dofs
-    return _table_components(_scatter(space.scalar_cell_dofs,
-                                      space.scalar_cell_dofs, locals_, ns, ns),
-                             space.components)
+    return _table_components(
+        int64_scatter(space.scalar_cell_dofs, space.scalar_cell_dofs,
+                      locals_, ns, ns),
+        space.components)
 
 
 def table_cross_mass(row_space, col_space, degree):
@@ -169,8 +183,9 @@ def table_cross_mass(row_space, col_space, degree):
                         shape_values(row_space.kind, rule.points),
                         shape_values(col_space.kind, rule.points))
     return _table_components(
-        _scatter(row_space.scalar_cell_dofs, col_space.scalar_cell_dofs,
-                 locals_, row_space.n_scalar_dofs, col_space.n_scalar_dofs),
+        int64_scatter(row_space.scalar_cell_dofs, col_space.scalar_cell_dofs,
+                      locals_, row_space.n_scalar_dofs,
+                      col_space.n_scalar_dofs),
         row_space.components)
 
 
@@ -183,8 +198,8 @@ def table_divergence(v_space, p_space, degree):
     for c in range(2):
         locals_ = -np.einsum("tq,qb,tqv->tbv", w, pv, gv[..., c])
         cols = v_space.scalar_cell_dofs + c * v_space.n_scalar_dofs
-        parts.append(_scatter(p_space.scalar_cell_dofs, cols, locals_,
-                              p_space.n_dofs, v_space.n_dofs))
+        parts.append(int64_scatter(p_space.scalar_cell_dofs, cols, locals_,
+                                   p_space.n_dofs, v_space.n_dofs))
     return parts[0] + parts[1]
 
 
@@ -197,8 +212,8 @@ def table_grad_coupling(v_space, p_space, degree):
     for c in range(2):
         locals_ = np.einsum("tq,qb,tqp->tbp", w, vv, gp[..., c])
         rows = v_space.scalar_cell_dofs + c * v_space.n_scalar_dofs
-        parts.append(_scatter(rows, p_space.scalar_cell_dofs, locals_,
-                              v_space.n_dofs, p_space.n_dofs))
+        parts.append(int64_scatter(rows, p_space.scalar_cell_dofs, locals_,
+                                   v_space.n_dofs, p_space.n_dofs))
     return parts[0] + parts[1]
 
 
@@ -251,7 +266,8 @@ def boundary_mass(space, edge_weights=None):
     edges = space.mesh.boundary_edges
     local = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
     n = space.n_dofs
-    return _scatter(edges[:, :2], edges[:, :2], w[:, None, None] * local, n, n)
+    return int64_scatter(edges[:, :2], edges[:, :2],
+                         w[:, None, None] * local, n, n)
 
 
 def boundary_normal_flux(space, edge_weights=None):
@@ -262,7 +278,8 @@ def boundary_normal_flux(space, edge_weights=None):
     locals_ = np.broadcast_to(0.5 * w[:, None, None] * flux[:, None, :],
                               (len(w), 2, 3))
     n = space.n_dofs
-    return _scatter(space.mesh.boundary_edges[:, :2], tri_nodes, locals_, n, n)
+    return int64_scatter(space.mesh.boundary_edges[:, :2], tri_nodes,
+                         locals_, n, n)
 
 
 def boundary_flux_flux(space, edge_weights=None):
@@ -271,7 +288,7 @@ def boundary_flux_flux(space, edge_weights=None):
     flux, tri_nodes = boundary_hat_flux(space.mesh)
     locals_ = w[:, None, None] * flux[:, :, None] * flux[:, None, :]
     n = space.n_dofs
-    return _scatter(tri_nodes, tri_nodes, locals_, n, n)
+    return int64_scatter(tri_nodes, tri_nodes, locals_, n, n)
 
 
 def boundary_load(space, func, edge_weights=None, flux_test=False):
@@ -298,11 +315,11 @@ def edge_trace_ops(space, edge_weights=None):
     w = _edge_weights(space, edge_weights)
     flux, tri_nodes = boundary_hat_flux(space.mesh)
     edges = np.arange(len(w))[:, None]
-    t0 = _scatter(edges, space.mesh.boundary_edges[:, :2],
-                  np.repeat(w[:, None, None] / 2.0, 2, axis=2),
-                  len(w), space.n_dofs)
-    c0 = _scatter(edges, tri_nodes, (w[:, None] * flux)[:, None, :], len(w),
-                  space.n_dofs)
+    t0 = int64_scatter(edges, space.mesh.boundary_edges[:, :2],
+                       np.repeat(w[:, None, None] / 2.0, 2, axis=2),
+                       len(w), space.n_dofs)
+    c0 = int64_scatter(edges, tri_nodes, (w[:, None] * flux)[:, None, :],
+                       len(w), space.n_dofs)
     return t0, c0, sp.diags_array(w, format="csr")
 
 

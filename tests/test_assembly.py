@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from infsup_lab import infsup, locking, stokes, weakbc
+from infsup_lab import assembly, infsup, locking, stokes, weakbc
 from infsup_lab.assembly import (
     SCHUR_BLOCK,
     SaddleSystem,
     _diagonal_half,
     _element_blocks,
+    _index_dtype,
     _scatter,
     cross_mass,
     divergence,
@@ -44,6 +45,7 @@ from oracles import (
     dof_coords,
     edge_trace_ops,
     identity_schur_complement,
+    int64_scatter,
     lu_solve,
     table_cross_mass,
     table_divergence,
@@ -113,6 +115,116 @@ def test_operators_are_canonical_csr_arrays():
         blocks = [system.a, system.b] + ([] if system.c is None else [system.c])
         assert all(_canonical_csr(op) for op in blocks)
         assert all(np.all(op.data != 0.0) for op in blocks)
+
+
+def _sparse_operators(obj) -> list:
+    """Every scipy sparse array in ``obj``, its dataclass fields and its
+    tuples and lists, recursively."""
+    if sp.issparse(obj):
+        return [obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (tuple, list)):
+        return [op for item in obj for op in _sparse_operators(item)]
+    return []
+
+
+def test_every_assembled_operator_has_int32_indices():
+    # the systems the CLI assembles: their blocks, and the operators
+    # locking keeps to build one system per penalty
+    mesh = unit_square_mesh(3)
+    assembled = (
+        [stokes_system(name, 3) for name in stokes.method_names()]
+        + [infsup.pair_operators(*infsup.pair_spaces(pair, mesh))
+           for pair in infsup.PAIRS]
+        + [locking.build(locking.LockingConfig(lambdas=(1e2,), n=3,
+                                               **variant), 1e2)
+           for variant in LOCKING_VARIANTS.values()]
+        + [weakbc.build(weakbc.method_from_name(name, trace=trace), mesh,
+                        WEAKBC_MMS.f, WEAKBC_MMS.d)
+           for name in WEAKBC_METHODS for trace in ("p1", "p0")])
+    for system in assembled:
+        ops = _sparse_operators(system)
+        assert len(ops) >= 2
+        for op in ops:
+            assert op.indices.dtype == np.int32
+            assert op.indptr.dtype == np.int32
+
+
+def test_superlu_gets_intc_index_arrays(monkeypatch):
+    # splu casts its CSC's index arrays to intc, which copies them unless
+    # they already are: the two-block K, a whole a and a condensed Schur
+    factors = recorded_factors(monkeypatch)
+    for system in (stokes_system("taylor-hood", 4),
+                   weakbc_system("barbosa-hughes", 4),
+                   locking_system("corrected-consistent", 4, 1e2),
+                   locking_system("multiplier", 4, 1e2)):
+        solve_saddle(system)
+    infsup.infsup_weighted(*infsup.pair_operators(
+        *infsup.pair_spaces("mini", unit_square_mesh(4))))
+    assert len(factors) == 5
+    for a, _ in factors:
+        assert a.format == "csc"
+        assert a.indices.dtype == np.intc and a.indptr.dtype == np.intc
+
+
+INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_index_dtype_switches_where_the_doubled_size_reaches_int32_max(axis):
+    # rows, columns or triplets alone: _expand_components doubles every
+    # one of them (2 n_cols - 1 is its largest column index, 2 nnz its
+    # last pointer), so int32 holds while the doubled size is below the
+    # maximum; sizes only, nothing is allocated
+    def dtype(size):
+        sizes = [1, 1, 1]
+        sizes[axis] = size
+        return _index_dtype(*sizes)
+
+    assert dtype(INT32_MAX // 2) is np.int32        # doubled: max - 1
+    for size in (INT32_MAX // 2 + 1, INT32_MAX - 1, INT32_MAX,
+                 INT32_MAX + 1, 2 ** 40):
+        assert dtype(size) is np.int64
+    assert _index_dtype(*[INT32_MAX // 2] * 3) is np.int32
+
+
+def _assert_same_csr(new, old):
+    """The same shape, ``data`` bit for bit and ``indices``/``indptr``
+    values, in int32 against the oracle's int64 (which scipy narrows on
+    slicing an empty block)."""
+    assert new.shape == old.shape
+    assert new.data.tobytes() == old.data.tobytes()
+    for name in ("indices", "indptr"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == np.int32 and (b.dtype == np.int64 or not old.nnz)
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 32])
+def test_operators_equal_the_int64_scatter(n, monkeypatch):
+    mesh = unit_square_mesh(n)
+    lengths, _, _ = boundary_edge_geometry(mesh)
+    scalar = {kind: build_space(kind, mesh) for kind in ElementKind}
+    vector = {kind: build_space(kind, mesh, 2) for kind in ElementKind}
+    builds = []
+    for kind in ElementKind:
+        for space in (scalar[kind], vector[kind]):
+            builds += [lambda s=space: stiffness(s),
+                       lambda s=space: mass(s)]
+        builds += [lambda s=vector[kind]: free_vector_block(stiffness, s),
+                   lambda s=vector[kind]: free_vector_block(mass, s)]
+    for rows, cols in itertools.product(ElementKind, repeat=2):
+        builds += [lambda r=scalar[rows], c=scalar[cols]: cross_mass(r, c),
+                   lambda v=vector[rows], p=scalar[cols]: divergence(v, p),
+                   lambda v=vector[rows], p=scalar[cols]:
+                       grad_coupling(v, p)]
+    builds += [lambda r=r, c=c: edge_form(r, c, lengths)
+               for r, c in itertools.product(edge_bases(mesh), repeat=2)]
+    new = [build() for build in builds]
+    monkeypatch.setattr(assembly, "_scatter", int64_scatter)
+    for op, build in zip(new, builds):
+        _assert_same_csr(op, build())
 
 
 # ---------------------------------------------------------------------------

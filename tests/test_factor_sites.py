@@ -1,9 +1,10 @@
 """Every factorization of the package goes through ``assembly.sparse_lu``
-or ``linalg.dense_lu``, and a factor is told apart by its ``route``.  The
-mesh, space and assembly kernels call no BLAS on dense arrays: in a CLI
-child, a numpy BLAS-3 call wakes numpy's own OpenBLAS and raises the peak
-RSS (0.3-1.1 MB measured), and they build no table of physical basis
-gradients.
+or ``linalg.dense_lu``, and a factor is told apart by its ``route``.  Every
+triplet array is built in ``assembly._scatter``, the one place that picks
+an operator's index type.  The mesh, space and assembly kernels call no
+BLAS on dense arrays: in a CLI child, a numpy BLAS-3 call wakes numpy's
+own OpenBLAS and raises the peak RSS (0.3-1.1 MB measured), and they
+build no table of physical basis gradients.
 
 The scan reads the package's AST: a reference is a name, an attribute or
 an imported alias, and it is charged to the top-level function or class
@@ -112,6 +113,10 @@ def test_kernel_scan_sees_blas_calls_in_kernel_modules_only(tmp_path):
 
 def test_splu_is_named_only_in_sparse_lu():
     assert _sites(SRC, {"splu"}) == {"assembly.sparse_lu"}
+
+
+def test_coo_triplets_are_built_only_in_scatter():
+    assert _sites(SRC, {"coo_array", "coo_matrix"}) == {"assembly._scatter"}
 
 
 def test_lapack_lu_is_named_only_in_the_dense_route():

@@ -567,8 +567,10 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, float]:
          sparse one.
     3. ``u = a^{-1} (f - b^T p)``; with no rows in y, the first solve.
 
-    This is the solver of the locking and weak-boundary systems, the
-    ``p1p1-plain`` verdict, and the oracle of ``solve_saddle_pcg``.
+    This is the solver of the locking, Nitsche and Barbosa-Hughes
+    systems, the ``p1p1-plain`` verdict, the oracle of
+    ``solve_saddle_pcg`` and the oracle of the multiplier's pencil solve
+    (``weakbc.solve_multiplier``).
     SuperLU never sees the indefinite (and, for the unstable pair,
     singular) full system: factoring that one can crash the process or
     return a huge solution without complaint.  Returns ``(x, residual_rel)``

@@ -303,14 +303,15 @@ def _run_weakbc(args: argparse.Namespace):
     system = weakbc.build(method, mesh, problem.f, problem.d)
     results = {"method": method.name, "h": mesh.h}
     if method.name == "multiplier":
-        # beta_h of the blocks that are solved, before the solve
-        report = weakbc.multiplier_infsup(system, mesh, method.trace)
+        # beta_h of the blocks that are solved, through the same pencil
+        report, solution = weakbc.solve_multiplier(system, mesh, method.trace)
         kernel = report.kernel_dim_pressure
         results.update(beta=report.beta, kernel_dim=kernel)
-        if kernel:
+        if solution is None:
             return _singular(f"multiplier inf-sup kernel of dimension "
                              f"{kernel}", results)
-    solution = weakbc.solve(system)
+    else:
+        solution = weakbc.solve(system)
     err_l2, err_h1 = weakbc.errors(system.spaces[0], solution.u, problem)
     results.update(err_l2=err_l2, err_h1=err_h1,
                    residual_norm=solution.residual_norm)

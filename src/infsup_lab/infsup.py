@@ -8,9 +8,11 @@ inf-sup constant is the smallest nonzero eigenvalue of the pencil
 
 and beta = sqrt(lambda).  A pair is measured with X the velocity
 H1-seminorm Gram on free dofs and M the pressure mass, the constant of the
-actual quotient b(v,q)/(|v|_1 ||q||_0); S is formed dense by
-``assembly.schur_complement`` from the ``assembly.sparse_lu`` factor of X,
-whose pivots are X's SPD check.  (X = I and M = I give the smallest
+actual quotient b(v,q)/(|v|_1 ||q||_0).  The two steps are shared with
+the weak-bc multiplier, which solves through the same pencil: ``spd_schur``
+forms S dense by ``assembly.schur_complement`` from the
+``assembly.sparse_lu`` factor of X, whose pivots are X's SPD check, and
+``pencil`` runs the one ``eigh``.  (X = I and M = I give the smallest
 positive singular value of B, which falls with h for every pair.)  Constant
 pressures are never deflated -- they land in the numerical kernel and are
 excluded by the rank tolerance.  Squaring the spectrum puts the kernel
@@ -35,7 +37,8 @@ import scipy.sparse as sp
 from .assembly import (divergence, free_vector_block, mass, schur_complement,
                        sparse_lu, stiffness)
 from .fespace import ElementKind, FeSpace, build_space, interior_edge_pairs
-from .linalg import NotPositiveDefinite, SingularMatrix, require_symmetric
+from .linalg import (Factor, NotPositiveDefinite, SingularMatrix,
+                     require_symmetric)
 from .mesh import Mesh
 
 PAIRS = {
@@ -86,9 +89,11 @@ def _positive_definite(factor) -> bool:
     return factor.diagonal_pivots and bool(np.all(factor.pivots > 0.0))
 
 
-def _spd_schur(b: sp.csr_array, x_norm) -> np.ndarray:
-    """Dense B X^{-1} B^T, Fortran-ordered, from the ``sparse_lu`` factor of
-    X (of K alone for diag(K, K)), which must pass ``_positive_definite``."""
+def spd_schur(b: sp.csr_array, x_norm) -> tuple[np.ndarray, Factor]:
+    """Dense B X^{-1} B^T, Fortran-ordered, and the ``sparse_lu`` factor of
+    X (of K alone for diag(K, K)) it is formed from.  X must be symmetric
+    (else ``ValueError``) and its factor pass ``_positive_definite`` (else
+    ``NotPositiveDefinite``)."""
     x = sp.csr_array(x_norm, dtype=float)
     require_symmetric(x, "infsup_weighted")
     try:
@@ -99,7 +104,8 @@ def _spd_schur(b: sp.csr_array, x_norm) -> np.ndarray:
         raise NotPositiveDefinite("velocity norm: off-diagonal or "
                                   "non-positive pivot")
     n_p = b.shape[0]
-    return schur_complement(factor, b, None, np.empty((n_p, n_p), order="F"))
+    return schur_complement(factor, b, None,
+                            np.empty((n_p, n_p), order="F")), factor
 
 
 def _constant_pressure_angle(kernel: np.ndarray, m) -> float:
@@ -113,38 +119,47 @@ def _constant_pressure_angle(kernel: np.ndarray, m) -> float:
     return float(np.sqrt((gap @ (m @ gap)) / (ones @ m_ones)))
 
 
-def infsup_weighted(b, x_norm, m_norm) -> InfSupReport:
-    """beta from the pencil (B X^{-1} B^T, M).
+def pencil(s: np.ndarray, m_norm,
+           n_u: int) -> tuple[InfSupReport, np.ndarray, np.ndarray]:
+    """The report of the pencil (S, M), S from ``spd_schur`` of a block
+    with ``n_u`` columns, and its eigenpairs (lambda, Q): descending, with
+    Q M-orthonormal, so S^{-1} = Q diag(1/lambda) Q^T when no lambda is 0.
 
-    X and M (dense or sparse) must be symmetric positive definite: an
-    asymmetric one raises ``ValueError``, an indefinite or singular one
+    M (dense or sparse) must be symmetric positive definite: an asymmetric
+    one raises ``ValueError``, an indefinite or singular one
     ``NotPositiveDefinite``.  ``eigh`` overwrites S and the dense M
     (Fortran order, no copy).  The reported worst mode is the plain
     nodal/cell eigenvector scaled to unit Euclidean norm (not unit M-norm).
     """
-    b = sp.csr_array(b, dtype=float)
     m = sp.csr_array(m_norm, dtype=float)
     require_symmetric(m, "infsup_weighted")
-    s = _spd_schur(b, x_norm)
     try:
         lam, q = scipy.linalg.eigh(s, m.toarray(order="F"),
                                    overwrite_a=True, overwrite_b=True)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"pressure norm: {exc}") from exc
     lam, q = lam[::-1], q[:, ::-1]
-    rank = int(np.count_nonzero(lam > RANK_RTOL * lam[0])) if len(lam) else 0
-    n_p, n_u = b.shape
+    n_p = len(lam)
+    rank = int(np.count_nonzero(lam > RANK_RTOL * lam[0])) if n_p else 0
     beta, worst = 0.0, np.zeros(n_p)
     if rank > 0:
         beta = float(np.sqrt(lam[rank - 1]))
         worst = q[:, rank - 1] / np.linalg.norm(q[:, rank - 1])
     sigma = np.sqrt(np.maximum(lam[:min(n_p, n_u)], 0.0))
-    return InfSupReport(beta=beta, sigma=sigma,
-                        numerical_rank=rank,
-                        kernel_dim_pressure=n_p - rank,
-                        worst_pressure_mode=worst,
-                        constant_pressure_angle=_constant_pressure_angle(
-                            q[:, rank:], m))
+    report = InfSupReport(beta=beta, sigma=sigma, numerical_rank=rank,
+                          kernel_dim_pressure=n_p - rank,
+                          worst_pressure_mode=worst,
+                          constant_pressure_angle=_constant_pressure_angle(
+                              q[:, rank:], m))
+    return report, lam, q
+
+
+def infsup_weighted(b, x_norm, m_norm) -> InfSupReport:
+    """beta from the pencil (B X^{-1} B^T, M): ``spd_schur``, whose factor
+    of X is dropped before ``pencil`` runs ``eigh``."""
+    b = sp.csr_array(b, dtype=float)
+    s = spd_schur(b, x_norm)[0]
+    return pencil(s, m_norm, b.shape[1])[0]
 
 
 def study(pair: str, mesh: Mesh) -> InfSupReport:

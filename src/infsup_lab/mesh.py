@@ -104,25 +104,35 @@ def unit_square_mesh(n: int) -> Mesh:
 # geometry
 # ---------------------------------------------------------------------------
 
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    p = mesh.nodes[mesh.triangles]
+def _corner_areas(p: np.ndarray) -> np.ndarray:
+    """Signed areas of triangles with (B, 3, 2) corner coordinates ``p``."""
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def triangle_grad_lambda(mesh: Mesh) -> np.ndarray:
-    """Barycentric gradients for every triangle, shape (n_triangles, 3, 2)."""
-    p = mesh.nodes[mesh.triangles]
-    areas = triangle_areas(mesh)
-    out = np.empty((mesh.n_triangles, 3, 2))
+def triangle_areas(mesh: Mesh) -> np.ndarray:
+    return _corner_areas(mesh.nodes[mesh.triangles])
+
+
+def cell_geometry(mesh: Mesh, cells) -> tuple[np.ndarray, np.ndarray]:
+    """Areas (B,) and barycentric gradients (B, 3, 2) of the triangles
+    ``cells`` (a slice or an index array), from their corners alone."""
+    p = mesh.nodes[mesh.triangles[cells]]
+    areas = _corner_areas(p)
+    out = np.empty((len(p), 3, 2))
     for k in range(3):
         pj = p[:, (k + 1) % 3]
         pk = p[:, (k + 2) % 3]
         out[:, k, 0] = pj[:, 1] - pk[:, 1]
         out[:, k, 1] = pk[:, 0] - pj[:, 0]
     out /= (2.0 * areas)[:, None, None]
-    return out
+    return areas, out
+
+
+def triangle_grad_lambda(mesh: Mesh) -> np.ndarray:
+    """Barycentric gradients for every triangle, shape (n_triangles, 3, 2)."""
+    return cell_geometry(mesh, slice(None))[1]
 
 
 def triangle_diameters(mesh: Mesh) -> np.ndarray:

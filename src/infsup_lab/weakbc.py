@@ -28,8 +28,15 @@ Every boundary operator and load is one ``assembly.edge_form`` or
 ``edge_load`` call over the edge bases of P1 fields (hats, normal
 derivatives) and a multiplier basis chosen once from ``trace``: the P1
 hats on the boundary nodes or one constant per edge (P0).
-``equivalence_check`` solves the eliminated (Nitsche) form of BH(P0)
-through ``solve``, like every system here.
+
+A multiplier system is usable only if its discrete inf-sup condition
+holds, so ``solve_multiplier`` measures it and solves through the one
+pencil (T (A+M)^{-1} T^T, W): one factor of A + M, one dense Schur matrix
+and one ``eigh`` give the beta_h verdict and, on an empty kernel, the
+solution.  ``solve`` sends the Nitsche and BH systems through
+``assembly.solve_saddle``, which is also the oracle of the pencil solve;
+``equivalence_check`` solves the eliminated (Nitsche) form of BH(P0) that
+way too.
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ from .assembly import (
     stiffness,
 )
 from .fespace import ElementKind, FeSpace, build_space, field_errors
-from .infsup import InfSupReport, infsup_weighted
+from .infsup import InfSupReport, pencil, spd_schur
+from .linalg import SingularMatrix
 from .mesh import Mesh, boundary_edge_geometry
 
 
@@ -119,19 +127,34 @@ def _multiplier(mesh: Mesh, trace: str) -> EdgeBasis:
     return hats._replace(dofs=dofs.reshape(hats.dofs.shape), size=len(nodes))
 
 
-def multiplier_infsup(system: SaddleSystem, mesh: Mesh,
-                      trace: str) -> InfSupReport:
-    """beta_h and kernel of the multiplier pair (P1 fields, ``trace``
-    multipliers) of a ``multiplier`` system: ``infsup_weighted`` on the
-    pencil (T (A+M)^{-1} T^T, W) of its blocks T = ``b`` and A + M = ``a``,
-    with W = sum_E h_E <mu, mu>_E, the mesh-dependent H^{-1/2} norm.  The
-    kernel is the multipliers orthogonal to every trace: none for P1
+def solve_multiplier(system: SaddleSystem, mesh: Mesh, trace: str
+                     ) -> tuple[InfSupReport, WeakBcSolution | None]:
+    """beta_h, kernel and, on an empty kernel, the solution of a
+    ``multiplier`` system (P1 fields, ``trace`` multipliers), all from one
+    pencil (S, W): S = T (A+M)^{-1} T^T of its blocks T = ``b`` and A + M =
+    ``a`` by ``infsup.spd_schur``, W = sum_E h_E <mu, mu>_E, the
+    mesh-dependent H^{-1/2} norm, and one ``eigh`` by ``infsup.pencil``.
+    The kernel is the multipliers orthogonal to every trace: none for P1
     (beta_h 0.344 at n = 16, 32); for P0 the edge mode alternating around
-    the boundary, as each hat meets two equal edges."""
+    the boundary, as each hat meets two equal edges, and the solution is
+    None.  Otherwise S^{-1} = Q Lambda^{-1} Q^T of the same eigenpairs gives
+    lambda = S^{-1} (T A^{-1} f - g) and u = A^{-1} (f - T^T lambda), with no
+    further factor, so the verdict and the solve cannot disagree."""
     mult = _multiplier(mesh, trace)
     lengths, _, _ = boundary_edge_geometry(mesh)
-    return infsup_weighted(system.b, system.a,
-                           edge_form(mult, mult, lengths ** 2))
+    t, f = system.b, system.f
+    s, factor = spd_schur(t, system.a)
+    report, eig, q = pencil(s, edge_form(mult, mult, lengths ** 2),
+                            system.n_u)
+    if report.kernel_dim_pressure:
+        return report, None
+    lam = q @ ((q.T @ (t @ factor.solve(f) - system.g)) / eig)
+    u = factor.solve(f - t.T @ lam)
+    x = np.concatenate([u, lam])
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrix("non-finite solution from the multiplier pencil")
+    return report, WeakBcSolution(u=u,
+                                  residual_norm=system.relative_residual(x))
 
 
 def _nitsche(space: FeSpace, a, f, d, penalty: sp.csr_array,

@@ -1,5 +1,6 @@
 """Every factorization of the package goes through ``assembly.sparse_lu``
-or ``linalg.dense_lu``, and a factor is told apart by its ``route``.  Every
+or ``linalg.dense_lu``, and a factor is told apart by its ``route``; every
+eigen decomposition goes through ``infsup.pencil``.  Every
 triplet array is built in ``assembly._scatter``, the one place that picks
 an operator's index type.  The mesh, space and assembly kernels call no
 BLAS on dense arrays: in a CLI child, a numpy BLAS-3 call wakes numpy's
@@ -113,6 +114,10 @@ def test_kernel_scan_sees_blas_calls_in_kernel_modules_only(tmp_path):
 
 def test_splu_is_named_only_in_sparse_lu():
     assert _sites(SRC, {"splu"}) == {"assembly.sparse_lu"}
+
+
+def test_eigh_is_named_only_in_the_pencil_routine():
+    assert _sites(SRC, {"eigh"}) == {"infsup.pencil"}
 
 
 def test_coo_triplets_are_built_only_in_scatter():

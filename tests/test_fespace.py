@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from infsup_lab.fespace import (
+    ERROR_BLOCK,
     ElementKind,
     LOCAL_DOFS,
     UnsupportedDegree,
@@ -19,7 +20,8 @@ from infsup_lab.fespace import (
 from infsup_lab.mesh import triangle_grad_lambda, unit_square_mesh
 from infsup_lab.stokes import manufactured_problem
 from infsup_lab.weakbc import mms_problem
-from oracles import dof_coords, table_fields_at_quadrature
+from oracles import (dof_coords, table_fields_at_quadrature,
+                     whole_mesh_field_errors)
 
 
 def barycentric(mesh, t, x):
@@ -192,7 +194,8 @@ def test_p2_interpolation_exact_for_quadratics_with_gradients():
     grad_f = lambda p: np.stack([2 * p[..., 0] + 0.5 * p[..., 1],
                                  0.5 * p[..., 0] - 1.0 + 0 * p[..., 1]], axis=-1)
     coeffs = f(dof_coords(space))
-    pts, vals, grads = fields_at_quadrature(space, coeffs, quadrature(4))
+    pts, vals, grads = fields_at_quadrature(space, coeffs, quadrature(4),
+                                             slice(None))
     assert np.allclose(vals[..., 0], f(pts), atol=1e-12)
     assert np.allclose(grads[:, :, 0, :], grad_f(pts), atol=1e-11)
 
@@ -204,7 +207,7 @@ def test_fields_at_quadrature_match_pointwise_evaluation(kind):
     space = build_space(kind, mesh, components=2)
     coeffs = np.random.default_rng(5).standard_normal(space.n_dofs)
     rule = quadrature(4)
-    _, values, _ = fields_at_quadrature(space, coeffs, rule)
+    _, values, _ = fields_at_quadrature(space, coeffs, rule, slice(None))
     for t in range(mesh.n_triangles):
         for q, lam in enumerate(rule.points):
             assert np.allclose(evaluate(space, coeffs, t, lam), values[t, q],
@@ -219,7 +222,8 @@ def test_fields_at_quadrature_match_the_gradient_table(kind, components, n):
     space = build_space(kind, mesh, components=components)
     coeffs = np.random.default_rng(n).standard_normal(space.n_dofs)
     rule = quadrature(6)
-    points, values, grads = fields_at_quadrature(space, coeffs, rule)
+    points, values, grads = fields_at_quadrature(space, coeffs, rule,
+                                                 slice(None))
     ref_points, ref_values, ref_grads = table_fields_at_quadrature(
         space, coeffs, rule)
     assert np.array_equal(points, ref_points)
@@ -229,30 +233,60 @@ def test_fields_at_quadrature_match_the_gradient_table(kind, components, n):
         <= 1e-14 * np.linalg.norm(ref_grads)
 
 
-@pytest.mark.parametrize("kind, components, problem, bound", [
-    (ElementKind.P2, 2, manufactured_problem(), 20.0),
-    (ElementKind.P1, 1, mms_problem(), 11.5),
+FIELD_PROBLEMS = {1: mms_problem(), 2: manufactured_problem()}
+
+
+@pytest.mark.parametrize("n", [1, 5, 32])
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_field_errors_match_the_whole_mesh_quadrature(kind, components, n):
+    # n = 1 and 5 give T = 2 and 50, inside one block; n = 32 gives
+    # T = 2048, eight blocks of 256
+    space = build_space(kind, unit_square_mesh(n), components=components)
+    coeffs = np.random.default_rng(n).standard_normal(space.n_dofs)
+    problem = FIELD_PROBLEMS[components]
+    got = field_errors(space, coeffs, problem.u, problem.grad_u)
+    want = whole_mesh_field_errors(space, coeffs, problem.u, problem.grad_u)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_a_block_of_cells_is_rows_of_the_whole_mesh_evaluation(kind):
+    # 50 cells in blocks of 16: the last block is short
+    space = build_space(kind, unit_square_mesh(5), components=2)
+    coeffs = np.random.default_rng(3).standard_normal(space.n_dofs)
+    rule = quadrature(6)
+    whole = fields_at_quadrature(space, coeffs, rule, slice(None))
+    blocks = [fields_at_quadrature(space, coeffs, rule, slice(j, j + 16))
+              for j in range(0, 50, 16)]
+    for full, parts in zip(whole, zip(*blocks)):
+        assert np.array_equal(full, np.concatenate(parts))
+
+
+@pytest.mark.parametrize("kind, components, bound", [
+    (ElementKind.P2, 2, 17.0),
+    (ElementKind.P1, 1, 10.0),
 ], ids=["vector-p2", "scalar-p1"])
-def test_field_errors_form_no_full_size_temporaries(kind, components,
-                                                    problem, bound):
-    # traced peak in (T, nq) float arrays at n=32, the exact callables'
-    # own arrays included: 16.5 (vector P2) and 9.8 (scalar P1), against
-    # 23.0 and 13.3 with the (T, nq, n_local, 2) gradient table and the
-    # squared differences allocated
+def test_field_errors_form_no_full_size_temporaries(kind, components, bound):
+    # traced peak in (B, nq) float arrays, B = ERROR_BLOCK cells, the exact
+    # callables' own arrays included: 15.6 (vector P2) and 9.1 (scalar P1)
+    # at n = 32 and 64 alike; the whole-mesh quadrature peaked at 16.5 and
+    # 9.8 (T, nq) arrays, a bound that grew with the mesh
     import tracemalloc
 
-    mesh = unit_square_mesh(32)
-    space = build_space(kind, mesh, components=components)
-    coeffs = np.random.default_rng(2).standard_normal(space.n_dofs)
-    args = (space, coeffs, problem.u, problem.grad_u)
-    field_errors(*args)                      # first-call allocations aside
-    tracemalloc.start()
-    try:
-        field_errors(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound * 8 * mesh.n_triangles * len(quadrature(6).weights)
+    problem = FIELD_PROBLEMS[components]
+    for n in (32, 64):
+        space = build_space(kind, unit_square_mesh(n), components=components)
+        coeffs = np.random.default_rng(2).standard_normal(space.n_dofs)
+        args = (space, coeffs, problem.u, problem.grad_u)
+        field_errors(*args)                  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            field_errors(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * ERROR_BLOCK * len(quadrature(6).weights)
 
 
 def test_p2_is_continuous_across_interior_edges():

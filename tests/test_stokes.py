@@ -363,20 +363,21 @@ def test_p2p0_pressure_projection():
 @pytest.mark.parametrize("name", ["taylor-hood", "p2p0"])
 def test_errors_evaluate_only_the_velocity_field(name, monkeypatch):
     # the pressure error reads values (P1) or cell means (P0), never a
-    # gradient, so the one field evaluation of ``errors`` is the velocity's
+    # gradient, so every field evaluation of ``errors`` (one per block of
+    # cells) is of the velocity space
     from infsup_lab import fespace
     _, sol = mms_run(name, 4)
     real, spaces = fespace.fields_at_quadrature, []
 
-    def counting(space, coeffs, rule):
+    def counting(space, coeffs, rule, cells):
         spaces.append(space)
-        return real(space, coeffs, rule)
+        return real(space, coeffs, rule, cells)
 
     monkeypatch.setattr(fespace, "fields_at_quadrature", counting)
     monkeypatch.setattr(stokes, "fields_at_quadrature", counting,
                         raising=False)
     stokes.errors(sol, EXACT)
-    assert len(spaces) == 1 and spaces[0] is sol.v_space
+    assert spaces and all(space is sol.v_space for space in spaces)
 
 
 @pytest.mark.parametrize("name", ["taylor-hood", "mini", "p1p1-loss"])
@@ -386,7 +387,8 @@ def test_p1_pressure_error_matches_the_field_evaluation(name):
     _, sol = mms_run(name, 4)
     rule = quadrature(6)
     qw = np.outer(triangle_areas(sol.p_space.mesh), rule.weights)
-    pts, p_vals, _ = fields_at_quadrature(sol.p_space, sol.p, rule)
+    pts, p_vals, _ = fields_at_quadrature(sol.p_space, sol.p, rule,
+                                          slice(None))
     p_ex = EXACT.p(pts)
     p_ex -= np.einsum("tq,tq->", qw, p_ex)
     want = np.sqrt(np.einsum("tq,tq->", qw, (p_ex - p_vals[..., 0]) ** 2))

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from infsup_lab import cli, infsup, verify, weakbc
 from infsup_lab.assembly import (
+    SaddleSystem,
     edge_bases,
     edge_form,
     edge_load,
@@ -52,10 +53,23 @@ def trace_ops(mesh, trace):
 
 
 def multiplier_report(mesh, trace):
-    """``multiplier_infsup`` of the multiplier system on ``mesh``."""
+    """The inf-sup report of ``solve_multiplier`` on the multiplier system
+    on ``mesh``."""
     system = weakbc.build(weakbc.method_from_name("multiplier", trace=trace),
                           mesh, PROB.f, PROB.d)
-    return weakbc.multiplier_infsup(system, mesh, trace)
+    return weakbc.solve_multiplier(system, mesh, trace)[0]
+
+
+def recorded_residuals(monkeypatch):
+    """The x of every ``SaddleSystem.relative_residual`` call, in order."""
+    real, seen = SaddleSystem.relative_residual, []
+
+    def recording(system, x):
+        seen.append(np.array(x))
+        return real(system, x)
+
+    monkeypatch.setattr(SaddleSystem, "relative_residual", recording)
+    return seen
 
 
 def edge_midpoints(mesh):
@@ -429,6 +443,63 @@ def test_p0_multiplier_kernel_is_the_alternating_edge_mode(n):
     assert lam[-1] <= infsup.RANK_RTOL * lam[0] < lam[-2]
     assert np.all(kernel[pairs[:, 0]] * kernel[pairs[:, 1]] < 0.0)
     assert np.ptp(np.abs(kernel)) <= 1e-10 * np.abs(kernel).max()
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_pencil_solve_matches_solve_saddle(n, monkeypatch):
+    # the pencil's Q Lambda^-1 Q^T and the dense LU of the same Schur matrix
+    # agree to round-off, not bit for bit: the last digits of the solution
+    # carry no meaning (CHANGES.md on the weak-bc err_l2 in the JSON)
+    mesh = unit_square_mesh(n)
+    system = weakbc.build(weakbc.method_from_name("multiplier"), mesh,
+                          PROB.f, PROB.d)
+    want, _ = solve_saddle(system)
+    seen = recorded_residuals(monkeypatch)
+    report, solution = weakbc.solve_multiplier(system, mesh, "p1")
+    assert report.kernel_dim_pressure == 0 and len(seen) == 1
+    x = seen[0]
+    for got, ref in ((x[:system.n_u], want[:system.n_u]),
+                     (x[system.n_u:], want[system.n_u:])):
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.array_equal(solution.u, x[:system.n_u])
+    assert solution.residual_norm <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_p0_multiplier_is_singular_and_runs_no_solve(n, monkeypatch):
+    mesh = unit_square_mesh(n)
+    system = weakbc.build(weakbc.method_from_name("multiplier", trace="p0"),
+                          mesh, PROB.f, PROB.d)
+    seen = recorded_residuals(monkeypatch)
+    report, solution = weakbc.solve_multiplier(system, mesh, "p0")
+    assert report.kernel_dim_pressure == 1
+    assert solution is None and seen == []
+
+
+def test_multiplier_run_factors_forms_and_decomposes_once(monkeypatch,
+                                                          capsys):
+    # one factor of A + M, one Schur matrix and one eigh give the verdict
+    # and the solution; no second route solves the system
+    from infsup_lab import assembly, linalg
+    counts = {}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("sparse_lu", "schur_complement", "solve_saddle", "dense_lu"):
+        for module in (assembly, linalg, infsup, weakbc):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    import scipy.linalg
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        counting("eigh", scipy.linalg.eigh))
+    assert cli.main(["weakbc", "--method", "multiplier", "--n", "4"]) == 0
+    assert "err_h1=" in capsys.readouterr().out
+    assert counts == {"sparse_lu": 1, "schur_complement": 1, "eigh": 1}
 
 
 @pytest.mark.parametrize("trace", ["p1", "p0"])

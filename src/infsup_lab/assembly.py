@@ -1,4 +1,4 @@
-"""Finite element operator assembly on the unit-square meshes.
+"""Finite element operator assembly on any ``Mesh``.
 
 All volume operators integrate with the 6-point degree-4 rule by default,
 which is exact for every form assembled here (the highest-order integrand is
@@ -30,14 +30,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .fespace import (
-    LOCAL_DOFS,
-    FeSpace,
-    quadrature,
-    quadrature_points,
-    shape_gradients_bary,
-    shape_values,
-)
+from .fespace import ELEMENTS, FeSpace, quadrature, quadrature_points, tabulate
 from .linalg import (Factor, NotPositiveDefinite, SingularMatrix,
                      check_pivots, column_scale, dense_lu)
 from .mesh import (
@@ -127,7 +120,7 @@ def stiffness(space: FeSpace, degree: int = DEFAULT_DEGREE,
     R[l, m] = sum_q w_q dphi/dl dphi/dm against |T| w_T (G G^T)[l, m], G
     the cell's barycentric gradients."""
     rule, mesh, nb = quadrature(degree), space.mesh, space.n_local
-    d = shape_gradients_bary(space.kind, rule.points)         # (nq, nb, 3)
+    d = tabulate(space.kind, rule.points)[1]                  # (nq, nb, 3)
     ref = np.einsum("q,qbl,qcm->lmbc", rule.weights, d, d)
     scale = triangle_areas(mesh)
     if cell_weights is not None:
@@ -150,8 +143,8 @@ def cross_mass(row_space: FeSpace, col_space: FeSpace,
         raise ValueError("cross_mass needs matching component counts")
     rule = quadrature(degree)
     ref = np.einsum("q,qb,qc->bc", rule.weights,
-                    shape_values(row_space.kind, rule.points),
-                    shape_values(col_space.kind, rule.points))
+                    tabulate(row_space.kind, rule.points)[0],
+                    tabulate(col_space.kind, rule.points)[0])
     locals_ = _contract(triangle_areas(row_space.mesh)[:, None], ref[None])
     scalar = _scatter(row_space.scalar_cell_dofs, col_space.scalar_cell_dofs,
                       locals_, row_space.n_scalar_dofs,
@@ -180,8 +173,8 @@ def _value_gradient(values_space: FeSpace, grads_space: FeSpace,
     against sign |T| G[:, l, k]."""
     rule, mesh = quadrature(degree), values_space.mesh
     ref = np.einsum("q,qb,qcl->lbc", rule.weights,
-                    shape_values(values_space.kind, rule.points),
-                    shape_gradients_bary(grads_space.kind, rule.points))
+                    tabulate(values_space.kind, rule.points)[0],
+                    tabulate(grads_space.kind, rule.points)[1])
     coefs = (sign * triangle_areas(mesh))[:, None, None] \
         * triangle_grad_lambda(mesh)
     return [_contract(coefs[:, :, k], ref) for k in range(2)]
@@ -222,7 +215,7 @@ def load_vector(space: FeSpace, func, degree: int = DEFAULT_DEGREE) -> np.ndarra
     w = np.outer(triangle_areas(mesh), rule.weights)          # (T, nq)
     pts = quadrature_points(mesh, rule)
     fv = np.asarray(func(pts), dtype=float)
-    v = shape_values(space.kind, rule.points)
+    v = tabulate(space.kind, rule.points)[0]
     out = np.zeros(space.n_dofs)
     if space.components == 1:
         if fv.shape != pts.shape[:2]:
@@ -252,7 +245,7 @@ def gradient_load(space: FeSpace, func, cell_weights) -> np.ndarray:
     fv = np.broadcast_to(np.asarray(func(pts), dtype=float), pts.shape)
     fg = np.einsum("tqd,tld->tql", fv, triangle_grad_lambda(mesh))
     locals_ = np.einsum("tq,tql,qbl->tb", w, fg,
-                        shape_gradients_bary(space.kind, rule.points))
+                        tabulate(space.kind, rule.points)[1])
     out = np.zeros(space.n_dofs)
     np.add.at(out, space.scalar_cell_dofs, locals_)
     return out
@@ -444,7 +437,8 @@ def _element_blocks(matrix: sp.csr_array) -> np.ndarray | None:
     data array is the blocks in row-major order."""
     n, ptr, idx = matrix.shape[0], matrix.indptr, matrix.indices
     k = int(ptr[1])
-    if not (0 < k <= max(LOCAL_DOFS.values()) and matrix.nnz == n * k
+    largest = max(len(element.basis) for element in ELEMENTS.values())
+    if not (0 < k <= largest and matrix.nnz == n * k
             and matrix.has_canonical_format
             and np.array_equal(idx // k,
                                np.repeat(np.arange(n) // k, np.diff(ptr)))):

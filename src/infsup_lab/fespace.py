@@ -1,11 +1,9 @@
-"""Scalar and vector Lagrange-type spaces on triangles, plus quadrature.
+"""Scalar and vector finite element spaces on triangles, plus quadrature.
 
-Supported local bases (per scalar component):
-
-* ``P0``        -- one constant per triangle
-* ``P1``        -- vertex hat functions
-* ``P1_BUBBLE`` -- P1 enriched with the cubic bubble 27*l1*l2*l3
-* ``P2``        -- six-node quadratic (vertices + edge midpoints)
+Each ``ElementKind`` is one ``Element`` record of ``ELEMENTS``: its basis as
+polynomials in the barycentric coordinates and its dof count per vertex,
+edge and cell.  ``tabulate`` evaluates any basis and its derivatives from
+that table, and ``build_space`` numbers the dofs of any kind by entity.
 
 Vector-valued spaces store dofs component-major: global dof
 ``c * n_scalar_dofs + scalar_dof`` for component c.
@@ -14,7 +12,7 @@ Vector-valued spaces store dofs component-major: global dof
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,15 +29,6 @@ class ElementKind(enum.Enum):
     P1_DISC = "p1-disc"          # elementwise P1, no interelement continuity
     P1_BUBBLE = "p1-bubble"
     P2 = "p2"
-
-
-LOCAL_DOFS = {
-    ElementKind.P0: 1,
-    ElementKind.P1: 3,
-    ElementKind.P1_DISC: 3,
-    ElementKind.P1_BUBBLE: 4,
-    ElementKind.P2: 6,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -100,50 +89,71 @@ def quadrature(degree: int) -> QuadratureRule:
 # reference shape functions
 # ---------------------------------------------------------------------------
 
-def shape_values(kind: ElementKind, points) -> np.ndarray:
-    """Basis values at barycentric ``points``; shape (..., n_local)."""
-    lam = np.asarray(points, dtype=float)
-    l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
-    if kind is ElementKind.P0:
-        vals = [np.ones_like(l1)]
-    elif kind in (ElementKind.P1, ElementKind.P1_DISC):
-        vals = [l1, l2, l3]
-    elif kind is ElementKind.P1_BUBBLE:
-        vals = [l1, l2, l3, 27.0 * l1 * l2 * l3]
-    elif kind is ElementKind.P2:
-        vals = [l1 * (2 * l1 - 1), l2 * (2 * l2 - 1), l3 * (2 * l3 - 1),
-                4 * l1 * l2, 4 * l2 * l3, 4 * l3 * l1]
-    else:
-        raise ValueError(f"unknown element kind {kind}")
-    return np.stack(vals, axis=-1)
+@dataclass(frozen=True)
+class Element:
+    """One element kind as data: its ``basis``, one polynomial ``{(a, b,
+    c): coef}`` over l1^a l2^b l3^c per local dof, in the local order
+    (vertex dofs, dofs of edges (v0,v1), (v1,v2), (v2,v0), cell dofs), and
+    its dof count per ``vertex``, ``edge`` and ``cell``.
 
-
-def shape_gradients_bary(kind: ElementKind, points) -> np.ndarray:
-    """d(basis)/d(lambda) at barycentric ``points``; shape (..., n_local, 3).
-
-    Multiply by a triangle's ``grad_lambda`` (3, 2) to get physical gradients.
+    The constructor lists the terms coef l^e of the basis functions and of
+    their derivatives d(l^e)/dl_k = e_k l^(e - 1_k): ``powers`` (T, 3),
+    ``coefs`` (T,), and ``slots`` (T, n_local, 4), which adds each term to
+    its function's value (slot 0) or d/dl_k (slot 1 + k).
     """
-    lam = np.asarray(points, dtype=float)
-    l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
-    zero = np.zeros_like(l1)
-    one = np.ones_like(l1)
-    if kind is ElementKind.P0:
-        rows = [[zero, zero, zero]]
-    elif kind in (ElementKind.P1, ElementKind.P1_DISC):
-        rows = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
-    elif kind is ElementKind.P1_BUBBLE:
-        rows = [[one, zero, zero], [zero, one, zero], [zero, zero, one],
-                [27 * l2 * l3, 27 * l1 * l3, 27 * l1 * l2]]
-    elif kind is ElementKind.P2:
-        rows = [[4 * l1 - 1, zero, zero],
-                [zero, 4 * l2 - 1, zero],
-                [zero, zero, 4 * l3 - 1],
-                [4 * l2, 4 * l1, zero],
-                [zero, 4 * l3, 4 * l2],
-                [4 * l3, zero, 4 * l1]]
-    else:
-        raise ValueError(f"unknown element kind {kind}")
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+    basis: tuple
+    vertex: int
+    edge: int
+    cell: int
+    powers: np.ndarray = field(init=False)
+    coefs: np.ndarray = field(init=False)
+    slots: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        terms = [(power, coef, b, 0) for b, poly in enumerate(self.basis)
+                 for power, coef in poly.items()]
+        terms += [(power[:k] + (e - 1,) + power[k + 1:], coef * e, b, 1 + k)
+                  for power, coef, b, _ in terms
+                  for k, e in enumerate(power) if e]
+        powers, coefs, functions, slots = zip(*terms)
+        one_hot = np.zeros((len(terms), len(self.basis), 4))
+        one_hot[np.arange(len(terms)), functions, slots] = 1.0
+        object.__setattr__(self, "powers", np.array(powers))
+        object.__setattr__(self, "coefs", np.array(coefs))
+        object.__setattr__(self, "slots", one_hot)
+
+
+_P1 = ({(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}, {(0, 0, 1): 1.0})
+
+ELEMENTS = {
+    ElementKind.P0: Element(({(0, 0, 0): 1.0},), vertex=0, edge=0, cell=1),
+    ElementKind.P1: Element(_P1, vertex=1, edge=0, cell=0),
+    ElementKind.P1_DISC: Element(_P1, vertex=0, edge=0, cell=3),
+    ElementKind.P1_BUBBLE: Element(_P1 + ({(1, 1, 1): 27.0},),   # 27 l1 l2 l3
+                                   vertex=1, edge=0, cell=1),
+    ElementKind.P2: Element((   # l_i (2 l_i - 1), then 4 l_i l_j on the edges
+        {(2, 0, 0): 2.0, (1, 0, 0): -1.0}, {(0, 2, 0): 2.0, (0, 1, 0): -1.0},
+        {(0, 0, 2): 2.0, (0, 0, 1): -1.0},
+        {(1, 1, 0): 4.0}, {(0, 1, 1): 4.0}, {(1, 0, 1): 4.0}),
+        vertex=1, edge=1, cell=0),
+}
+
+
+def tabulate(kind: ElementKind, points) -> tuple[np.ndarray, np.ndarray]:
+    """Basis values (..., n_local) and d(basis)/d(lambda) (..., n_local, 3)
+    at barycentric ``points`` (..., 3), from ``ELEMENTS[kind]``'s terms,
+    each evaluated as ((coef l1^a) l2^b) l3^c by products (``**`` would
+    load numpy's power loop, about 60 KB of RSS per run).  A triangle's
+    ``grad_lambda`` (3, 2) maps the derivatives to physical gradients."""
+    element, lam = ELEMENTS[kind], np.asarray(points, dtype=float)
+    table = [np.ones_like(lam), lam]                 # l^0, l^1, l^2 = l l
+    while len(table) <= element.powers.max():
+        table.append(table[-1] * lam)
+    f = np.stack(table, axis=-1)[..., range(3), element.powers]  # (..., T, 3)
+    terms = element.coefs * f[..., 0] * f[..., 1] * f[..., 2]
+    return (np.einsum("...t,tb->...b", terms, element.slots[..., 0]),
+            np.einsum("...t,tbl->...bl", terms, element.slots[..., 1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +177,7 @@ class FeSpace:
 
     @property
     def n_local(self) -> int:
-        return LOCAL_DOFS[self.kind]
+        return len(ELEMENTS[self.kind].basis)
 
     @property
     def cell_dofs(self) -> np.ndarray:
@@ -197,40 +207,29 @@ class FeSpace:
 
 
 def build_space(kind: ElementKind, mesh: Mesh, components: int = 1) -> FeSpace:
+    """The space of ``kind`` on ``mesh``, its dofs numbered by entity, k
+    in a row per entity: vertex dofs first, by node (dof i at node i), then
+    edge dofs by edge, then cell dofs by cell.  The boundary dofs are the
+    vertex and edge dofs on boundary nodes and edges."""
     if components not in (1, 2):
         raise ValueError("components must be 1 or 2")
-    n_nodes = mesh.n_nodes
-    n_tris = mesh.n_triangles
-    boundary_nodes = np.unique(mesh.boundary_edges[:, :2])
-
-    if kind is ElementKind.P0:
-        cell = np.arange(n_tris, dtype=np.int64)[:, None]
-        bdofs = np.zeros(0, dtype=np.int64)
-        n_scalar = n_tris
-    elif kind is ElementKind.P1:
-        cell = mesh.triangles.copy()
-        bdofs = boundary_nodes
-        n_scalar = n_nodes
-    elif kind is ElementKind.P1_DISC:
-        cell = np.arange(3 * n_tris, dtype=np.int64).reshape(n_tris, 3)
-        bdofs = np.zeros(0, dtype=np.int64)       # purely L2-conforming
-        n_scalar = 3 * n_tris
-    elif kind is ElementKind.P1_BUBBLE:
-        bubble = n_nodes + np.arange(n_tris, dtype=np.int64)
-        cell = np.column_stack([mesh.triangles, bubble])
-        bdofs = boundary_nodes           # the bubble vanishes on all edges
-        n_scalar = n_nodes + n_tris
-    elif kind is ElementKind.P2:
-        cell = np.column_stack([mesh.triangles, n_nodes + mesh.cell_edges])
-        boundary_eids = np.flatnonzero(~mesh.interior_mask())
-        bdofs = np.concatenate([boundary_nodes, n_nodes + boundary_eids])
-        n_scalar = n_nodes + mesh.n_edges
-    else:
-        raise ValueError(f"unknown element kind {kind}")
-
+    element, cells = ELEMENTS[kind], np.arange(mesh.n_triangles)
+    offset, columns, bdofs = 0, [], []
+    for k, count, entities, boundary in [
+            (element.vertex, mesh.n_nodes, mesh.triangles,
+             np.unique(mesh.boundary_edges[:, :2])),
+            (element.edge, mesh.n_edges, mesh.cell_edges,
+             np.flatnonzero(~mesh.interior_mask())),
+            (element.cell, mesh.n_triangles, cells[:, None], cells[:0])]:
+        local = np.arange(k)
+        columns.append(offset + (k * entities[..., None] + local).reshape(
+            mesh.n_triangles, -1))
+        bdofs.append(offset + (k * boundary[:, None] + local).ravel())
+        offset += k * count
     return FeSpace(kind=kind, mesh=mesh, components=components,
-                   n_scalar_dofs=n_scalar, scalar_cell_dofs=cell,
-                   scalar_boundary_dofs=np.sort(bdofs))
+                   n_scalar_dofs=offset,
+                   scalar_cell_dofs=np.concatenate(columns, axis=1),
+                   scalar_boundary_dofs=np.sort(np.concatenate(bdofs)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +256,9 @@ def fields_at_quadrature(space: FeSpace, coeffs, rule: QuadratureRule,
     dofs = space.scalar_cell_dofs[cells]
     local = np.stack([component[dofs] for component in      # (B, c, nb)
                       np.reshape(coeffs, (space.components, -1))], axis=1)
-    values = np.einsum("qb,tcb->tqc", shape_values(space.kind, rule.points),
-                       local)
-    bary = np.einsum("qbl,tcb->tqcl",                         # (B, nq, c, 3)
-                     shape_gradients_bary(space.kind, rule.points), local)
+    shapes, derivatives = tabulate(space.kind, rule.points)
+    values = np.einsum("qb,tcb->tqc", shapes, local)
+    bary = np.einsum("qbl,tcb->tqcl", derivatives, local)      # (B, nq, c, 3)
     return points, values, np.einsum("tqcl,tld->tqcd", bary,
                                      cell_geometry(mesh, cells)[1])
 

@@ -39,16 +39,23 @@ class Mesh:
     h: float = field(init=False)
 
     def __post_init__(self):
-        """Reject a clockwise or degenerate triangle, then derive the edge
-        fields from one stable argsort of the directed edges' integer keys
-        ``lo (N + 1) + hi``, N the largest node, whose order is the
+        """Reject a node index outside [0, N), N the node count, a node in
+        no triangle (a dof in no cell) and a clockwise or degenerate
+        triangle, then derive the edge fields from one stable argsort of
+        the directed edges' integer keys ``lo N + hi``, whose order is the
         lexicographic one.  The sort keeps each edge's directed copies in
         triangle order, so the lower triangle index fills slot 0."""
+        if self.triangles.min() < 0 or self.triangles.max() >= self.n_nodes:
+            raise ValueError("a triangle names a node outside [0, n_nodes)")
+        used = np.zeros(self.n_nodes, dtype=bool)
+        used[self.triangles] = True
+        if not used.all():
+            raise ValueError("every node must belong to a triangle")
         if np.any(triangle_areas(self) <= 0.0):
             raise ValueError("every triangle must be counterclockwise")
         directed = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
         lo, hi = directed.min(axis=1), directed.max(axis=1)
-        keys = lo * (self.triangles.max() + 1) + hi
+        keys = lo * self.n_nodes + hi
         order = np.argsort(keys, kind="stable")
         first = np.diff(keys[order], prepend=-1) != 0
         ids = np.cumsum(first) - 1

@@ -49,7 +49,7 @@ from .assembly import (
 )
 from .fespace import (ElementKind, FeSpace, build_space, field_errors,
                       interior_edge_pairs, quadrature, quadrature_points,
-                      shape_values)
+                      tabulate)
 from .infsup import pair_operators, pair_spaces
 from .mesh import (
     Mesh,
@@ -300,7 +300,7 @@ def errors(solution: StokesSolution, exact: ManufacturedProblem):
         cell_means = np.einsum("tq,q->t", p_ex, rule.weights)
         err_p_l2 = np.sqrt(np.sum(areas * (solution.p - cell_means) ** 2))
     else:
-        p_ex -= np.einsum("qb,tb->tq", shape_values(p_space.kind, rule.points),
+        p_ex -= np.einsum("qb,tb->tq", tabulate(p_space.kind, rule.points)[0],
                           solution.p[p_space.scalar_cell_dofs])
         err_p_l2 = np.sqrt(np.einsum("tq,tq->", qw, np.square(p_ex, out=p_ex)))
     return err_u_l2, err_u_h1, float(err_p_l2)

@@ -9,15 +9,14 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from infsup_lab.assembly import mass, stiffness
-from infsup_lab.fespace import (ElementKind, build_space,
-                                fields_at_quadrature, quadrature,
-                                shape_gradients_bary, shape_values)
+from infsup_lab.fespace import (ElementKind, FeSpace, build_space,
+                                fields_at_quadrature, quadrature)
 from infsup_lab.linalg import dense_lu
 from infsup_lab.mesh import (boundary_edge_geometry, triangle_areas,
                              triangle_grad_lambda)
 
 # barycentric node of each local basis function, in the order of
-# ``fespace.shape_values``: vertices, then the centroid (the bubble) or the
+# ``shape_values``: vertices, then the centroid (the bubble) or the
 # midpoints of edges (0, 1), (1, 2), (2, 0) (P2)
 _VERTICES = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
 _LOCAL_NODES = {
@@ -28,6 +27,88 @@ _LOCAL_NODES = {
     ElementKind.P2: _VERTICES + [(0.5, 0.5, 0.0), (0.0, 0.5, 0.5),
                                  (0.5, 0.0, 0.5)],
 }
+
+
+# The basis of each element kind and its d/dlambda written out by hand, and
+# the dof numbering of each kind by its own branch: the routes that the
+# polynomial tables of ``fespace.ELEMENTS``, ``fespace.tabulate`` and the
+# entity numbering of ``fespace.build_space`` replaced.
+
+def shape_values(kind, points) -> np.ndarray:
+    """Basis values at barycentric ``points``; shape (..., n_local)."""
+    lam = np.asarray(points, dtype=float)
+    l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
+    if kind is ElementKind.P0:
+        vals = [np.ones_like(l1)]
+    elif kind in (ElementKind.P1, ElementKind.P1_DISC):
+        vals = [l1, l2, l3]
+    elif kind is ElementKind.P1_BUBBLE:
+        vals = [l1, l2, l3, 27.0 * l1 * l2 * l3]
+    elif kind is ElementKind.P2:
+        vals = [l1 * (2 * l1 - 1), l2 * (2 * l2 - 1), l3 * (2 * l3 - 1),
+                4 * l1 * l2, 4 * l2 * l3, 4 * l3 * l1]
+    else:
+        raise ValueError(f"unknown element kind {kind}")
+    return np.stack(vals, axis=-1)
+
+
+def shape_gradients_bary(kind, points) -> np.ndarray:
+    """d(basis)/d(lambda) at barycentric ``points``; shape (..., n_local, 3)."""
+    lam = np.asarray(points, dtype=float)
+    l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
+    zero = np.zeros_like(l1)
+    one = np.ones_like(l1)
+    if kind is ElementKind.P0:
+        rows = [[zero, zero, zero]]
+    elif kind in (ElementKind.P1, ElementKind.P1_DISC):
+        rows = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    elif kind is ElementKind.P1_BUBBLE:
+        rows = [[one, zero, zero], [zero, one, zero], [zero, zero, one],
+                [27 * l2 * l3, 27 * l1 * l3, 27 * l1 * l2]]
+    elif kind is ElementKind.P2:
+        rows = [[4 * l1 - 1, zero, zero],
+                [zero, 4 * l2 - 1, zero],
+                [zero, zero, 4 * l3 - 1],
+                [4 * l2, 4 * l1, zero],
+                [zero, 4 * l3, 4 * l2],
+                [4 * l3, zero, 4 * l1]]
+    else:
+        raise ValueError(f"unknown element kind {kind}")
+    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+
+def branch_build_space(kind, mesh, components=1) -> FeSpace:
+    """``fespace.build_space`` with one branch per element kind."""
+    n_nodes = mesh.n_nodes
+    n_tris = mesh.n_triangles
+    boundary_nodes = np.unique(mesh.boundary_edges[:, :2])
+    if kind is ElementKind.P0:
+        cell = np.arange(n_tris, dtype=np.int64)[:, None]
+        bdofs = np.zeros(0, dtype=np.int64)
+        n_scalar = n_tris
+    elif kind is ElementKind.P1:
+        cell = mesh.triangles.copy()
+        bdofs = boundary_nodes
+        n_scalar = n_nodes
+    elif kind is ElementKind.P1_DISC:
+        cell = np.arange(3 * n_tris, dtype=np.int64).reshape(n_tris, 3)
+        bdofs = np.zeros(0, dtype=np.int64)       # purely L2-conforming
+        n_scalar = 3 * n_tris
+    elif kind is ElementKind.P1_BUBBLE:
+        bubble = n_nodes + np.arange(n_tris, dtype=np.int64)
+        cell = np.column_stack([mesh.triangles, bubble])
+        bdofs = boundary_nodes           # the bubble vanishes on all edges
+        n_scalar = n_nodes + n_tris
+    elif kind is ElementKind.P2:
+        cell = np.column_stack([mesh.triangles, n_nodes + mesh.cell_edges])
+        boundary_eids = np.flatnonzero(~mesh.interior_mask())
+        bdofs = np.concatenate([boundary_nodes, n_nodes + boundary_eids])
+        n_scalar = n_nodes + mesh.n_edges
+    else:
+        raise ValueError(f"unknown element kind {kind}")
+    return FeSpace(kind=kind, mesh=mesh, components=components,
+                   n_scalar_dofs=n_scalar, scalar_cell_dofs=cell,
+                   scalar_boundary_dofs=np.sort(bdofs))
 
 
 def lu_solve(a, b) -> np.ndarray:

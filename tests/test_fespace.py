@@ -6,22 +6,28 @@ import numpy as np
 import pytest
 
 from infsup_lab.fespace import (
+    ELEMENTS,
     ERROR_BLOCK,
     ElementKind,
-    LOCAL_DOFS,
     UnsupportedDegree,
     build_space,
     field_errors,
     fields_at_quadrature,
     quadrature,
-    shape_gradients_bary,
-    shape_values,
+    tabulate,
 )
 from infsup_lab.mesh import triangle_grad_lambda, unit_square_mesh
 from infsup_lab.stokes import manufactured_problem
 from infsup_lab.weakbc import mms_problem
-from oracles import (dof_coords, table_fields_at_quadrature,
+from oracles import (branch_build_space, dof_coords, shape_gradients_bary,
+                     shape_values, table_fields_at_quadrature,
                      whole_mesh_field_errors)
+
+#: the kinds whose tabulated values are the hand table's bit for bit: the
+#: vertex values of P2, 2 l^2 - l against l (2 l - 1), round differently,
+#: by at most 1.1e-16; every tabulated derivative is the hand table's
+EXACT_KINDS = (ElementKind.P0, ElementKind.P1, ElementKind.P1_DISC,
+               ElementKind.P1_BUBBLE)
 
 
 def barycentric(mesh, t, x):
@@ -35,7 +41,8 @@ def barycentric(mesh, t, x):
 def evaluate(space, coeffs, t, bary):
     """Value of a discrete function at one barycentric point of triangle t:
     a pointwise oracle for ``fields_at_quadrature``.  A scalar for
-    1-component spaces, else an array of length ``components``."""
+    1-component spaces, else an array of length ``components``, from the
+    hand-written basis."""
     vals = shape_values(space.kind, bary)
     local = np.asarray(coeffs, dtype=float)[space.cell_dofs[t]]
     out = local.reshape(space.components, space.n_local) @ vals
@@ -84,27 +91,30 @@ def test_quadrature_degree_mapping_and_limit():
 # shape functions
 # ---------------------------------------------------------------------------
 
+def shapes(kind, points):
+    return tabulate(kind, points)[0]
+
+
 def test_shape_values_kronecker_property():
     vertices = np.eye(3)
-    assert np.allclose(shape_values(ElementKind.P1, vertices), np.eye(3))
+    assert np.allclose(shapes(ElementKind.P1, vertices), np.eye(3))
     # P2: vertices then midpoints, matching the local dof order
     mids = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     nodes = np.vstack([vertices, mids])
-    assert np.allclose(shape_values(ElementKind.P2, nodes), np.eye(6),
-                       atol=1e-14)
+    assert np.allclose(shapes(ElementKind.P2, nodes), np.eye(6), atol=1e-14)
     # bubble is zero at vertices and 1 at the barycenter
-    bub = shape_values(ElementKind.P1_BUBBLE, np.array([1, 1, 1]) / 3.0)
+    bub = shapes(ElementKind.P1_BUBBLE, np.array([1, 1, 1]) / 3.0)
     assert bub[3] == pytest.approx(1.0)
-    assert np.allclose(shape_values(ElementKind.P1_BUBBLE, vertices)[:, 3], 0.0)
+    assert np.allclose(shapes(ElementKind.P1_BUBBLE, vertices)[:, 3], 0.0)
 
 
 def test_partition_of_unity():
     rng = np.random.default_rng(0)
     pts = rng.dirichlet([1, 1, 1], size=20)
     for kind in (ElementKind.P1, ElementKind.P2):
-        assert np.allclose(shape_values(kind, pts).sum(axis=-1), 1.0, atol=1e-13)
+        assert np.allclose(shapes(kind, pts).sum(axis=-1), 1.0, atol=1e-13)
     # P1 part of the enriched space also sums to one
-    vals = shape_values(ElementKind.P1_BUBBLE, pts)
+    vals = shapes(ElementKind.P1_BUBBLE, pts)
     assert np.allclose(vals[:, :3].sum(axis=-1), 1.0, atol=1e-13)
 
 
@@ -113,14 +123,29 @@ def test_shape_gradients_match_finite_differences():
     step = 1e-6
     for kind in ElementKind:
         lam = rng.dirichlet([2, 2, 2])
-        grads = shape_gradients_bary(kind, lam)
+        grads = tabulate(kind, lam)[1]
         for axis in range(3):
             plus = lam.copy()
             plus[axis] += step
             minus = lam.copy()
             minus[axis] -= step
-            fd = (shape_values(kind, plus) - shape_values(kind, minus)) / (2 * step)
+            fd = (shapes(kind, plus) - shapes(kind, minus)) / (2 * step)
             assert np.allclose(grads[:, axis], fd, atol=1e-7)
+
+
+@pytest.mark.parametrize("degree", [4, 6])
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_tabulate_matches_the_hand_written_basis(kind, degree):
+    points = quadrature(degree).points
+    got_values, got_derivatives = tabulate(kind, points)
+    want_values = shape_values(kind, points)
+    want_derivatives = shape_gradients_bary(kind, points)
+    assert got_values.shape == want_values.shape
+    assert np.array_equal(got_derivatives, want_derivatives)
+    if kind in EXACT_KINDS:
+        assert np.array_equal(got_values, want_values)
+    else:
+        assert np.abs(got_values - want_values).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +252,11 @@ def test_fields_at_quadrature_match_the_gradient_table(kind, components, n):
     ref_points, ref_values, ref_grads = table_fields_at_quadrature(
         space, coeffs, rule)
     assert np.array_equal(points, ref_points)
-    assert np.array_equal(values, ref_values)
+    if kind in EXACT_KINDS:
+        assert np.array_equal(values, ref_values)
+    else:
+        assert np.linalg.norm(values - ref_values) \
+            <= 1e-15 * np.linalg.norm(ref_values)
     assert grads.shape == ref_grads.shape
     assert np.linalg.norm(grads - ref_grads) \
         <= 1e-14 * np.linalg.norm(ref_grads)
@@ -305,11 +334,38 @@ def test_p2_is_continuous_across_interior_edges():
             assert v1 == pytest.approx(v2, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_entity_numbering_matches_the_per_kind_branches(kind, components, n):
+    mesh = unit_square_mesh(n)
+    got = build_space(kind, mesh, components)
+    want = branch_build_space(kind, mesh, components)
+    assert got.n_scalar_dofs == want.n_scalar_dofs
+    for name in ("scalar_cell_dofs", "scalar_boundary_dofs"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+
+
+@pytest.mark.parametrize("kind", [kind for kind in ElementKind
+                                  if ELEMENTS[kind].vertex])
+def test_vertex_dofs_come_first_and_follow_the_nodes(kind):
+    # cli's nodal output reads the first n_nodes scalar dofs of each
+    # component as the values at the mesh nodes, in node order
+    mesh = unit_square_mesh(3)
+    space = build_space(kind, mesh)
+    assert np.array_equal(space.scalar_cell_dofs[:, :3], mesh.triangles)
+
+
 def test_local_dof_counts():
-    assert LOCAL_DOFS[ElementKind.P0] == 1
-    assert LOCAL_DOFS[ElementKind.P1] == 3
-    assert LOCAL_DOFS[ElementKind.P1_BUBBLE] == 4
-    assert LOCAL_DOFS[ElementKind.P2] == 6
+    mesh = unit_square_mesh(1)
+    counts = {kind: build_space(kind, mesh).n_local for kind in ElementKind}
+    assert counts == {ElementKind.P0: 1, ElementKind.P1: 3,
+                      ElementKind.P1_DISC: 3, ElementKind.P1_BUBBLE: 4,
+                      ElementKind.P2: 6}
+    for kind, element in ELEMENTS.items():
+        assert 3 * element.vertex + 3 * element.edge + element.cell \
+            == counts[kind]
 
 
 def test_invalid_components():

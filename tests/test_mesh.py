@@ -170,3 +170,22 @@ def test_a_clockwise_triangle_raises():
     Mesh(nodes, np.array([[0, 1, 2], [1, 3, 2]]))
     with pytest.raises(ValueError, match="counterclockwise"):
         Mesh(nodes, np.array([[0, 1, 2], [1, 2, 3]]))
+
+
+SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [-2, -1, 4], ids=["minus-2", "minus-1", "n"])
+def test_a_node_index_outside_the_nodes_raises(bad):
+    # -2 is node 2 to numpy's indexing: the triangles are counterclockwise,
+    # and the edges and boundary edges would name node -2
+    with pytest.raises(ValueError, match="outside"):
+        Mesh(SQUARE, np.array([[0, 1, 3], [0, 3, bad]]))
+
+
+def test_a_node_in_no_triangle_raises():
+    # node 4 would be a P1 dof in no cell: a zero row of the stiffness
+    nodes = np.vstack([SQUARE, [[2.0, 2.0]]])
+    with pytest.raises(ValueError, match="every node"):
+        Mesh(nodes, np.array([[0, 1, 3], [0, 3, 2]]))
+    assert Mesh(SQUARE, np.array([[0, 1, 3], [0, 3, 2]])).n_nodes == 4

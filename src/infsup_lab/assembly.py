@@ -473,12 +473,12 @@ def sparse_lu(matrix: sp.csr_array, what: str) -> Factor:
 
     scipy.sparse.linalg is imported only for a SuperLU factor: runs that
     never need one do not load its extension modules.  Of matrix size, it
-    allocates SuperLU's workspace and factor, and the CSC copies of L and U
-    that scipy builds on the first ``SuperLU.L`` or ``.U`` access (the
-    pivot read here) and keeps for the life of the factor (68 MiB at TH
-    n=128), no more.  The operators carry int32 indices (``_scatter``),
-    so SuperLU takes the ``np.intc`` index arrays of the CSC as they are,
-    with no cast copy."""
+    allocates SuperLU's workspace and factor, no more, and keeps only the
+    factor: the CSC copies of L and U that scipy builds and caches on the
+    first ``SuperLU.L`` or ``.U`` access (the pivot read here; 68 MiB at
+    TH n=128) are emptied right after the read, a short-lived cost of it.
+    The operators carry int32 indices (``_scatter``), so SuperLU takes the
+    ``np.intc`` index arrays of the CSC as they are, with no cast copy."""
     matrix = sp.csr_array(matrix)
     if not matrix.shape[0]:
         return Factor(lambda rhs: matrix @ rhs, "element", np.zeros(0), True)
@@ -507,6 +507,12 @@ def sparse_lu(matrix: sp.csr_array, what: str) -> Factor:
     except RuntimeError as exc:          # SuperLU's text can name its sources
         raise SingularMatrix(f"{what}: exactly singular (SuperLU)") from exc
     pivots = np.tile(lu.U.diagonal(), 1 if block is None else 2)
+    # the read made CSC copies of L and U that scipy caches on the factor;
+    # solve never reads them, so their arrays go (resize frees nothing)
+    empty = sp.csc_array(lu.shape)
+    for copy in (lu.L, lu.U):
+        copy.data, copy.indices, copy.indptr = (empty.data, empty.indices,
+                                                empty.indptr)
     check_pivots(pivots, col_scale)
 
     def solve(rhs):

@@ -1,13 +1,13 @@
 """Finite element operator assembly on any ``Mesh``.
 
-All volume operators integrate with the 6-point degree-4 rule by default,
-which is exact for every form assembled here (the highest-order integrand is
-the quartic bubble-gradient product), so re-assembling with a higher-degree
-rule must reproduce the same matrices to round-off.  On affine triangles
-each volume form is a reference tensor per pair of element kinds, summed
-once over the rule's points and contracted with a few coefficients per cell
-(Kirby, Knepley, Logg and Scott, SIAM J. Sci. Comput. 27, 2005): no table
-of physical basis gradients per point.  Every boundary form is one 2-point
+On affine triangles each volume form is a reference tensor per pair of
+element kinds, contracted with a few coefficients per cell (Kirby, Knepley,
+Logg and Scott, SIAM J. Sci. Comput. 27, 2005): no table of physical basis
+gradients.  The reference tensor is a slice of ``fespace.moments``, the
+exact means of the products of the element polynomials, so no volume form
+takes a quadrature rule and an integral that is zero stays exactly zero.
+The loads, whose integrands need not be polynomials, keep the 6-point
+degree-4 rule.  Every boundary form is one 2-point
 Gauss sum per boundary edge over a pair of the three ``edge_bases`` of a
 P1 field (end-node hats, normal derivatives of the owner cell's hats, one
 constant per edge), scattered by ``edge_form``, and every boundary load one
@@ -30,7 +30,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .fespace import ELEMENTS, FeSpace, quadrature, quadrature_points, tabulate
+from .fespace import (ELEMENTS, FeSpace, moments, quadrature,
+                      quadrature_points, tabulate)
 from .linalg import (Factor, NotPositiveDefinite, SingularMatrix,
                      check_pivots, column_scale, dense_lu)
 from .mesh import (
@@ -39,8 +40,6 @@ from .mesh import (
     triangle_areas,
     triangle_grad_lambda,
 )
-
-DEFAULT_DEGREE = 4
 
 
 def _contract(coefs: np.ndarray, tensors: np.ndarray) -> np.ndarray:
@@ -114,14 +113,12 @@ def free_vector_block(form, space: FeSpace) -> sp.csr_array:
 # volume operators
 # ---------------------------------------------------------------------------
 
-def stiffness(space: FeSpace, degree: int = DEFAULT_DEGREE,
-              cell_weights=None) -> sp.csr_array:
+def stiffness(space: FeSpace, cell_weights=None) -> sp.csr_array:
     """(grad u, grad v), block-diagonal over components for vector spaces:
-    R[l, m] = sum_q w_q dphi/dl dphi/dm against |T| w_T (G G^T)[l, m], G
-    the cell's barycentric gradients."""
-    rule, mesh, nb = quadrature(degree), space.mesh, space.n_local
-    d = tabulate(space.kind, rule.points)[1]                  # (nq, nb, 3)
-    ref = np.einsum("q,qbl,qcm->lmbc", rule.weights, d, d)
+    the exact means R[l, m] of dphi/dl dphi/dm (``moments``) against
+    |T| w_T (G G^T)[l, m], G the cell's barycentric gradients."""
+    mesh, nb = space.mesh, space.n_local
+    ref = moments(space.kind, space.kind)[1:, 1:]
     scale = triangle_areas(mesh)
     if cell_weights is not None:
         scale = scale * np.asarray(cell_weights, dtype=float)
@@ -134,17 +131,13 @@ def stiffness(space: FeSpace, degree: int = DEFAULT_DEGREE,
     return _expand_components(scalar, space.components)
 
 
-def cross_mass(row_space: FeSpace, col_space: FeSpace,
-               degree: int = DEFAULT_DEGREE) -> sp.csr_array:
+def cross_mass(row_space: FeSpace, col_space: FeSpace) -> sp.csr_array:
     """``(phi^col_j, phi^row_i)`` between two spaces on the same mesh."""
     if row_space.mesh is not col_space.mesh:
         raise ValueError("cross_mass needs both spaces on one mesh")
     if row_space.components != col_space.components:
         raise ValueError("cross_mass needs matching component counts")
-    rule = quadrature(degree)
-    ref = np.einsum("q,qb,qc->bc", rule.weights,
-                    tabulate(row_space.kind, rule.points)[0],
-                    tabulate(col_space.kind, rule.points)[0])
+    ref = moments(row_space.kind, col_space.kind)[0, 0]
     locals_ = _contract(triangle_areas(row_space.mesh)[:, None], ref[None])
     scalar = _scatter(row_space.scalar_cell_dofs, col_space.scalar_cell_dofs,
                       locals_, row_space.n_scalar_dofs,
@@ -152,9 +145,9 @@ def cross_mass(row_space: FeSpace, col_space: FeSpace,
     return _expand_components(scalar, row_space.components)
 
 
-def mass(space: FeSpace, degree: int = DEFAULT_DEGREE) -> sp.csr_array:
+def mass(space: FeSpace) -> sp.csr_array:
     """(u, v), block-diagonal over components for vector spaces."""
-    return cross_mass(space, space, degree)
+    return cross_mass(space, space)
 
 
 def lumped_mass(space: FeSpace) -> np.ndarray:
@@ -167,50 +160,45 @@ def lumped_mass(space: FeSpace) -> np.ndarray:
 
 
 def _value_gradient(values_space: FeSpace, grads_space: FeSpace,
-                    degree: int, sign: float) -> list:
+                    sign: float) -> list:
     """``sign (phi_b, d psi_c / dx_k)`` local matrices for k = 0, 1, phi of
-    ``values_space`` and psi of ``grads_space``: R[l] = sum_q w_q phi dpsi/dl
-    against sign |T| G[:, l, k]."""
-    rule, mesh = quadrature(degree), values_space.mesh
-    ref = np.einsum("q,qb,qcl->lbc", rule.weights,
-                    tabulate(values_space.kind, rule.points)[0],
-                    tabulate(grads_space.kind, rule.points)[1])
+    ``values_space`` and psi of ``grads_space``: the exact means R[l] of
+    phi dpsi/dl (``moments``) against sign |T| G[:, l, k]."""
+    mesh = values_space.mesh
+    ref = moments(values_space.kind, grads_space.kind)[0, 1:]
     coefs = (sign * triangle_areas(mesh))[:, None, None] \
         * triangle_grad_lambda(mesh)
     return [_contract(coefs[:, :, k], ref) for k in range(2)]
 
 
-def divergence(v_space: FeSpace, p_space: FeSpace,
-               degree: int = DEFAULT_DEGREE) -> sp.csr_array:
+def divergence(v_space: FeSpace, p_space: FeSpace) -> sp.csr_array:
     """Constraint block ``B[q, v] = -(psi_q, div phi_v)``."""
     if v_space.components != 2 or p_space.components != 1:
         raise ValueError("divergence couples a vector velocity with a "
                          "scalar pressure")
-    locals_ = np.concatenate(_value_gradient(p_space, v_space, degree, -1.0),
-                             axis=2)
+    locals_ = np.concatenate(_value_gradient(p_space, v_space, -1.0), axis=2)
     return _scatter(p_space.scalar_cell_dofs, v_space.cell_dofs, locals_,
                     p_space.n_dofs, v_space.n_dofs)
 
 
-def grad_coupling(v_space: FeSpace, p_space: FeSpace,
-                  degree: int = DEFAULT_DEGREE) -> sp.csr_array:
+def grad_coupling(v_space: FeSpace, p_space: FeSpace) -> sp.csr_array:
     """Vector-to-gradient coupling ``G[v, p] = (phi_v, grad psi_p)``."""
     if v_space.components != 2 or p_space.components != 1:
         raise ValueError("grad_coupling couples a vector space with a "
                          "scalar space")
-    locals_ = np.concatenate(_value_gradient(v_space, p_space, degree, 1.0),
-                             axis=1)
+    locals_ = np.concatenate(_value_gradient(v_space, p_space, 1.0), axis=1)
     return _scatter(v_space.cell_dofs, p_space.scalar_cell_dofs, locals_,
                     v_space.n_dofs, p_space.n_dofs)
 
 
-def load_vector(space: FeSpace, func, degree: int = DEFAULT_DEGREE) -> np.ndarray:
-    """Right-hand side ``(f, phi_i)`` for a callable ``func`` of positions.
+def load_vector(space: FeSpace, func) -> np.ndarray:
+    """Right-hand side ``(f, phi_i)`` for a callable ``func`` of positions,
+    by the 6-point degree-4 rule.
 
     ``func`` receives an (..., 2) array of points and must return values of
     shape (...) for scalar spaces or (..., 2) for vector spaces.
     """
-    rule = quadrature(degree)
+    rule = quadrature(4)
     mesh = space.mesh
     w = np.outer(triangle_areas(mesh), rule.weights)          # (T, nq)
     pts = quadrature_points(mesh, rule)
@@ -238,7 +226,7 @@ def gradient_load(space: FeSpace, func, cell_weights) -> np.ndarray:
     """
     if space.components != 1:
         raise ValueError("gradient_load expects a scalar test space")
-    rule = quadrature(DEFAULT_DEGREE)
+    rule = quadrature(4)
     mesh = space.mesh
     w = np.outer(triangle_areas(mesh) * cell_weights, rule.weights)
     pts = quadrature_points(mesh, rule)

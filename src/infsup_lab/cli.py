@@ -302,16 +302,15 @@ def _run_weakbc(args: argparse.Namespace):
     mesh, problem = unit_square_mesh(args.n), weakbc.mms_problem()
     system = weakbc.build(method, mesh, problem.f, problem.d)
     results = {"method": method.name, "h": mesh.h}
-    if method.name == "multiplier":
-        # beta_h of the blocks that are solved, through the same pencil
-        report, solution = weakbc.solve_multiplier(system, mesh, method.trace)
-        kernel = report.kernel_dim_pressure
-        results.update(beta=report.beta, kernel_dim=kernel)
-        if solution is None:
-            return _singular(f"multiplier inf-sup kernel of dimension "
-                             f"{kernel}", results)
-    else:
-        solution = weakbc.solve(system)
+    try:
+        solution = weakbc.solve(method, system)
+    except weakbc.MultiplierKernel as exc:
+        results.update(beta=exc.report.beta,
+                       kernel_dim=exc.report.kernel_dim_pressure)
+        return _singular(str(exc), results)
+    if solution.report is not None:          # beta_h of the solved blocks
+        results.update(beta=solution.report.beta,
+                       kernel_dim=solution.report.kernel_dim_pressure)
     err_l2, err_h1 = weakbc.errors(system.spaces[0], solution.u, problem)
     results.update(err_l2=err_l2, err_h1=err_h1,
                    residual_norm=solution.residual_norm)

@@ -2,8 +2,10 @@
 
 Each ``ElementKind`` is one ``Element`` record of ``ELEMENTS``: its basis as
 polynomials in the barycentric coordinates and its dof count per vertex,
-edge and cell.  ``tabulate`` evaluates any basis and its derivatives from
-that table, and ``build_space`` numbers the dofs of any kind by entity.
+edge and cell.  From that table ``moments`` gives the exact means of the
+products of two bases and their derivatives (the volume forms), ``tabulate``
+evaluates any basis at points (the loads and errors, by quadrature), and
+``build_space`` numbers the dofs of any kind by entity.
 
 Vector-valued spaces store dofs component-major: global dof
 ``c * n_scalar_dofs + scalar_dof`` for component c.
@@ -12,6 +14,7 @@ Vector-valued spaces store dofs component-major: global dof
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,49 +35,37 @@ class ElementKind(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# quadrature on the reference triangle (barycentric points, weights sum to 1)
+# quadrature on the reference triangle (barycentric points, 15-digit tables)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class QuadratureRule:
     degree: int                  # highest polynomial degree integrated exactly
     points: np.ndarray           # (nq, 3) barycentric coordinates
-    weights: np.ndarray          # (nq,) summing to one
+    weights: np.ndarray          # (nq,) summing to 1 - 1e-15 or 1 + 2e-15
 
 
-def _expand_symmetric(a: float, w: float):
-    """The three cyclic permutations of (a, b, b) with b = (1-a)/2."""
-    b = 0.5 * (1.0 - a)
-    pts = [(a, b, b), (b, a, b), (b, b, a)]
-    return pts, [w] * 3
-
-
-def _rule_six_point() -> QuadratureRule:
+def _symmetric_rule(degree: int, threes, sixes) -> QuadratureRule:
+    """The points (a, b, b), b = (1 - a) / 2, in their three cyclic orders
+    per (a, w) of ``threes``, then the six orders of (a, b, c) per (a, b, c,
+    w) of ``sixes``, each of weight w."""
     pts, wts = [], []
-    for a, w in [(0.108103018168070, 0.223381589678011),
-                 (0.816847572980459, 0.109951743655322)]:
-        p, ws = _expand_symmetric(a, w)
-        pts += p
-        wts += ws
-    return QuadratureRule(4, np.array(pts), np.array(wts))
+    for a, w in threes:
+        b = 0.5 * (1.0 - a)
+        pts += [(a, b, b), (b, a, b), (b, b, a)]
+        wts += [w] * 3
+    for *abc, w in sixes:
+        pts += list(itertools.permutations(abc))
+        wts += [w] * 6
+    return QuadratureRule(degree, np.array(pts), np.array(wts))
 
 
-def _rule_twelve_point() -> QuadratureRule:
-    pts, wts = [], []
-    for a, w in [(0.501426509658179, 0.116786275726379),
-                 (0.873821971016996, 0.050844906370207)]:
-        p, ws = _expand_symmetric(a, w)
-        pts += p
-        wts += ws
-    a, b, c = 0.053145049844816, 0.310352451033785, 0.636502499121399
-    w = 0.082851075618374
-    for perm in [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)]:
-        pts.append(perm)
-        wts.append(w)
-    return QuadratureRule(6, np.array(pts), np.array(wts))
-
-
-_RULES = (_rule_six_point(), _rule_twelve_point())
+_RULES = (_symmetric_rule(4, [(0.108103018168070, 0.223381589678011),
+                              (0.816847572980459, 0.109951743655322)], []),
+          _symmetric_rule(6, [(0.501426509658179, 0.116786275726379),
+                              (0.873821971016996, 0.050844906370207)],
+                          [(0.053145049844816, 0.310352451033785,
+                            0.636502499121399, 0.082851075618374)]))
 
 
 def quadrature(degree: int) -> QuadratureRule:
@@ -138,6 +129,18 @@ ELEMENTS = {
         {(1, 1, 0): 4.0}, {(0, 1, 1): 4.0}, {(1, 0, 1): 4.0}),
         vertex=1, edge=1, cell=0),
 }
+
+
+def moments(row_kind: ElementKind, col_kind: ElementKind) -> np.ndarray:
+    """Exact means over a triangle of D_l phi_b D_m psi_c, (4, 4, n_row,
+    n_col), D_0 the value and D_k d/dl_k: coefficients of pairs of terms
+    times the mean of l1^a l2^b l3^c, 2 a! b! c! / (a + b + c + 2)!."""
+    rows, cols = ELEMENTS[row_kind], ELEMENTS[col_kind]
+    e = rows.powers[:, None] + cols.powers[None]                  # (S, T, 3)
+    factorial = np.cumprod([1.0, *range(1, e.sum(axis=-1).max() + 3)])
+    means = 2.0 * factorial[e].prod(axis=-1) / factorial[e.sum(axis=-1) + 2]
+    return np.einsum("s,t,st,sbl,tcm->lmbc", rows.coefs, cols.coefs, means,
+                     rows.slots, cols.slots)
 
 
 def tabulate(kind: ElementKind, points) -> tuple[np.ndarray, np.ndarray]:

@@ -6,14 +6,14 @@ numbers so a failure is diagnosable straight from the printed table.
 The heavy runs are cached so the table and the test suite share work.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import infsup, locking, stokes, verify, weakbc
-from .assembly import divergence, grad_coupling, mass, stiffness
-from .fespace import ElementKind, build_space
+from .fespace import ElementKind, moments, quadrature, tabulate
 from .mesh import unit_square_mesh
 
 
@@ -60,8 +60,8 @@ def nitsche_mms_slopes() -> dict:
 
     def builder(mesh):
         system = weakbc.build(method, mesh, problem.f, problem.d)
-        l2, h1 = weakbc.errors(system.spaces[0], weakbc.solve(system).u,
-                               problem)
+        l2, h1 = weakbc.errors(system.spaces[0],
+                               weakbc.solve(method, system).u, problem)
         return {"err_l2": l2, "err_h1": h1}
 
     report = verify.run_convergence(builder, (8, 16, 32),
@@ -187,25 +187,21 @@ def check_penalty_multiplier_equivalence() -> CheckResult:
 
 
 def check_assembly_requadrature() -> CheckResult:
-    mesh = unit_square_mesh(2)
-    pairs = []
-    for kind in (ElementKind.P1, ElementKind.P1_BUBBLE, ElementKind.P2):
-        space = build_space(kind, mesh, components=2)
-        pairs.append((stiffness(space, 4), stiffness(space, 6)))
-        if kind is not ElementKind.P1_BUBBLE:
-            pairs.append((mass(space, 4), mass(space, 6)))
-        for pkind in (ElementKind.P0, ElementKind.P1):
-            p = build_space(pkind, mesh)
-            pairs.append((divergence(space, p, 4), divergence(space, p, 6)))
-    p1 = build_space(ElementKind.P1, mesh)
-    v1 = build_space(ElementKind.P1, mesh, components=2)
-    pairs.append((grad_coupling(v1, p1, 4), grad_coupling(v1, p1, 6)))
-    worst = 0.0
-    for low, high in pairs:
-        a, b = low.toarray(), high.toarray()
-        worst = max(worst, np.linalg.norm(a - b)
-                    / max(np.linalg.norm(b), 1e-30))
-    return CheckResult(12, "assembly re-quadrature identity <= 1e-12 (n=2)",
+    # the 12-point rule is exact for every product of two element
+    # polynomials: all 16 slot blocks of the 25 pairs agree to round-off
+    rule, worst, tables = quadrature(6), 0.0, {}
+    for kind in ElementKind:
+        values, derivatives = tabulate(kind, rule.points)
+        tables[kind] = np.concatenate([values[..., None], derivatives], -1)
+    for rows, cols in itertools.product(ElementKind, repeat=2):
+        exact = moments(rows, cols)
+        quad = np.einsum("q,qbl,qcm->lmbc", rule.weights, tables[rows],
+                         tables[cols])
+        gaps = np.linalg.norm(quad - exact, axis=(2, 3))        # (4, 4)
+        scale = np.linalg.norm(exact, axis=(2, 3))     # 0 for P0 slopes
+        worst = max(worst, np.max(gaps / np.where(scale > 0, scale, 1.0)))
+    return CheckResult(12, "exact element moments = 12-point rule <= 1e-12 "
+                           "(25 pairs)",
                        worst <= 1e-12, f"worst relative gap={worst:.2e}")
 
 

@@ -33,10 +33,10 @@ A multiplier system is usable only if its discrete inf-sup condition
 holds, so ``solve_multiplier`` measures it and solves through the one
 pencil (T (A+M)^{-1} T^T, W): one factor of A + M, one dense Schur matrix
 and one ``eigh`` give the beta_h verdict and, on an empty kernel, the
-solution.  ``solve`` sends the Nitsche and BH systems through
-``assembly.solve_saddle``, which is also the oracle of the pencil solve;
-``equivalence_check`` solves the eliminated (Nitsche) form of BH(P0) that
-way too.
+solution.  ``solve``, the one route of every caller, sends a multiplier
+system there (``MultiplierKernel`` on a non-empty kernel: a pivot test
+can pass it) and the others through ``assembly.solve_saddle``, the oracle
+of the pencil solve; ``equivalence_check`` solves them that way too.
 """
 
 from __future__ import annotations
@@ -89,6 +89,17 @@ class WeakBcMethod:
 class WeakBcSolution:
     u: np.ndarray
     residual_norm: float
+    report: InfSupReport | None      # beta_h of a multiplier system
+
+
+class MultiplierKernel(SingularMatrix):
+    """A multiplier system whose measured inf-sup kernel, in ``report``,
+    is not empty."""
+
+    def __init__(self, report: InfSupReport):
+        super().__init__(f"multiplier inf-sup kernel of dimension "
+                         f"{report.kernel_dim_pressure}")
+        self.report = report
 
 
 #: Nitsche penalty and Barbosa-Hughes weight from C_i^2 = 2 (module
@@ -127,17 +138,17 @@ def _multiplier(mesh: Mesh, trace: str) -> EdgeBasis:
     return hats._replace(dofs=dofs.reshape(hats.dofs.shape), size=len(nodes))
 
 
-def solve_multiplier(system: SaddleSystem, mesh: Mesh, trace: str
-                     ) -> tuple[InfSupReport, WeakBcSolution | None]:
-    """beta_h, kernel and, on an empty kernel, the solution of a
+def solve_multiplier(system: SaddleSystem, mesh: Mesh,
+                     trace: str) -> WeakBcSolution:
+    """The solution and its ``report`` (beta_h, kernel) of a
     ``multiplier`` system (P1 fields, ``trace`` multipliers), all from one
     pencil (S, W): S = T (A+M)^{-1} T^T of its blocks T = ``b`` and A + M =
     ``a`` by ``infsup.spd_schur``, W = sum_E h_E <mu, mu>_E, the
     mesh-dependent H^{-1/2} norm, and one ``eigh`` by ``infsup.pencil``.
     The kernel is the multipliers orthogonal to every trace: none for P1
     (beta_h 0.344 at n = 16, 32); for P0 the edge mode alternating around
-    the boundary, as each hat meets two equal edges, and the solution is
-    None.  Otherwise S^{-1} = Q Lambda^{-1} Q^T of the same eigenpairs gives
+    the boundary, as each hat meets two equal edges: ``MultiplierKernel``.
+    Otherwise S^{-1} = Q Lambda^{-1} Q^T of the same eigenpairs gives
     lambda = S^{-1} (T A^{-1} f - g) and u = A^{-1} (f - T^T lambda), with no
     further factor, so the verdict and the solve cannot disagree."""
     mult = _multiplier(mesh, trace)
@@ -147,14 +158,13 @@ def solve_multiplier(system: SaddleSystem, mesh: Mesh, trace: str
     report, eig, q = pencil(s, edge_form(mult, mult, lengths ** 2),
                             system.n_u)
     if report.kernel_dim_pressure:
-        return report, None
+        raise MultiplierKernel(report)
     lam = q @ ((q.T @ (t @ factor.solve(f) - system.g)) / eig)
     u = factor.solve(f - t.T @ lam)
     x = np.concatenate([u, lam])
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("non-finite solution from the multiplier pencil")
-    return report, WeakBcSolution(u=u,
-                                  residual_norm=system.relative_residual(x))
+    return WeakBcSolution(u, system.relative_residual(x), report)
 
 
 def _nitsche(space: FeSpace, a, f, d, penalty: sp.csr_array,
@@ -212,13 +222,17 @@ def _build(method: WeakBcMethod, space: FeSpace, a, f, d) -> SaddleSystem:
                         g=d_load, pressure_mass=None, spaces=(space, None))
 
 
-def solve(system: SaddleSystem) -> WeakBcSolution:
+def solve(method: WeakBcMethod, system: SaddleSystem) -> WeakBcSolution:
+    """Solve a system that ``build`` assembled for ``method``: a
+    multiplier one by ``solve_multiplier``, else by ``solve_saddle``."""
+    if method.name == "multiplier":
+        return solve_multiplier(system, system.spaces[0].mesh, method.trace)
     x, res_rel = solve_saddle(system)
-    return WeakBcSolution(u=x[:system.n_u], residual_norm=res_rel)
+    return WeakBcSolution(x[:system.n_u], res_rel, None)
 
 
 def run(method: WeakBcMethod, mesh: Mesh, f, d) -> WeakBcSolution:
-    return solve(build(method, mesh, f, d))
+    return solve(method, build(method, mesh, f, d))
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +298,9 @@ def equivalence_check(mesh: Mesh, f, d, alpha: float) -> float:
     """
     space = build_space(ElementKind.P1, mesh)
     h1 = stiffness(space) + mass(space)
-    u_bh = solve(_build(WeakBcMethod("barbosa-hughes", alpha=alpha,
-                                     trace="p0"), space, h1, f, d)).u
-    u_n = solve(_nitsche_projected(space, h1, f, d, 1.0 / alpha)).u
+    bh = WeakBcMethod("barbosa-hughes", alpha=alpha, trace="p0")
+    u_bh = solve(bh, _build(bh, space, h1, f, d)).u
+    u_n = solve_saddle(_nitsche_projected(space, h1, f, d, 1.0 / alpha))[0]
     diff = u_bh - u_n
     num = np.sqrt(diff @ (h1 @ diff))
     den = np.sqrt(u_n @ (h1 @ u_n))

@@ -7,10 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.special
 
 from infsup_lab.assembly import mass, stiffness
-from infsup_lab.fespace import (ElementKind, FeSpace, build_space,
-                                fields_at_quadrature, quadrature)
+from infsup_lab.fespace import (ElementKind, FeSpace, QuadratureRule,
+                                build_space, fields_at_quadrature,
+                                quadrature)
 from infsup_lab.linalg import dense_lu
 from infsup_lab.mesh import (boundary_edge_geometry, triangle_areas,
                              triangle_grad_lambda)
@@ -236,10 +238,27 @@ def int64_scatter(rows_cells, cols_cells, locals_, n_rows, n_cols):
     return out
 
 
+def stroud_rule(n=4) -> QuadratureRule:
+    """The Stroud conical-product rule of n x n points on the reference
+    triangle, exact to degree 2n - 1: Gauss-Jacobi (weight 1 - u) in
+    l2 = u and Gauss-Legendre in l3 = (1 - u) v, with points and weights
+    to full precision, where the stocked rules of ``fespace`` are tables of
+    15 digits."""
+    x, wx = scipy.special.roots_jacobi(n, 1.0, 0.0)     # weight (1 - x)
+    y, wy = np.polynomial.legendre.leggauss(n)
+    u, v = np.meshgrid(0.5 * (1.0 + x), 0.5 * (1.0 + y), indexing="ij")
+    l2, l3 = u.ravel(), ((1.0 - u) * v).ravel()
+    # dA = (1 - u) du dv = (1 - x) dx dy / 8 on an area of 1/2
+    weights = 0.25 * np.outer(wx, wy).ravel()
+    return QuadratureRule(2 * n - 1, np.column_stack([1.0 - l2 - l3, l2, l3]),
+                          weights)
+
+
 # The volume forms from (T, nq) physical quadrature weights and a
 # (T, nq, n_local, 2) table of physical basis gradients, each scalar block
 # replicated over components by ``sp.block_diag``: the kernels that the
-# reference tensors of ``assembly`` replaced.
+# reference tensors of ``assembly`` replaced, run on any rule (the tests
+# give them ``stroud_rule()``).
 
 def _table_weights(mesh, rule, cell_weights=None):
     w = np.outer(triangle_areas(mesh), rule.weights)
@@ -258,8 +277,7 @@ def _table_components(scalar, components):
     return sp.csr_array(sp.block_diag([scalar] * components, format="csr"))
 
 
-def table_stiffness(space, degree, cell_weights=None):
-    rule = quadrature(degree)
+def table_stiffness(space, rule, cell_weights=None):
     w = _table_weights(space.mesh, rule, cell_weights)
     g = _table_gradients(space, rule)
     locals_ = np.einsum("tq,tqbd,tqcd->tbc", w, g, g)
@@ -270,8 +288,7 @@ def table_stiffness(space, degree, cell_weights=None):
         space.components)
 
 
-def table_cross_mass(row_space, col_space, degree):
-    rule = quadrature(degree)
+def table_cross_mass(row_space, col_space, rule):
     w = _table_weights(row_space.mesh, rule)
     locals_ = np.einsum("tq,qb,qc->tbc", w,
                         shape_values(row_space.kind, rule.points),
@@ -283,8 +300,7 @@ def table_cross_mass(row_space, col_space, degree):
         row_space.components)
 
 
-def table_divergence(v_space, p_space, degree):
-    rule = quadrature(degree)
+def table_divergence(v_space, p_space, rule):
     w = _table_weights(v_space.mesh, rule)
     pv = shape_values(p_space.kind, rule.points)
     gv = _table_gradients(v_space, rule)
@@ -297,8 +313,7 @@ def table_divergence(v_space, p_space, degree):
     return parts[0] + parts[1]
 
 
-def table_grad_coupling(v_space, p_space, degree):
-    rule = quadrature(degree)
+def table_grad_coupling(v_space, p_space, rule):
     w = _table_weights(v_space.mesh, rule)
     vv = shape_values(v_space.kind, rule.points)
     gp = _table_gradients(p_space, rule)

@@ -162,15 +162,15 @@ def test_p0_multiplier_is_singular_by_design(tmp_path):
 
 
 def _no_solve(*args):
-    raise AssertionError("weak-bc solve attempted")
+    raise AssertionError("weak-bc saddle solve attempted")
 
 
 @pytest.mark.parametrize("n", ["2", "8", "32", "128"])
 def test_p0_multiplier_verdict_is_measured_before_any_solve(
         n, tmp_path, monkeypatch, capsys):
-    # the pivot test of the solve let n=128 through as "ok"; the pencil's
-    # kernel decides at every n
-    monkeypatch.setattr(weakbc, "solve", _no_solve)
+    # the pivot test of the saddle solve let n=128 through as "ok"; the
+    # pencil's kernel decides at every n
+    monkeypatch.setattr(weakbc, "solve_saddle", _no_solve)
     code, doc = run(["weakbc", "--method", "multiplier", "--trace", "p0",
                      "--n", n], tmp_path, json_out=True)
     assert code == 0 and doc["status"] == "singular"

@@ -5,7 +5,9 @@ triplet array is built in ``assembly._scatter``, the one place that picks
 an operator's index type.  The mesh, space and assembly kernels call no
 BLAS on dense arrays: in a CLI child, a numpy BLAS-3 call wakes numpy's
 own OpenBLAS and raises the peak RSS (0.3-1.1 MB measured), and they
-build no table of physical basis gradients.
+build no table of physical basis gradients.  The volume forms integrate
+exactly, through ``fespace.moments``, so none of them names a quadrature
+rule or a tabulated basis.
 
 The scan reads the package's AST: a reference is a name, an attribute or
 an imported alias, and it is charged to the top-level function or class
@@ -110,6 +112,17 @@ def test_kernel_scan_sees_blas_calls_in_kernel_modules_only(tmp_path):
     assert _blas_kernel_calls(tmp_path) == [
         "assembly.optimized:einsum", "assembly.blas:tensordot",
         "assembly.blas:matmul", "assembly.blas:dot"]
+
+
+#: the volume forms, whose reference tensors are slices of
+#: ``fespace.moments``: no quadrature rule and no tabulated basis
+VOLUME_FORMS = {f"assembly.{name}" for name in (
+    "stiffness", "cross_mass", "mass", "divergence", "grad_coupling",
+    "_value_gradient")}
+
+
+def test_volume_forms_take_no_quadrature():
+    assert not _sites(SRC, {"quadrature", "tabulate"}) & VOLUME_FORMS
 
 
 def test_splu_is_named_only_in_sparse_lu():

@@ -29,7 +29,7 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "infsup_lab"
 
-MAX_DEFAULTED_PARAMETERS = 18
+MAX_DEFAULTED_PARAMETERS = 12
 MAX_CLI_OPTIONS = 35            # --help excluded
 
 

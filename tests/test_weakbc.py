@@ -19,6 +19,7 @@ from infsup_lab.assembly import (
     stiffness,
 )
 from infsup_lab.fespace import ElementKind, build_space
+from infsup_lab.linalg import SingularMatrix
 from infsup_lab.mesh import boundary_edge_geometry, unit_square_mesh
 from oracles import dense_pencil, dof_coords, inverse_constant, lu_solve
 
@@ -54,10 +55,13 @@ def trace_ops(mesh, trace):
 
 def multiplier_report(mesh, trace):
     """The inf-sup report of ``solve_multiplier`` on the multiplier system
-    on ``mesh``."""
+    on ``mesh``, from its solution or its ``MultiplierKernel``."""
     system = weakbc.build(weakbc.method_from_name("multiplier", trace=trace),
                           mesh, PROB.f, PROB.d)
-    return weakbc.solve_multiplier(system, mesh, trace)[0]
+    try:
+        return weakbc.solve_multiplier(system, mesh, trace).report
+    except weakbc.MultiplierKernel as exc:
+        return exc.report
 
 
 def recorded_residuals(monkeypatch):
@@ -372,7 +376,7 @@ def test_sparse_projected_nitsche_solve_matches_dense_oracle(n):
     assert (np.linalg.norm(k.toarray() - k_dense)
             <= 1e-12 * np.linalg.norm(k_dense))
     assert np.linalg.norm(rhs - rhs_dense) <= 1e-12 * np.linalg.norm(rhs_dense)
-    u = weakbc.solve(system).u
+    u = weakbc.solve(weakbc.method_from_name("nitsche", gamma=10.0), system).u
     u_dense = lu_solve(k_dense, rhs_dense)
     assert np.linalg.norm(u - u_dense) <= 1e-12 * np.linalg.norm(u_dense)
 
@@ -381,9 +385,10 @@ def test_sparse_projected_nitsche_solve_matches_dense_oracle(n):
 
 def level_errors(name):
     def run_level(mesh):
-        system = weakbc.build(weakbc.method_from_name(name), mesh, PROB.f,
-                              PROB.d)
-        l2, h1 = weakbc.errors(system.spaces[0], weakbc.solve(system).u, PROB)
+        method = weakbc.method_from_name(name)
+        system = weakbc.build(method, mesh, PROB.f, PROB.d)
+        l2, h1 = weakbc.errors(system.spaces[0],
+                               weakbc.solve(method, system).u, PROB)
         return {"err_l2": l2, "err_h1": h1}
     return run_level
 
@@ -455,8 +460,8 @@ def test_pencil_solve_matches_solve_saddle(n, monkeypatch):
                           PROB.f, PROB.d)
     want, _ = solve_saddle(system)
     seen = recorded_residuals(monkeypatch)
-    report, solution = weakbc.solve_multiplier(system, mesh, "p1")
-    assert report.kernel_dim_pressure == 0 and len(seen) == 1
+    solution = weakbc.solve_multiplier(system, mesh, "p1")
+    assert solution.report.kernel_dim_pressure == 0 and len(seen) == 1
     x = seen[0]
     for got, ref in ((x[:system.n_u], want[:system.n_u]),
                      (x[system.n_u:], want[system.n_u:])):
@@ -471,9 +476,27 @@ def test_p0_multiplier_is_singular_and_runs_no_solve(n, monkeypatch):
     system = weakbc.build(weakbc.method_from_name("multiplier", trace="p0"),
                           mesh, PROB.f, PROB.d)
     seen = recorded_residuals(monkeypatch)
-    report, solution = weakbc.solve_multiplier(system, mesh, "p0")
-    assert report.kernel_dim_pressure == 1
-    assert solution is None and seen == []
+    with pytest.raises(weakbc.MultiplierKernel,
+                       match="kernel of dimension 1") as raised:
+        weakbc.solve_multiplier(system, mesh, "p0")
+    assert raised.value.report.kernel_dim_pressure == 1
+    assert seen == []
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_p0_multiplier_through_the_library_raises(n, monkeypatch):
+    # the pencil's kernel is the verdict of every library route: the pivot
+    # test of solve_saddle can pass a system with a kernel
+    def no_saddle_solve(system):
+        raise AssertionError("solve_saddle called")
+
+    monkeypatch.setattr(weakbc, "solve_saddle", no_saddle_solve)
+    method = weakbc.method_from_name("multiplier", trace="p0")
+    mesh = unit_square_mesh(n)
+    with pytest.raises(SingularMatrix, match="kernel of dimension 1"):
+        weakbc.run(method, mesh, PROB.f, PROB.d)
+    with pytest.raises(SingularMatrix, match="kernel of dimension 1"):
+        weakbc.solve(method, weakbc.build(method, mesh, PROB.f, PROB.d))
 
 
 def test_multiplier_run_factors_forms_and_decomposes_once(monkeypatch,

@@ -14,6 +14,7 @@ Vector-valued spaces store dofs component-major: global dof
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -131,16 +132,19 @@ ELEMENTS = {
 }
 
 
+@functools.cache
 def moments(row_kind: ElementKind, col_kind: ElementKind) -> np.ndarray:
-    """Exact means over a triangle of D_l phi_b D_m psi_c, (4, 4, n_row,
-    n_col), D_0 the value and D_k d/dl_k: coefficients of pairs of terms
-    times the mean of l1^a l2^b l3^c, 2 a! b! c! / (a + b + c + 2)!."""
+    """Exact means over a triangle of D_l phi_b D_m psi_c (D_0 the value,
+    D_k d/dl_k), one read-only (4, 4, n_row, n_col) array per pair of kinds:
+    term coefficients times means of l1^a l2^b l3^c, 2 a!b!c!/(a+b+c+2)!."""
     rows, cols = ELEMENTS[row_kind], ELEMENTS[col_kind]
     e = rows.powers[:, None] + cols.powers[None]                  # (S, T, 3)
     factorial = np.cumprod([1.0, *range(1, e.sum(axis=-1).max() + 3)])
     means = 2.0 * factorial[e].prod(axis=-1) / factorial[e.sum(axis=-1) + 2]
-    return np.einsum("s,t,st,sbl,tcm->lmbc", rows.coefs, cols.coefs, means,
-                     rows.slots, cols.slots)
+    out = np.einsum("s,t,st,sbl,tcm->lmbc", rows.coefs, cols.coefs, means,
+                    rows.slots, cols.slots)
+    out.flags.writeable = False
+    return out
 
 
 def tabulate(kind: ElementKind, points) -> tuple[np.ndarray, np.ndarray]:

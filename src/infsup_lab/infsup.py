@@ -12,12 +12,12 @@ actual quotient b(v,q)/(|v|_1 ||q||_0).  The two steps are shared with
 the weak-bc multiplier, which solves through the same pencil: ``spd_schur``
 forms S dense by ``assembly.schur_complement`` from the
 ``assembly.sparse_lu`` factor of X, whose pivots are X's SPD check, and
-``pencil`` runs the one ``eigh``.  (X = I and M = I give the smallest
-positive singular value of B, which falls with h for every pair.)  Constant
-pressures are never deflated -- they land in the numerical kernel and are
-excluded by the rank tolerance.  Squaring the spectrum puts the kernel
-entries of ``sigma`` at about 1e-8 sigma_0 (eigh round-off) rather than
-the 1e-16 sigma_0 of an SVD; beta and the rank do not move.
+``pencil`` reduces it to tridiagonal form once (Golub-Van Loan, 2013,
+8.3, 8.7).  (X = I and M = I give the smallest positive singular value of
+B, which falls with h for every pair.)  Constant pressures are never
+deflated -- they land in the numerical kernel, excluded by the rank
+tolerance, where squaring the spectrum puts their ``sigma`` at 0 or 6e-9
+to 4.5e-8 sigma_0 (n = 2 ... 32), not at an SVD's 1e-16 sigma_0.
 
 The report also carries ``constant_pressure_angle``, the sine of the angle
 between the constant pressure and the numerical kernel, read from the same
@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 
 from .assembly import (divergence, free_vector_block, mass, schur_complement,
                        sparse_lu, stiffness)
@@ -51,7 +51,7 @@ PAIRS = {
 
 #: numerical rank = #{lambda_i > RANK_RTOL * lambda_0}, lambda = sigma^2.  No
 #: max(m, n) factor: on lambda it would cut p1p1's beta by n=256, squared it
-#: falls below eigh's round-off at n=4.
+#: falls below the eigensolver's round-off at n=4.
 RANK_RTOL = 1e-10
 
 
@@ -119,44 +119,100 @@ def _constant_pressure_angle(kernel: np.ndarray, m) -> float:
     return float(np.sqrt((gap @ (m @ gap)) / (ones @ m_ones)))
 
 
-def pencil(s: np.ndarray, m_norm,
-           n_u: int) -> tuple[InfSupReport, np.ndarray, np.ndarray]:
+def _lapack(routine, *args, **kwargs):
+    """A LAPACK wrapper's outputs but ``info``; ``LinAlgError`` if nonzero."""
+    *out, info = routine(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__}: info {info}")
+    return out[0] if len(out) == 1 else out
+
+
+def _apply_q(c: np.ndarray, tau: np.ndarray, rows: np.ndarray, trans: bool):
+    """``rows`` (k x n, Fortran order) <- rows Q^T, or rows Q if ``trans``,
+    Q = H_0 ... H_{n-2} of the lower ``dsytrd`` reflectors in ``c``: v_j is
+    1 at row j + 1 and c[j + 2:, j] below.  In place, one H_j at a time."""
+    for j in range(len(tau)) if trans else reversed(range(len(tau))):
+        v, tail = np.concatenate(([1.0], c[j + 2:, j])), rows[:, j + 1:]
+        blas.dger(-tau[j], blas.dgemv(1.0, tail, v), v, a=tail, overwrite_a=1)
+
+
+#: |entries| within this fraction of max|mode| tie (mirror-image entries)
+SIGN_TIE_RTOL = 1e-8
+
+
+def _signed(mode: np.ndarray) -> np.ndarray:
+    """``mode`` at unit Euclidean norm, with its largest-magnitude entry
+    positive, the first of the entries that tie for it."""
+    mode, size = mode / np.linalg.norm(mode), np.abs(mode)
+    lead = np.flatnonzero(size >= (1.0 - SIGN_TIE_RTOL) * size.max())[0]
+    return -mode if mode[lead] < 0.0 else mode
+
+
+def pencil(s: np.ndarray, m_norm, n_u: int):
     """The report of the pencil (S, M), S from ``spd_schur`` of a block
-    with ``n_u`` columns, and its eigenpairs (lambda, Q): descending, with
-    Q M-orthonormal, so S^{-1} = Q diag(1/lambda) Q^T when no lambda is 0.
+    with ``n_u`` columns, and ``solve``, r -> S^{-1} r.
+
+    One reduction in S's and the dense M's Fortran buffers: M = L L^T
+    (``dpotrf``), L^{-1} S L^{-T} = Q T Q^T (two ``dtrsm``, ``dsytrd``),
+    every eigenvalue of T (``dsterf``) and, T taken as one block, its
+    eigenvectors from the kernel up to the worst mode only (``dstein``;
+    rank 0 means S = 0), mapped back by Q and L^{-T}.  ``solve`` is L^{-T} Q
+    T^{-1} Q^T L^{-1} r (``dpttrf``): no n_p x n_p eigenvector matrix.  BLAS
+    stands in for ``dsygst``, ``dormqr``, ``dtrtrs`` and ``dstebz``: each
+    wrapper would map 64 KB of code in a CLI child.
 
     M (dense or sparse) must be symmetric positive definite: an asymmetric
     one raises ``ValueError``, an indefinite or singular one
-    ``NotPositiveDefinite``.  ``eigh`` overwrites S and the dense M
-    (Fortran order, no copy).  The reported worst mode is the plain
-    nodal/cell eigenvector scaled to unit Euclidean norm (not unit M-norm).
+    ``NotPositiveDefinite``; any other LAPACK failure ``LinAlgError``.  The
+    reported worst mode is the plain nodal/cell eigenvector at unit
+    Euclidean norm (not unit M-norm), its largest entry positive.
     """
     m = sp.csr_array(m_norm, dtype=float)
     require_symmetric(m, "infsup_weighted")
+    n_p = len(s)
+    if not n_p:
+        return InfSupReport(0.0, np.zeros(0), 0, 0, np.zeros(0), 1.0), np.copy
     try:
-        lam, q = scipy.linalg.eigh(s, m.toarray(order="F"),
-                                   overwrite_a=True, overwrite_b=True)
+        chol = _lapack(lapack.dpotrf, m.toarray(order="F"), lower=1,
+                       overwrite_a=1)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"pressure norm: {exc}") from exc
-    lam, q = lam[::-1], q[:, ::-1]
-    n_p = len(lam)
-    rank = int(np.count_nonzero(lam > RANK_RTOL * lam[0])) if n_p else 0
-    beta, worst = 0.0, np.zeros(n_p)
-    if rank > 0:
-        beta = float(np.sqrt(lam[rank - 1]))
-        worst = q[:, rank - 1] / np.linalg.norm(q[:, rank - 1])
-    sigma = np.sqrt(np.maximum(lam[:min(n_p, n_u)], 0.0))
-    report = InfSupReport(beta=beta, sigma=sigma, numerical_rank=rank,
-                          kernel_dim_pressure=n_p - rank,
-                          worst_pressure_mode=worst,
-                          constant_pressure_angle=_constant_pressure_angle(
-                              q[:, rank:], m))
-    return report, lam, q
+    s = blas.dtrsm(1.0, chol, s, lower=1, overwrite_b=1)
+    s = blas.dtrsm(1.0, chol, s, side=1, lower=1, trans_a=1, overwrite_b=1)
+    lwork = int(_lapack(lapack.dsytrd_lwork, n_p, lower=1))
+    s, d, e, tau = _lapack(lapack.dsytrd, s, lower=1, lwork=lwork,
+                           overwrite_a=1)
+    lam = _lapack(lapack.dsterf, d, e)[::-1]
+    rank = int(np.count_nonzero(lam > RANK_RTOL * lam[0]))
+    kernel_dim = n_p - rank
+    one, window = np.ones(n_p, dtype=np.intc), lam[::-1][:kernel_dim + 1]
+    rows = (np.ascontiguousarray(_lapack(lapack.dstein, d, e, window, one,
+                                         n_p * one)).T
+            if rank else np.eye(n_p, order="F"))
+    _apply_q(s, tau, rows, False)
+    x = blas.dtrsm(1.0, chol, rows, side=1, lower=1, overwrite_b=1).T
+    report = InfSupReport(
+        beta=float(np.sqrt(lam[rank - 1])) if rank else 0.0,
+        sigma=np.sqrt(np.maximum(lam[:min(n_p, n_u)], 0.0)),
+        numerical_rank=rank, kernel_dim_pressure=kernel_dim,
+        worst_pressure_mode=_signed(x[:, -1]) if rank else np.zeros(n_p),
+        constant_pressure_angle=_constant_pressure_angle(x[:, :kernel_dim],
+                                                         m))
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        row = blas.dtrsm(1.0, chol, r[None, :], side=1, lower=1, trans_a=1)
+        _apply_q(s, tau, row, True)
+        row = _lapack(lapack.dpttrs, *_lapack(lapack.dpttrf, d, e), row.T,
+                      overwrite_b=1).T
+        _apply_q(s, tau, row, False)
+        return blas.dtrsm(1.0, chol, row, side=1, lower=1)[0]
+
+    return report, solve
 
 
 def infsup_weighted(b, x_norm, m_norm) -> InfSupReport:
     """beta from the pencil (B X^{-1} B^T, M): ``spd_schur``, whose factor
-    of X is dropped before ``pencil`` runs ``eigh``."""
+    of X is dropped before ``pencil`` reduces it."""
     b = sp.csr_array(b, dtype=float)
     s = spd_schur(b, x_norm)[0]
     return pencil(s, m_norm, b.shape[1])[0]

@@ -32,11 +32,11 @@ hats on the boundary nodes or one constant per edge (P0).
 A multiplier system is usable only if its discrete inf-sup condition
 holds, so ``solve_multiplier`` measures it and solves through the one
 pencil (T (A+M)^{-1} T^T, W): one factor of A + M, one dense Schur matrix
-and one ``eigh`` give the beta_h verdict and, on an empty kernel, the
-solution.  ``solve``, the one route of every caller, sends a multiplier
-system there (``MultiplierKernel`` on a non-empty kernel: a pivot test
-can pass it) and the others through ``assembly.solve_saddle``, the oracle
-of the pencil solve; ``equivalence_check`` solves them that way too.
+and one reduction of the pencil give the beta_h verdict and, on an empty
+kernel, the solution.  ``solve``, the one route of every caller, sends a
+multiplier system there (``MultiplierKernel`` on a non-empty kernel: a
+pivot test can pass it) and the others through ``assembly.solve_saddle``,
+the oracle of the pencil solve; ``equivalence_check`` solves them so too.
 """
 
 from __future__ import annotations
@@ -144,22 +144,22 @@ def solve_multiplier(system: SaddleSystem, mesh: Mesh,
     ``multiplier`` system (P1 fields, ``trace`` multipliers), all from one
     pencil (S, W): S = T (A+M)^{-1} T^T of its blocks T = ``b`` and A + M =
     ``a`` by ``infsup.spd_schur``, W = sum_E h_E <mu, mu>_E, the
-    mesh-dependent H^{-1/2} norm, and one ``eigh`` by ``infsup.pencil``.
+    mesh-dependent H^{-1/2} norm, and one reduction by ``infsup.pencil``.
     The kernel is the multipliers orthogonal to every trace: none for P1
     (beta_h 0.344 at n = 16, 32); for P0 the edge mode alternating around
     the boundary, as each hat meets two equal edges: ``MultiplierKernel``.
-    Otherwise S^{-1} = Q Lambda^{-1} Q^T of the same eigenpairs gives
-    lambda = S^{-1} (T A^{-1} f - g) and u = A^{-1} (f - T^T lambda), with no
-    further factor, so the verdict and the solve cannot disagree."""
+    Otherwise the pencil's solve, S^{-1} = L^{-T} Q T^{-1} Q^T L^{-1},
+    gives lambda = S^{-1} (T A^{-1} f - g) and u = A^{-1} (f - T^T lambda),
+    with no further factor, so the verdict and the solve cannot disagree."""
     mult = _multiplier(mesh, trace)
     lengths, _, _ = boundary_edge_geometry(mesh)
     t, f = system.b, system.f
     s, factor = spd_schur(t, system.a)
-    report, eig, q = pencil(s, edge_form(mult, mult, lengths ** 2),
-                            system.n_u)
+    report, schur_solve = pencil(s, edge_form(mult, mult, lengths ** 2),
+                                 system.n_u)
     if report.kernel_dim_pressure:
         raise MultiplierKernel(report)
-    lam = q @ ((q.T @ (t @ factor.solve(f) - system.g)) / eig)
+    lam = schur_solve(t @ factor.solve(f) - system.g)
     u = factor.solve(f - t.T @ lam)
     x = np.concatenate([u, lam])
     if not np.all(np.isfinite(x)):

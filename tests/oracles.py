@@ -9,6 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.special
 
+from infsup_lab import infsup
 from infsup_lab.assembly import mass, stiffness
 from infsup_lab.fespace import (ElementKind, FeSpace, QuadratureRule,
                                 build_space, fields_at_quadrature,
@@ -454,6 +455,28 @@ def dense_pencil(b, x, m):
     s = b @ np.linalg.solve(sp.csr_array(x).toarray(), b.T)
     lam, q = scipy.linalg.eigh(s, sp.csr_array(m).toarray())
     return lam[::-1], q[:, ::-1]
+
+
+def eigh_pencil(s, m_norm, n_u):
+    """The route ``infsup.pencil`` took before its tridiagonal reduction,
+    kept as its oracle: one generalized ``eigh`` (LAPACK ``dsygvd``) of
+    copies of S and the dense M, every eigenvector formed.  Returns the
+    report, with the worst mode under ``infsup._signed``'s sign rule, and
+    the eigenpairs (lambda, Q), descending, Q M-orthonormal."""
+    m = sp.csr_array(m_norm, dtype=float)
+    lam, q = scipy.linalg.eigh(s, m.toarray())
+    lam, q = lam[::-1], q[:, ::-1]
+    n_p = len(lam)
+    rank = int(np.count_nonzero(lam > infsup.RANK_RTOL * lam[0]))
+    worst = infsup._signed(q[:, rank - 1]) if rank else np.zeros(n_p)
+    report = infsup.InfSupReport(
+        beta=float(np.sqrt(lam[rank - 1])) if rank else 0.0,
+        sigma=np.sqrt(np.maximum(lam[:min(n_p, n_u)], 0.0)),
+        numerical_rank=rank, kernel_dim_pressure=n_p - rank,
+        worst_pressure_mode=worst,
+        constant_pressure_angle=infsup._constant_pressure_angle(q[:, rank:],
+                                                                m))
+    return report, lam, q
 
 
 def inverse_constant(mesh) -> float:

@@ -417,6 +417,32 @@ def test_couplings_match_the_table_kernels(n):
                              table_grad_coupling(v, p, rule))
 
 
+def _volume_operators(mesh):
+    """Every volume form of the package over every kind (pair) of element."""
+    weights = np.linspace(0.5, 2.0, mesh.n_triangles)
+    for kind, components in itertools.product(ElementKind, (1, 2)):
+        space = build_space(kind, mesh, components)
+        yield stiffness(space)
+        yield stiffness(space, weights)
+    for rows, cols in itertools.product(ElementKind, ElementKind):
+        row_space, col_space = build_space(rows, mesh), build_space(cols, mesh)
+        yield cross_mass(row_space, col_space)
+        v = build_space(rows, mesh, components=2)
+        yield divergence(v, col_space)
+        yield grad_coupling(v, col_space)
+
+
+def test_cached_moments_give_bit_identical_operators(monkeypatch):
+    # the cache hands every form the array a fresh call computes
+    mesh = unit_square_mesh(2)
+    cached = [op.toarray() for op in _volume_operators(mesh)]
+    monkeypatch.setattr(assembly, "moments", assembly.moments.__wrapped__)
+    fresh = [op.toarray() for op in _volume_operators(mesh)]
+    assert len(cached) == len(fresh) == 95
+    for a, b in zip(cached, fresh):
+        assert np.array_equal(a, b)
+
+
 def test_bubble_mass_is_exact():
     # the bubble mass is of degree 6, beyond the 6-point rule (18% off)
     space = build_space(ElementKind.P1_BUBBLE, unit_square_mesh(4), 2)

@@ -306,14 +306,16 @@ def test_unexpected_numerical_failure_exits_1(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("mode", INFSUP_MODES)
 def test_eigensolver_failure_exits_1(mode, tmp_path, monkeypatch, capsys):
-    def failing_eigh(*args, **kwargs):
-        raise np.linalg.LinAlgError("synthetic eigh breakdown")
-    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    # dsterf, the eigenvalues of the reduced pencil, reports info > 0 (that
+    # many off-diagonal entries failed to converge)
+    def failing_dsterf(d, e, **kwargs):
+        return d, 3
+    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", failing_dsterf)
     code, doc = run(["infsup", "--pair", "th", "--n", "2", "--mode", mode],
                     tmp_path, json_out=True)
     assert code == 1
     assert doc["status"] == "fail"
-    assert "synthetic eigh breakdown" in capsys.readouterr().err
+    assert "dsterf: info 3" in capsys.readouterr().err
 
 
 def _python(*argv):

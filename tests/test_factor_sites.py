@@ -1,6 +1,6 @@
 """Every factorization of the package goes through ``assembly.sparse_lu``
 or ``linalg.dense_lu``, and a factor is told apart by its ``route``; every
-eigen decomposition goes through ``infsup.pencil``.  Every
+eigen decomposition is the one reduction of ``infsup.pencil``.  Every
 triplet array is built in ``assembly._scatter``, the one place that picks
 an operator's index type.  The mesh, space and assembly kernels call no
 BLAS on dense arrays: in a CLI child, a numpy BLAS-3 call wakes numpy's
@@ -130,7 +130,9 @@ def test_splu_is_named_only_in_sparse_lu():
 
 
 def test_eigh_is_named_only_in_the_pencil_routine():
-    assert _sites(SRC, {"eigh"}) == {"infsup.pencil"}
+    # the pencil's one reduction to tridiagonal form; no dense eigh is left
+    assert _sites(SRC, {"dsytrd"}) == {"infsup.pencil"}
+    assert _sites(SRC, {"eigh"}) == set()
 
 
 def test_coo_triplets_are_built_only_in_scatter():

@@ -15,6 +15,7 @@ from infsup_lab.fespace import (
     build_space,
     field_errors,
     fields_at_quadrature,
+    moments,
     quadrature,
     tabulate,
 )
@@ -388,3 +389,14 @@ def test_invalid_components():
     mesh = unit_square_mesh(1)
     with pytest.raises(ValueError):
         build_space(ElementKind.P1, mesh, components=3)
+
+
+def test_moments_are_computed_once_per_pair_and_read_only():
+    first = moments(ElementKind.P2, ElementKind.P2)
+    assert moments(ElementKind.P2, ElementKind.P2) is first
+    assert np.array_equal(first, moments.__wrapped__(ElementKind.P2,
+                                                     ElementKind.P2))
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        first[1:, 1:] *= 2.0

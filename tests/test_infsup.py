@@ -10,7 +10,7 @@ from infsup_lab.assembly import sparse_lu
 from infsup_lab.fespace import ElementKind
 from infsup_lab.linalg import NotPositiveDefinite
 from infsup_lab.mesh import unit_square_mesh
-from oracles import svd
+from oracles import eigh_pencil, svd
 
 
 def random_orthogonal(n, rng):
@@ -60,6 +60,13 @@ def test_euclidean_zero_block():
     assert rep.beta == 0.0
     assert rep.numerical_rank == 0
     assert rep.kernel_dim_pressure == 3
+
+
+def test_empty_pressure_space():
+    rep = infsup.infsup_weighted(np.zeros((0, 3)), np.eye(3), np.zeros((0, 0)))
+    assert (rep.beta, rep.numerical_rank, rep.kernel_dim_pressure) == (0, 0, 0)
+    assert len(rep.sigma) == len(rep.worst_pressure_mode) == 0
+    assert rep.constant_pressure_angle == 1.0
 
 
 def test_euclidean_matches_block_eigenpairing():
@@ -177,9 +184,10 @@ def test_velocity_norm_spd_rule_on_each_route(make, route):
 
 
 def test_eigen_phase_copies_neither_matrix():
-    # the traced peak of infsup_weighted is its eigen phase: S, the dense M
-    # and eigh's 2 n_p² workspace, 4.04 n_p² doubles at TH n=16 (6.04 when
-    # eigh copied a C-ordered S and M into Fortran order)
+    # the traced peak of infsup_weighted is its eigen phase: S and the
+    # dense M, 2.13 n_p² doubles at TH n=16 (4.04 with eigh's eigenvectors
+    # and 2 n_p² workspace, 6.04 when eigh copied a C-ordered S and M into
+    # Fortran order)
     import tracemalloc
 
     b, x, m = infsup.pair_operators(*infsup.pair_spaces(
@@ -193,6 +201,93 @@ def test_eigen_phase_copies_neither_matrix():
         tracemalloc.stop()
     assert report.beta == first.beta
     assert peak <= 5.0 * 8 * b.shape[0] ** 2
+
+
+def test_eigen_phase_holds_s_and_l_only():
+    # S, and L, M's Cholesky factor in M's dense buffer, plus O(64 n_p):
+    # 2.13 n_p² doubles at TH n=16.  The eigh route held 4.04 n_p², with
+    # the n_p x n_p eigenvector matrix and dsygvd's 2 n_p² workspace
+    import tracemalloc
+
+    b, x, m = infsup.pair_operators(*infsup.pair_spaces(
+        "taylor-hood", unit_square_mesh(16)))
+    n_p = b.shape[0]
+    first = infsup.infsup_weighted(b, x, m)  # imports are not the phase
+    tracemalloc.start()
+    try:
+        report = infsup.infsup_weighted(b, x, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.beta == first.beta
+    assert peak <= 8 * (2 * n_p ** 2 + 64 * n_p)
+
+
+def _schur_and_mass(pair, n):
+    b, x, m = infsup.pair_operators(*infsup.pair_spaces(pair,
+                                                        unit_square_mesh(n)))
+    return infsup.spd_schur(b, x)[0], m, b.shape[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("pair", list(infsup.PAIRS))
+def test_pencil_matches_eigh_oracle(pair, n, monkeypatch):
+    s, m, n_u = _schur_and_mass(pair, n)
+    want, lam, q = eigh_pencil(s.copy(order="F"), m, n_u)
+    kernels = []
+    angle = infsup._constant_pressure_angle
+    monkeypatch.setattr(infsup, "_constant_pressure_angle",
+                        lambda kernel, m: kernels.append(kernel)
+                        or angle(kernel, m))
+    got = infsup.pencil(s, m, n_u)[0]
+    rank = want.numerical_rank
+    # the printed digits, the kernel and sigma over the rank
+    assert (f"{got.beta:.6f}", got.numerical_rank) == (f"{want.beta:.6f}",
+                                                       rank)
+    assert got.kernel_dim_pressure == want.kernel_dim_pressure
+    assert len(got.sigma) == len(want.sigma)
+    assert np.allclose(got.sigma[:rank], want.sigma[:rank], rtol=1e-12,
+                       atol=0.0)
+    if want.kernel_dim_pressure:
+        assert np.max(scipy.linalg.subspace_angles(kernels[0],
+                                                   q[:, rank:])) <= 1e-10
+    assert got.constant_pressure_angle == pytest.approx(
+        want.constant_pressure_angle, abs=1e-10)
+    if rank == 0:
+        assert not np.any(got.worst_pressure_mode)
+        return
+    # a simple worst eigenvalue fixes its mode up to sign, which the sign
+    # rule fixes; a multiple one (MINI and TH at n=1) only its eigenspace
+    same = np.abs(lam - lam[rank - 1]) <= 1e-8 * lam[rank - 1]
+    if same.sum() == 1:
+        assert np.abs(got.worst_pressure_mode
+                      - want.worst_pressure_mode).max() <= 1e-10
+    else:
+        space = q[:, same]
+        mode = got.worst_pressure_mode
+        assert np.linalg.norm(mode - space @ (space.T @ (m @ mode))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("pair", list(infsup.PAIRS))
+def test_worst_mode_sign_rule_on_both_routes(pair, n):
+    s, m, n_u = _schur_and_mass(pair, n)
+    for report in (eigh_pencil(s.copy(order="F"), m, n_u)[0],
+                   infsup.pencil(s, m, n_u)[0]):
+        mode = report.worst_pressure_mode
+        size = np.abs(mode)
+        ties = np.flatnonzero(size >= (1.0 - infsup.SIGN_TIE_RTOL)
+                              * size.max())
+        assert mode[ties[0]] > 0.0
+        assert np.linalg.norm(mode) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_sign_rule_breaks_ties_to_the_first_entry():
+    near = 3.0 * (1.0 - 1e-12)
+    assert np.array_equal(infsup._signed(np.array([1.0, -3.0, near])),
+                          -np.array([1.0, -3.0, near])
+                          / np.linalg.norm([1.0, -3.0, near]))
+    assert infsup._signed(np.array([0.0, -2.0]))[1] == 1.0
 
 
 # --- element pairs ---------------------------------------------------------
@@ -249,10 +344,10 @@ def test_study_assembles_and_solves_once(monkeypatch):
 
     monkeypatch.setattr(infsup, "pair_operators",
                         counting("pair_operators", infsup.pair_operators))
-    monkeypatch.setattr(scipy.linalg, "eigh",
-                        counting("eigh", scipy.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd",
+                        counting("dsytrd", scipy.linalg.lapack.dsytrd))
     infsup.study("taylor-hood", unit_square_mesh(3))
-    assert calls == ["pair_operators", "eigh"]
+    assert calls == ["pair_operators", "dsytrd"]
 
 
 def test_report_fields():
